@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """One-shot claim verification on a single network instance.
 
-Runs the closed-form checks, builds an instance at the requested size,
-runs the saturated verification pass, and prints the bound set derived
-from the measured schedule length.  Exit code 1 if anything fails.
+Runs the closed-form checks, then one saturated point of the standard
+pipeline (the one ``adhocsim verify`` runs) at the requested size, and
+prints the bound set derived from the measured schedule length.  Exit
+code 1 if anything fails.
 
 Usage: python scripts/run_claim_checks.py [--n 2000] [--seed 0] [--out DIR]
 """
 
 import argparse
 import sys
+from pathlib import Path
 
-from adhocsim import experiment, links, routing, scheduling, verification
-from adhocsim.engine import EngineConfig, run
+from adhocsim import experiment, verification
 
 
 def main():
@@ -31,41 +32,28 @@ def main():
         print(f"{status} {rec.check_id}: {rec.lhs!r} vs {rec.rhs!r}")
         failures += not rec.passed
 
-    dep, tess = experiment.prepare_instance(args.n, args.seed, args.area_constant)
-    sched = scheduling.build_schedule(tess, 12.0, args.seed)
-    conns = routing.pick_connections(dep, args.seed + 1)
-    routes = [routing.straight_line_route(c, dep, tess) for c in conns]
-    print(f"n={args.n} rho_n={tess.rho_n:.5f} cells={tess.num_cells} K={sched.K}")
+    spec = experiment.load_spec(None, [
+        f"sweep.area_constant={args.area_constant!r}",
+        f"sweep.out={args.out}",
+        "engine.traffic=saturated",
+        "engine.injection_rate=0.0",
+    ])
+    res = experiment.run_single(spec, args.n, args.seed)
+    print(f"n={args.n} rho_n={res.rho_n:.5f} cells={res.num_cells} K={res.schedule_length}")
 
-    bounds = verification.compute_bounds(alpha=3.0, c1=sched.K - 1)
+    bounds = verification.compute_bounds(alpha=spec.radio.alpha, c1=res.schedule_length - 1)
     print(f"t0={bounds.t0:.6f} m0={bounds.m0:.0f} beta0={bounds.beta0:.4g} beta1={bounds.beta1:.4g}")
 
-    cfg = EngineConfig(injection_rate=0.0, traffic="saturated", measure_slots=sched.K, seed=7)
-    metrics = run(dep, tess, sched, routes, links.LogisticModel(), links.RadioParams(), cfg)
-
-    report = verification.VerificationReport()
-    for r in routes:
-        report.records.append(verification.check_hop_count(r, tess.rho_n))
-        report.records.append(verification.check_short_hops(r, tess.rho_n, bounds.t0))
-        report.records.append(verification.check_consecutive_short_hops(r, tess.rho_n))
-    report.extend(
-        verification.check_interferer_proximity(metrics, routes, bounds.m0, sched.K, tess.rho_n)
-    )
-    report.extend(
-        verification.check_sinr_bounded_fraction(metrics, routes, bounds, tess.rho_n)
-    )
+    report = res.report
     for check_id in sorted({r.check_id for r in report.records}):
         rate = report.pass_rate(check_id)
         print(f"{check_id}: pass rate {rate:.4f}")
-        failures += rate < 1.0 and check_id not in {"sinr_bounded_fraction"}
         if check_id == "sinr_bounded_fraction":
             failures += rate < 0.95
-
-    from pathlib import Path
+        else:
+            failures += rate < 1.0
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report.write_csv(out / "verification.csv")
     report.write_text(out / "verification.txt")
     print(f"report written to {out}")
     return 1 if failures else 0

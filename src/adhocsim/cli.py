@@ -47,7 +47,7 @@ def cmd_deploy(args) -> int:
 def cmd_tessellate(args) -> int:
     spec = _spec_from_args(args)
     dep, tess = experiment.prepare_instance(
-        args.n, args.seed, spec.area_constant, spec.on_empty_cell, spec.max_redeploys
+        args.n, args.seed, spec.area_constant, spec.on_empty_cell
     )
     out = Path(args.out or "tessellation.txt")
     save_tessellation(tess, out)
@@ -62,7 +62,7 @@ def cmd_tessellate(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
-    res = experiment.run_point(spec, args.n, args.seed)
+    res = experiment.run_single(spec, args.n, args.seed)
     summary = throughput_summary(res.metrics)
     print(
         f"n={args.n} seed={args.seed} rho_n={res.rho_n:.6f} cells={res.num_cells} "
@@ -73,17 +73,7 @@ def cmd_simulate(args) -> int:
         f"delivered={int(res.metrics.delivered.sum())}/{int(res.metrics.injected.sum())}"
     )
     print(f"injection ceiling 1/(Q*K)={summary.injection_ceiling:.6g}")
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    experiment.write_resolved_config(spec, out / "config.resolved.ini")
-    single = replace(spec, n_values=(args.n,), seeds=(args.seed,))
-    ok = experiment.run_sweep(single)
-    if spec.engine.trace and res.metrics.trace:
-        with open(out / "trace.csv", "w") as fh:
-            fh.write("# schema=trace_v1\nslot,cell,tx_node,rx_node,sinr,outcome\n")
-            for row in res.metrics.trace:
-                fh.write(f"{row[0]},{row[1]},{row[2]},{row[3]},{row[4]!r},{row[5]}\n")
-    return EXIT_OK if ok else EXIT_INVARIANT
+    return EXIT_OK if res.hard_invariants_ok else EXIT_INVARIANT
 
 
 def cmd_sweep(args) -> int:
@@ -98,10 +88,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
-    res = experiment.run_point(spec, args.n, args.seed)
+    res = experiment.run_single(spec, args.n, args.seed)
     out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    res.report.write_csv(out / "verification.csv")
     res.report.write_text(out / "verification.txt")
     write_routes(res.routes, out / "routes.txt")
     for check_id in sorted({r.check_id for r in res.report.records}):

@@ -36,15 +36,12 @@ _RESERVOIR_CAP = 32
 
 @dataclass(frozen=True)
 class EngineConfig:
-    injection_rate: float = 0.01  # per source per slot
+    injection_rate: float = 0.002  # per source per slot
     attempts_per_hop: int = 1
-    measure_slots: int = 10_000
+    measure_slots: int = 5000
     warmup_slots: int | None = None  # default: 10 schedule rotations
     traffic: str = "bernoulli"
     seed: int = 0
-    interference_radius: float | None = None  # speed knob, default off
-    queue_cap: int | None = None
-    fair_queueing: bool = False
     trace: bool = False
     debug_checks: bool = False
 
@@ -77,66 +74,6 @@ class _Packet:
         self.attempts = 0
         self.injected_slot = injected_slot
         self.measured = measured
-
-
-class _FifoQueue:
-    """Single FIFO shared by every connection relaying through the cell."""
-
-    __slots__ = ("_q",)
-
-    def __init__(self):
-        self._q = deque()
-
-    def __len__(self):
-        return len(self._q)
-
-    def __iter__(self):
-        return iter(self._q)
-
-    def head(self):
-        return self._q[0]
-
-    def pop_head(self):
-        return self._q.popleft()
-
-    def append(self, pkt):
-        self._q.append(pkt)
-
-
-class _FairQueue:
-    """Per-connection subqueues served round-robin (ablation mode)."""
-
-    __slots__ = ("_queues", "_order", "_len")
-
-    def __init__(self):
-        self._queues = {}
-        self._order = deque()
-        self._len = 0
-
-    def __len__(self):
-        return self._len
-
-    def __iter__(self):
-        for conn in self._order:
-            yield from self._queues[conn]
-
-    def head(self):
-        return self._queues[self._order[0]][0]
-
-    def pop_head(self):
-        conn = self._order.popleft()
-        pkt = self._queues[conn].popleft()
-        if self._queues[conn]:
-            self._order.append(conn)
-        self._len -= 1
-        return pkt
-
-    def append(self, pkt):
-        q = self._queues.setdefault(pkt.conn, deque())
-        if not q:
-            self._order.append(pkt.conn)
-        q.append(pkt)
-        self._len += 1
 
 
 @dataclass(frozen=True)
@@ -209,8 +146,8 @@ def run(
     relay_of_cell = all_cell_relays(tess, dep)
     dummy_rx = _dummy_receivers(tess, routes_by_conn, relay_of_cell, conn_ids)
 
-    queue_cls = _FairQueue if cfg.fair_queueing else _FifoQueue
-    queues = {c: queue_cls() for c in range(tess.num_cells)}
+    # One FIFO per cell, shared by every connection relaying through it.
+    queues = {c: deque() for c in range(tess.num_cells)}
     injected = np.zeros(len(conn_ids), dtype=np.int64)
     delivered = np.zeros(len(conn_ids), dtype=np.int64)
     dropped = np.zeros(len(conn_ids), dtype=np.int64)
@@ -238,8 +175,8 @@ def run(
             if measuring:
                 active_slots[c] += 1
             q = queues[c]
-            if len(q):
-                pkt = q.head()
+            if q:
+                pkt = q[0]
                 r = routes_by_conn[pkt.conn]
                 txs.append((c, r.relays[pkt.hop], r.relays[pkt.hop + 1], pkt))
             elif saturated and relay_of_cell[c] >= 0 and dummy_rx[c] >= 0:
@@ -267,10 +204,7 @@ def run(
         for k in hits:
             cid = conn_ids[int(k)]
             r = routes_by_conn[cid]
-            start_cell = r.cells[0]
-            if cfg.queue_cap is not None and len(queues[start_cell]) >= cfg.queue_cap:
-                raise ConfigurationError("queue overflow beyond the configured cap")
-            queues[start_cell].append(_Packet(cid, int(seq_counter[k]), slot, measuring))
+            queues[r.cells[0]].append(_Packet(cid, int(seq_counter[k]), slot, measuring))
             seq_counter[k] += 1
             if measuring:
                 injected[conn_index[cid]] += 1
@@ -319,9 +253,6 @@ def _resolve_slot(
     rx_nodes = np.array([t[2] for t in txs])
     dist = _slot_distances(nodes[tx_nodes], nodes[rx_nodes])
     power = P * path_gain(np.maximum(dist, 1e-12), alpha)
-    if cfg.interference_radius is not None:
-        power = np.where(dist <= cfg.interference_radius, power, 0.0)
-        np.fill_diagonal(power, P * path_gain(np.maximum(np.diag(dist), 1e-12), alpha))
     signal = np.diag(power)
     interference = power.sum(axis=0) - signal
     gamma = signal / (N0 + interference)
@@ -362,7 +293,7 @@ def _resolve_slot(
             trace_rows.append((slot, cell, tx, rx, g, outcome))
         q = queues[cell]
         if success:
-            q.pop_head()
+            q.popleft()
             pkt.hop += 1
             pkt.attempts = 0
             r = routes_by_conn[cid]
@@ -374,7 +305,7 @@ def _resolve_slot(
         else:
             pkt.attempts += 1
             if pkt.attempts >= cfg.attempts_per_hop:
-                q.pop_head()
+                q.popleft()
                 if pkt.measured and measuring:
                     dropped[conn_index[cid]] += 1
 

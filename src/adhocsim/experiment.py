@@ -1,8 +1,8 @@
-"""Sweep orchestration: config handling, per-point pipelines, CSV output.
+"""Sweep orchestration: the config schema, the point pipeline, CSV output.
 
 Every run is reproducible from (spec, seed): the pipeline derives all
-sub-seeds from the point seed, and output files are written once per run
-and merged in sorted key order, so repeated sweeps produce byte-identical
+sub-seeds from the point seed, and points run and write their rows in
+sorted ``(n, seed)`` order, so repeated sweeps produce byte-identical
 CSVs.
 """
 
@@ -10,15 +10,19 @@ from __future__ import annotations
 
 import concurrent.futures
 import configparser
+import contextlib
+import csv
+import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import geometry
 from .engine import EngineConfig, RunMetrics, run, throughput_summary
-from .errors import ConfigurationError, RoutingError
+from .errors import ConfigurationError
 from .links import RadioParams, filter_model_params, make_link_model
 from .routing import Route, build_route, pick_connections
 from .scheduling import (
@@ -46,8 +50,6 @@ from .verification import (
     delivery_prediction,
 )
 
-CONNECTIONS_SCHEMA = "connections_v1"
-SUMMARY_SCHEMA = "summary_v1"
 _SEED_STRIDE = 1_000_003  # sub-seed separation between pipeline stages
 
 
@@ -65,7 +67,6 @@ class ExperimentSpec:
     routing_strategy: str = "straight_line"
     relay_mode: str = "nearest_center"
     on_empty_cell: str = "reject_deployment"
-    max_redeploys: int = 50
     engine: EngineConfig = EngineConfig()
     out_dir: str = "runs"
     workers: int = 1
@@ -122,9 +123,7 @@ class PointResult:
 
 
 def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
-    dep, tess = prepare_instance(
-        n, seed, spec.area_constant, spec.on_empty_cell, spec.max_redeploys
-    )
+    dep, tess = prepare_instance(n, seed, spec.area_constant, spec.on_empty_cell)
     schedule = make_schedule(spec, tess, n, seed + 2 * _SEED_STRIDE)
     connections = pick_connections(dep, seed + 3 * _SEED_STRIDE)
     if spec.track_connections is not None:
@@ -184,92 +183,174 @@ def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
 
 
 def _run_point_task(args) -> PointResult:
+    """``run_point``, with any exception recorded as the point's error so
+    that the rest of the grid still runs."""
     spec, n, seed = args
     try:
         return run_point(spec, n, seed)
-    except (ConfigurationError, RoutingError) as exc:
+    except Exception as exc:
         return PointResult(
             n=n, seed=seed, rho_n=float("nan"), num_cells=0, schedule_length=0,
             metrics=None, routes=[], report=VerificationReport(), min_occupancy=0,
-            hard_invariants_ok=False, error=str(exc),
+            hard_invariants_ok=False, error=f"{type(exc).__name__}: {exc}",
         )
 
 
-def connection_rows(res: PointResult) -> list[str]:
+def run_sweep(spec: ExperimentSpec) -> bool:
+    """Run the grid in sorted ``(n, seed)`` order, writing each point's rows
+    as soon as it finishes; True iff every point ran and kept every hard
+    invariant.  Points that raised are listed in ``errors.txt``."""
+    out = Path(spec.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "errors.txt").unlink(missing_ok=True)  # left by an earlier sweep
+    points = sorted((n, seed) for n in spec.n_values for seed in spec.seeds)
+    tasks = [(spec, n, seed) for n, seed in points]
+    all_ok = True
+    errors = []
+    with contextlib.ExitStack() as stack:
+        writer = stack.enter_context(CsvWriter(out))
+        if spec.workers > 1:
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(max_workers=spec.workers))
+            results = pool.map(_run_point_task, tasks)
+        else:
+            results = map(_run_point_task, tasks)
+        for res in results:
+            if res.error is None:
+                writer.write_point(res)
+            else:
+                errors.append(f"n={res.n} seed={res.seed}: {res.error}")
+            all_ok = all_ok and res.hard_invariants_ok
+    if errors:
+        (out / "errors.txt").write_text("\n".join(errors) + "\n")
+    return all_ok
+
+
+def run_single(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
+    """Run one point and write what ``simulate`` and ``verify`` leave behind.
+
+    The outputs are those of a one-point sweep, plus
+    ``verification_detail.csv``, ``trace.csv`` when ``engine.trace`` is on,
+    and ``config.resolved.ini`` for the one point.
+    """
+    spec = replace(spec, n_values=(n,), seeds=(seed,))
+    out = Path(spec.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_resolved_config(spec, out / "config.resolved.ini")
+    res = run_point(spec, n, seed)
+    names = SWEEP_CSVS + ("verification_detail.csv",)
+    if spec.engine.trace:
+        names += ("trace.csv",)
+    with CsvWriter(out, names) as writer:
+        writer.write_point(res)
+        writer.write("verification_detail.csv", detail_rows(res.report))
+        if spec.engine.trace:
+            writer.write("trace.csv", trace_rows(res.metrics))
+    return res
+
+
+# --- CSV output ---------------------------------------------------------------
+
+CSV_LAYOUTS = {  # file name -> (schema stamp, header)
+    "connections.csv": (
+        "connections_v1",
+        "n,seed,rho_n,K,conn_id,L,L_hat,H,lambda_i,injected,delivered,dropped,"
+        "in_flight,delivery_prob",
+    ),
+    "summary.csv": (
+        "summary_v1",
+        "n,seed,rho_n,num_cells,K,lambda_n,Lambda_n,injected,delivered,dropped,"
+        "in_flight,min_occupancy,mean_H,injection_ceiling,occupancy_rate_bound,hard_ok",
+    ),
+    "verification.csv": ("verification_v1", "n,seed,check_id,connection_id,lhs,rhs,passed"),
+    "verification_detail.csv": (
+        "verification_detail_v1", "check_id,connection_id,lhs,rhs,passed,detail"
+    ),
+    "trace.csv": ("trace_v1", "slot,cell,tx_node,rx_node,sinr,outcome"),
+}
+SWEEP_CSVS = ("connections.csv", "summary.csv", "verification.csv")
+
+
+class CsvWriter:
+    """The one writer of every CSV layout in ``CSV_LAYOUTS``.
+
+    Each named file opens with its schema stamp and header; rows are
+    appended as they are produced, so a sweep holds one point at a time.
+    """
+
+    def __init__(self, out_dir, names=SWEEP_CSVS):
+        self._files = contextlib.ExitStack()
+        self._writers = {}
+        for name in names:
+            fh = self._files.enter_context(open(Path(out_dir) / name, "w", newline=""))
+            schema, header = CSV_LAYOUTS[name]
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([f"# schema={schema}"])
+            writer.writerow(header.split(","))
+            self._writers[name] = writer
+
+    def write(self, name: str, rows) -> None:
+        self._writers[name].writerows(rows)
+
+    def write_point(self, res: PointResult) -> None:
+        """Append one finished point to the sweep layouts."""
+        self.write("connections.csv", connection_rows(res))
+        self.write("summary.csv", [summary_row(res)])
+        self.write("verification.csv", verification_rows(res))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._files.close()
+
+
+def connection_rows(res: PointResult) -> list[list]:
     rows = []
     m = res.metrics
     delivery = m.delivery_probability()
     by_conn = {r.connection_id: r for r in res.routes}
     for k, cid in enumerate(m.connection_ids):
         r = by_conn[int(cid)]
-        lam_i = float(m.injected[k]) / m.slots
         dp = float(delivery[k])
-        rows.append(
-            f"{res.n},{res.seed},{res.rho_n!r},{res.schedule_length},{int(cid)},"
-            f"{r.length!r},{r.path_length!r},{r.hop_count},{lam_i!r},"
-            f"{int(m.injected[k])},{int(m.delivered[k])},{int(m.dropped[k])},"
-            f"{int(m.in_flight[k])},{'' if math.isnan(dp) else repr(float(dp))}"
-        )
+        rows.append([
+            res.n, res.seed, repr(res.rho_n), res.schedule_length, int(cid),
+            repr(r.length), repr(r.path_length), r.hop_count,
+            repr(float(m.injected[k]) / m.slots), int(m.injected[k]), int(m.delivered[k]),
+            int(m.dropped[k]), int(m.in_flight[k]), "" if math.isnan(dp) else repr(dp),
+        ])
     return rows
 
 
-def summary_row(res: PointResult, tess_summary) -> str:
+def summary_row(res: PointResult) -> list:
     m = res.metrics
+    ts = throughput_summary(m)
     mean_h = float(np.mean([r.hop_count for r in res.routes])) if res.routes else 0.0
-    return (
-        f"{res.n},{res.seed},{res.rho_n!r},{res.num_cells},{res.schedule_length},"
-        f"{m.lambda_realized!r},{m.throughput!r},{int(m.injected.sum())},"
-        f"{int(m.delivered.sum())},{int(m.dropped.sum())},{int(m.in_flight.sum())},"
-        f"{res.min_occupancy},{mean_h!r},{tess_summary.injection_ceiling!r},"
-        f"{tess_summary.occupancy_rate_bound!r},{int(res.hard_invariants_ok)}"
-    )
+    return [
+        res.n, res.seed, repr(res.rho_n), res.num_cells, res.schedule_length,
+        repr(m.lambda_realized), repr(m.throughput), int(m.injected.sum()),
+        int(m.delivered.sum()), int(m.dropped.sum()), int(m.in_flight.sum()),
+        res.min_occupancy, repr(mean_h), repr(ts.injection_ceiling),
+        repr(ts.occupancy_rate_bound), int(res.hard_invariants_ok),
+    ]
 
 
-def run_sweep(spec: ExperimentSpec) -> bool:
-    """Run the grid; emit CSVs; True iff every hard invariant held everywhere."""
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    points = [(spec, n, seed) for n in spec.n_values for seed in spec.seeds]
-    if spec.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(_run_point_task, points))
-    else:
-        results = [_run_point_task(p) for p in points]
-    results.sort(key=lambda r: (r.n, r.seed))
+def verification_rows(res: PointResult) -> list[list]:
+    """The detail rows without ``detail``, keyed by ``(n, seed)``."""
+    return [[res.n, res.seed, *row[:-1]] for row in detail_rows(res.report)]
 
-    conn_lines = [f"# schema={CONNECTIONS_SCHEMA}",
-                  "n,seed,rho_n,K,conn_id,L,L_hat,H,lambda_i,injected,delivered,"
-                  "dropped,in_flight,delivery_prob"]
-    summary_lines = [f"# schema={SUMMARY_SCHEMA}",
-                     "n,seed,rho_n,num_cells,K,lambda_n,Lambda_n,injected,delivered,"
-                     "dropped,in_flight,min_occupancy,mean_H,injection_ceiling,"
-                     "occupancy_rate_bound,hard_ok"]
-    verif_lines = ["# schema=verification_v1",
-                   "n,seed,check_id,connection_id,lhs,rhs,passed"]
-    all_ok = True
-    errors = []
-    for res in results:
-        if res.error is not None:
-            all_ok = False
-            errors.append(f"n={res.n} seed={res.seed}: {res.error}")
-            continue
-        ts = throughput_summary(res.metrics)
-        conn_lines.extend(connection_rows(res))
-        summary_lines.append(summary_row(res, ts))
-        for rec in res.report.records:
-            cid = "" if rec.connection_id is None else rec.connection_id
-            verif_lines.append(
-                f"{res.n},{res.seed},{rec.check_id},{cid},{rec.lhs!r},{rec.rhs!r},"
-                f"{int(rec.passed)}"
-            )
-        if not res.hard_invariants_ok:
-            all_ok = False
-    (out / "connections.csv").write_text("\n".join(conn_lines) + "\n")
-    (out / "summary.csv").write_text("\n".join(summary_lines) + "\n")
-    (out / "verification.csv").write_text("\n".join(verif_lines) + "\n")
-    if errors:
-        (out / "errors.txt").write_text("\n".join(errors) + "\n")
-    return all_ok
+
+def detail_rows(report: VerificationReport) -> list[list]:
+    return [
+        [r.check_id, "" if r.connection_id is None else r.connection_id,
+         repr(r.lhs), repr(r.rhs), int(r.passed), r.detail]
+        for r in report.records
+    ]
+
+
+def trace_rows(metrics: RunMetrics) -> list[list]:
+    return [[slot, cell, tx, rx, repr(sinr), outcome]
+            for slot, cell, tx, rx, sinr, outcome in metrics.trace]
 
 
 @dataclass(frozen=True)
@@ -342,138 +423,142 @@ def kolmogorov_statistic(distances: np.ndarray) -> float:
 
 # --- configuration file handling -------------------------------------------
 
+@dataclass(frozen=True)
+class ConfigKey:
+    """One INI key: its section and name, the ``ExperimentSpec`` field it
+    sets (a dotted path into ``radio`` or ``engine``), and how its value is
+    read and written.  The key ``*`` stands for every other key of its
+    section; in ``link_model`` those are the variant's parameters."""
+
+    section: str
+    key: str
+    field: str
+    parse: Callable[[str], object] = str
+    format: Callable[[object], str] = str
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in raw.split(",") if s.strip())
+
+
+def _seeds(raw: str) -> tuple[int, ...]:
+    """A count (``10`` means seeds 0..9) or a list (``3,9,27``; ``5,`` is one seed)."""
+    return _ints(raw) if "," in raw else tuple(range(int(raw)))
+
+
+def _join(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _join_seeds(seeds) -> str:
+    # a trailing comma keeps a list of fewer than two seeds from reading as a count
+    return _join(seeds) + ("," if len(seeds) < 2 else "")
+
+
+def _optional_int(raw: str) -> int | None:
+    return int(raw) if raw else None
+
+
+def _optional(value) -> str:
+    return "" if value is None else str(value)
+
+
+def _bool(raw: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+CONFIG_KEYS = (
+    ConfigKey("sweep", "n", "n_values", _ints, _join),
+    ConfigKey("sweep", "seeds", "seeds", _seeds, _join_seeds),
+    ConfigKey("sweep", "area_constant", "area_constant", float, repr),
+    ConfigKey("sweep", "out", "out_dir"),
+    ConfigKey("sweep", "workers", "workers", int),
+    ConfigKey("sweep", "track_connections", "track_connections", _optional_int, _optional),
+    ConfigKey("radio", "tx_power", "radio.tx_power", float, repr),
+    ConfigKey("radio", "noise", "radio.noise", float, repr),
+    ConfigKey("radio", "alpha", "radio.alpha", float, repr),
+    ConfigKey("link_model", "name", "link_model_name"),
+    ConfigKey("link_model", "*", "link_model_params", float, repr),
+    ConfigKey("schedule", "regime", "schedule_regime"),
+    ConfigKey("schedule", "delta", "schedule_delta", float, repr),
+    ConfigKey("schedule", "growth", "schedule_growth"),
+    ConfigKey("routing", "strategy", "routing_strategy"),
+    ConfigKey("routing", "relay", "relay_mode"),
+    ConfigKey("routing", "on_empty_cell", "on_empty_cell"),
+    ConfigKey("engine", "injection_rate", "engine.injection_rate", float, repr),
+    ConfigKey("engine", "attempts_per_hop", "engine.attempts_per_hop", int),
+    ConfigKey("engine", "measure_slots", "engine.measure_slots", int),
+    ConfigKey("engine", "warmup_slots", "engine.warmup_slots", _optional_int, _optional),
+    ConfigKey("engine", "traffic", "engine.traffic"),
+    ConfigKey("engine", "trace", "engine.trace", _bool),
+    ConfigKey("engine", "debug_checks", "engine.debug_checks", _bool),
+)
+_KEYS = {(k.section, k.key): k for k in CONFIG_KEYS}
+_SECTIONS = {k.section for k in CONFIG_KEYS}
+
+
 def load_spec(path=None, overrides: list[str] | None = None) -> ExperimentSpec:
-    """Build an ExperimentSpec from an INI file plus ``section.key=value`` overrides."""
-    parser = configparser.ConfigParser()
-    parser.read_dict(_DEFAULT_CONFIG)
-    if path is not None:
-        read = parser.read(path)
-        if not read:
+    """Build an ExperimentSpec from an INI file plus ``section.key=value``
+    overrides; every key left out keeps the dataclass default."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        if path is not None and not parser.read(path):
             raise ConfigurationError(f"config file not found: {path}")
+    except configparser.Error as exc:
+        raise ConfigurationError(f"unreadable config file {path}: {exc}") from None
     for item in overrides or []:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
+        key, eq, value = item.partition("=")
+        section, dot, option = (s.strip() for s in key.partition("."))
+        if not eq or not dot:
             raise ConfigurationError(f"override must look like section.key=value: {item!r}")
-        key, value = item.split("=", 1)
-        section, option = key.split(".", 1)
+        if section not in _SECTIONS:
+            raise ConfigurationError(f"unknown config section [{section}]")
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section.strip(), option.strip(), value.strip())
-    return _spec_from_parser(parser)
+        parser.set(section, option, value.strip())
 
+    fields = {"": {}, "radio": {}, "engine": {}}  # by the dataclass they set
+    model_params = {}
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigurationError(f"unknown config section [{section}]")
+        for option, raw in parser.items(section):
+            k = _KEYS.get((section, option)) or _KEYS.get((section, "*"))
+            if k is None:
+                raise ConfigurationError(f"unknown config key {section}.{option}")
+            try:
+                value = k.parse(raw)
+            except (ValueError, KeyError):
+                raise ConfigurationError(
+                    f"malformed value for {section}.{option}: {raw!r}"
+                ) from None
+            if k.key == "*":
+                model_params[option] = value
+            else:
+                owner, _, name = k.field.rpartition(".")
+                fields[owner][name] = value
 
-def _spec_from_parser(p: configparser.ConfigParser) -> ExperimentSpec:
-    sweep = p["sweep"]
-    radio = RadioParams(
-        tx_power=p.getfloat("radio", "tx_power"),
-        noise=p.getfloat("radio", "noise"),
-        alpha=p.getfloat("radio", "alpha"),
+    base = ExperimentSpec()
+    name = fields[""].get("link_model_name", base.link_model_name)
+    fields[""]["link_model_params"] = tuple(
+        sorted(filter_model_params(name, model_params).items())
     )
-    lm_name = p.get("link_model", "name")
-    lm_params = filter_model_params(
-        lm_name, {k: float(v) for k, v in p["link_model"].items() if k != "name"}
-    )
-    lm_items = tuple(sorted(lm_params.items()))
-    engine = EngineConfig(
-        injection_rate=p.getfloat("engine", "injection_rate"),
-        attempts_per_hop=p.getint("engine", "attempts_per_hop"),
-        measure_slots=p.getint("engine", "measure_slots"),
-        warmup_slots=p.getint("engine", "warmup_slots") if p.get("engine", "warmup_slots", fallback="") else None,
-        traffic=p.get("engine", "traffic"),
-        seed=p.getint("engine", "seed"),
-        trace=p.getboolean("engine", "trace"),
-    )
-    seeds_raw = sweep.get("seeds")
-    if "," in seeds_raw:
-        seeds = tuple(int(s) for s in seeds_raw.split(","))
-    else:
-        seeds = tuple(range(int(seeds_raw)))
-    track = sweep.get("track_connections", fallback="")
-    return ExperimentSpec(
-        n_values=tuple(int(s) for s in sweep.get("n").split(",")),
-        seeds=seeds,
-        area_constant=sweep.getfloat("area_constant"),
-        radio=radio,
-        link_model_name=lm_name,
-        link_model_params=lm_items,
-        schedule_regime=p.get("schedule", "regime"),
-        schedule_delta=p.getfloat("schedule", "delta"),
-        schedule_growth=p.get("schedule", "growth"),
-        routing_strategy=p.get("routing", "strategy"),
-        relay_mode=p.get("routing", "relay"),
-        on_empty_cell=p.get("routing", "on_empty_cell"),
-        engine=engine,
-        out_dir=sweep.get("out"),
-        workers=sweep.getint("workers"),
-        track_connections=int(track) if track else None,
+    return replace(
+        base,
+        radio=replace(base.radio, **fields["radio"]),
+        engine=replace(base.engine, **fields["engine"]),
+        **fields[""],
     )
 
 
 def write_resolved_config(spec: ExperimentSpec, path) -> None:
     """Every run records the fully resolved configuration next to its outputs."""
-    p = configparser.ConfigParser()
-    p["sweep"] = {
-        "n": ",".join(str(n) for n in spec.n_values),
-        "seeds": ",".join(str(s) for s in spec.seeds),
-        "area_constant": repr(spec.area_constant),
-        "out": spec.out_dir,
-        "workers": str(spec.workers),
-        "track_connections": "" if spec.track_connections is None else str(spec.track_connections),
-    }
-    p["radio"] = {
-        "tx_power": repr(spec.radio.tx_power),
-        "noise": repr(spec.radio.noise),
-        "alpha": repr(spec.radio.alpha),
-    }
-    p["link_model"] = {"name": spec.link_model_name} | {
-        k: repr(v) for k, v in spec.link_model_params
-    }
-    p["schedule"] = {
-        "regime": spec.schedule_regime,
-        "delta": repr(spec.schedule_delta),
-        "growth": spec.schedule_growth,
-    }
-    p["routing"] = {
-        "strategy": spec.routing_strategy,
-        "relay": spec.relay_mode,
-        "on_empty_cell": spec.on_empty_cell,
-    }
-    p["engine"] = {
-        "injection_rate": repr(spec.engine.injection_rate),
-        "attempts_per_hop": str(spec.engine.attempts_per_hop),
-        "measure_slots": str(spec.engine.measure_slots),
-        "warmup_slots": "" if spec.engine.warmup_slots is None else str(spec.engine.warmup_slots),
-        "traffic": spec.engine.traffic,
-        "seed": str(spec.engine.seed),
-        "trace": str(spec.engine.trace),
-    }
+    p = configparser.ConfigParser(interpolation=None)
+    for k in CONFIG_KEYS:
+        value = functools.reduce(getattr, k.field.split("."), spec)
+        if not p.has_section(k.section):
+            p.add_section(k.section)
+        for key, v in value if k.key == "*" else [(k.key, value)]:
+            p.set(k.section, key, k.format(v))
     with open(path, "w") as fh:
         p.write(fh)
-
-
-_DEFAULT_CONFIG = {
-    "sweep": {
-        "n": "250,500,1000,2000,4000",
-        "seeds": "10",
-        "area_constant": "1.2",
-        "out": "runs",
-        "workers": "1",
-        "track_connections": "",
-    },
-    "radio": {"tx_power": "1.0", "noise": "1e-9", "alpha": "3.0"},
-    "link_model": {"name": "logistic", "a": "1.0", "midpoint_db": "10.0"},
-    "schedule": {"regime": "fixed", "delta": "12.0", "growth": "log"},
-    "routing": {
-        "strategy": "straight_line",
-        "relay": "nearest_center",
-        "on_empty_cell": "reject_deployment",
-    },
-    "engine": {
-        "injection_rate": "0.002",
-        "attempts_per_hop": "1",
-        "measure_slots": "5000",
-        "warmup_slots": "",
-        "traffic": "bernoulli",
-        "seed": "0",
-        "trace": "False",
-    },
-}

@@ -19,21 +19,9 @@ from .errors import GeometryError
 
 RADIUS = 1.0 / (2.0 * math.sqrt(math.pi))
 MAX_DISTANCE = math.pi * RADIUS  # antipodal separation, sqrt(pi)/2
-HEMISPHERE_RHO = 0.5 * MAX_DISTANCE
 
 _SQRT_PI = math.sqrt(math.pi)
 _EPS = 1e-12
-
-
-def unit_vector(v) -> np.ndarray:
-    """Validate ``v`` as a unit direction vector (norm 1 within 1e-12)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] != 3:
-        raise GeometryError(f"expected a 3-vector, got shape {v.shape}")
-    norms = np.linalg.norm(v, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-12):
-        raise GeometryError("direction is not unit length")
-    return v
 
 
 def central_angle(a, b):

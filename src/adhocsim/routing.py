@@ -251,8 +251,7 @@ def _random_walk_cells(
 
 
 def _detour_cells(
-    tess: Tessellation, start: int, goal: int, kappa: float, rng: np.random.Generator,
-    dep: Deployment,
+    tess: Tessellation, start: int, goal: int, kappa: float, rng: np.random.Generator
 ) -> list[int]:
     base = _bfs_cells(tess, start, goal)
     base_len = _cells_path_length(base, tess)
@@ -303,7 +302,7 @@ def arbitrary_route(
         kappa = float(strategy.split(":", 1)[1])
         if kappa < 1.0:
             raise ConfigurationError("detour factor must be at least 1")
-        cells = _detour_cells(tess, start, goal, kappa, rng, dep)
+        cells = _detour_cells(tess, start, goal, kappa, rng)
     else:
         raise ConfigurationError(f"unknown routing strategy {strategy!r}")
     relay_rng = rng if relay_mode == "random" else None

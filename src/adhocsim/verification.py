@@ -136,14 +136,6 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("# schema=verification_v1\n")
-            fh.write("check_id,connection_id,lhs,rhs,passed,detail\n")
-            for r in self.records:
-                cid = "" if r.connection_id is None else r.connection_id
-                fh.write(f"{r.check_id},{cid},{r.lhs!r},{r.rhs!r},{int(r.passed)},{r.detail}\n")
-
     def write_text(self, path) -> None:
         ids = sorted({r.check_id for r in self.records})
         with open(path, "w") as fh:

@@ -188,11 +188,6 @@ class TestReceptionRules:
         assert m.delivered[1] == 0
         assert m.dropped[1] > 0
 
-    def test_queue_cap_overflow(self, small_instance):
-        cfg = EngineConfig(injection_rate=1.0, measure_slots=200, queue_cap=1, seed=31)
-        with pytest.raises(ConfigurationError):
-            run_subset(small_instance, links.ConstantPModel(0.5), cfg, count=30)
-
     def test_half_duplex_debug_checks_pass(self, small_instance):
         cfg = EngineConfig(
             injection_rate=0.02, measure_slots=1000, seed=37, debug_checks=True
@@ -206,14 +201,6 @@ class TestReceptionRules:
         slot, cell, tx, rx, sinr, outcome = m.trace[0]
         assert outcome in {"ok", "fail", "collision", "dummy"}
         assert sinr > 0
-
-    def test_fair_queueing_mode_runs(self, small_instance):
-        cfg = EngineConfig(
-            injection_rate=0.02, measure_slots=3000, seed=43, fair_queueing=True
-        )
-        m = run_subset(small_instance, links.ConstantPModel(0.7), cfg)
-        m.check_conservation()
-        assert m.delivered.sum() > 0
 
     def test_periodic_traffic(self, small_instance):
         cfg = EngineConfig(

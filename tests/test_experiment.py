@@ -1,10 +1,19 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adhocsim import cli, experiment, geometry
+from adhocsim.engine import EngineConfig
 from adhocsim.errors import ConfigurationError
+from adhocsim.links import RadioParams
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TINY = [
     "sweep.n=250",
@@ -39,6 +48,7 @@ class TestSpecLoading:
     def test_explicit_seed_list(self):
         spec = experiment.load_spec(None, ["sweep.seeds=3,9,27"])
         assert spec.seeds == (3, 9, 27)
+        assert experiment.load_spec(None, ["sweep.seeds=5,"]).seeds == (5,)
 
     def test_bad_override_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -49,14 +59,77 @@ class TestSpecLoading:
             experiment.load_spec("/nonexistent/config.ini")
 
     def test_resolved_config_roundtrip(self, tmp_path):
-        spec = tiny_spec(tmp_path / "runs", ["link_model.name=constant_p", "link_model.p=0.6"])
+        # every key away from its default
+        spec = experiment.ExperimentSpec(
+            n_values=(300, 700),
+            seeds=(0,),
+            area_constant=1.7,
+            radio=RadioParams(tx_power=2.5, noise=3e-9, alpha=3.5),
+            link_model_name="bpsk_packet",
+            link_model_params=(("bits", 128.0),),
+            schedule_regime="conservative",
+            schedule_delta=14.5,
+            schedule_growth="sqrt_log",
+            routing_strategy="shortest_cell_path",
+            relay_mode="random",
+            on_empty_cell="error_on_route",
+            engine=EngineConfig(
+                injection_rate=0.125, attempts_per_hop=3, measure_slots=777,
+                warmup_slots=11, traffic="periodic", trace=True, debug_checks=True,
+            ),
+            out_dir=str(tmp_path / "runs"),
+            workers=3,
+            track_connections=17,
+        )
+        defaults = experiment.ExperimentSpec()
+        for k in experiment.CONFIG_KEYS:
+            value, default = spec, defaults
+            for attr in k.field.split("."):
+                value, default = getattr(value, attr), getattr(default, attr)
+            assert value != default, k.field
         path = tmp_path / "resolved.ini"
-        experiment.write_resolved_config(spec, path)
-        again = experiment.load_spec(path)
-        assert again.n_values == spec.n_values
-        assert again.seeds == spec.seeds
-        assert again.link_model() == spec.link_model()
-        assert again.engine == spec.engine
+        for seeds in [(0,), (5,), (3, 9, 27), ()]:
+            spec = dataclasses.replace(spec, seeds=seeds)
+            experiment.write_resolved_config(spec, path)
+            assert experiment.load_spec(path) == spec
+
+    @pytest.mark.parametrize("override", [
+        "engine.sede=5", "engine.seed=5", "enigne.trace=True", "DEFAULT.n=5", "link_model.q=0.5",
+        "sweep.n=abc", "sweep.seeds=x", "engine.trace=maybe", "radio.alpha=",
+        "link_model.p=high", "engine.warmup_slots=1.5",
+    ])
+    def test_unknown_key_or_malformed_value_rejected(self, override):
+        with pytest.raises(ConfigurationError):
+            experiment.load_spec(None, [override])
+
+    @pytest.mark.parametrize("text", [
+        "[sweep]\nn = 250\n\n[sweeps]\n", "n = 250\n", "[sweep]\nn = 1\nn = 2\n",
+    ])
+    def test_bad_config_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError):
+            experiment.load_spec(path)
+
+    def test_desk_config_loads(self):
+        spec = experiment.load_spec(ROOT / "configs" / "desk.ini")
+        assert spec == dataclasses.replace(experiment.ExperimentSpec(), out_dir="runs/desk",
+                                           link_model_params=(("a", 1.0), ("midpoint_db", 10.0)))
+
+
+def _scalar_fields(cls, prefix=""):
+    return {prefix + f.name for f in dataclasses.fields(cls)}
+
+
+def test_every_field_has_one_config_key():
+    fields = (
+        _scalar_fields(experiment.ExperimentSpec) - {"radio", "engine"}
+        | _scalar_fields(RadioParams, "radio.")
+        | _scalar_fields(EngineConfig, "engine.") - {"engine.seed"}
+    )
+    targets = [k.field for k in experiment.CONFIG_KEYS]
+    assert sorted(targets) == sorted(fields)  # each field once, and no key without a field
+    assert len(fields) == 24  # 25 settable values; engine.seed is for library callers only
 
 
 class TestPrepareInstance:
@@ -96,6 +169,7 @@ class TestSweep:
         assert conn[0] == "# schema=connections_v1"
         assert summ[0] == "# schema=summary_v1"
         assert verif[0] == "# schema=verification_v1"
+        assert verif[1] == "n,seed,check_id,connection_id,lhs,rhs,passed"
         assert len(summ) == 2 + 2  # header rows + one per (n, seed)
         assert len(conn) == 2 + 2 * 40
         header = conn[1].split(",")
@@ -118,6 +192,24 @@ class TestSweep:
         assert "n=40" in (out / "errors.txt").read_text()
         summ = (out / "summary.csv").read_text().splitlines()
         assert len(summ) == 3  # the good point still produced its row
+
+    def test_unexpected_error_isolates(self, tmp_path, monkeypatch):
+        real = experiment.run_point
+
+        def flaky(spec, n, seed):
+            if seed == 1:
+                raise RuntimeError("boom")
+            return real(spec, n, seed)
+
+        monkeypatch.setattr(experiment, "run_point", flaky)
+        out = tmp_path / "runs"
+        assert not experiment.run_sweep(tiny_spec(out))
+        assert (out / "errors.txt").read_text() == "n=250 seed=1: RuntimeError: boom\n"
+        summ = (out / "summary.csv").read_text().splitlines()
+        assert len(summ) == 3 and summ[2].startswith("250,0,")
+        monkeypatch.undo()
+        assert experiment.run_sweep(tiny_spec(out))
+        assert not (out / "errors.txt").exists()  # a clean rerun clears the old list
 
     def test_workers_match_serial(self, tmp_path):
         out1, out2 = tmp_path / "s", tmp_path / "p"
@@ -185,9 +277,11 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "o" / "config.resolved.ini").exists()
 
-    def test_config_error_exit(self, tmp_path):
+    def test_config_error_exit(self, tmp_path, capsys):
         code = cli.main(["sweep", "--config", "/no/such/file.ini"])
         assert code == 2
+        assert cli.main(["sweep", "--set=sweep.n=abc"]) == 2
+        assert "sweep.n" in capsys.readouterr().err
 
     def test_tessellate_and_deploy(self, tmp_path):
         out = tmp_path / "t.txt"
@@ -217,13 +311,47 @@ class TestCli:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_simulate_subcommand(self, tmp_path, capsys):
+    def test_simulate_subcommand(self, tmp_path, capsys, monkeypatch):
+        engine_runs = []
+        real = experiment.run
+
+        def counting_run(*args):
+            engine_runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "run", counting_run)
         code = cli.main(
             ["simulate", "--n", "250", "--seed", "0", "--out", str(tmp_path / "s")]
             + [f"--set={s}" for s in TINY]
         )
         assert code == 0
         assert "Lambda_n=" in capsys.readouterr().out
+        assert len(engine_runs) == 1
+
+    def test_simulate_matches_one_point_sweep(self, tmp_path):
+        sim, sweep = tmp_path / "sim", tmp_path / "sweep"
+        code = cli.main(["simulate", "--n", "250", "--seed", "1", "--out", str(sim)]
+                        + [f"--set={s}" for s in TINY])
+        assert code == 0
+        spec = dataclasses.replace(tiny_spec(sweep), seeds=(1,))
+        assert experiment.run_sweep(spec)
+        for name in experiment.SWEEP_CSVS:
+            assert (sim / name).read_bytes() == (sweep / name).read_bytes()
+        resolved = experiment.load_spec(sim / "config.resolved.ini")
+        assert resolved == dataclasses.replace(spec, out_dir=str(sim))
+        detail = (sim / "verification_detail.csv").read_text().splitlines()
+        assert detail[0] == "# schema=verification_detail_v1"
+
+    def test_claim_checks_script(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_claim_checks.py"),
+             "--n", "2000", "--seed", "0", "--out", str(tmp_path / "claims")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        detail = (tmp_path / "claims" / "verification_detail.csv").read_text()
+        assert detail.startswith("# schema=verification_detail_v1\n")
 
     def test_invariant_failure_exit_code(self, tmp_path, monkeypatch):
         import adhocsim.experiment as exp

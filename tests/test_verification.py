@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adhocsim import links, routing, scheduling, verification
+from adhocsim import experiment, links, routing, scheduling, verification
 from adhocsim.engine import EngineConfig, run
 from adhocsim.errors import ConfigurationError, SaturationError
 
@@ -305,10 +305,10 @@ class TestReport:
         _, tess, _, _, routes = small_instance
         report = verification.VerificationReport()
         report.records = [verification.check_hop_count(r, tess.rho_n) for r in routes[:20]]
-        csv_path = tmp_path / "verif.csv"
-        report.write_csv(csv_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "# schema=verification_v1"
+        with experiment.CsvWriter(tmp_path, ["verification_detail.csv"]) as writer:
+            writer.write("verification_detail.csv", experiment.detail_rows(report))
+        lines = (tmp_path / "verification_detail.csv").read_text().splitlines()
+        assert lines[0] == "# schema=verification_detail_v1"
         assert lines[1].split(",")[:4] == ["check_id", "connection_id", "lhs", "rhs"]
         assert len(lines) == 22
         report.write_text(tmp_path / "verif.txt")

@@ -7,7 +7,7 @@ slot-synchronous SINR-based packet simulation, and empirically checks
 the geometric and throughput claims that motivate the design.
 """
 
-from .engine import EngineConfig, RunMetrics, run, saturated_mode, throughput_summary
+from .engine import EngineConfig, RunMetrics, run, throughput_summary
 from .errors import ConfigurationError, GeometryError, RoutingError, SaturationError
 from .links import (
     BpskPacketModel,
@@ -62,7 +62,6 @@ __all__ = [
     "pick_connections",
     "rho_for_n",
     "run",
-    "saturated_mode",
     "sinr",
     "straight_line_route",
     "success_probability",

@@ -16,7 +16,6 @@ against those per-slot transmitter sets.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ConfigurationError
-from .links import LinkModel, RadioParams, path_gain
+from .links import LinkModel, RadioParams, path_gain, sinr
 from .routing import Route, all_cell_relays
 from .scheduling import Schedule
 from .tessellation import Deployment, Tessellation
@@ -59,11 +58,6 @@ class EngineConfig:
             raise ConfigurationError("measure_slots must be at least 1")
 
 
-def saturated_mode(cfg: EngineConfig) -> EngineConfig:
-    """The same configuration with saturated traffic."""
-    return dataclasses.replace(cfg, traffic="saturated")
-
-
 class _Packet:
     __slots__ = ("conn", "seq", "hop", "attempts", "injected_slot", "measured")
 
@@ -81,8 +75,7 @@ class HopSample:
     """Stationary per-hop measurement from a saturated run."""
 
     gamma: float
-    nearest_interferer: float | None  # surface distance; None = no interferer
-    slot: int
+    nearest_interferer: float  # surface distance; inf = no interferer
 
 
 @dataclass
@@ -118,11 +111,6 @@ class RunMetrics:
             raise AssertionError("packet conservation violated")
 
 
-def _slot_distances(tx_pos: np.ndarray, rx_pos: np.ndarray) -> np.ndarray:
-    cos = np.clip(tx_pos @ rx_pos.T, -1.0, 1.0)
-    return geometry.RADIUS * np.arccos(cos)
-
-
 def run(
     dep: Deployment,
     tess: Tessellation,
@@ -145,6 +133,19 @@ def run(
 
     relay_of_cell = all_cell_relays(tess, dep)
     dummy_rx = _dummy_receivers(tess, routes_by_conn, relay_of_cell, conn_ids)
+    # Received signal power per route hop and per cell's dummy link, from
+    # the atan2 link lengths (short links need its accuracy).
+    hop_power = {
+        cid: (radio.tx_power * path_gain(r.hop_lengths, radio.alpha)).tolist()
+        for cid, r in routes_by_conn.items()
+    }
+    dummy_power = np.zeros(tess.num_cells)
+    if saturated:
+        linked = (relay_of_cell >= 0) & (dummy_rx >= 0)
+        dummy_power[linked] = radio.tx_power * path_gain(
+            geometry.surface_distance(nodes[relay_of_cell[linked]], nodes[dummy_rx[linked]]),
+            radio.alpha,
+        )
 
     # One FIFO per cell, shared by every connection relaying through it.
     queues = {c: deque() for c in range(tess.num_cells)}
@@ -165,11 +166,10 @@ def run(
         cfg.traffic == "periodic"
     ) else 0
 
-    alpha, P, N0 = radio.alpha, radio.tx_power, radio.noise
     for slot in range(total_slots):
         measuring = slot >= warmup
         active = schedule.active_cells(slot)
-        txs = []  # (cell, tx_node, rx_node, packet_or_None)
+        txs = []  # (cell, tx_node, rx_node, packet_or_None, signal_power)
         for c in active:
             c = int(c)
             if measuring:
@@ -178,15 +178,17 @@ def run(
             if q:
                 pkt = q[0]
                 r = routes_by_conn[pkt.conn]
-                txs.append((c, r.relays[pkt.hop], r.relays[pkt.hop + 1], pkt))
+                txs.append((c, r.relays[pkt.hop], r.relays[pkt.hop + 1], pkt,
+                            hop_power[pkt.conn][pkt.hop]))
             elif saturated and relay_of_cell[c] >= 0 and dummy_rx[c] >= 0:
-                txs.append((c, int(relay_of_cell[c]), int(dummy_rx[c]), None))
+                txs.append((c, int(relay_of_cell[c]), int(dummy_rx[c]), None,
+                            float(dummy_power[c])))
         if txs:
             if measuring:
-                for c, _, _, _ in txs:
-                    transmit_slots[c] += 1
+                for t in txs:
+                    transmit_slots[t[0]] += 1
             _resolve_slot(
-                txs, nodes, model, alpha, P, N0, cfg, rng, slot, measuring,
+                txs, nodes, model, radio, cfg, rng, slot, measuring,
                 routes_by_conn, conn_index, queues, delivered, dropped,
                 attempt_sinrs, sample_counts, trace_rows, schedule, tess,
             )
@@ -245,35 +247,33 @@ def run(
 
 
 def _resolve_slot(
-    txs, nodes, model, alpha, P, N0, cfg, rng, slot, measuring,
+    txs, nodes, model, radio, cfg, rng, slot, measuring,
     routes_by_conn, conn_index, queues, delivered, dropped,
     attempt_sinrs, sample_counts, trace_rows, schedule, tess,
 ):
-    tx_nodes = np.array([t[1] for t in txs])
-    rx_nodes = np.array([t[2] for t in txs])
-    dist = _slot_distances(nodes[tx_nodes], nodes[rx_nodes])
-    power = P * path_gain(np.maximum(dist, 1e-12), alpha)
-    signal = np.diag(power)
-    interference = power.sum(axis=0) - signal
-    gamma = signal / (N0 + interference)
+    signal = [t[4] for t in txs]
+    gamma, _ = sinr(
+        signal, nodes[[t[2] for t in txs]], nodes[[t[1] for t in txs]], radio,
+        own=np.arange(len(txs)),
+    )
 
     if cfg.debug_checks:
         active_set = {int(c) for c in schedule.active_cells(slot)}
-        for _, _, rx, pkt in txs:
+        for _, _, rx, pkt, _ in txs:
             if pkt is not None and int(tess.cell_of_node[rx]) in active_set:
                 raise AssertionError("receiver's cell is active in the same slot")
 
     # A node decodes at most one packet per slot: only the strongest inbound
     # signal is attempted, the rest fail (but still interfere network-wide).
     strongest: dict[int, int] = {}
-    for j, (_, _, rx, pkt) in enumerate(txs):
+    for j, (_, _, rx, pkt, _) in enumerate(txs):
         if pkt is None:
             continue
         best = strongest.get(rx)
         if best is None or signal[j] > signal[best]:
             strongest[rx] = j
 
-    for j, (cell, tx, rx, pkt) in enumerate(txs):
+    for j, (cell, tx, rx, pkt, _) in enumerate(txs):
         if pkt is None:
             if cfg.trace and measuring:
                 trace_rows.append((slot, cell, tx, rx, float(gamma[j]), "dummy"))
@@ -361,50 +361,32 @@ def saturated_hop_samples(
     With every occupied cell transmitting in each of its slots the
     transmitter set of a slot depends only on its color, so one measurement
     per hop covers every attempt that hop can experience.  The transmitter
-    field is each concurrent cell's relay node, with the measured hop's own
-    cell transmitting the hop's actual source node.
+    field of a color is each of its occupied cells' relay node; a hop's own
+    cell is left out of it, since that cell transmits the hop's signal.  One
+    ``sinr`` call per color measures all of that color's hops, the same
+    kernel, on the same field, that the engine runs in its slots.
     """
     if relay_of_cell is None:
         relay_of_cell = all_cell_relays(tess, dep)
-    occupied = relay_of_cell >= 0
-    field_by_color: list[np.ndarray] = []
-    for k in range(schedule.num_colors):
-        cells = schedule.cells_by_color[k]
-        cells = cells[occupied[cells]]
-        field_by_color.append(cells)
-
-    samples: dict[int, list[HopSample]] = {}
-    alpha, P, N0 = radio.alpha, radio.tx_power, radio.noise
-    for r in routes:
-        out = []
-        for hop in range(r.hop_count):
-            cell = r.tx_cell(hop)
-            color = int(schedule.color_of_cell[cell])
-            tx = r.relays[hop]
-            rx = r.relays[hop + 1]
-            others = field_by_color[color]
-            others = others[others != cell]
-            rx_pos = dep.nodes[rx]
-            d_signal = float(geometry.surface_distance(dep.nodes[tx], rx_pos))
-            signal = P * float(path_gain(max(d_signal, 1e-12), alpha))
-            if len(others):
-                d_int = geometry.surface_distance(
-                    dep.nodes[relay_of_cell[others]], rx_pos
-                )
-                interference = P * float(path_gain(np.maximum(d_int, 1e-12), alpha).sum())
-                nearest = float(np.min(d_int))
-            else:
-                interference = 0.0
-                nearest = None
-            out.append(
-                HopSample(
-                    gamma=signal / (N0 + interference),
-                    nearest_interferer=nearest,
-                    slot=color,
-                )
-            )
-        samples[r.connection_id] = out
-    return samples
+    cells = np.array([r.tx_cell(h) for r in routes for h in range(r.hop_count)], dtype=np.int64)
+    rx = np.array([x for r in routes for x in r.relays[1:]], dtype=np.int64)
+    lengths = np.array([d for r in routes for d in r.hop_lengths], dtype=float)
+    signal = radio.tx_power * path_gain(lengths, radio.alpha)
+    colors = schedule.color_of_cell[cells]
+    gamma = np.empty(len(cells))
+    nearest = np.empty(len(cells))
+    position = np.empty(tess.num_cells, dtype=np.int64)  # cell -> index in its field
+    for k, field in enumerate(schedule.cells_by_color):
+        hops = np.flatnonzero(colors == k)
+        field = field[relay_of_cell[field] >= 0]
+        position[field] = np.arange(len(field))
+        gamma[hops], nearest[hops] = sinr(
+            signal[hops], dep.nodes[rx[hops]], dep.nodes[relay_of_cell[field]], radio,
+            own=position[cells[hops]],
+        )
+    pairs = iter(zip(gamma.tolist(), nearest.tolist()))
+    return {r.connection_id: [HopSample(*next(pairs)) for _ in range(r.hop_count)]
+            for r in routes}
 
 
 @dataclass(frozen=True)

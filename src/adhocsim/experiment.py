@@ -202,7 +202,7 @@ def run_sweep(spec: ExperimentSpec) -> bool:
     invariant.  Points that raised are listed in ``errors.txt``."""
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "errors.txt").unlink(missing_ok=True)  # left by an earlier sweep
+    _clear_outputs(out)
     points = sorted((n, seed) for n in spec.n_values for seed in spec.seeds)
     tasks = [(spec, n, seed) for n, seed in points]
     all_ok = True
@@ -236,6 +236,7 @@ def run_single(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
     spec = replace(spec, n_values=(n,), seeds=(seed,))
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _clear_outputs(out)
     write_resolved_config(spec, out / "config.resolved.ini")
     res = run_point(spec, n, seed)
     names = SWEEP_CSVS + ("verification_detail.csv",)
@@ -269,6 +270,15 @@ CSV_LAYOUTS = {  # file name -> (schema stamp, header)
     "trace.csv": ("trace_v1", "slot,cell,tx_node,rx_node,sinr,outcome"),
 }
 SWEEP_CSVS = ("connections.csv", "summary.csv", "verification.csv")
+# Every file a run writes into its out dir except ``config.resolved.ini``,
+# which ``adhocsim sweep`` writes before ``run_sweep`` starts.
+OUTPUT_FILES = (*CSV_LAYOUTS, "errors.txt", "verification.txt", "routes.txt")
+
+
+def _clear_outputs(out: Path) -> None:
+    """Delete what an earlier run left in ``out``; other files stay."""
+    for name in OUTPUT_FILES:
+        (out / name).unlink(missing_ok=True)
 
 
 class CsvWriter:

@@ -18,7 +18,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from . import geometry
-from .errors import ConfigurationError, GeometryError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -41,22 +41,34 @@ def path_gain(distance, alpha: float):
     return np.asarray(distance, dtype=float) ** (-alpha)
 
 
-def sinr(receiver, transmitter, interferers, radio: RadioParams) -> float:
-    """SINR at ``receiver`` for a transmission from ``transmitter``.
+def sinr(signal, receivers, interferers, radio: RadioParams, own=None):
+    """Per-receiver SINR and nearest-interferer distance; the one SINR kernel.
 
-    ``interferers`` are the positions of all other nodes transmitting in the
-    same slot; the sum is taken network-wide with no range truncation.
+    ``signal`` (m,) is each receiver's received signal power, ``receivers``
+    (m, 3) and ``interferers`` (k, 3) are positions.  Receiver ``i`` sums
+    interference over every interferer except row ``own[i]``, its own
+    transmitter; the sum is network-wide with no range truncation.  Returns
+    ``(gamma, nearest)``, where ``nearest`` is the surface distance of the
+    closest counted interferer, inf when there is none.
+
+    Interferer distances are the arccos of elementwise dot products: accurate
+    for interferers a proper schedule keeps cells away and, unlike a BLAS
+    matrix product, the same for a receiver in any batch.  Signal links can
+    be short and need atan2, so callers pass their powers.
     """
-    d_tr = geometry.surface_distance(transmitter, receiver)
-    if d_tr <= 0.0:
-        raise GeometryError("transmitter and receiver are co-located")
-    signal = radio.tx_power * float(path_gain(d_tr, radio.alpha))
-    interferers = np.asarray(list(interferers), dtype=float)
-    interference = 0.0
-    if interferers.size:
-        d = geometry.surface_distance(interferers.reshape(-1, 3), receiver)
-        interference = radio.tx_power * float(path_gain(d, radio.alpha).sum())
-    return signal / (radio.noise + interference)
+    signal = np.asarray(signal, dtype=float)
+    if len(interferers) <= (own is not None):  # nobody but the own transmitter
+        return signal / radio.noise, np.full(len(signal), np.inf)
+    receivers = np.asarray(receivers, dtype=float)
+    interferers = np.asarray(interferers, dtype=float)
+    cos = (receivers[:, None, :] * interferers[None, :, :]).sum(axis=-1)
+    dist = geometry.RADIUS * np.arccos(np.clip(cos, -1.0, 1.0))
+    if own is not None:
+        dist[np.arange(len(dist)), own] = np.inf  # contributes zero power
+    # A receiver that is itself transmitting hears infinite interference.
+    with np.errstate(divide="ignore"):
+        interference = radio.tx_power * path_gain(dist, radio.alpha).sum(axis=-1)
+    return signal / (radio.noise + interference), dist.min(axis=-1)
 
 
 @dataclass(frozen=True)

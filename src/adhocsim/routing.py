@@ -175,6 +175,8 @@ def _assemble(
 
 def _assert_route_invariants(route: Route, tess: Tessellation) -> None:
     limit = MAX_HOP_FACTOR * tess.rho_n
+    if np.any(route.hop_lengths <= 0.0):
+        raise GeometryError("a hop's transmitter and receiver are co-located")
     if np.any(route.hop_lengths > limit + 1e-12):
         raise AssertionError("hop longer than 8*rho_n")
     if route.path_length < route.length - 1e-9:

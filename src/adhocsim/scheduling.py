@@ -116,14 +116,11 @@ def build_schedule(
     tess: Tessellation,
     delta: float = DEFAULT_CONFLICT_MULTIPLIER,
     seed: int = 0,
-    pad_to: int | None = None,
 ) -> Schedule:
     """Greedy largest-degree-first coloring of the conflict graph.
 
     Color classes are rebalanced afterwards so no color is left on a single
-    cell when the conflict graph allows an alternative.  ``pad_to`` appends
-    idle colors up to the requested schedule length (ablation knob; the
-    conservative regime instead widens the conflict radius).
+    cell when the conflict graph allows an alternative.
     """
     if delta < MIN_CONFLICT_MULTIPLIER:
         raise ConfigurationError(
@@ -132,17 +129,6 @@ def build_schedule(
         )
     conflicts = _conflict_sets(tess, delta)
     colors = _rebalance_classes(_greedy_coloring(conflicts), conflicts)
-    if pad_to is not None and pad_to > int(colors.max()) + 1:
-        sched = _finalize(colors, delta, "fixed", tess)
-        padded = Schedule(
-            color_of_cell=sched.color_of_cell,
-            num_colors=int(pad_to),
-            conflict_multiplier=sched.conflict_multiplier,
-            regime="fixed:padded",
-            cells_by_color=sched.cells_by_color
-            + [np.empty(0, dtype=np.int64)] * (int(pad_to) - sched.num_colors),
-        )
-        return padded
     return _finalize(colors, delta, "fixed", tess)
 
 

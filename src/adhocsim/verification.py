@@ -267,8 +267,7 @@ def check_interferer_proximity(
             continue
         isolated = 0
         for hop in _interior_hops(route):
-            near = samples[hop].nearest_interferer
-            if near is None or near > radius:
+            if samples[hop].nearest_interferer > radius:
                 isolated += 1
         length = route.path_length if use_path_length else route.length
         bound = (length / rho_n) * 2.0 * schedule_length / m

@@ -1,10 +1,11 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from adhocsim import engine, geometry, links, routing, scheduling, tessellation
-from adhocsim.engine import EngineConfig, run, saturated_mode, throughput_summary
+from adhocsim.engine import EngineConfig, run, throughput_summary
 from adhocsim.errors import ConfigurationError
 
 RADIO = links.RadioParams()
@@ -41,11 +42,6 @@ class TestConfig:
     def test_attempt_budget(self):
         with pytest.raises(ConfigurationError):
             EngineConfig(attempts_per_hop=0)
-
-    def test_saturated_mode_helper(self):
-        cfg = EngineConfig(injection_rate=0.01)
-        assert saturated_mode(cfg).traffic == "saturated"
-        assert cfg.traffic == "bernoulli"
 
 
 class TestDeterminismAndConservation:
@@ -125,6 +121,49 @@ class TestSaturated:
             samples = m.hop_samples[r.connection_id]
             assert len(samples) == r.hop_count
             assert all(s.gamma > 0 for s in samples)
+
+    def test_engine_sinr_equals_saturated_measurement(self, small_instance):
+        # A lone real transmission faces exactly the relay field the
+        # saturated measurement uses, so both must give the same SINR.
+        dep, tess, sched, _, routes = small_instance
+        route = max(routes, key=lambda r: r.hop_count)
+        cfg = EngineConfig(
+            injection_rate=0.002, traffic="saturated", measure_slots=20_000, seed=3,
+            trace=True,
+        )
+        m = run(dep, tess, sched, [route], links.LogisticModel(), RADIO, cfg)
+        hop_of = {(route.relays[h], route.relays[h + 1]): h for h in range(route.hop_count)}
+        real = defaultdict(list)
+        for slot, _, tx, rx, sinr, outcome in m.trace:
+            if outcome != "dummy":
+                real[slot].append((hop_of[tx, rx], sinr))
+        lone = [rows[0] for rows in real.values() if len(rows) == 1]
+        assert len(lone) > 100
+        samples = m.hop_samples[route.connection_id]
+        assert all(sinr == samples[hop].gamma for hop, sinr in lone)
+
+    def test_samples_match_direct_evaluation(self, small_instance):
+        dep, tess, sched, _, routes = small_instance
+        relay = routing.all_cell_relays(tess, dep)
+        samples = engine.saturated_hop_samples(dep, tess, sched, routes[:20], RADIO)
+        for r in routes[:20]:
+            for hop, s in enumerate(samples[r.connection_id]):
+                cell = r.tx_cell(hop)
+                field = [
+                    c for c in sched.cells_by_color[sched.color_of_cell[cell]]
+                    if c != cell and relay[c] >= 0
+                ]
+                rx = dep.nodes[r.relays[hop + 1]]
+                d = geometry.surface_distance(dep.nodes[relay[field]], rx)
+                d_signal = geometry.surface_distance(dep.nodes[r.relays[hop]], rx)
+                gamma = RADIO.tx_power * d_signal**-RADIO.alpha / (
+                    RADIO.noise + RADIO.tx_power * np.sum(d**-RADIO.alpha)
+                )
+                assert s.gamma == pytest.approx(gamma, rel=1e-13)
+                if field:
+                    assert s.nearest_interferer == pytest.approx(d.min(), rel=1e-13)
+                else:
+                    assert s.nearest_interferer == math.inf
 
     def test_samples_periodic_in_schedule(self, small_instance):
         dep, tess, sched, _, routes = small_instance

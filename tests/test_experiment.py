@@ -292,13 +292,22 @@ class TestCli:
         assert code == 0 and out2.exists()
 
     def test_verify_subcommand(self, tmp_path, capsys):
+        out = tmp_path / "v"
         code = cli.main(
-            ["verify", "--n", "250", "--seed", "0", "--out", str(tmp_path / "v")]
+            ["verify", "--n", "250", "--seed", "0", "--out", str(out)]
             + [f"--set={s}" for s in TINY]
         )
         assert code == 0
-        assert (tmp_path / "v" / "verification.csv").exists()
+        assert (out / "verification.csv").exists()
         assert "hop_count" in capsys.readouterr().out
+        # a sweep into the same directory removes what verify alone writes,
+        # and keeps files the package does not write
+        verify_only = ("verification_detail.csv", "verification.txt", "routes.txt")
+        assert all((out / name).exists() for name in verify_only)
+        (out / "notes.txt").write_text("mine\n")
+        assert cli.main(["sweep", "--out", str(out)] + [f"--set={s}" for s in TINY]) == 0
+        assert not any((out / name).exists() for name in verify_only)
+        assert (out / "notes.txt").exists() and (out / "config.resolved.ini").exists()
 
     def test_bounds_subcommand(self, capsys):
         code = cli.main(["bounds", "--c1", "12"])
@@ -319,14 +328,19 @@ class TestCli:
             engine_runs.append(args)
             return real(*args)
 
+        out = tmp_path / "s"
+        traced = ["--set=engine.trace=True"] + [f"--set={s}" for s in TINY]
+        assert cli.main(["simulate", "--n", "250", "--seed", "1", "--out", str(out)] + traced) == 0
+        assert (out / "trace.csv").exists()
         monkeypatch.setattr(experiment, "run", counting_run)
         code = cli.main(
-            ["simulate", "--n", "250", "--seed", "0", "--out", str(tmp_path / "s")]
+            ["simulate", "--n", "250", "--seed", "0", "--out", str(out)]
             + [f"--set={s}" for s in TINY]
         )
         assert code == 0
         assert "Lambda_n=" in capsys.readouterr().out
         assert len(engine_runs) == 1
+        assert not (out / "trace.csv").exists()  # left by the traced run
 
     def test_simulate_matches_one_point_sweep(self, tmp_path):
         sim, sweep = tmp_path / "sim", tmp_path / "sweep"

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adhocsim import geometry, links
-from adhocsim.errors import ConfigurationError, GeometryError
+from adhocsim.errors import ConfigurationError
 
 
 def place_at_distances(distances):
@@ -19,17 +19,30 @@ def place_at_distances(distances):
     return out
 
 
+def one_link(rx, tx, interferers, radio):
+    """The kernel for one receiver whose own transmitter is interferer row 0."""
+    signal = radio.tx_power * links.path_gain(geometry.surface_distance(tx, rx), radio.alpha)
+    gamma, nearest = links.sinr([signal], [rx], [tx, *interferers], radio, own=[0])
+    return gamma[0], nearest[0]
+
+
 class TestSinr:
     def test_no_interferers_is_signal_over_noise(self):
         radio = links.RadioParams(tx_power=2.0, noise=1e-6, alpha=3.0)
         rx, tx = place_at_distances([0.1])
-        val = links.sinr(rx, tx, [], radio)
-        assert val == pytest.approx(2.0 * 0.1**-3.0 / 1e-6, rel=1e-9)
+        gamma, nearest = one_link(rx, tx, [], radio)
+        assert gamma == pytest.approx(2.0 * 0.1**-3.0 / 1e-6, rel=1e-9)
+        assert nearest == math.inf
+        alone, none_near = links.sinr([2.0 * 0.1**-3.0], [rx], np.empty((0, 3)), radio)
+        assert alone[0] == pytest.approx(gamma, rel=1e-15)
+        assert none_near[0] == math.inf
 
     def test_symmetric_interferer_gives_one(self):
         radio = links.RadioParams(noise=0.0, alpha=3.0)
         rx, tx, intf = place_at_distances([0.2, -0.2])
-        assert links.sinr(rx, tx, [intf], radio) == pytest.approx(1.0, rel=1e-9)
+        gamma, nearest = one_link(rx, tx, [intf], radio)
+        assert gamma == pytest.approx(1.0, rel=1e-9)
+        assert nearest == pytest.approx(0.2, rel=1e-12)
 
     def test_bounded_sinr_geometry(self):
         # signal from t0*rho away, single interferer at (m0+8)*rho, zero noise:
@@ -38,32 +51,55 @@ class TestSinr:
         rho, t0, m0 = 1e-5, 0.05, 64.0
         rx, tx, intf = place_at_distances([t0 * rho, (m0 + 8) * rho])
         expected = ((m0 + 8) / t0) ** radio.alpha
-        assert links.sinr(rx, tx, [intf], radio) == pytest.approx(expected, rel=1e-6)
-
-    def test_colocated_rejected(self):
-        radio = links.RadioParams()
-        p = np.array([0.0, 0.0, 1.0])
-        with pytest.raises(GeometryError):
-            links.sinr(p, p, [], radio)
+        assert one_link(rx, tx, [intf], radio)[0] == pytest.approx(expected, rel=1e-6)
 
     def test_monotone_in_interferers(self, rng):
         radio = links.RadioParams()
         pts = geometry.random_point(rng, 8)
         rx, tx, rest = pts[0], pts[1], list(pts[2:])
-        vals = [links.sinr(rx, tx, rest[:k], radio) for k in range(len(rest) + 1)]
+        vals = [one_link(rx, tx, rest[:k], radio)[0] for k in range(len(rest) + 1)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_power_scale_invariance_when_interference_limited(self, rng):
         pts = geometry.random_point(rng, 4)
-        lo = links.sinr(pts[0], pts[1], pts[2:], links.RadioParams(tx_power=1.0, noise=0.0))
-        hi = links.sinr(pts[0], pts[1], pts[2:], links.RadioParams(tx_power=7.5, noise=0.0))
-        assert lo == pytest.approx(hi, rel=1e-12)
+        lo = one_link(pts[0], pts[1], pts[2:], links.RadioParams(tx_power=1.0, noise=0.0))
+        hi = one_link(pts[0], pts[1], pts[2:], links.RadioParams(tx_power=7.5, noise=0.0))
+        assert lo[0] == pytest.approx(hi[0], rel=1e-12)
 
     def test_radio_param_validation(self):
         with pytest.raises(ConfigurationError):
             links.RadioParams(alpha=2.0)
         with pytest.raises(ConfigurationError):
             links.RadioParams(tx_power=0.0)
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=8),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batch_equals_direct_sums(self, seed, m, k, with_own):
+        radio = links.RadioParams(tx_power=1.5, noise=1e-9, alpha=3.5)
+        rng = np.random.default_rng(seed)
+        rx = geometry.random_point(rng, m)
+        itf = geometry.random_point(rng, k)
+        signal = rng.uniform(1.0, 1e6, m)
+        own = rng.integers(k, size=m) if with_own else None
+        counted = [
+            [j for j in range(k) if own is None or j != own[i]] for i in range(m)
+        ]
+        # arccos is accurate only away from the receiver
+        assume(all(
+            np.all(geometry.central_angle(itf[c], rx[i]) >= 0.05)
+            for i, c in enumerate(counted)
+        ))
+        gamma, nearest = links.sinr(signal, rx, itf, radio, own=own)
+        for i, c in enumerate(counted):
+            d = geometry.surface_distance(itf[c], rx[i])
+            interference = radio.tx_power * np.sum(d ** -radio.alpha)
+            assert gamma[i] == pytest.approx(signal[i] / (radio.noise + interference), rel=1e-12)
+            assert nearest[i] == (pytest.approx(d.min(), rel=1e-12) if c else math.inf)
 
 
 class TestSuccessModels:

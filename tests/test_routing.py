@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adhocsim import geometry, routing, tessellation
-from adhocsim.errors import ConfigurationError, RoutingError
+from adhocsim.errors import ConfigurationError, GeometryError, RoutingError
 
 
 class TestPickConnections:
@@ -107,6 +107,16 @@ class TestStraightLineRoutes:
         with pytest.raises(RoutingError) as err:
             routing.straight_line_route(long, dep, tess, on_empty_cell="error_on_route")
         assert err.value.cell is not None
+
+
+    def test_colocated_rejected(self, small_instance):
+        dep, tess, _, _, _ = small_instance
+        nodes = dep.nodes.copy()
+        nodes[1] = nodes[0]
+        twin = tessellation.Deployment(n=dep.n, seed=dep.seed, nodes=nodes)
+        conn = routing.Connection(id=0, source=0, destination=1, length=0.0)
+        with pytest.raises(GeometryError):
+            routing.straight_line_route(conn, twin, tess)
 
 
 class TestArbitraryRoutes:

@@ -73,13 +73,6 @@ class TestBuildSchedule:
         sizes = np.array([len(c) for c in sched.cells_by_color])
         assert sizes.min() >= 2
 
-    def test_pad_to_appends_idle_colors(self, small_instance):
-        _, tess, _, _, _ = small_instance
-        base = scheduling.build_schedule(tess, 12.0, 0)
-        padded = scheduling.build_schedule(tess, 12.0, 0, pad_to=base.num_colors + 5)
-        assert padded.num_colors == base.num_colors + 5
-        assert all(len(padded.cells_by_color[k]) == 0 for k in range(base.num_colors, padded.num_colors))
-
 
 class TestActiveCells:
     def test_single_color_always_active(self):

@@ -37,8 +37,8 @@ def main():
             conns = routing.pick_connections(dep, 500 + seed)
             routes = [routing.straight_line_route(c, dep, tess) for c in conns[:300]]
             for regime, sched in (
-                ("fixed", scheduling.build_schedule(tess, 12.0, seed)),
-                ("conservative", scheduling.build_conservative_schedule(tess, n, args.growth, seed)),
+                ("fixed", scheduling.build_schedule(tess, 12.0)),
+                ("conservative", scheduling.build_conservative_schedule(tess, n, args.growth)),
             ):
                 samples = saturated_hop_samples(dep, tess, sched, routes, radio)
                 gammas = np.array([s.gamma for ss in samples.values() for s in ss])

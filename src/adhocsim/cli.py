@@ -46,12 +46,10 @@ def cmd_deploy(args) -> int:
 
 def cmd_tessellate(args) -> int:
     spec = _spec_from_args(args)
-    dep, tess = experiment.prepare_instance(
-        args.n, args.seed, spec.area_constant, spec.on_empty_cell
-    )
+    dep, tess = experiment.prepare_instance(args.n, args.seed, spec.area_constant)
     out = Path(args.out or "tessellation.txt")
     save_tessellation(tess, out)
-    sched = experiment.make_schedule(spec, tess, args.n, args.seed)
+    sched = experiment.make_schedule(spec, tess, args.n)
     save_schedule(sched, out.with_suffix(".schedule.txt"))
     print(
         f"n={args.n} rho_n={tess.rho_n:.6f} cells={tess.num_cells} K={sched.num_colors} "

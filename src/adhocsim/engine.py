@@ -9,7 +9,7 @@ configuration seed.
 
 Saturated traffic keeps every occupied cell transmitting in each of its
 slots (dummy relays fill idle queues), which makes the per-slot
-transmitter set periodic in the schedule; the per-hop SINR and
+transmitter set repeat with the schedule; the per-hop SINR and
 nearest-interferer measurements used by the claim checkers are taken
 against those per-slot transmitter sets.
 """
@@ -29,7 +29,7 @@ from .routing import Route, all_cell_relays
 from .scheduling import Schedule
 from .tessellation import Deployment, Tessellation
 
-TRAFFIC_MODES = ("bernoulli", "periodic", "saturated")
+TRAFFIC_MODES = ("bernoulli", "saturated")
 _RESERVOIR_CAP = 32
 
 
@@ -42,7 +42,6 @@ class EngineConfig:
     traffic: str = "bernoulli"
     seed: int = 0
     trace: bool = False
-    debug_checks: bool = False
 
     def __post_init__(self):
         if self.traffic not in TRAFFIC_MODES:
@@ -162,9 +161,6 @@ def run(
         cid: [0] * routes_by_conn[cid].hop_count for cid in conn_ids
     }
     trace_rows: list[tuple] = []
-    inject_period = max(int(math.ceil(1.0 / cfg.injection_rate)), 1) if (
-        cfg.traffic == "periodic"
-    ) else 0
 
     for slot in range(total_slots):
         measuring = slot >= warmup
@@ -190,17 +186,11 @@ def run(
             _resolve_slot(
                 txs, nodes, model, radio, cfg, rng, slot, measuring,
                 routes_by_conn, conn_index, queues, delivered, dropped,
-                attempt_sinrs, sample_counts, trace_rows, schedule, tess,
+                attempt_sinrs, sample_counts, trace_rows,
             )
         # Inject after transmissions so a fresh packet waits at least one slot.
-        if cfg.traffic == "bernoulli" and cfg.injection_rate > 0.0:
-            draws = rng.random(len(conn_ids))
-            hits = np.flatnonzero(draws < cfg.injection_rate)
-        elif cfg.traffic == "periodic":
-            hits = np.arange(len(conn_ids)) if slot % inject_period == 0 else []
-        elif saturated and cfg.injection_rate > 0.0:
-            draws = rng.random(len(conn_ids))
-            hits = np.flatnonzero(draws < cfg.injection_rate)
+        if cfg.injection_rate > 0.0:
+            hits = np.flatnonzero(rng.random(len(conn_ids)) < cfg.injection_rate)
         else:
             hits = []
         for k in hits:
@@ -249,19 +239,13 @@ def run(
 def _resolve_slot(
     txs, nodes, model, radio, cfg, rng, slot, measuring,
     routes_by_conn, conn_index, queues, delivered, dropped,
-    attempt_sinrs, sample_counts, trace_rows, schedule, tess,
+    attempt_sinrs, sample_counts, trace_rows,
 ):
     signal = [t[4] for t in txs]
     gamma, _ = sinr(
         signal, nodes[[t[2] for t in txs]], nodes[[t[1] for t in txs]], radio,
         own=np.arange(len(txs)),
     )
-
-    if cfg.debug_checks:
-        active_set = {int(c) for c in schedule.active_cells(slot)}
-        for _, _, rx, pkt, _ in txs:
-            if pkt is not None and int(tess.cell_of_node[rx]) in active_set:
-                raise AssertionError("receiver's cell is active in the same slot")
 
     # A node decodes at most one packet per slot: only the strongest inbound
     # signal is attempted, the rest fail (but still interfere network-wide).

@@ -24,12 +24,13 @@ from . import geometry
 from .engine import EngineConfig, RunMetrics, run, throughput_summary
 from .errors import ConfigurationError
 from .links import RadioParams, filter_model_params, make_link_model
-from .routing import Route, build_route, pick_connections
+from .routing import Route, build_route, detour_factor, pick_connections
 from .scheduling import (
     DEFAULT_CONFLICT_MULTIPLIER,
     Schedule,
     build_conservative_schedule,
     build_schedule,
+    growth_value,
 )
 from .tessellation import (
     Deployment,
@@ -51,6 +52,7 @@ from .verification import (
 )
 
 _SEED_STRIDE = 1_000_003  # sub-seed separation between pipeline stages
+SCHEDULE_REGIMES = ("fixed", "conservative")
 
 
 @dataclass(frozen=True)
@@ -65,46 +67,46 @@ class ExperimentSpec:
     schedule_delta: float = DEFAULT_CONFLICT_MULTIPLIER
     schedule_growth: str = "log"
     routing_strategy: str = "straight_line"
-    relay_mode: str = "nearest_center"
-    on_empty_cell: str = "reject_deployment"
     engine: EngineConfig = EngineConfig()
     out_dir: str = "runs"
     workers: int = 1
     track_connections: int | None = None  # limit injected sources; None = all
+
+    def __post_init__(self):
+        if self.schedule_regime not in SCHEDULE_REGIMES:
+            raise ConfigurationError(
+                f"unknown schedule regime {self.schedule_regime!r}; "
+                f"expected one of {SCHEDULE_REGIMES}"
+            )
+        growth_value(self.schedule_growth, 2)
+        detour_factor(self.routing_strategy)
 
     def link_model(self):
         return make_link_model(self.link_model_name, **dict(self.link_model_params))
 
 
 def prepare_instance(
-    n: int,
-    seed: int,
-    area_constant: float,
-    on_empty_cell: str = "reject_deployment",
-    max_redeploys: int = 50,
+    n: int, seed: int, area_constant: float, max_redeploys: int = 50
 ) -> tuple[Deployment, Tessellation]:
-    """Deploy and tessellate; under ``reject_deployment`` resample the seed
-    until no cell is empty (the large-n regime guarantees occupancy only with
-    high probability, so desk-scale runs occasionally redraw)."""
+    """Deploy and tessellate, resampling the seed until no cell is empty (the
+    large-n regime guarantees occupancy only with high probability, so
+    desk-scale runs occasionally redraw)."""
     rho = rho_for_n(n, area_constant)
-    attempts = max_redeploys if on_empty_cell == "reject_deployment" else 1
-    for k in range(attempts):
+    for k in range(max_redeploys):
         dep = deploy(n, seed + k * _SEED_STRIDE)
         tess = build_tessellation(dep, rho, seed + k * _SEED_STRIDE + 1)
-        if min_cell_occupancy(tess, dep) > 0 or on_empty_cell != "reject_deployment":
+        if min_cell_occupancy(tess, dep) > 0:
             return dep, tess
     raise ConfigurationError(
         f"no fully occupied deployment in {max_redeploys} redraws at n={n}; "
-        "raise area_constant or allow error_on_route"
+        "raise area_constant"
     )
 
 
-def make_schedule(spec: ExperimentSpec, tess: Tessellation, n: int, seed: int) -> Schedule:
+def make_schedule(spec: ExperimentSpec, tess: Tessellation, n: int) -> Schedule:
     if spec.schedule_regime == "fixed":
-        return build_schedule(tess, delta=spec.schedule_delta, seed=seed)
-    if spec.schedule_regime == "conservative":
-        return build_conservative_schedule(tess, n, spec.schedule_growth, seed=seed)
-    raise ConfigurationError(f"unknown schedule regime {spec.schedule_regime!r}")
+        return build_schedule(tess, delta=spec.schedule_delta)
+    return build_conservative_schedule(tess, n, spec.schedule_growth)
 
 
 @dataclass
@@ -123,8 +125,8 @@ class PointResult:
 
 
 def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
-    dep, tess = prepare_instance(n, seed, spec.area_constant, spec.on_empty_cell)
-    schedule = make_schedule(spec, tess, n, seed + 2 * _SEED_STRIDE)
+    dep, tess = prepare_instance(n, seed, spec.area_constant)
+    schedule = make_schedule(spec, tess, n)
     connections = pick_connections(dep, seed + 3 * _SEED_STRIDE)
     if spec.track_connections is not None:
         connections = connections[: spec.track_connections]
@@ -133,8 +135,6 @@ def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
             c, dep, tess,
             strategy=spec.routing_strategy,
             seed=seed + 4 * _SEED_STRIDE + c.id,
-            relay_mode=spec.relay_mode,
-            on_empty_cell=spec.on_empty_cell,
         )
         for c in connections
     ]
@@ -493,15 +493,12 @@ CONFIG_KEYS = (
     ConfigKey("schedule", "delta", "schedule_delta", float, repr),
     ConfigKey("schedule", "growth", "schedule_growth"),
     ConfigKey("routing", "strategy", "routing_strategy"),
-    ConfigKey("routing", "relay", "relay_mode"),
-    ConfigKey("routing", "on_empty_cell", "on_empty_cell"),
     ConfigKey("engine", "injection_rate", "engine.injection_rate", float, repr),
     ConfigKey("engine", "attempts_per_hop", "engine.attempts_per_hop", int),
     ConfigKey("engine", "measure_slots", "engine.measure_slots", int),
     ConfigKey("engine", "warmup_slots", "engine.warmup_slots", _optional_int, _optional),
     ConfigKey("engine", "traffic", "engine.traffic"),
     ConfigKey("engine", "trace", "engine.trace", _bool),
-    ConfigKey("engine", "debug_checks", "engine.debug_checks", _bool),
 )
 _KEYS = {(k.section, k.key): k for k in CONFIG_KEYS}
 _SECTIONS = {k.section for k in CONFIG_KEYS}

@@ -74,36 +74,21 @@ def pick_connections(dep: Deployment, seed: int) -> list[Connection]:
     ]
 
 
-def cell_relay(
-    tess: Tessellation,
-    dep: Deployment,
-    cell: int,
-    mode: str = "nearest_center",
-    rng: np.random.Generator | None = None,
-) -> int:
-    """Relay node of a cell: nearest to the center, or seeded-random."""
+def cell_relay(tess: Tessellation, dep: Deployment, cell: int) -> int:
+    """Relay node of a cell: the node nearest to its center."""
     ids = tess.nodes_in_cell[cell]
     if len(ids) == 0:
         raise RoutingError(f"cell {cell} has no nodes to relay through", cell=cell)
-    if mode == "random":
-        if rng is None:
-            raise ConfigurationError("random relay mode needs an rng")
-        return int(ids[rng.integers(len(ids))])
-    if mode != "nearest_center":
-        raise ConfigurationError(f"unknown relay mode {mode!r}")
     dots = dep.nodes[ids] @ tess.centers[cell]
     return int(ids[np.argmax(dots)])
 
 
-def all_cell_relays(
-    tess: Tessellation, dep: Deployment, mode: str = "nearest_center", seed: int = 0
-) -> np.ndarray:
+def all_cell_relays(tess: Tessellation, dep: Deployment) -> np.ndarray:
     """Relay node per cell; -1 marks an empty cell."""
-    rng = np.random.default_rng(seed)
     relays = np.full(tess.num_cells, -1, dtype=np.int64)
     for c in range(tess.num_cells):
         if len(tess.nodes_in_cell[c]):
-            relays[c] = cell_relay(tess, dep, c, mode=mode, rng=rng)
+            relays[c] = cell_relay(tess, dep, c)
     return relays
 
 
@@ -134,15 +119,7 @@ def _crossed_cells(tess: Tessellation, a: np.ndarray, b: np.ndarray) -> list[int
     raise RoutingError("geodesic walk kept skipping cells at the finest step")
 
 
-def _assemble(
-    conn: Connection,
-    cells: list[int],
-    tess: Tessellation,
-    dep: Deployment,
-    relay_mode: str,
-    rng: np.random.Generator | None,
-    on_empty_cell: str,
-) -> Route:
+def _assemble(conn: Connection, cells: list[int], tess: Tessellation, dep: Deployment) -> Route:
     if len(set(cells)) != len(cells):
         raise RoutingError("route revisits a cell")
     if len(cells) == 1:
@@ -151,14 +128,8 @@ def _assemble(
         chain = [conn.source]
         for c in cells[1:-1]:
             if len(tess.nodes_in_cell[c]) == 0:
-                if on_empty_cell == "error_on_route":
-                    raise RoutingError(f"route crosses empty cell {c}", cell=c)
-                raise RoutingError(
-                    f"route crosses empty cell {c} (deployment should have been "
-                    "rejected under the reject_deployment policy)",
-                    cell=c,
-                )
-            chain.append(cell_relay(tess, dep, c, mode=relay_mode, rng=rng))
+                raise RoutingError(f"route crosses empty cell {c}", cell=c)
+            chain.append(cell_relay(tess, dep, c))
         chain.append(conn.destination)
     hops = geometry.surface_distance(dep.nodes[chain[:-1]], dep.nodes[chain[1:]])
     hops = np.atleast_1d(hops)
@@ -183,21 +154,12 @@ def _assert_route_invariants(route: Route, tess: Tessellation) -> None:
         raise AssertionError("total path length shorter than the geodesic")
 
 
-def straight_line_route(
-    conn: Connection,
-    dep: Deployment,
-    tess: Tessellation,
-    relay_mode: str = "nearest_center",
-    seed: int = 0,
-    on_empty_cell: str = "reject_deployment",
-) -> Route:
+def straight_line_route(conn: Connection, dep: Deployment, tess: Tessellation) -> Route:
     """Route through every cell the source-destination geodesic crosses."""
     a, b = dep.nodes[conn.source], dep.nodes[conn.destination]
     if float(geometry.central_angle(a, b)) > math.pi - 1e-9:
         raise GeometryError("antipodal endpoints cannot be routed")
-    cells = _crossed_cells(tess, a, b)
-    rng = np.random.default_rng(seed) if relay_mode == "random" else None
-    return _assemble(conn, cells, tess, dep, relay_mode, rng, on_empty_cell)
+    return _assemble(conn, _crossed_cells(tess, a, b), tess, dep)
 
 
 def _bfs_cells(tess: Tessellation, start: int, goal: int) -> list[int]:
@@ -277,14 +239,27 @@ def _cells_path_length(cells: list[int], tess: Tessellation) -> float:
     return float(np.sum(geometry.surface_distance(centers[:-1], centers[1:])))
 
 
+def detour_factor(strategy: str) -> float | None:
+    """The ``kappa`` of a ``detour:<kappa>`` strategy; None for a strategy in
+    ``STRATEGIES``.  Any other name is a configuration error."""
+    if strategy in STRATEGIES:
+        return None
+    if strategy.startswith("detour:"):
+        try:
+            kappa = float(strategy.split(":", 1)[1])
+        except ValueError:
+            kappa = math.nan
+        if kappa >= 1.0:
+            return kappa
+        raise ConfigurationError(f"detour factor must be a number >= 1 in {strategy!r}")
+    raise ConfigurationError(
+        f"unknown routing strategy {strategy!r}; expected one of {STRATEGIES} "
+        "or detour:<kappa>"
+    )
+
+
 def arbitrary_route(
-    conn: Connection,
-    dep: Deployment,
-    tess: Tessellation,
-    strategy: str,
-    seed: int = 0,
-    relay_mode: str = "nearest_center",
-    on_empty_cell: str = "reject_deployment",
+    conn: Connection, dep: Deployment, tess: Tessellation, strategy: str, seed: int = 0
 ) -> Route:
     """Route under the adjacency-hops / no-revisit constraints.
 
@@ -293,22 +268,19 @@ def arbitrary_route(
     waypoint only while the cell-path length stays within ``kappa`` times the
     BFS path length.
     """
+    kappa = detour_factor(strategy)
     rng = np.random.default_rng(seed)
     start = int(tess.cell_of_node[conn.source])
     goal = int(tess.cell_of_node[conn.destination])
-    if strategy == "shortest_cell_path":
+    if kappa is not None:
+        cells = _detour_cells(tess, start, goal, kappa, rng)
+    elif strategy == "shortest_cell_path":
         cells = _bfs_cells(tess, start, goal)
     elif strategy == "random_walk_loop_erased":
         cells = _random_walk_cells(tess, start, goal, rng)
-    elif strategy.startswith("detour:"):
-        kappa = float(strategy.split(":", 1)[1])
-        if kappa < 1.0:
-            raise ConfigurationError("detour factor must be at least 1")
-        cells = _detour_cells(tess, start, goal, kappa, rng)
     else:
-        raise ConfigurationError(f"unknown routing strategy {strategy!r}")
-    relay_rng = rng if relay_mode == "random" else None
-    return _assemble(conn, cells, tess, dep, relay_mode, relay_rng, on_empty_cell)
+        raise ConfigurationError(f"{strategy!r} is not an arbitrary routing strategy")
+    return _assemble(conn, cells, tess, dep)
 
 
 def build_route(
@@ -317,17 +289,10 @@ def build_route(
     tess: Tessellation,
     strategy: str = "straight_line",
     seed: int = 0,
-    relay_mode: str = "nearest_center",
-    on_empty_cell: str = "reject_deployment",
 ) -> Route:
     if strategy == "straight_line":
-        return straight_line_route(
-            conn, dep, tess, relay_mode=relay_mode, seed=seed, on_empty_cell=on_empty_cell
-        )
-    return arbitrary_route(
-        conn, dep, tess, strategy, seed=seed, relay_mode=relay_mode,
-        on_empty_cell=on_empty_cell,
-    )
+        return straight_line_route(conn, dep, tess)
+    return arbitrary_route(conn, dep, tess, strategy, seed=seed)
 
 
 def write_routes(routes: list[Route], path) -> None:

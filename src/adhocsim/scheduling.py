@@ -1,11 +1,11 @@
 """Conflict-graph coloring of cells into a cyclic TDMA schedule.
 
-Two cells conflict when their centers are within ``delta * rho_n``; a
-proper coloring of that graph gives every cell one slot per cycle of
-length ``K`` (the color count), and cells sharing a slot are more than
-``delta * rho_n`` apart.  The fixed regime keeps ``delta`` constant; the
-conservative regime scales it with a diverging function of ``n`` so that
-spatial reuse shrinks as the network grows.
+Two cells conflict when their centers are within ``delta * rho_n`` or
+the cells are adjacent; a proper coloring of that graph gives every cell
+one slot per cycle of length ``K`` (the color count), and cells sharing a
+slot are more than ``delta * rho_n`` apart.  The fixed regime keeps
+``delta`` constant; the conservative regime scales it with a diverging
+function of ``n`` so that spatial reuse shrinks as the network grows.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ def _conflict_sets(tess: Tessellation, delta: float) -> list[set[int]]:
     cos_thr = math.cos(theta)
     gram = tess.centers @ tess.centers.T
     conflict = gram >= cos_thr - 1e-15
+    for c, nbrs in enumerate(tess.neighbors):
+        conflict[c, nbrs] = True  # adjacency reaches 4*rho_n*(1+1e-9)
     np.fill_diagonal(conflict, False)
     return [set(np.flatnonzero(row)) for row in conflict]
 
@@ -112,11 +114,7 @@ def _finalize(colors, delta, regime, tess) -> Schedule:
     return sched
 
 
-def build_schedule(
-    tess: Tessellation,
-    delta: float = DEFAULT_CONFLICT_MULTIPLIER,
-    seed: int = 0,
-) -> Schedule:
+def build_schedule(tess: Tessellation, delta: float = DEFAULT_CONFLICT_MULTIPLIER) -> Schedule:
     """Greedy largest-degree-first coloring of the conflict graph.
 
     Color classes are rebalanced afterwards so no color is left on a single
@@ -139,9 +137,12 @@ def growth_value(growth: str, n: int) -> float:
     if growth == "sqrt_log":
         return math.sqrt(math.log(n))
     if growth.startswith("pow:"):
-        eps = float(growth.split(":", 1)[1])
-        if eps <= 0:
-            raise ConfigurationError("pow growth exponent must be positive")
+        try:
+            eps = float(growth.split(":", 1)[1])
+        except ValueError:
+            eps = math.nan
+        if not eps > 0:
+            raise ConfigurationError(f"pow growth exponent must be positive in {growth!r}")
         return float(n) ** eps
     raise ConfigurationError(
         f"unknown growth {growth!r}; expected log, sqrt_log or pow:<eps> "
@@ -149,9 +150,7 @@ def growth_value(growth: str, n: int) -> float:
     )
 
 
-def build_conservative_schedule(
-    tess: Tessellation, n: int, growth: str, seed: int = 0
-) -> Schedule:
+def build_conservative_schedule(tess: Tessellation, n: int, growth: str) -> Schedule:
     """Schedule with conflict radius ``12 * growth(n) * rho_n``.
 
     Widening the conflict radius shrinks spatial reuse, so the measured
@@ -164,7 +163,13 @@ def build_conservative_schedule(
 
 
 def assert_proper(sched: Schedule, tess: Tessellation) -> None:
-    """Hard check: conflicting cells never share a color."""
+    """Hard check: conflicting cells never share a color, and neither do
+    adjacent cells (``tess.neighbors``), so no inter-cell hop's receiver
+    transmits in its transmitter's slot."""
+    colors = sched.color_of_cell
+    for c, nbrs in enumerate(tess.neighbors):
+        if np.any(colors[nbrs] == colors[c]):
+            raise AssertionError("improper coloring: adjacent cells share a color")
     theta = min(sched.conflict_multiplier * tess.rho_n / geometry.RADIUS, math.pi)
     cos_thr = math.cos(theta)
     for cells in sched.cells_by_color:

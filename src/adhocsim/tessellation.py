@@ -9,6 +9,7 @@ the routing and scheduling layers rely on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -100,33 +101,38 @@ def _greedy_packing(candidates: np.ndarray, cos_threshold: float) -> np.ndarray:
     return accepted[:count]
 
 
-def _farthest_uncovered(centers: np.ndarray, rng: np.random.Generator):
+def _farthest_uncovered(centers: np.ndarray):
     """Point maximizing the distance to its nearest center, and that distance.
 
-    For four or more centers this is attained at a Voronoi vertex, which the
-    spherical Voronoi diagram yields exactly; tiny configurations fall back
-    to dense probing.
+    The maximum sits where the distances to the nearest centers balance.  For
+    four or more centers that is a vertex of the spherical Voronoi diagram.
+    For fewer it is one of a few closed-form points: a center's antipode, the
+    far midpoint of a pair (any point of the great circle between an exactly
+    antipodal pair), or a pole of the plane through three centers.
     """
     if len(centers) >= 4:
-        try:
-            from scipy.spatial import SphericalVoronoi
+        from scipy.spatial import SphericalVoronoi
 
-            sv = SphericalVoronoi(centers, radius=1.0)
-            verts = sv.vertices / np.linalg.norm(sv.vertices, axis=1)[:, None]
-            cos_nearest = np.max(verts @ centers.T, axis=1)
-            k = int(np.argmin(cos_nearest))
-            angle = math.acos(float(np.clip(cos_nearest[k], -1.0, 1.0)))
-            return verts[k], geometry.RADIUS * angle
-        except Exception:
-            pass
-    probes = geometry.random_point(rng, 200_000)
-    cos_nearest = np.max(probes @ centers.T, axis=1)
+        candidates = SphericalVoronoi(centers, radius=1.0).vertices
+    else:
+        candidates = list(-centers)
+        for a, b in itertools.combinations(centers, 2):
+            mid = a + b
+            if np.linalg.norm(mid) < 1e-12:  # antipodal pair
+                mid = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
+            candidates.append(-mid)
+        if len(centers) == 3:
+            normal = np.cross(centers[1] - centers[0], centers[2] - centers[0])
+            candidates += [normal, -normal]
+        candidates = np.array(candidates)
+    candidates = candidates / np.linalg.norm(candidates, axis=1)[:, None]
+    cos_nearest = np.max(candidates @ centers.T, axis=1)
     k = int(np.argmin(cos_nearest))
     angle = math.acos(float(np.clip(cos_nearest[k], -1.0, 1.0)))
-    return probes[k], geometry.RADIUS * angle
+    return candidates[k], geometry.RADIUS * angle
 
 
-def _repair_covering(centers: np.ndarray, rho_n: float, rng: np.random.Generator) -> np.ndarray:
+def _repair_covering(centers: np.ndarray, rho_n: float) -> np.ndarray:
     """Insert uncovered far points until the covering radius is <= 2*rho_n.
 
     Random candidates can leave thin uncovered slivers between cells that
@@ -135,7 +141,7 @@ def _repair_covering(centers: np.ndarray, rho_n: float, rng: np.random.Generator
     inserting it restores the exact covering the adjacency relation needs.
     """
     for _ in range(64):
-        point, dist = _farthest_uncovered(centers, rng)
+        point, dist = _farthest_uncovered(centers)
         if dist <= 2.0 * rho_n * (1.0 + 1e-12):
             return centers
         centers = np.vstack([centers, point])
@@ -184,7 +190,7 @@ def build_tessellation(
     else:
         raise ConfigurationError("could not certify a maximal packing; rho_n too small?")
 
-    centers = _repair_covering(centers, rho_n, rng)
+    centers = _repair_covering(centers, rho_n)
     nearest = np.argmax(dep.nodes @ centers.T, axis=1)
 
     # Hard A1 certificate: packing and covering, not statistical.

@@ -13,7 +13,7 @@ def small_instance():
     rho = tessellation.rho_for_n(n, DESK_AREA_CONSTANT)
     dep = tessellation.deploy(n, 42)
     tess = tessellation.build_tessellation(dep, rho, 43)
-    sched = scheduling.build_schedule(tess, 12.0, 44)
+    sched = scheduling.build_schedule(tess, 12.0)
     conns = routing.pick_connections(dep, 45)
     routes = [routing.straight_line_route(c, dep, tess) for c in conns]
     return dep, tess, sched, conns, routes

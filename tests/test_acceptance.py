@@ -60,7 +60,7 @@ def saturated_2000(cert_instances):
     n, seed, dep, tess, routes = next(
         x for x in cert_instances["instances"] if x[0] == 2000
     )
-    sched = scheduling.build_schedule(tess, 12.0, 44)
+    sched = scheduling.build_schedule(tess, 12.0)
     cfg = EngineConfig(
         injection_rate=0.0, traffic="saturated", measure_slots=sched.K, seed=7
     )
@@ -77,8 +77,8 @@ def sweep_instances():
     for n in SWEEP_NS:
         for seed in range(5):
             dep, tess = experiment.prepare_instance(n, 31 * seed + n, AREA_CONSTANT)
-            fixed = scheduling.build_schedule(tess, 12.0, seed)
-            cons = scheduling.build_conservative_schedule(tess, n, "log", seed)
+            fixed = scheduling.build_schedule(tess, 12.0)
+            cons = scheduling.build_conservative_schedule(tess, n, "log")
             conns = routing.pick_connections(dep, 500 + seed)
             routes = [routing.straight_line_route(c, dep, tess) for c in conns[:300]]
             out[(n, seed)] = (dep, tess, fixed, cons, routes)
@@ -232,7 +232,7 @@ def test_accept_09_bounded_sinr_fraction(saturated_2000):
 def test_accept_10_retry_success_law():
     dep = tessellation.deploy(2, 2)
     tess = tessellation.build_tessellation(dep, tessellation.rho_for_n(2, AREA_CONSTANT), 3)
-    sched = scheduling.build_schedule(tess, 12.0, 4)
+    sched = scheduling.build_schedule(tess, 12.0)
     conn = routing.Connection(
         id=0, source=0, destination=1,
         length=float(geometry.surface_distance(dep.nodes[0], dep.nodes[1])),

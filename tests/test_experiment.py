@@ -23,6 +23,14 @@ TINY = [
 ]
 
 
+def run_script(name, *args):
+    """Run ``scripts/<name>`` in a fresh interpreter; it must exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def tiny_spec(out_dir, extra=()):
     return experiment.load_spec(None, TINY + [f"sweep.out={out_dir}", *extra])
 
@@ -71,11 +79,9 @@ class TestSpecLoading:
             schedule_delta=14.5,
             schedule_growth="sqrt_log",
             routing_strategy="shortest_cell_path",
-            relay_mode="random",
-            on_empty_cell="error_on_route",
             engine=EngineConfig(
                 injection_rate=0.125, attempts_per_hop=3, measure_slots=777,
-                warmup_slots=11, traffic="periodic", trace=True, debug_checks=True,
+                warmup_slots=11, traffic="saturated", trace=True,
             ),
             out_dir=str(tmp_path / "runs"),
             workers=3,
@@ -97,6 +103,13 @@ class TestSpecLoading:
         "engine.sede=5", "engine.seed=5", "enigne.trace=True", "DEFAULT.n=5", "link_model.q=0.5",
         "sweep.n=abc", "sweep.seeds=x", "engine.trace=maybe", "radio.alpha=",
         "link_model.p=high", "engine.warmup_slots=1.5",
+        # deleted modes
+        "routing.relay=random", "routing.on_empty_cell=error_on_route",
+        "engine.debug_checks=True", "engine.traffic=periodic",
+        # names checked when the spec is built, whatever the regime
+        "schedule.regime=adaptive", "schedule.growth=bogus", "schedule.growth=pow:x",
+        "schedule.growth=pow:-1", "routing.strategy=bogus", "routing.strategy=detour:x",
+        "routing.strategy=detour:0.5",
     ])
     def test_unknown_key_or_malformed_value_rejected(self, override):
         with pytest.raises(ConfigurationError):
@@ -129,7 +142,7 @@ def test_every_field_has_one_config_key():
     )
     targets = [k.field for k in experiment.CONFIG_KEYS]
     assert sorted(targets) == sorted(fields)  # each field once, and no key without a field
-    assert len(fields) == 24  # 25 settable values; engine.seed is for library callers only
+    assert len(fields) == 21  # 22 settable values; engine.seed is for library callers only
 
 
 class TestPrepareInstance:
@@ -282,6 +295,13 @@ class TestCli:
         assert code == 2
         assert cli.main(["sweep", "--set=sweep.n=abc"]) == 2
         assert "sweep.n" in capsys.readouterr().err
+        for override in ["routing.strategy=bogus", "schedule.growth=bogus",
+                         "routing.relay=random", "routing.on_empty_cell=error_on_route",
+                         "engine.debug_checks=True", "engine.traffic=periodic"]:
+            out = tmp_path / override.partition("=")[0]
+            argv = ["sweep", "--out", str(out)] + [f"--set={s}" for s in TINY + [override]]
+            assert cli.main(argv) == 2, override
+            assert not out.exists(), override
 
     def test_tessellate_and_deploy(self, tmp_path):
         out = tmp_path / "t.txt"
@@ -357,15 +377,26 @@ class TestCli:
         assert detail[0] == "# schema=verification_detail_v1"
 
     def test_claim_checks_script(self, tmp_path):
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "run_claim_checks.py"),
-             "--n", "2000", "--seed", "0", "--out", str(tmp_path / "claims")],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+        run_script("run_claim_checks.py", "--n", "2000", "--seed", "0",
+                   "--out", str(tmp_path / "claims"))
         detail = (tmp_path / "claims" / "verification_detail.csv").read_text()
         assert detail.startswith("# schema=verification_detail_v1\n")
+
+    def test_schedule_comparison_script(self, tmp_path):
+        out = tmp_path / "comparison.csv"
+        run_script("run_schedule_comparison.py", "--seeds", "1", "--out", str(out))
+        lines = out.read_text().splitlines()
+        assert lines[:2] == ["# schema=schedule_comparison_v1",
+                             "n,seed,regime,K,sinr_p5,sinr_p50,sinr_p95"]
+        assert len(lines) == 2 + 8  # four n, one seed, two regimes
+
+    def test_desk_sweep_script(self, tmp_path):
+        out = tmp_path / "desk"
+        run_script("run_desk_sweep.py", "--out", str(out),
+                   *[f"--set={s}" for s in TINY + ["sweep.seeds=1"]])
+        for name in experiment.SWEEP_CSVS:
+            schema = experiment.CSV_LAYOUTS[name][0]
+            assert (out / name).read_text().startswith(f"# schema={schema}\n"), name
 
     def test_invariant_failure_exit_code(self, tmp_path, monkeypatch):
         import adhocsim.experiment as exp

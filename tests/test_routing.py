@@ -91,13 +91,6 @@ class TestStraightLineRoutes:
             for cell, relay in zip(r.cells[1:-1], r.relays[1:-1]):
                 assert tess.cell_of_node[relay] == cell
 
-    def test_random_relay_mode(self, small_instance):
-        dep, tess, _, conns, _ = small_instance
-        long_conns = [c for c in conns if c.length > 6 * tess.rho_n]
-        r1 = routing.straight_line_route(long_conns[0], dep, tess, relay_mode="random", seed=5)
-        r2 = routing.straight_line_route(long_conns[0], dep, tess, relay_mode="random", seed=5)
-        assert r1.relays == r2.relays  # deterministic per seed
-
     def test_empty_cell_raises_with_cell_id(self):
         dep = tessellation.deploy(40, 3)
         rho = tessellation.rho_for_n(2000, 1.2)
@@ -105,7 +98,7 @@ class TestStraightLineRoutes:
         conns = routing.pick_connections(dep, 5)
         long = max(conns, key=lambda c: c.length)
         with pytest.raises(RoutingError) as err:
-            routing.straight_line_route(long, dep, tess, on_empty_cell="error_on_route")
+            routing.straight_line_route(long, dep, tess)
         assert err.value.cell is not None
 
 

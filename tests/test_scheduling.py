@@ -24,7 +24,7 @@ def synthetic_tessellation(centers, rho):
 class TestBuildSchedule:
     def test_single_cell_gets_one_color(self):
         tess = synthetic_tessellation([[0, 0, 1.0]], 0.4)
-        sched = scheduling.build_schedule(tess, 12.0, 0)
+        sched = scheduling.build_schedule(tess, 12.0)
         assert sched.num_colors == 1
 
     def test_two_conflicting_cells_two_colors(self):
@@ -33,13 +33,13 @@ class TestBuildSchedule:
         tess = synthetic_tessellation(
             [[0, 0, 1.0], [math.sin(theta), 0, math.cos(theta)]], rho
         )
-        sched = scheduling.build_schedule(tess, 12.0, 0)
+        sched = scheduling.build_schedule(tess, 12.0)
         assert sched.num_colors == 2
 
     def test_rejects_small_multiplier(self, small_instance):
         _, tess, _, _, _ = small_instance
         with pytest.raises(ConfigurationError):
-            scheduling.build_schedule(tess, 3.9, 0)
+            scheduling.build_schedule(tess, 3.9)
 
     def test_proper_and_separated(self, small_instance):
         _, tess, sched, _, _ = small_instance
@@ -56,6 +56,26 @@ class TestBuildSchedule:
                 1 - 1e-9
             )
 
+    def test_adjacent_cells_never_share_a_color(self):
+        # centers just beyond 4*rho: adjacent (within 4*rho*(1+1e-9)), but
+        # not in conflict at delta = 4
+        rho = 0.02
+        theta = 4 * rho * (1 + 5e-10) / geometry.RADIUS
+        tess = synthetic_tessellation(
+            [[0, 0, 1.0], [math.sin(theta), 0, math.cos(theta)]], rho
+        )
+        assert list(tess.neighbors[0]) == [1]
+        shared = scheduling.Schedule(
+            color_of_cell=np.zeros(2, dtype=np.int64),
+            num_colors=1,
+            conflict_multiplier=4.0,
+            regime="fixed",
+            cells_by_color=[np.array([0, 1])],
+        )
+        with pytest.raises(AssertionError, match="adjacent"):
+            scheduling.assert_proper(shared, tess)
+        assert scheduling.build_schedule(tess, 4.0).num_colors == 2
+
     def test_color_count_below_packing_bound(self, small_instance):
         _, tess, sched, _, _ = small_instance
         assert sched.num_colors <= scheduling.coloring_upper_bound(
@@ -69,7 +89,7 @@ class TestBuildSchedule:
         rho = tessellation.rho_for_n(n, 1.2)
         dep = tessellation.deploy(n, 42)
         tess = tessellation.build_tessellation(dep, rho, 43)
-        sched = scheduling.build_schedule(tess, 12.0, 44)
+        sched = scheduling.build_schedule(tess, 12.0)
         sizes = np.array([len(c) for c in sched.cells_by_color])
         assert sizes.min() >= 2
 
@@ -77,7 +97,7 @@ class TestBuildSchedule:
 class TestActiveCells:
     def test_single_color_always_active(self):
         tess = synthetic_tessellation([[0, 0, 1.0]], 0.4)
-        sched = scheduling.build_schedule(tess, 12.0, 0)
+        sched = scheduling.build_schedule(tess, 12.0)
         for slot in range(5):
             assert list(sched.active_cells(slot)) == [0]
 
@@ -118,18 +138,18 @@ class TestConservative:
     def test_unknown_growth_rejected(self, small_instance):
         _, tess, _, _, _ = small_instance
         with pytest.raises(ConfigurationError):
-            scheduling.build_conservative_schedule(tess, 600, "constant", 0)
+            scheduling.build_conservative_schedule(tess, 600, "constant")
 
     def test_conservative_regime_recorded(self, small_instance):
         _, tess, _, _, _ = small_instance
-        sched = scheduling.build_conservative_schedule(tess, 600, "log", 0)
+        sched = scheduling.build_conservative_schedule(tess, 600, "log")
         assert sched.regime == "conservative:log"
         assert sched.conflict_multiplier == pytest.approx(12.0 * math.log(600))
         scheduling.assert_proper(sched, tess)
 
     def test_longer_schedule_than_fixed(self, small_instance):
         _, tess, sched, _, _ = small_instance
-        cons = scheduling.build_conservative_schedule(tess, 600, "log", 0)
+        cons = scheduling.build_conservative_schedule(tess, 600, "log")
         assert cons.num_colors >= sched.num_colors
 
 

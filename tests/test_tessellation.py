@@ -122,6 +122,40 @@ class TestBuildTessellation:
             tessellation.build_tessellation(dep, 0.6, 1)
 
 
+class TestCoveringCertificate:
+    """The farthest point from a set of centers, in closed form below four
+    centers and from the spherical Voronoi diagram from four on."""
+
+    @pytest.mark.parametrize("centers, point, angle", [
+        ([[0, 0, 1.0]], [0, 0, -1.0], math.pi),
+        ([[0, 0, 1.0], [math.sin(1.0), 0, math.cos(1.0)]],
+         [-math.sin(0.5), 0, -math.cos(0.5)], math.pi - 0.5),
+        ([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]],
+         [-1 / math.sqrt(3)] * 3, math.acos(-1 / math.sqrt(3))),
+    ])
+    def test_fewer_than_four_centers(self, centers, point, angle):
+        found, dist = tessellation._farthest_uncovered(np.array(centers))
+        np.testing.assert_allclose(found, point, rtol=1e-12, atol=1e-12)
+        assert dist == pytest.approx(geometry.RADIUS * angle, rel=1e-12)
+
+    def test_antipodal_pair(self):
+        # every point of the equator is a farthest point
+        found, dist = tessellation._farthest_uncovered(np.array([[0, 0, 1.0], [0, 0, -1.0]]))
+        assert abs(found[2]) < 1e-12 and np.linalg.norm(found) == pytest.approx(1.0)
+        assert dist == pytest.approx(geometry.RADIUS * math.pi / 2, rel=1e-12)
+
+    def test_voronoi_error_stops_the_build(self, monkeypatch):
+        import scipy.spatial
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("voronoi failed")
+
+        monkeypatch.setattr(scipy.spatial, "SphericalVoronoi", broken)
+        dep = tessellation.deploy(300, 9)
+        with pytest.raises(RuntimeError, match="voronoi failed"):
+            tessellation.build_tessellation(dep, tessellation.rho_for_n(300, 1.2), 10)
+
+
 class TestOccupancy:
     def test_single_cell_holds_everything(self):
         dep = tessellation.deploy(40, 8)

@@ -44,9 +44,10 @@ def main():
                 gammas = np.array([s.gamma for ss in samples.values() for s in ss])
                 p5, p50, p95 = np.percentile(gammas, [5, 50, 95])
                 rows.append(
-                    f"{n},{seed},{regime},{sched.K},{float(p5)!r},{float(p50)!r},{float(p95)!r}"
+                    f"{n},{seed},{regime},{sched.num_colors},"
+                    f"{float(p5)!r},{float(p50)!r},{float(p95)!r}"
                 )
-                print(f"n={n} seed={seed} {regime}: K={sched.K} p5={p5:.4g}")
+                print(f"n={n} seed={seed} {regime}: K={sched.num_colors} p5={p5:.4g}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(rows) + "\n")

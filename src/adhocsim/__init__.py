@@ -18,7 +18,6 @@ from .links import (
     hop_success_with_retries,
     make_link_model,
     sinr,
-    success_probability,
 )
 from .routing import Connection, Route, arbitrary_route, pick_connections, straight_line_route
 from .scheduling import Schedule, build_conservative_schedule, build_schedule
@@ -27,7 +26,6 @@ from .tessellation import (
     Tessellation,
     build_tessellation,
     deploy,
-    min_cell_occupancy,
     rho_for_n,
 )
 from .verification import BoundSet, compute_bounds, throughput_ceilings
@@ -58,13 +56,11 @@ __all__ = [
     "deploy",
     "hop_success_with_retries",
     "make_link_model",
-    "min_cell_occupancy",
     "pick_connections",
     "rho_for_n",
     "run",
     "sinr",
     "straight_line_route",
-    "success_probability",
     "throughput_ceilings",
     "throughput_summary",
 ]

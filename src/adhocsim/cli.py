@@ -16,7 +16,7 @@ from .engine import throughput_summary
 from .errors import ConfigurationError, GeometryError, RoutingError
 from .routing import write_routes
 from .scheduling import save_schedule
-from .tessellation import deploy, min_cell_occupancy, save_tessellation
+from .tessellation import deploy, save_tessellation
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -27,8 +27,6 @@ def _spec_from_args(args) -> experiment.ExperimentSpec:
     spec = experiment.load_spec(args.config, args.set)
     if args.out is not None:
         spec = replace(spec, out_dir=args.out)
-    if args.workers is not None:
-        spec = replace(spec, workers=args.workers)
     return spec
 
 
@@ -46,14 +44,14 @@ def cmd_deploy(args) -> int:
 
 def cmd_tessellate(args) -> int:
     spec = _spec_from_args(args)
-    dep, tess = experiment.prepare_instance(args.n, args.seed, spec.area_constant)
+    _, tess = experiment.prepare_instance(args.n, args.seed, spec.area_constant)
     out = Path(args.out or "tessellation.txt")
     save_tessellation(tess, out)
     sched = experiment.make_schedule(spec, tess, args.n)
     save_schedule(sched, out.with_suffix(".schedule.txt"))
     print(
         f"n={args.n} rho_n={tess.rho_n:.6f} cells={tess.num_cells} K={sched.num_colors} "
-        f"min_occupancy={min_cell_occupancy(tess, dep)} -> {out}"
+        f"min_occupancy={tess.occupancy().min()} -> {out}"
     )
     return EXIT_OK
 
@@ -76,6 +74,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
+    if args.workers is not None:
+        spec = replace(spec, workers=args.workers)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     experiment.write_resolved_config(spec, out / "config.resolved.ini")
@@ -141,34 +141,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_n=True):
+    def point(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None)
+
+    def config(p):
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--set", action="append", default=[],
                        metavar="SECTION.KEY=VALUE", help="config override")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=None)
-        if needs_n:
-            p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("deploy", help="write a uniform node deployment")
-    common(p)
+    point(p)
     p.set_defaults(func=cmd_deploy)
 
     p = sub.add_parser("tessellate", help="build and export a certified tessellation")
-    common(p)
+    point(p)
+    config(p)
     p.set_defaults(func=cmd_tessellate)
 
     p = sub.add_parser("simulate", help="run one simulation point")
-    common(p)
+    point(p)
+    config(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run the configured n/seed grid")
-    common(p, needs_n=False)
+    config(p)
+    p.add_argument("--out", default=None)
+    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the claim checkers on one point")
-    common(p)
+    point(p)
+    config(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="closed-form bound calculator")

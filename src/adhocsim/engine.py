@@ -55,17 +55,17 @@ class EngineConfig:
             raise ConfigurationError("attempt budget must be at least 1")
         if self.measure_slots < 1:
             raise ConfigurationError("measure_slots must be at least 1")
+        if self.warmup_slots is not None and self.warmup_slots < 0:
+            raise ConfigurationError("warmup_slots must be nonnegative")
 
 
 class _Packet:
-    __slots__ = ("conn", "seq", "hop", "attempts", "injected_slot", "measured")
+    __slots__ = ("conn", "hop", "attempts", "measured")
 
-    def __init__(self, conn, seq, injected_slot, measured):
+    def __init__(self, conn, measured):
         self.conn = conn
-        self.seq = seq
         self.hop = 0
         self.attempts = 0
-        self.injected_slot = injected_slot
         self.measured = measured
 
 
@@ -151,7 +151,6 @@ def run(
     injected = np.zeros(len(conn_ids), dtype=np.int64)
     delivered = np.zeros(len(conn_ids), dtype=np.int64)
     dropped = np.zeros(len(conn_ids), dtype=np.int64)
-    seq_counter = np.zeros(len(conn_ids), dtype=np.int64)
     active_slots = np.zeros(tess.num_cells, dtype=np.int64)
     transmit_slots = np.zeros(tess.num_cells, dtype=np.int64)
     attempt_sinrs: dict[int, list[list[float]]] = {
@@ -196,8 +195,7 @@ def run(
         for k in hits:
             cid = conn_ids[int(k)]
             r = routes_by_conn[cid]
-            queues[r.cells[0]].append(_Packet(cid, int(seq_counter[k]), slot, measuring))
-            seq_counter[k] += 1
+            queues[r.cells[0]].append(_Packet(cid, measuring))
             if measuring:
                 injected[conn_index[cid]] += 1
 
@@ -285,7 +283,7 @@ def _resolve_slot(
                 if pkt.measured and measuring:
                     delivered[conn_index[cid]] += 1
             else:
-                queues[r.tx_cell(pkt.hop)].append(pkt)
+                queues[r.cells[pkt.hop]].append(pkt)
         else:
             pkt.attempts += 1
             if pkt.attempts >= cfg.attempts_per_hop:
@@ -315,7 +313,7 @@ def _dummy_receivers(tess, routes_by_conn, relay_of_cell, conn_ids) -> np.ndarra
     for cid in conn_ids:
         r = routes_by_conn[cid]
         for hop in range(r.hop_count):
-            c = r.tx_cell(hop)
+            c = r.cells[hop]
             if dummy_rx[c] < 0 and r.relays[hop + 1] != relay_of_cell[c]:
                 dummy_rx[c] = r.relays[hop + 1]
     for c in range(tess.num_cells):
@@ -352,7 +350,7 @@ def saturated_hop_samples(
     """
     if relay_of_cell is None:
         relay_of_cell = all_cell_relays(tess, dep)
-    cells = np.array([r.tx_cell(h) for r in routes for h in range(r.hop_count)], dtype=np.int64)
+    cells = np.array([c for r in routes for c in r.cells[:r.hop_count]], dtype=np.int64)
     rx = np.array([x for r in routes for x in r.relays[1:]], dtype=np.int64)
     lengths = np.array([d for r in routes for d in r.hop_lengths], dtype=float)
     signal = radio.tx_power * path_gain(lengths, radio.alpha)
@@ -375,36 +373,19 @@ def saturated_hop_samples(
 
 @dataclass(frozen=True)
 class ThroughputSummary:
-    lambda_realized: float
-    throughput: float
-    schedule_length: int
-    min_occupancy: int
-    max_occupancy: int
     injection_ceiling: float  # 1 / (max occupancy * K)
     occupancy_rate_bound: float  # 4 / (pi * n * rho_n^2)
-    delivery_histogram: np.ndarray  # counts in ten delivery-probability bins
 
 
 def throughput_summary(metrics: RunMetrics) -> ThroughputSummary:
-    """Realized rates plus the cell-sharing feasibility ceilings.
+    """The cell-sharing feasibility ceilings of a run.
 
     A cell with ``Q`` resident nodes transmitting once per ``K`` slots cannot
     give any of them more than ``1/(Q*K)`` injections per slot, and for any
     certified tessellation the per-node rate is capped by
     ``4 / (pi * n * rho_n**2)``.
     """
-    occ = metrics.cell_occupancy
-    delivery = metrics.delivery_probability()
-    finite = delivery[np.isfinite(delivery)]
-    hist, _ = np.histogram(finite, bins=10, range=(0.0, 1.0))
-    max_occ = int(occ.max())
     return ThroughputSummary(
-        lambda_realized=metrics.lambda_realized,
-        throughput=metrics.throughput,
-        schedule_length=metrics.schedule_length,
-        min_occupancy=int(occ.min()),
-        max_occupancy=max_occ,
-        injection_ceiling=1.0 / (max_occ * metrics.schedule_length),
+        injection_ceiling=1.0 / (int(metrics.cell_occupancy.max()) * metrics.schedule_length),
         occupancy_rate_bound=4.0 / (math.pi * metrics.n * metrics.rho_n**2),
-        delivery_histogram=hist,
     )

@@ -37,7 +37,6 @@ from .tessellation import (
     Tessellation,
     build_tessellation,
     deploy,
-    min_cell_occupancy,
     rho_for_n,
 )
 from .verification import (
@@ -73,6 +72,10 @@ class ExperimentSpec:
     track_connections: int | None = None  # limit injected sources; None = all
 
     def __post_init__(self):
+        if self.workers < 1:
+            raise ConfigurationError("workers must be at least 1")
+        if self.track_connections is not None and self.track_connections < 1:
+            raise ConfigurationError("track_connections must be at least 1")
         if self.schedule_regime not in SCHEDULE_REGIMES:
             raise ConfigurationError(
                 f"unknown schedule regime {self.schedule_regime!r}; "
@@ -95,7 +98,7 @@ def prepare_instance(
     for k in range(max_redeploys):
         dep = deploy(n, seed + k * _SEED_STRIDE)
         tess = build_tessellation(dep, rho, seed + k * _SEED_STRIDE + 1)
-        if min_cell_occupancy(tess, dep) > 0:
+        if tess.occupancy().min() > 0:
             return dep, tess
     raise ConfigurationError(
         f"no fully occupied deployment in {max_redeploys} redraws at n={n}; "
@@ -177,7 +180,7 @@ def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
         metrics=metrics,
         routes=routes,
         report=report,
-        min_occupancy=min_cell_occupancy(tess, dep),
+        min_occupancy=int(tess.occupancy().min()),
         hard_invariants_ok=hard_ok,
     )
 

@@ -11,7 +11,6 @@ apart.  A spherical cap of surface radius ``rho`` has area
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,26 +62,6 @@ def rho_for_area(area):
     return float(rho) if np.isscalar(area) or area_arr.ndim == 0 else rho
 
 
-@dataclass(frozen=True)
-class Cap:
-    """A spherical cap, carrying both its surface radius and its area."""
-
-    radius: float
-    area: float
-
-    def __post_init__(self):
-        if abs(cap_area(self.radius) - self.area) > 1e-12:
-            raise GeometryError("inconsistent cap radius/area pair")
-
-    @classmethod
-    def from_radius(cls, radius: float) -> "Cap":
-        return cls(radius=float(radius), area=cap_area(radius))
-
-    @classmethod
-    def from_area(cls, area: float) -> "Cap":
-        return cls(radius=rho_for_area(area), area=float(area))
-
-
 def random_point(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Uniform point(s) on the sphere via normalized Gaussian directions."""
     n = 1 if size is None else int(size)
@@ -106,15 +85,6 @@ def distance_cdf(l):
     return float(val) if np.isscalar(l) or l_arr.ndim == 0 else val
 
 
-def distance_pdf(l):
-    """Density of the distance between two independent uniform points."""
-    l_arr = np.asarray(l, dtype=float)
-    if np.any(l_arr < -_EPS) or np.any(l_arr > MAX_DISTANCE + _EPS):
-        raise GeometryError(f"distance must lie in [0, {MAX_DISTANCE!r}]")
-    val = _SQRT_PI * np.sin(2.0 * _SQRT_PI * np.clip(l_arr, 0.0, MAX_DISTANCE))
-    return float(val) if np.isscalar(l) or l_arr.ndim == 0 else val
-
-
 def expected_delta_pow_L(delta: float) -> float:
     """Closed form of ``E[delta**L]`` for the uniform pair distance ``L``.
 
@@ -127,11 +97,6 @@ def expected_delta_pow_L(delta: float) -> float:
         raise GeometryError("delta must lie in (0, 1]")
     log_d = math.log(delta)
     return 2.0 * math.pi * (1.0 + delta ** (_SQRT_PI / 2.0)) / (4.0 * math.pi + log_d**2)
-
-
-def geodesic_point(a, b, s: float) -> np.ndarray:
-    """Point at arclength ``s`` from ``a`` along the minor arc to ``b``."""
-    return geodesic_arc(a, b, np.asarray([float(s)]))[0]
 
 
 def geodesic_arc(a, b, arclengths) -> np.ndarray:

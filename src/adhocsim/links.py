@@ -188,12 +188,6 @@ def filter_model_params(name: str, params: dict) -> dict:
     return {k: v for k, v in params.items() if k in own_fields}
 
 
-def success_probability(gamma: float, model: LinkModel) -> float:
-    if gamma < 0:
-        raise ConfigurationError("SINR must be nonnegative")
-    return model.success(gamma)
-
-
 def hop_success_with_retries(
     gamma_sequence: Iterable[float], model: LinkModel, attempts: int
 ) -> float:
@@ -212,5 +206,5 @@ def hop_success_with_retries(
     fail = 1.0
     for k in range(attempts):
         g = gammas[k] if k < len(gammas) else gammas[-1]
-        fail *= 1.0 - success_probability(g, model)
+        fail *= 1.0 - model.success(g)
     return 1.0 - fail

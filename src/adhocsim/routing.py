@@ -55,10 +55,6 @@ class Route:
     def hop_count(self) -> int:
         return len(self.hop_lengths)
 
-    def tx_cell(self, hop: int) -> int:
-        """Cell whose slot carries hop ``hop`` (its transmitter's cell)."""
-        return self.cells[min(hop, len(self.cells) - 1)]
-
 
 def pick_connections(dep: Deployment, seed: int) -> list[Connection]:
     """One connection per node; destination uniform over the other nodes."""

@@ -31,10 +31,6 @@ class Schedule:
     regime: str  # "fixed" or "conservative:<growth>"
     cells_by_color: list[np.ndarray]
 
-    @property
-    def K(self) -> int:
-        return self.num_colors
-
     def active_cells(self, slot: int) -> np.ndarray:
         """Cells transmitting in the given slot (color == slot mod K)."""
         if slot < 0:
@@ -179,13 +175,6 @@ def assert_proper(sched: Schedule, tess: Tessellation) -> None:
         np.fill_diagonal(gram, -1.0)
         if gram.max() >= cos_thr - 1e-15:
             raise AssertionError("improper coloring: conflicting cells share a color")
-
-
-def coloring_upper_bound(tess: Tessellation, delta: float) -> int:
-    """Packing bound on the color count: disjoint in-disks inside a
-    ``(delta+4)*rho_n`` cap around any center."""
-    big = geometry.cap_area(min((delta + 4.0) * tess.rho_n, geometry.MAX_DISTANCE))
-    return int(math.ceil(min(big, 1.0) / geometry.cap_area(tess.rho_n)))
 
 
 def save_schedule(sched: Schedule, path) -> None:

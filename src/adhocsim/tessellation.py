@@ -85,11 +85,6 @@ class Tessellation:
     def occupancy(self) -> np.ndarray:
         return np.array([len(ids) for ids in self.nodes_in_cell])
 
-    def adjacency_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (c, int(d)) for c in range(self.num_cells) for d in self.neighbors[c] if d > c
-        ]
-
 
 def _greedy_packing(candidates: np.ndarray, cos_threshold: float) -> np.ndarray:
     accepted = np.empty_like(candidates)
@@ -221,30 +216,6 @@ def _adjacency(centers: np.ndarray, rho_n: float) -> list[np.ndarray]:
     return [np.flatnonzero(row) for row in adj_matrix]
 
 
-def min_cell_occupancy(tess: Tessellation, dep: Deployment) -> int:
-    """Minimum node count over cells (0 flags an empty cell)."""
-    return int(tess.occupancy().min())
-
-
-@dataclass(frozen=True)
-class OccupancyReport:
-    min_occupancy: int
-    floor: float  # high-probability floor pi*n*rho^2/4
-    paper_floor: float  # 50*ln(n), meaningful for the area-constant-100 scale
-
-    @property
-    def meets_floor(self) -> bool:
-        return self.min_occupancy >= self.floor
-
-
-def occupancy_report(tess: Tessellation, dep: Deployment) -> OccupancyReport:
-    return OccupancyReport(
-        min_occupancy=min_cell_occupancy(tess, dep),
-        floor=math.pi * dep.n * tess.rho_n**2 / 4.0,
-        paper_floor=50.0 * math.log(dep.n),
-    )
-
-
 def save_tessellation(tess: Tessellation, path) -> None:
     """Write centers, scale and node assignment as plain text."""
     with open(path, "w") as fh:
@@ -257,33 +228,3 @@ def save_tessellation(tess: Tessellation, path) -> None:
         for i, cell in enumerate(tess.cell_of_node):
             fh.write(f"a {i} {cell}\n")
 
-
-def load_tessellation(path) -> Tessellation:
-    rho_n = None
-    centers = []
-    assignment = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "rho_n":
-                rho_n = float(parts[1])
-            elif parts[0] == "c":
-                centers.append([float(parts[2]), float(parts[3]), float(parts[4])])
-            elif parts[0] == "a":
-                assignment.append(int(parts[2]))
-    if rho_n is None or not centers:
-        raise ConfigurationError(f"not a tessellation file: {path}")
-    centers = np.asarray(centers)
-    cell_of_node = np.asarray(assignment, dtype=np.int64)
-    neighbors = _adjacency(centers, rho_n)
-    nodes_in_cell = [np.flatnonzero(cell_of_node == c) for c in range(len(centers))]
-    return Tessellation(
-        centers=centers,
-        rho_n=rho_n,
-        cell_of_node=cell_of_node,
-        neighbors=neighbors,
-        nodes_in_cell=nodes_in_cell,
-    )

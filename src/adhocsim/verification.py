@@ -133,9 +133,6 @@ class VerificationReport:
             if not r.passed and (check_id is None or r.check_id == check_id)
         ]
 
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.records)
-
     def write_text(self, path) -> None:
         ids = sorted({r.check_id for r in self.records})
         with open(path, "w") as fh:

@@ -62,7 +62,7 @@ def saturated_2000(cert_instances):
     )
     sched = scheduling.build_schedule(tess, 12.0)
     cfg = EngineConfig(
-        injection_rate=0.0, traffic="saturated", measure_slots=sched.K, seed=7
+        injection_rate=0.0, traffic="saturated", measure_slots=sched.num_colors, seed=7
     )
     t0 = time.perf_counter()
     metrics = run(dep, tess, sched, routes, links.LogisticModel(), RADIO, cfg)
@@ -203,20 +203,22 @@ def test_accept_07_consecutive_short_hops(cert_instances):
 def test_accept_08_interferer_proximity(saturated_2000):
     dep, tess, sched, routes, metrics, run_seconds = saturated_2000
     t0 = time.perf_counter()
-    c1 = sched.K - 1
+    c1 = sched.num_colors - 1
     m0 = 64.0 * (1 + c1)
-    recs = verification.check_interferer_proximity(metrics, routes, m0, sched.K, tess.rho_n)
+    recs = verification.check_interferer_proximity(
+        metrics, routes, m0, sched.num_colors, tess.rho_n
+    )
     bad = [r for r in recs if not r.passed]
     elapsed = run_seconds + time.perf_counter() - t0
     ok = not bad and elapsed < 300.0
     report(8, "interferer-proximity count at n=2000", ok,
            f"{len(recs) - len(bad)}/{len(recs)} with N_i <= (L/rho)*2K/M, "
-           f"M=64(1+c1)={m0:.0f}, K={sched.K}, {elapsed:.1f}s (<300s)")
+           f"M=64(1+c1)={m0:.0f}, K={sched.num_colors}, {elapsed:.1f}s (<300s)")
 
 
 def test_accept_09_bounded_sinr_fraction(saturated_2000):
     dep, tess, sched, routes, metrics, _ = saturated_2000
-    bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=sched.K - 1)
+    bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=sched.num_colors - 1)
     ok_t0 = abs(bounds.t0 - 0.0500) <= 1e-3
     recs = verification.check_sinr_bounded_fraction(metrics, routes, bounds, tess.rho_n)
     fails = [r for r in recs if not r.passed]
@@ -242,7 +244,7 @@ def test_accept_10_retry_success_law():
     ok = True
     details = []
     for attempts in (1, 2, 3):
-        slots = 130_000 * attempts * sched.K
+        slots = 130_000 * attempts * sched.num_colors
         cfg = EngineConfig(
             injection_rate=0.9, measure_slots=slots, warmup_slots=10,
             seed=10 + attempts, attempts_per_hop=attempts,
@@ -310,7 +312,7 @@ def test_accept_11_geometric_decay(small_instance, sweep_instances):
 def test_accept_12_conservative_schedule_trade(sweep_instances):
     ok_k = True
     for seed in range(5):
-        ks = [sweep_instances[(n, seed)][3].K for n in SWEEP_NS]
+        ks = [sweep_instances[(n, seed)][3].num_colors for n in SWEEP_NS]
         ok_k &= all(a <= b for a, b in zip(ks, ks[1:]))
     ok_sinr = True
     details = []

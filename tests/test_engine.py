@@ -112,7 +112,7 @@ class TestSaturated:
     def test_full_utilization_and_samples(self, small_instance):
         dep, tess, sched, _, routes = small_instance
         cfg = EngineConfig(
-            injection_rate=0.0, traffic="saturated", measure_slots=2 * sched.K, seed=19
+            injection_rate=0.0, traffic="saturated", measure_slots=2 * sched.num_colors, seed=19
         )
         m = run(dep, tess, sched, routes, links.LogisticModel(), RADIO, cfg)
         assert m.saturated
@@ -148,7 +148,7 @@ class TestSaturated:
         samples = engine.saturated_hop_samples(dep, tess, sched, routes[:20], RADIO)
         for r in routes[:20]:
             for hop, s in enumerate(samples[r.connection_id]):
-                cell = r.tx_cell(hop)
+                cell = r.cells[hop]
                 field = [
                     c for c in sched.cells_by_color[sched.color_of_cell[cell]]
                     if c != cell and relay[c] >= 0
@@ -240,18 +240,17 @@ class TestSummary:
     def test_zero_injection_zero_throughput(self, small_instance):
         dep, tess, sched, _, routes = small_instance
         cfg = EngineConfig(
-            injection_rate=0.0, traffic="saturated", measure_slots=sched.K, seed=53
+            injection_rate=0.0, traffic="saturated", measure_slots=sched.num_colors, seed=53
         )
         m = run(dep, tess, sched, routes[:10], links.ConstantPModel(0.9), RADIO, cfg)
-        summary = throughput_summary(m)
-        assert summary.throughput == 0.0
-        assert summary.lambda_realized == 0.0
+        assert m.throughput == 0.0
+        assert m.lambda_realized == 0.0
 
     def test_lossless_single_hop_throughput_matches_injection(self):
         dep, tess, sched, route = single_hop_network()
         floor = RADIO.tx_power * float(route.hop_lengths[0]) ** -RADIO.alpha / RADIO.noise
         model = links.ThresholdModel(beta=floor * 0.5)
-        lam = 0.25 / sched.K  # safely under the service ceiling
+        lam = 0.25 / sched.num_colors  # safely under the service ceiling
         cfg = EngineConfig(injection_rate=lam, measure_slots=80_000, seed=61)
         m = run(dep, tess, sched, [route], model, RADIO, cfg)
         sigma = math.sqrt(lam * (1 - lam) / cfg.measure_slots) / dep.n
@@ -267,9 +266,8 @@ class TestSummary:
         summary = throughput_summary(m)
         occ = tess.occupancy()
         assert summary.injection_ceiling == pytest.approx(
-            1.0 / (occ.max() * sched.K)
+            1.0 / (occ.max() * sched.num_colors)
         )
         assert summary.occupancy_rate_bound == pytest.approx(
             4.0 / (math.pi * dep.n * tess.rho_n**2)
         )
-        assert summary.min_occupancy == occ.min()

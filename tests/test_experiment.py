@@ -110,6 +110,9 @@ class TestSpecLoading:
         "schedule.regime=adaptive", "schedule.growth=bogus", "schedule.growth=pow:x",
         "schedule.growth=pow:-1", "routing.strategy=bogus", "routing.strategy=detour:x",
         "routing.strategy=detour:0.5",
+        # out-of-range values
+        "engine.warmup_slots=-400", "sweep.track_connections=-5", "sweep.track_connections=0",
+        "sweep.workers=0", "sweep.workers=-3",
     ])
     def test_unknown_key_or_malformed_value_rejected(self, override):
         with pytest.raises(ConfigurationError):
@@ -297,7 +300,9 @@ class TestCli:
         assert "sweep.n" in capsys.readouterr().err
         for override in ["routing.strategy=bogus", "schedule.growth=bogus",
                          "routing.relay=random", "routing.on_empty_cell=error_on_route",
-                         "engine.debug_checks=True", "engine.traffic=periodic"]:
+                         "engine.debug_checks=True", "engine.traffic=periodic",
+                         "engine.warmup_slots=-400", "sweep.track_connections=-5",
+                         "sweep.track_connections=0", "sweep.workers=0", "sweep.workers=-3"]:
             out = tmp_path / override.partition("=")[0]
             argv = ["sweep", "--out", str(out)] + [f"--set={s}" for s in TINY + [override]]
             assert cli.main(argv) == 2, override
@@ -307,9 +312,40 @@ class TestCli:
         out = tmp_path / "t.txt"
         code = cli.main(["tessellate", "--n", "250", "--seed", "1", "--out", str(out)])
         assert code == 0 and out.exists()
+        # the text export: scale, cell count, one center line per cell and
+        # one assignment line per node
+        _, tess = experiment.prepare_instance(250, 1, 1.2)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "# adhocsim tessellation v1"
+        assert lines[1] == f"rho_n {tess.rho_n!r}"
+        assert lines[2] == f"cells {tess.num_cells}"
+        assert lines[3] == "nodes 250"
+        centers = [line.split() for line in lines if line.startswith("c ")]
+        assigned = [line.split() for line in lines if line.startswith("a ")]
+        assert len(lines) == 4 + len(centers) + len(assigned)
+        assert [int(c[1]) for c in centers] == list(range(tess.num_cells))
+        np.testing.assert_array_equal([[float(x) for x in c[2:]] for c in centers], tess.centers)
+        assert [int(a[1]) for a in assigned] == list(range(250))
+        assert [int(a[2]) for a in assigned] == tess.cell_of_node.tolist()
         out2 = tmp_path / "d.txt"
         code = cli.main(["deploy", "--n", "50", "--seed", "1", "--out", str(out2)])
         assert code == 0 and out2.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["deploy", "--n", "10", "--set=bogus.key=1", "--config", "/nonexistent.ini",
+         "--workers", "7"],
+        ["deploy", "--n", "10", "--config", "/nonexistent.ini"],
+        ["tessellate", "--n", "250", "--workers", "7"],
+        ["simulate", "--n", "250", "--workers", "7"],
+        ["verify", "--n", "250", "--workers", "7"],
+        ["sweep", "--seed", "3"],
+    ])
+    def test_flag_a_subcommand_does_not_read_is_rejected(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_verify_subcommand(self, tmp_path, capsys):
         out = tmp_path / "v"

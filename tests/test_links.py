@@ -105,25 +105,25 @@ class TestSinr:
 class TestSuccessModels:
     def test_threshold_edges(self):
         model = links.ThresholdModel(beta=10.0)
-        assert links.success_probability(10.0, model) == 1.0
-        assert links.success_probability(9.999, model) == 0.0
+        assert model.success(10.0) == 1.0
+        assert model.success(9.999) == 0.0
 
     def test_constant_p(self):
         model = links.ConstantPModel(p=0.9)
         for g in (0.0, 1.0, 1e9):
-            assert links.success_probability(g, model) == 0.9
+            assert model.success(g) == 0.9
 
     def test_bpsk_tail(self):
         # 0.5*erfc(sqrt(25)) ~ 7.7e-13, so a one-bit packet is sure by gamma=25
         model = links.BpskPacketModel(bits=1)
-        assert links.success_probability(25.0, model) == pytest.approx(1.0, abs=1e-6)
-        assert links.success_probability(25.0, model) == pytest.approx(
+        assert model.success(25.0) == pytest.approx(1.0, abs=1e-6)
+        assert model.success(25.0) == pytest.approx(
             1.0 - 0.5 * math.erfc(5.0), abs=1e-15
         )
 
     def test_logistic_midpoint(self):
         model = links.LogisticModel(a=1.0, midpoint_db=10.0)
-        assert links.success_probability(10.0, model) == pytest.approx(0.5, abs=1e-12)
+        assert model.success(10.0) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize(
         "model",
@@ -136,7 +136,7 @@ class TestSuccessModels:
     )
     def test_nondecreasing_on_grid(self, model):
         gammas = np.concatenate([[0.0], np.logspace(-3, 6, 400)])
-        vals = [links.success_probability(g, model) for g in gammas]
+        vals = [model.success(g) for g in gammas]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
 

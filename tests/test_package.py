@@ -1,0 +1,68 @@
+"""Package-wide structural checks."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "adhocsim").glob("*.py")) + sorted(
+    (ROOT / "scripts").glob("*.py")
+)
+
+# Public names kept although nothing in the package or the scripts calls them;
+# each entry names the test of ``test_acceptance.py`` that does.
+CALLED_ONLY_BY_ACCEPTANCE = {
+    "delivery_decay_direct": "test_accept_13_bound_calculator",
+    "delivery_decay_stepwise": "test_accept_13_bound_calculator",
+}
+
+
+def _public_definitions(tree):
+    """Public top-level functions and classes, and the public methods of
+    top-level classes, each with its definition node."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(tree):
+    """``(name, node)`` for every name read or attribute access."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+
+
+def test_every_public_name_has_a_caller():
+    """A public function, class or method that only its own tests call tests
+    no claim; delete it.  Imports and ``__all__`` entries are not references,
+    and neither is a use inside the definition itself.  Each allowlisted name
+    must be called by the acceptance test its entry names."""
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in SOURCES]
+    definitions = [d for tree in trees for d in _public_definitions(tree)]
+    enclosing = {}  # id of each node inside a definition -> its definitions
+    for qualname, node in definitions:
+        for sub in ast.walk(node):
+            enclosing.setdefault(id(sub), set()).add(qualname)
+    callers = {}  # bare name -> the enclosing definitions of each reference
+    for tree in trees:
+        for name, node in _references(tree):
+            callers.setdefault(name, []).append(enclosing.get(id(node), set()))
+    uncalled = []
+    for qualname, _ in definitions:
+        name = qualname.rpartition(".")[2]
+        if name in CALLED_ONLY_BY_ACCEPTANCE:
+            continue
+        if all(qualname in around for around in callers.get(name, [])):
+            uncalled.append(qualname)
+    assert not uncalled, f"no caller outside the tests: {sorted(uncalled)}"
+
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    tests = {n.name: n for n in acceptance.body if isinstance(n, ast.FunctionDef)}
+    for name, test in CALLED_ONLY_BY_ACCEPTANCE.items():
+        assert name in {ref for ref, _ in _references(tests[test])}, (name, test)
+

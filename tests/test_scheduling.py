@@ -76,12 +76,6 @@ class TestBuildSchedule:
             scheduling.assert_proper(shared, tess)
         assert scheduling.build_schedule(tess, 4.0).num_colors == 2
 
-    def test_color_count_below_packing_bound(self, small_instance):
-        _, tess, sched, _, _ = small_instance
-        assert sched.num_colors <= scheduling.coloring_upper_bound(
-            tess, sched.conflict_multiplier
-        )
-
     def test_no_singleton_classes_when_avoidable(self):
         # At this scale the conflict graph is sparse enough that rebalancing
         # removes every singleton color class.

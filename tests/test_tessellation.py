@@ -161,14 +161,14 @@ class TestOccupancy:
         dep = tessellation.deploy(40, 8)
         tess = tessellation.build_tessellation(dep, SQRT_PI / 4, 9)
         if tess.num_cells == 1:
-            assert tessellation.min_cell_occupancy(tess, dep) == 40
+            assert tess.occupancy().min() == 40
 
     def test_empty_cell_flags_zero(self):
         # 30 nodes over many cells leaves some empty
         dep = tessellation.deploy(30, 11)
         rho = tessellation.rho_for_n(3000, 1.2)
         tess = tessellation.build_tessellation(dep, rho, 12)
-        assert tessellation.min_cell_occupancy(tess, dep) == 0
+        assert tess.occupancy().min() == 0
 
     def test_high_probability_floor(self):
         # pi*n*rho^2/4 holds in at least 95% of seeds at the paper scale
@@ -178,32 +178,6 @@ class TestOccupancy:
         for seed in range(seeds):
             dep = tessellation.deploy(n, seed)
             tess = tessellation.build_tessellation(dep, rho, 10_000 + seed)
-            if tessellation.min_cell_occupancy(tess, dep) >= floor:
+            if tess.occupancy().min() >= floor:
                 hits += 1
         assert hits >= 0.95 * seeds
-
-    def test_report_fields(self, small_instance):
-        dep, tess, _, _, _ = small_instance
-        rep = tessellation.occupancy_report(tess, dep)
-        assert rep.min_occupancy >= 1
-        assert rep.floor == pytest.approx(math.pi * dep.n * tess.rho_n**2 / 4)
-
-
-class TestExport:
-    def test_roundtrip(self, tmp_path, small_instance):
-        _, tess, _, _, _ = small_instance
-        path = tmp_path / "tess.txt"
-        tessellation.save_tessellation(tess, path)
-        loaded = tessellation.load_tessellation(path)
-        np.testing.assert_array_equal(loaded.centers, tess.centers)
-        np.testing.assert_array_equal(loaded.cell_of_node, tess.cell_of_node)
-        assert loaded.rho_n == tess.rho_n
-        assert [set(a.tolist()) for a in loaded.neighbors] == [
-            set(a.tolist()) for a in tess.neighbors
-        ]
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("not a tessellation\n")
-        with pytest.raises(ConfigurationError):
-            tessellation.load_tessellation(path)

@@ -158,7 +158,7 @@ class TestConsecutiveShortHops:
 def saturated_run(small_instance):
     dep, tess, sched, _, routes = small_instance
     cfg = EngineConfig(
-        injection_rate=0.0, traffic="saturated", measure_slots=sched.K, seed=71
+        injection_rate=0.0, traffic="saturated", measure_slots=sched.num_colors, seed=71
     )
     metrics = run(dep, tess, sched, routes, links.LogisticModel(), RADIO, cfg)
     return metrics, routes, sched, tess
@@ -170,15 +170,15 @@ class TestInterfererProximity:
         cfg = EngineConfig(injection_rate=0.01, measure_slots=500, seed=73)
         m = run(dep, tess, sched, routes[:10], links.ConstantPModel(0.5), RADIO, cfg)
         with pytest.raises(SaturationError):
-            verification.check_interferer_proximity(m, routes[:10], 64.0, sched.K, tess.rho_n)
+            verification.check_interferer_proximity(m, routes[:10], 64.0, sched.num_colors, tess.rho_n)
 
     def test_m_minimums(self, saturated_run):
         metrics, routes, sched, tess = saturated_run
         with pytest.raises(ConfigurationError):
-            verification.check_interferer_proximity(metrics, routes, 9.0, sched.K, tess.rho_n)
+            verification.check_interferer_proximity(metrics, routes, 9.0, sched.num_colors, tess.rho_n)
         with pytest.raises(ConfigurationError):
             verification.check_interferer_proximity(
-                metrics, routes, 16.0, sched.K, tess.rho_n, use_path_length=True
+                metrics, routes, 16.0, sched.num_colors, tess.rho_n, use_path_length=True
             )
 
     def test_single_color_schedule_counts_zero(self, small_instance):
@@ -205,7 +205,7 @@ class TestInterfererProximity:
         counts = {}
         for m_val in (17.0, 34.0, 68.0):
             recs = verification.check_interferer_proximity(
-                metrics, routes, m_val, sched.K, tess.rho_n
+                metrics, routes, m_val, sched.num_colors, tess.rho_n
             )
             counts[m_val] = sum(r.lhs for r in recs)
         assert counts[17.0] <= counts[34.0] <= counts[68.0]
@@ -214,7 +214,7 @@ class TestInterfererProximity:
         metrics, routes, sched, tess = saturated_run
         singles = [r for r in routes if r.hop_count <= 2][:3]
         recs = verification.check_interferer_proximity(
-            metrics, singles, 64.0, sched.K, tess.rho_n
+            metrics, singles, 64.0, sched.num_colors, tess.rho_n
         )
         # no interior hops to count once source and destination hops drop out
         assert all(r.lhs == 0 for r in recs)
@@ -222,7 +222,7 @@ class TestInterfererProximity:
     def test_records_carry_numbers(self, saturated_run):
         metrics, routes, sched, tess = saturated_run
         recs = verification.check_interferer_proximity(
-            metrics, routes, 64.0 * sched.K, sched.K, tess.rho_n
+            metrics, routes, 64.0 * sched.num_colors, sched.num_colors, tess.rho_n
         )
         assert all(r.rhs >= 0 for r in recs)
         assert any("radius=" in r.detail for r in recs)
@@ -231,21 +231,21 @@ class TestInterfererProximity:
 class TestSinrBoundedFraction:
     def test_pass_rates(self, saturated_run):
         metrics, routes, sched, tess = saturated_run
-        bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=sched.K - 1)
+        bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=sched.num_colors - 1)
         recs = verification.check_sinr_bounded_fraction(metrics, routes, bounds, tess.rho_n)
         rate = sum(r.passed for r in recs) / len(recs)
         assert rate >= 0.95
 
     def test_beta0_recomputed_identically(self, saturated_run):
         *_, sched, _ = saturated_run
-        a = verification.compute_bounds(alpha=3.0, c1=sched.K - 1)
-        b = verification.compute_bounds(alpha=3.0, c1=sched.K - 1)
+        a = verification.compute_bounds(alpha=3.0, c1=sched.num_colors - 1)
+        b = verification.compute_bounds(alpha=3.0, c1=sched.num_colors - 1)
         assert a.beta0 == b.beta0  # same formula, bit for bit
         assert a.beta0 == ((a.m0 + 8.0) / a.t0) ** 3.0
 
     def test_short_connection_trivially_passes(self, saturated_run):
         metrics, routes, sched, tess = saturated_run
-        bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=sched.K - 1)
+        bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=sched.num_colors - 1)
         short = [r for r in routes if r.length < 16 * tess.rho_n][:1]
         recs = verification.check_sinr_bounded_fraction(metrics, short, bounds, tess.rho_n)
         assert recs[0].passed
@@ -314,4 +314,4 @@ class TestReport:
         report.write_text(tmp_path / "verif.txt")
         assert "hop_count" in (tmp_path / "verif.txt").read_text()
         assert report.pass_rate("hop_count") == 1.0
-        assert report.all_passed()
+        assert report.failures() == []

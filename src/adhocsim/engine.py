@@ -60,7 +60,7 @@ class EngineConfig:
 
 
 class _Packet:
-    __slots__ = ("conn", "hop", "attempts", "measured")
+    __slots__ = ("conn", "hop", "attempts", "measured")  # conn: index in id order
 
     def __init__(self, conn, measured):
         self.conn = conn
@@ -120,10 +120,8 @@ def run(
     cfg: EngineConfig,
 ) -> RunMetrics:
     """Execute one simulation and aggregate per-connection delivery."""
-    routes_by_conn = {r.connection_id: r for r in routes}
-    conn_ids = sorted(routes_by_conn)
-    conn_index = {cid: k for k, cid in enumerate(conn_ids)}
-    nodes = dep.nodes
+    routes = sorted(routes, key=lambda r: r.connection_id)
+    conn_ids = [r.connection_id for r in routes]
     saturated = cfg.traffic == "saturated"
     K = schedule.num_colors
     warmup = cfg.warmup_slots if cfg.warmup_slots is not None else 10 * K
@@ -131,82 +129,72 @@ def run(
     rng = np.random.default_rng(cfg.seed)
 
     relay_of_cell = all_cell_relays(tess, dep)
-    dummy_rx = _dummy_receivers(tess, routes_by_conn, relay_of_cell, conn_ids)
-    # Received signal power per route hop and per cell's dummy link, from
-    # the atan2 link lengths (short links need its accuracy).
-    hop_power = {
-        cid: (radio.tx_power * path_gain(r.hop_lengths, radio.alpha)).tolist()
-        for cid, r in routes_by_conn.items()
-    }
-    dummy_power = np.zeros(tess.num_cells)
+    dummy_rx = _dummy_receivers(tess, routes, relay_of_cell)
+    # Every link a slot can use, built once: per connection one per hop, per
+    # cell its dummy link under saturation.  Received powers come from the
+    # atan2 hop lengths (short links need its accuracy).
+    hop_links = [
+        _links(r.cells[:r.hop_count], r.relays[:-1], r.relays[1:],
+               radio.tx_power * path_gain(r.hop_lengths, radio.alpha), radio,
+               [*r.cells[1:r.hop_count], -1])
+        for r in routes
+    ]
+    dummy_links = [None] * tess.num_cells
     if saturated:
-        linked = (relay_of_cell >= 0) & (dummy_rx >= 0)
-        dummy_power[linked] = radio.tx_power * path_gain(
-            geometry.surface_distance(nodes[relay_of_cell[linked]], nodes[dummy_rx[linked]]),
-            radio.alpha,
+        cells = np.flatnonzero((relay_of_cell >= 0) & (dummy_rx >= 0))
+        tx, rx = relay_of_cell[cells], dummy_rx[cells]
+        power = radio.tx_power * path_gain(
+            geometry.surface_distance(dep.nodes[tx], dep.nodes[rx]), radio.alpha
         )
+        for link in _links(cells.tolist(), tx.tolist(), rx.tolist(), power, radio,
+                           [-1] * len(cells)):
+            dummy_links[link[0]] = link
 
     # One FIFO per cell, shared by every connection relaying through it.
-    queues = {c: deque() for c in range(tess.num_cells)}
-    injected = np.zeros(len(conn_ids), dtype=np.int64)
-    delivered = np.zeros(len(conn_ids), dtype=np.int64)
-    dropped = np.zeros(len(conn_ids), dtype=np.int64)
-    active_slots = np.zeros(tess.num_cells, dtype=np.int64)
-    transmit_slots = np.zeros(tess.num_cells, dtype=np.int64)
-    attempt_sinrs: dict[int, list[list[float]]] = {
-        cid: [[] for _ in range(routes_by_conn[cid].hop_count)] for cid in conn_ids
-    }
-    sample_counts: dict[int, list[int]] = {
-        cid: [0] * routes_by_conn[cid].hop_count for cid in conn_ids
-    }
+    queues = [deque() for _ in range(tess.num_cells)]
+    source_cell = [r.cells[0] for r in routes]
+    injected, delivered, dropped = [0] * len(routes), [0] * len(routes), [0] * len(routes)
+    attempt_sinrs = [[[] for _ in range(r.hop_count)] for r in routes]
+    sample_counts = [[0] * r.hop_count for r in routes]
+    transmit_slots = [0] * tess.num_cells
     trace_rows: list[tuple] = []
-
+    gamma_of: dict[tuple, list[float]] = {}  # SINRs of each multi-transmitter link set
+    cells_by_color = [cells.tolist() for cells in schedule.cells_by_color]
     for slot in range(total_slots):
         measuring = slot >= warmup
-        active = schedule.active_cells(slot)
-        txs = []  # (cell, tx_node, rx_node, packet_or_None, signal_power)
-        for c in active:
-            c = int(c)
-            if measuring:
-                active_slots[c] += 1
-            q = queues[c]
-            if q:
-                pkt = q[0]
-                r = routes_by_conn[pkt.conn]
-                txs.append((c, r.relays[pkt.hop], r.relays[pkt.hop + 1], pkt,
-                            hop_power[pkt.conn][pkt.hop]))
-            elif saturated and relay_of_cell[c] >= 0 and dummy_rx[c] >= 0:
-                txs.append((c, int(relay_of_cell[c]), int(dummy_rx[c]), None,
-                            float(dummy_power[c])))
+        txs = []  # (packet or None for a dummy, link)
+        for c in cells_by_color[slot % K]:
+            if queues[c]:
+                pkt = queues[c][0]
+                txs.append((pkt, hop_links[pkt.conn][pkt.hop]))
+            elif dummy_links[c] is not None:
+                txs.append((None, dummy_links[c]))
         if txs:
             if measuring:
-                for t in txs:
-                    transmit_slots[t[0]] += 1
+                for _, link in txs:
+                    transmit_slots[link[0]] += 1
             _resolve_slot(
-                txs, nodes, model, radio, cfg, rng, slot, measuring,
-                routes_by_conn, conn_index, queues, delivered, dropped,
-                attempt_sinrs, sample_counts, trace_rows,
+                txs, dep.nodes, model, radio, cfg, rng, slot, measuring, queues,
+                delivered, dropped, attempt_sinrs, sample_counts, trace_rows, gamma_of,
             )
         # Inject after transmissions so a fresh packet waits at least one slot.
         if cfg.injection_rate > 0.0:
-            hits = np.flatnonzero(rng.random(len(conn_ids)) < cfg.injection_rate)
-        else:
-            hits = []
-        for k in hits:
-            cid = conn_ids[int(k)]
-            r = routes_by_conn[cid]
-            queues[r.cells[0]].append(_Packet(cid, measuring))
-            if measuring:
-                injected[conn_index[cid]] += 1
+            for k in (rng.random(len(routes)) < cfg.injection_rate).nonzero()[0].tolist():
+                queues[source_cell[k]].append(_Packet(k, measuring))
+                if measuring:
+                    injected[k] += 1
 
-    in_flight = np.zeros(len(conn_ids), dtype=np.int64)
-    for q in queues.values():
-        for pkt in q:
-            if pkt.measured:
-                in_flight[conn_index[pkt.conn]] += 1
-
+    in_flight = np.bincount(
+        [pkt.conn for q in queues for pkt in q if pkt.measured], minlength=len(routes)
+    ).astype(np.int64)
+    # A cell is active in the slots congruent to its color.
+    window = np.arange(warmup, total_slots) % K
+    active_slots = np.bincount(window, minlength=K)[schedule.color_of_cell]
     with np.errstate(invalid="ignore", divide="ignore"):
-        utilization = np.where(active_slots > 0, transmit_slots / active_slots, 0.0)
+        utilization = np.where(active_slots > 0, np.array(transmit_slots) / active_slots, 0.0)
+    injected, delivered, dropped = (
+        np.array(counts, dtype=np.int64) for counts in (injected, delivered, dropped)
+    )
     metrics = RunMetrics(
         n=dep.n,
         rho_n=tess.rho_n,
@@ -223,7 +211,7 @@ def run(
         throughput=float(delivered.sum()) / (dep.n * cfg.measure_slots),
         utilization=utilization,
         cell_occupancy=tess.occupancy(),
-        attempt_sinrs=attempt_sinrs,
+        attempt_sinrs=dict(zip(conn_ids, attempt_sinrs)),
         trace=trace_rows,
     )
     metrics.check_conservation()
@@ -234,62 +222,77 @@ def run(
     return metrics
 
 
+def _links(cells, tx, rx, power, radio, next_cells):
+    """Link tuples ``(cell, tx, rx, power, lone SINR, next cell or -1)``.
+
+    The lone SINR ``power / noise`` is what ``sinr`` returns for a
+    transmitter that has the slot to itself.
+    """
+    lone = power / radio.noise
+    return list(zip(cells, tx, rx, power.tolist(), lone.tolist(), next_cells))
+
+
 def _resolve_slot(
-    txs, nodes, model, radio, cfg, rng, slot, measuring,
-    routes_by_conn, conn_index, queues, delivered, dropped,
-    attempt_sinrs, sample_counts, trace_rows,
+    txs, nodes, model, radio, cfg, rng, slot, measuring, queues,
+    delivered, dropped, attempt_sinrs, sample_counts, trace_rows, gamma_of,
 ):
-    signal = [t[4] for t in txs]
-    gamma, _ = sinr(
-        signal, nodes[[t[2] for t in txs]], nodes[[t[1] for t in txs]], radio,
-        own=np.arange(len(txs)),
-    )
+    # The SINRs are a function of the slot's links alone, so a lone
+    # transmitter and a recurring set of links skip the kernel's overhead.
+    if len(txs) == 1:
+        gamma = (txs[0][1][4],)
+        strongest = None
+    else:
+        links = tuple(link for _, link in txs)
+        gamma = gamma_of.get(links)
+        if gamma is None:
+            gamma = gamma_of[links] = sinr(
+                [link[3] for link in links], nodes[[link[2] for link in links]],
+                nodes[[link[1] for link in links]], radio, own=np.arange(len(links)),
+            )[0].tolist()
+        # A node decodes at most one packet per slot: only the strongest
+        # inbound signal is attempted, the rest fail (but still interfere
+        # network-wide).
+        strongest = {}
+        for j, (pkt, link) in enumerate(txs):
+            if pkt is not None:
+                best = strongest.get(link[2])
+                if best is None or link[3] > links[best][3]:
+                    strongest[link[2]] = j
 
-    # A node decodes at most one packet per slot: only the strongest inbound
-    # signal is attempted, the rest fail (but still interfere network-wide).
-    strongest: dict[int, int] = {}
-    for j, (_, _, rx, pkt, _) in enumerate(txs):
+    trace = cfg.trace and measuring
+    for j, (pkt, (cell, tx, rx, _, _, next_cell)) in enumerate(txs):
+        g = gamma[j]
         if pkt is None:
+            if trace:
+                trace_rows.append((slot, cell, tx, rx, g, "dummy"))
             continue
-        best = strongest.get(rx)
-        if best is None or signal[j] > signal[best]:
-            strongest[rx] = j
-
-    for j, (cell, tx, rx, pkt, _) in enumerate(txs):
-        if pkt is None:
-            if cfg.trace and measuring:
-                trace_rows.append((slot, cell, tx, rx, float(gamma[j]), "dummy"))
-            continue
-        g = float(gamma[j])
-        cid = pkt.conn
-        hop = pkt.hop
-        if pkt.measured and measuring:
-            _reservoir_add(attempt_sinrs[cid][hop], sample_counts[cid], hop, g, rng)
-        if strongest[rx] != j:
+        k, hop = pkt.conn, pkt.hop
+        counted = pkt.measured and measuring
+        if counted:
+            _reservoir_add(attempt_sinrs[k][hop], sample_counts[k], hop, g, rng)
+        if strongest is not None and strongest[rx] != j:
             success = False
             outcome = "collision"
         else:
             success = rng.random() < model.success(g)
             outcome = "ok" if success else "fail"
-        if cfg.trace and measuring:
+        if trace:
             trace_rows.append((slot, cell, tx, rx, g, outcome))
-        q = queues[cell]
         if success:
-            q.popleft()
+            queues[cell].popleft()
             pkt.hop += 1
             pkt.attempts = 0
-            r = routes_by_conn[cid]
-            if pkt.hop >= r.hop_count:
-                if pkt.measured and measuring:
-                    delivered[conn_index[cid]] += 1
+            if next_cell < 0:
+                if counted:
+                    delivered[k] += 1
             else:
-                queues[r.cells[pkt.hop]].append(pkt)
+                queues[next_cell].append(pkt)
         else:
             pkt.attempts += 1
             if pkt.attempts >= cfg.attempts_per_hop:
-                q.popleft()
-                if pkt.measured and measuring:
-                    dropped[conn_index[cid]] += 1
+                queues[cell].popleft()
+                if counted:
+                    dropped[k] += 1
 
 
 def _reservoir_add(samples, counts, hop, value, rng):
@@ -302,16 +305,16 @@ def _reservoir_add(samples, counts, hop, value, rng):
             samples[k] = value
 
 
-def _dummy_receivers(tess, routes_by_conn, relay_of_cell, conn_ids) -> np.ndarray:
+def _dummy_receivers(tess, routes, relay_of_cell) -> np.ndarray:
     """Per cell, the receiver its idle-slot dummy transmission targets.
 
     Prefers the next relay of the lowest-id route through the cell, then the
     relay of the lowest-id occupied neighbor cell, then any other node in the
-    cell; -1 if the cell cannot transmit to anyone.
+    cell; -1 if the cell cannot transmit to anyone.  ``routes`` is in
+    connection-id order.
     """
     dummy_rx = np.full(tess.num_cells, -1, dtype=np.int64)
-    for cid in conn_ids:
-        r = routes_by_conn[cid]
+    for r in routes:
         for hop in range(r.hop_count):
             c = r.cells[hop]
             if dummy_rx[c] < 0 and r.relays[hop + 1] != relay_of_cell[c]:

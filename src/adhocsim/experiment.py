@@ -72,6 +72,12 @@ class ExperimentSpec:
     track_connections: int | None = None  # limit injected sources; None = all
 
     def __post_init__(self):
+        if any(n < 2 for n in self.n_values):
+            raise ConfigurationError("every n must be at least 2")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigurationError("seeds must be nonnegative")
+        if not self.area_constant > 0:
+            raise ConfigurationError("area_constant must be positive")
         if self.workers < 1:
             raise ConfigurationError("workers must be at least 1")
         if self.track_connections is not None and self.track_connections < 1:

@@ -29,13 +29,7 @@ class Schedule:
     num_colors: int
     conflict_multiplier: float
     regime: str  # "fixed" or "conservative:<growth>"
-    cells_by_color: list[np.ndarray]
-
-    def active_cells(self, slot: int) -> np.ndarray:
-        """Cells transmitting in the given slot (color == slot mod K)."""
-        if slot < 0:
-            raise ConfigurationError("slot index must be nonnegative")
-        return self.cells_by_color[slot % self.num_colors]
+    cells_by_color: list[np.ndarray]  # slot s runs color s mod num_colors
 
 
 def _conflict_sets(tess: Tessellation, delta: float) -> list[set[int]]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import defaultdict
 
@@ -29,6 +30,116 @@ def single_hop_network(seed=2):
     route = routing.straight_line_route(conn, dep, tess)
     assert route.hop_count == 1
     return dep, tess, sched, route
+
+
+def collision_network():
+    """Three single-node cells in a crafted one-color schedule; A and B both
+    send to the node in C in the same slot, with A's node closer."""
+    pole = np.array([0.0, 0.0, 1.0])
+    def at(theta, phi=0.0):
+        return np.array(
+            [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+        )
+    rho = 0.05
+    u = rho / geometry.RADIUS
+    nodes = np.vstack([at(2.2 * u), at(5.5 * u), pole])  # tx A, tx B, rx
+    centers = nodes.copy()
+    tess = tessellation.Tessellation(
+        centers=centers,
+        rho_n=rho,
+        cell_of_node=np.array([0, 1, 2]),
+        neighbors=tessellation._adjacency(centers, rho),
+        nodes_in_cell=[np.array([0]), np.array([1]), np.array([2])],
+    )
+    sched = scheduling.Schedule(
+        color_of_cell=np.zeros(3, dtype=np.int64),
+        num_colors=1,
+        conflict_multiplier=12.0,
+        regime="fixed",
+        cells_by_color=[np.array([0, 1, 2])],
+    )
+    mk = lambda cid, src: routing.Route(
+        connection_id=cid,
+        cells=[src, 2],
+        relays=[src, 2],
+        hop_lengths=np.array([float(geometry.surface_distance(nodes[src], pole))]),
+        length=float(geometry.surface_distance(nodes[src], pole)),
+    )
+    dep = tessellation.Deployment(n=3, seed=0, nodes=nodes)
+    return dep, tess, sched, [mk(0, 0), mk(1, 1)]
+
+
+def outcome_digest(m):
+    """SHA-256 of the per-connection counters and the trace's integer and
+    outcome columns; SINR floats are left out, so the digest does not depend
+    on the platform's libm."""
+    h = hashlib.sha256()
+    for counts in (m.injected, m.delivered, m.dropped, m.in_flight):
+        h.update(np.asarray(counts).astype("<i8").tobytes())
+    for slot, cell, tx, rx, _, outcome in m.trace:
+        h.update(f"{slot},{cell},{tx},{rx},{outcome}\n".encode())
+    return h.hexdigest()
+
+
+def pinned_case(name, small_instance):
+    if name == "collision":
+        dep, tess, sched, routes = collision_network()
+        cfg = EngineConfig(injection_rate=0.5, measure_slots=400, warmup_slots=0, seed=31,
+                           attempts_per_hop=2, trace=True)
+        return run(dep, tess, sched, routes, links.LogisticModel(), RADIO, cfg)
+    # Enough traffic per hop that the attempt-SINR reservoirs overflow and draw.
+    cfg = EngineConfig(injection_rate=0.01, measure_slots=4000, seed=7, attempts_per_hop=2,
+                       traffic=name, trace=True)
+    return run_subset(small_instance, links.LogisticModel(), cfg, count=40)
+
+
+# A change to any draw, its order or a reception rule changes these digests;
+# only a change meant to alter simulated outcomes may update them.
+PINNED = {
+    "bernoulli": "4dd5830a6516c13921cd281f91f7c44bc3630fe95c18c81aee29f5fb9c1f660f",
+    "saturated": "4684462191564f892722d6cf3f28f83a84d180dfc39e27549631196a6e2751eb",
+    "collision": "a4cb3bed1c17aa7802750bda27b0ef9e901403b74d686d7d7688cabe4b028aa4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_outcomes_pinned(name, small_instance):
+    m = pinned_case(name, small_instance)
+    outcomes = {row[5] for row in m.trace}
+    assert outcomes >= ({"ok", "fail", "collision"} if name == "collision" else {"ok", "fail"})
+    assert outcome_digest(m) == PINNED[name]
+
+
+def test_lone_transmitter_sinr_is_signal_over_noise():
+    dep, tess, sched, route = single_hop_network()
+    cfg = EngineConfig(injection_rate=0.25, measure_slots=2000, seed=37, trace=True)
+    m = run(dep, tess, sched, [route], links.LogisticModel(), RADIO, cfg)
+    power = RADIO.tx_power * links.path_gain(route.hop_lengths, RADIO.alpha)[0]
+    expected = links.sinr([power], dep.nodes[[route.relays[1]]], dep.nodes[[route.relays[0]]],
+                          RADIO, own=[0])[0][0]
+    assert len(m.trace) > 100
+    assert all(row[4] == expected for row in m.trace)
+
+
+def test_shared_slot_sinr_is_the_kernel_value():
+    # Both connections of the collision network often share a slot; each
+    # such slot's SINRs must be the kernel's, however often the set recurs.
+    dep, tess, sched, routes = collision_network()
+    cfg = EngineConfig(injection_rate=0.5, measure_slots=400, warmup_slots=0, seed=31,
+                       trace=True)
+    m = run(dep, tess, sched, routes, links.ThresholdModel(beta=0.0), RADIO, cfg)
+    power = {r.relays[0]: RADIO.tx_power * links.path_gain(r.hop_lengths, RADIO.alpha)[0]
+             for r in routes}
+    rows_of = defaultdict(list)
+    for slot, _, tx, rx, sinr, _ in m.trace:
+        rows_of[slot].append((tx, rx, sinr))
+    shared = [rows for rows in rows_of.values() if len(rows) == 2]
+    assert len(shared) > 50
+    for rows in shared:
+        tx, rx, sinr = (list(col) for col in zip(*rows))
+        expected = links.sinr([power[t] for t in tx], dep.nodes[rx], dep.nodes[tx], RADIO,
+                              own=np.arange(2))[0]
+        assert sinr == expected.tolist()
 
 
 class TestConfig:
@@ -122,6 +233,22 @@ class TestSaturated:
             assert len(samples) == r.hop_count
             assert all(s.gamma > 0 for s in samples)
 
+    def test_cells_transmit_in_the_slots_of_their_color(self, small_instance):
+        # Slot s runs color s mod K; a window that is not a whole number of
+        # cycles checks the per-cell count of active slots too.
+        dep, tess, sched, _, routes = small_instance
+        K = sched.num_colors
+        cfg = EngineConfig(injection_rate=0.0, traffic="saturated", warmup_slots=5,
+                           measure_slots=2 * K + 3, seed=19, trace=True)
+        m = run(dep, tess, sched, routes, links.ConstantPModel(0.9), RADIO, cfg)
+        slots_of = defaultdict(list)
+        for slot, cell, *_ in m.trace:
+            slots_of[cell].append(slot)
+        window = range(5, 5 + 2 * K + 3)
+        for c, color in enumerate(sched.color_of_cell.tolist()):
+            assert slots_of[c] == [s for s in window if s % K == color]
+        assert np.all(m.utilization == 1.0)
+
     def test_engine_sinr_equals_saturated_measurement(self, small_instance):
         # A lone real transmission faces exactly the relay field the
         # saturated measurement uses, so both must give the same SINR.
@@ -181,44 +308,8 @@ class TestSaturated:
 
 
 class TestReceptionRules:
-    def _collision_setup(self):
-        # Three single-node cells; A and B both send to the node in C in the
-        # same slot (a crafted one-color schedule), with A's node closer.
-        pole = np.array([0.0, 0.0, 1.0])
-        def at(theta, phi=0.0):
-            return np.array(
-                [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-            )
-        rho = 0.05
-        u = rho / geometry.RADIUS
-        nodes = np.vstack([at(2.2 * u), at(5.5 * u), pole])  # tx A, tx B, rx
-        centers = nodes.copy()
-        tess = tessellation.Tessellation(
-            centers=centers,
-            rho_n=rho,
-            cell_of_node=np.array([0, 1, 2]),
-            neighbors=tessellation._adjacency(centers, rho),
-            nodes_in_cell=[np.array([0]), np.array([1]), np.array([2])],
-        )
-        sched = scheduling.Schedule(
-            color_of_cell=np.zeros(3, dtype=np.int64),
-            num_colors=1,
-            conflict_multiplier=12.0,
-            regime="fixed",
-            cells_by_color=[np.array([0, 1, 2])],
-        )
-        mk = lambda cid, src: routing.Route(
-            connection_id=cid,
-            cells=[src, 2],
-            relays=[src, 2],
-            hop_lengths=np.array([float(geometry.surface_distance(nodes[src], pole))]),
-            length=float(geometry.surface_distance(nodes[src], pole)),
-        )
-        dep = tessellation.Deployment(n=3, seed=0, nodes=nodes)
-        return dep, tess, sched, [mk(0, 0), mk(1, 1)]
-
     def test_strongest_reception_wins(self):
-        dep, tess, sched, routes = self._collision_setup()
+        dep, tess, sched, routes = collision_network()
         model = links.ThresholdModel(beta=0.0)  # succeeds at any SINR
         cfg = EngineConfig(injection_rate=1.0, measure_slots=500, warmup_slots=0, seed=29)
         m = run(dep, tess, sched, routes, model, RADIO, cfg)

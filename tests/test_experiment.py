@@ -112,7 +112,8 @@ class TestSpecLoading:
         "routing.strategy=detour:0.5",
         # out-of-range values
         "engine.warmup_slots=-400", "sweep.track_connections=-5", "sweep.track_connections=0",
-        "sweep.workers=0", "sweep.workers=-3",
+        "sweep.workers=0", "sweep.workers=-3", "sweep.n=1", "sweep.n=250,1", "sweep.seeds=-1,",
+        "sweep.area_constant=-1", "sweep.area_constant=0", "sweep.area_constant=nan",
     ])
     def test_unknown_key_or_malformed_value_rejected(self, override):
         with pytest.raises(ConfigurationError):
@@ -302,7 +303,8 @@ class TestCli:
                          "routing.relay=random", "routing.on_empty_cell=error_on_route",
                          "engine.debug_checks=True", "engine.traffic=periodic",
                          "engine.warmup_slots=-400", "sweep.track_connections=-5",
-                         "sweep.track_connections=0", "sweep.workers=0", "sweep.workers=-3"]:
+                         "sweep.track_connections=0", "sweep.workers=0", "sweep.workers=-3",
+                         "sweep.n=1", "sweep.seeds=-1,", "sweep.area_constant=-1"]:
             out = tmp_path / override.partition("=")[0]
             argv = ["sweep", "--out", str(out)] + [f"--set={s}" for s in TINY + [override]]
             assert cli.main(argv) == 2, override

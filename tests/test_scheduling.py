@@ -88,31 +88,24 @@ class TestBuildSchedule:
         assert sizes.min() >= 2
 
 
-class TestActiveCells:
-    def test_single_color_always_active(self):
+class TestColorClasses:
+    def test_lone_color_holds_the_only_cell(self):
         tess = synthetic_tessellation([[0, 0, 1.0]], 0.4)
         sched = scheduling.build_schedule(tess, 12.0)
-        for slot in range(5):
-            assert list(sched.active_cells(slot)) == [0]
+        assert [cells.tolist() for cells in sched.cells_by_color] == [[0]]
+        assert sched.color_of_cell.tolist() == [0]
 
-    def test_each_cell_once_per_cycle(self, small_instance):
+    def test_each_cell_in_exactly_its_color_class(self, small_instance):
         _, tess, sched, _, _ = small_instance
+        assert len(sched.cells_by_color) == sched.num_colors
         seen = {}
-        for slot in range(sched.num_colors):
-            for c in sched.active_cells(slot):
-                assert int(c) not in seen
-                seen[int(c)] = slot
+        for color, cells in enumerate(sched.cells_by_color):
+            assert cells.tolist() == sorted(cells.tolist())
+            for c in cells.tolist():
+                assert c not in seen
+                seen[c] = color
+        assert seen == dict(enumerate(sched.color_of_cell.tolist()))
         assert len(seen) == tess.num_cells
-
-    def test_cyclic(self, small_instance):
-        _, _, sched, _, _ = small_instance
-        k = sched.num_colors
-        np.testing.assert_array_equal(sched.active_cells(3), sched.active_cells(3 + k))
-
-    def test_negative_slot_rejected(self, small_instance):
-        _, _, sched, _, _ = small_instance
-        with pytest.raises(ConfigurationError):
-            sched.active_cells(-1)
 
 
 class TestConservative:

@@ -195,12 +195,20 @@ class TestDeliveryLaw:
     def test_threshold_model_isolated_connection_is_lossless(self, small_instance):
         dep, tess, sched, _, routes = small_instance
         route = max(routes, key=lambda r: r.hop_count)
-        # noise-limited SINR floor over this route's hops
+        # A hop's concurrent transmitters are other hops of the route whose
+        # cells share its color, so its SINR is at least the signal over the
+        # noise plus all of those at full power; the floor is the least such
+        # bound (the 1e-9 covers the summation order of the sums).
+        signal = RADIO.tx_power * links.path_gain(route.hop_lengths, RADIO.alpha)
+        tx, rx = np.array(route.relays[:-1]), np.array(route.relays[1:])
+        colors = sched.color_of_cell[route.cells[:route.hop_count]]
         floor = min(
-            RADIO.tx_power * float(h) ** -RADIO.alpha / RADIO.noise
-            for h in route.hop_lengths
+            links.sinr(signal[hops], dep.nodes[rx[hops]], dep.nodes[tx[hops]], RADIO,
+                       own=np.arange(len(hops)))[0].min()
+            for hops in (np.flatnonzero(colors == c) for c in set(colors.tolist()))
         )
-        model = links.ThresholdModel(beta=floor * 0.9)
+        assert floor > 0
+        model = links.ThresholdModel(beta=floor * (1 - 1e-9))
         cfg = EngineConfig(injection_rate=0.05, measure_slots=20_000, seed=13)
         m = run(dep, tess, sched, [route], model, RADIO, cfg)
         assert m.dropped[0] == 0

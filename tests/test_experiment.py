@@ -238,33 +238,85 @@ class TestSweep:
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
 
-class TestDecayRegression:
-    def test_pooled_log_delivery_slope_is_log_p(self, small_instance):
-        # delivery pooled by hop count decays as p**H: the regression of
-        # ln(delivery) on H recovers ln(p) with R^2 >= 0.99
-        from adhocsim import links
-        from adhocsim.engine import EngineConfig, run
+@pytest.fixture(scope="module")
+def pooled_decay(small_instance):
+    """Constant-p delivery at p = 0.9 over 200 connections, pooled by hop
+    count: hop counts with at least 500 resolved packets, their resolved and
+    delivered counts."""
+    from adhocsim import links
+    from adhocsim.engine import run
 
-        dep, tess, sched, _, routes = small_instance
-        p = 0.9
-        cfg = EngineConfig(injection_rate=0.0015, measure_slots=100_000, seed=7)
-        m = run(dep, tess, sched, routes[:200], links.ConstantPModel(p),
-                links.RadioParams(), cfg)
-        hops = {r.connection_id: r.hop_count for r in routes[:200]}
-        delivered, resolved = {}, {}
-        for k, cid in enumerate(m.connection_ids):
-            h = hops[int(cid)]
-            delivered[h] = delivered.get(h, 0) + int(m.delivered[k])
-            resolved[h] = resolved.get(h, 0) + int(m.delivered[k] + m.dropped[k])
-        xs = sorted(h for h in resolved if resolved[h] >= 500 and delivered[h] > 0)
-        ys = np.array([math.log(delivered[h] / resolved[h]) for h in xs])
-        xs = np.array(xs, dtype=float)
-        assert len(xs) >= 4
-        A = np.vstack([xs, np.ones_like(xs)]).T
-        coef, res, *_ = np.linalg.lstsq(A, ys, rcond=None)
-        r2 = 1 - res[0] / np.sum((ys - ys.mean()) ** 2)
-        assert r2 >= 0.99
-        assert coef[0] == pytest.approx(math.log(p), rel=0.08)
+    dep, tess, sched, _, routes = small_instance
+    cfg = EngineConfig(injection_rate=0.0015, measure_slots=100_000, seed=7)
+    m = run(dep, tess, sched, routes[:200], links.ConstantPModel(0.9), RadioParams(), cfg)
+    hops = {r.connection_id: r.hop_count for r in routes[:200]}
+    delivered, resolved = {}, {}
+    for k, cid in enumerate(m.connection_ids):
+        h = hops[int(cid)]
+        delivered[h] = delivered.get(h, 0) + int(m.delivered[k])
+        resolved[h] = resolved.get(h, 0) + int(m.delivered[k] + m.dropped[k])
+    hs = sorted(h for h in resolved if resolved[h] >= 500)
+    return (np.array(hs, dtype=float), np.array([resolved[h] for h in hs]),
+            np.array([delivered[h] for h in hs]))
+
+
+def slope_verdict(hs, resolved, delivered, p):
+    """Whether ln(delivery) on H, fitted through the origin with the weights
+    ``resolved * p**H / (1 - p**H)`` (the inverse variance of each ln
+    delivery when it decays as ``p**H``), recovers ln(p) and fits.
+
+    Two checks on the last axis, each with false-alarm rate 0.1 %: the
+    slope's z against ln(p) within 3.29, and the weighted residual sum of
+    squares below the chi-squared upper 0.1 % point with one degree of
+    freedom per hop count less one."""
+    from scipy import stats
+
+    w = resolved * p**hs / (1 - p**hs)
+    with np.errstate(divide="ignore"):
+        y = np.log(delivered / resolved)
+    sxx = np.sum(w * hs * hs)
+    slope = np.sum(w * hs * y, axis=-1, keepdims=True) / sxx
+    z = (slope[..., 0] - math.log(p)) * math.sqrt(sxx)
+    chi2 = np.sum(w * (y - slope * hs) ** 2, axis=-1)
+    return (np.abs(z) <= 3.29) & (chi2 <= stats.chi2.isf(0.001, len(hs) - 1))
+
+
+def r2_verdict(hs, resolved, delivered, p):
+    """The former criterion: the least-squares line of ln(delivery) on H has
+    R^2 >= 0.99 and a slope within 8 % of ln(p)."""
+    with np.errstate(divide="ignore"):
+        y = np.log(delivered / resolved)
+    x = hs - hs.mean()
+    slope = np.sum(x * y, axis=-1, keepdims=True) / np.sum(x * x)
+    yc = y - y.mean(axis=-1, keepdims=True)
+    r2 = 1 - np.sum((yc - slope * x) ** 2, axis=-1) / np.sum(yc**2, axis=-1)
+    return (r2 >= 0.99) & (np.abs(slope[..., 0] / math.log(p) - 1) <= 0.08)
+
+
+class TestDecayRegression:
+    def test_pooled_log_delivery_slope_is_log_p(self, pooled_decay):
+        # delivery pooled by hop count decays as p**H
+        hs, resolved, delivered = pooled_decay
+        assert len(hs) >= 4 and np.all(delivered > 0)
+        assert slope_verdict(hs, resolved, delivered, 0.9)
+
+    def test_criterion_on_binomial_draws(self, pooled_decay):
+        # Synthetic pooled deliveries with the run's hop counts and resolved
+        # counts: false alarms at the true p = 0.9, detections of a per-hop
+        # loss 0.3 % and 0.5 % above it, for the slope criterion and the
+        # former R^2 criterion.
+        hs, resolved, _ = pooled_decay
+        rng = np.random.default_rng(2222)
+        rates = {}
+        for p in (0.9, 0.897, 0.895):
+            delivered = rng.binomial(resolved, p**hs, size=(4000, len(hs)))
+            rates[p] = (float(np.mean(~r2_verdict(hs, resolved, delivered, 0.9))),
+                        float(np.mean(~slope_verdict(hs, resolved, delivered, 0.9))))
+        print("decay regression criterion, rejection rate old/new: " + "; ".join(
+            f"p={p}: {old:.4f}/{new:.4f}" for p, (old, new) in rates.items()))
+        assert rates[0.9][1] < rates[0.9][0]
+        assert rates[0.897][1] > rates[0.897][0]
+        assert rates[0.895][1] > rates[0.895][0]
 
 
 class TestAppendix:

@@ -30,7 +30,6 @@ from .scheduling import Schedule
 from .tessellation import Deployment, Tessellation
 
 TRAFFIC_MODES = ("bernoulli", "saturated")
-_RESERVOIR_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ class RunMetrics:
     throughput: float  # delivered packets per node per slot
     utilization: np.ndarray  # transmissions / active slots, per cell
     cell_occupancy: np.ndarray  # nodes per cell
-    attempt_sinrs: dict[int, list[list[float]]] = field(repr=False)
+    mean_hop_success: dict[int, list[float]] = field(repr=False)  # per hop; NaN: no attempt
     hop_samples: dict[int, list[HopSample]] = field(default_factory=dict, repr=False)
     trace: list[tuple] = field(default_factory=list, repr=False)
 
@@ -154,8 +153,10 @@ def run(
     queues = [deque() for _ in range(tess.num_cells)]
     source_cell = [r.cells[0] for r in routes]
     injected, delivered, dropped = [0] * len(routes), [0] * len(routes), [0] * len(routes)
-    attempt_sinrs = [[[] for _ in range(r.hop_count)] for r in routes]
-    sample_counts = [[0] * r.hop_count for r in routes]
+    # Per hop, the success probability summed over counted attempts, and
+    # their count.
+    success_sums = [[0.0] * r.hop_count for r in routes]
+    attempt_counts = [[0] * r.hop_count for r in routes]
     transmit_slots = [0] * tess.num_cells
     trace_rows: list[tuple] = []
     gamma_of: dict[tuple, list[float]] = {}  # SINRs of each multi-transmitter link set
@@ -175,7 +176,7 @@ def run(
                     transmit_slots[link[0]] += 1
             _resolve_slot(
                 txs, dep.nodes, model, radio, cfg, rng, slot, measuring, queues,
-                delivered, dropped, attempt_sinrs, sample_counts, trace_rows, gamma_of,
+                delivered, dropped, success_sums, attempt_counts, trace_rows, gamma_of,
             )
         # Inject after transmissions so a fresh packet waits at least one slot.
         if cfg.injection_rate > 0.0:
@@ -211,7 +212,10 @@ def run(
         throughput=float(delivered.sum()) / (dep.n * cfg.measure_slots),
         utilization=utilization,
         cell_occupancy=tess.occupancy(),
-        attempt_sinrs=dict(zip(conn_ids, attempt_sinrs)),
+        mean_hop_success={
+            cid: [total / count if count else math.nan for total, count in zip(sums, counts)]
+            for cid, sums, counts in zip(conn_ids, success_sums, attempt_counts)
+        },
         trace=trace_rows,
     )
     metrics.check_conservation()
@@ -234,7 +238,7 @@ def _links(cells, tx, rx, power, radio, next_cells):
 
 def _resolve_slot(
     txs, nodes, model, radio, cfg, rng, slot, measuring, queues,
-    delivered, dropped, attempt_sinrs, sample_counts, trace_rows, gamma_of,
+    delivered, dropped, success_sums, attempt_counts, trace_rows, gamma_of,
 ):
     # The SINRs are a function of the slot's links alone, so a lone
     # transmitter and a recurring set of links skip the kernel's overhead.
@@ -268,13 +272,15 @@ def _resolve_slot(
             continue
         k, hop = pkt.conn, pkt.hop
         counted = pkt.measured and measuring
+        p = model.success(g)
         if counted:
-            _reservoir_add(attempt_sinrs[k][hop], sample_counts[k], hop, g, rng)
+            success_sums[k][hop] += p
+            attempt_counts[k][hop] += 1
         if strongest is not None and strongest[rx] != j:
             success = False
             outcome = "collision"
         else:
-            success = rng.random() < model.success(g)
+            success = rng.random() < p
             outcome = "ok" if success else "fail"
         if trace:
             trace_rows.append((slot, cell, tx, rx, g, outcome))
@@ -293,16 +299,6 @@ def _resolve_slot(
                 queues[cell].popleft()
                 if counted:
                     dropped[k] += 1
-
-
-def _reservoir_add(samples, counts, hop, value, rng):
-    counts[hop] += 1
-    if len(samples) < _RESERVOIR_CAP:
-        samples.append(value)
-    else:
-        k = int(rng.integers(counts[hop]))
-        if k < _RESERVOIR_CAP:
-            samples[k] = value
 
 
 def _dummy_receivers(tess, routes, relay_of_cell) -> np.ndarray:

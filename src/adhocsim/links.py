@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -188,23 +188,9 @@ def filter_model_params(name: str, params: dict) -> dict:
     return {k: v for k, v in params.items() if k in own_fields}
 
 
-def hop_success_with_retries(
-    gamma_sequence: Iterable[float], model: LinkModel, attempts: int
-) -> float:
-    """Probability the hop succeeds within ``attempts`` tries.
-
-    Per-attempt SINRs come from ``gamma_sequence``; if it is shorter than the
-    attempt budget the last value repeats.  For a constant per-attempt success
-    probability ``p`` this is ``1 - (1-p)**attempts``, and for a single
-    attempt it reduces to ``phi(gamma_1)``.
-    """
+def hop_success_with_retries(p: float, attempts: int) -> float:
+    """Probability that a hop whose attempts each succeed with probability
+    ``p`` succeeds within ``attempts`` tries: ``1 - (1-p)**attempts``."""
     if attempts < 1:
         raise ConfigurationError("attempt budget must be at least 1")
-    gammas = list(gamma_sequence)
-    if not gammas:
-        raise ConfigurationError("need at least one per-attempt SINR")
-    fail = 1.0
-    for k in range(attempts):
-        g = gammas[k] if k < len(gammas) else gammas[-1]
-        fail *= 1.0 - model.success(g)
-    return 1.0 - fail
+    return 1.0 - (1.0 - p) ** attempts

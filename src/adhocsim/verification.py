@@ -378,12 +378,13 @@ def delivery_prediction(
 ) -> list[CheckRecord]:
     """Measured delivery against the independent-hops product prediction.
 
-    The prediction multiplies each hop's retry-budget success probability
-    evaluated at the recorded per-attempt SINRs.  Both numbers are recorded
-    with a three-standard-error binomial band; the schedule can correlate
-    hops, so treat the band as a report, not an assertion, outside the cases
-    where the per-hop probabilities are exact (constant-p, or a saturated
-    fixed schedule where the per-hop SINR is stationary).
+    The prediction multiplies each hop's retry-budget success probability at
+    the hop's mean per-attempt success probability over the run's counted
+    attempts.  Both numbers are recorded with a three-standard-error binomial
+    band; the schedule can correlate hops, so treat the band as a report, not
+    an assertion, outside the cases where the per-hop probabilities are exact
+    (constant-p, or a saturated fixed schedule where the per-hop SINR is
+    stationary).
     """
     records = []
     for route in routes:
@@ -395,19 +396,15 @@ def delivery_prediction(
         resolved = int(metrics.delivered[k] + metrics.dropped[k])
         if resolved == 0:
             continue
-        sinr_lists = metrics.attempt_sinrs.get(cid)
-        predicted = 1.0
-        usable = True
-        for hop in range(route.hop_count):
-            gammas = sinr_lists[hop] if sinr_lists else []
-            if not gammas:
-                if getattr(model, "continuous", True):
-                    usable = False
-                    break
-                gammas = [0.0]  # SINR-independent model
-            predicted *= hop_success_with_retries(gammas, model, attempts)
-        if not usable:
-            continue
+        means = metrics.mean_hop_success[cid]
+        if model.continuous and any(math.isnan(p) for p in means):
+            continue  # a hop never attempted has no success probability
+        # An SINR-independent model succeeds with the same probability on a
+        # hop never attempted.
+        predicted = math.prod(
+            hop_success_with_retries(model.success(0.0) if math.isnan(p) else p, attempts)
+            for p in means
+        )
         measured = metrics.delivered[k] / resolved
         sigma = math.sqrt(max(predicted * (1.0 - predicted), 1e-12) / resolved)
         records.append(

@@ -87,7 +87,6 @@ def pinned_case(name, small_instance):
         cfg = EngineConfig(injection_rate=0.5, measure_slots=400, warmup_slots=0, seed=31,
                            attempts_per_hop=2, trace=True)
         return run(dep, tess, sched, routes, links.LogisticModel(), RADIO, cfg)
-    # Enough traffic per hop that the attempt-SINR reservoirs overflow and draw.
     cfg = EngineConfig(injection_rate=0.01, measure_slots=4000, seed=7, attempts_per_hop=2,
                        traffic=name, trace=True)
     return run_subset(small_instance, links.LogisticModel(), cfg, count=40)
@@ -96,9 +95,9 @@ def pinned_case(name, small_instance):
 # A change to any draw, its order or a reception rule changes these digests;
 # only a change meant to alter simulated outcomes may update them.
 PINNED = {
-    "bernoulli": "4dd5830a6516c13921cd281f91f7c44bc3630fe95c18c81aee29f5fb9c1f660f",
-    "saturated": "4684462191564f892722d6cf3f28f83a84d180dfc39e27549631196a6e2751eb",
-    "collision": "a4cb3bed1c17aa7802750bda27b0ef9e901403b74d686d7d7688cabe4b028aa4",
+    "bernoulli": "52c715877c71d9a7fc7ecc44b55e449010ce53ed961494b0c07433a226e12557",
+    "saturated": "f864972808aa5be779fcabc4ecb2a3be60fd42922c387edeae87ef5673437bb7",
+    "collision": "dd67f8411bc590cf7c664283593c916084a31d00347ede780b3163f26aedf326",
 }
 
 
@@ -119,6 +118,30 @@ def test_lone_transmitter_sinr_is_signal_over_noise():
                           RADIO, own=[0])[0][0]
     assert len(m.trace) > 100
     assert all(row[4] == expected for row in m.trace)
+
+
+@pytest.mark.parametrize("network", ["single_hop", "collision"])
+def test_mean_hop_success_is_the_mean_over_attempts(network):
+    # With no warmup every attempt is counted, a collision included: the
+    # engine's per-hop mean success is phi averaged over the trace's
+    # attempts of the hop, summed in trace order.
+    if network == "single_hop":
+        dep, tess, sched, route = single_hop_network()
+        routes = [route]
+    else:
+        dep, tess, sched, routes = collision_network()
+    model = links.LogisticModel()
+    cfg = EngineConfig(injection_rate=0.25, measure_slots=2000, warmup_slots=0, seed=37,
+                       trace=True)
+    m = run(dep, tess, sched, routes, model, RADIO, cfg)
+    for r in routes:
+        total, count = 0.0, 0
+        for _, _, tx, rx, sinr, outcome in m.trace:
+            if outcome != "dummy" and (tx, rx) == (r.relays[0], r.relays[1]):
+                total += model.success(sinr)
+                count += 1
+        assert count > 100
+        assert m.mean_hop_success[r.connection_id] == [total / count]
 
 
 def test_shared_slot_sinr_is_the_kernel_value():

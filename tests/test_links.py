@@ -163,34 +163,26 @@ class TestSuccessModels:
 
 class TestRetries:
     def test_constant_half_two_attempts(self):
-        model = links.ConstantPModel(p=0.5)
-        assert links.hop_success_with_retries([1.0], model, 2) == pytest.approx(0.75)
+        assert links.hop_success_with_retries(0.5, 2) == pytest.approx(0.75)
 
     def test_single_attempt_reduces_to_phi(self):
         model = links.LogisticModel()
         g = 12.0
-        assert links.hop_success_with_retries([g], model, 1) == model.success(g)
+        assert links.hop_success_with_retries(model.success(g), 1) == model.success(g)
 
     def test_expansion_oracle(self):
         # 1 - (1 - 0.9)^3 expanded directly
-        model = links.ConstantPModel(p=0.9)
         expected = 0.9 + 0.1 * 0.9 + 0.01 * 0.9
-        assert links.hop_success_with_retries([0.0], model, 3) == pytest.approx(expected)
+        assert links.hop_success_with_retries(0.9, 3) == pytest.approx(expected)
         assert expected == pytest.approx(0.999)
-
-    def test_short_sequence_repeats_last(self):
-        model = links.ThresholdModel(beta=5.0)
-        # attempts see gammas 1, 10, 10 -> second attempt succeeds
-        assert links.hop_success_with_retries([1.0, 10.0], model, 3) == 1.0
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ConfigurationError):
-            links.hop_success_with_retries([1.0], links.ConstantPModel(0.5), 0)
+            links.hop_success_with_retries(0.5, 0)
 
     @given(st.integers(min_value=1, max_value=6), st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_budget(self, attempts, p):
-        model = links.ConstantPModel(p=p)
-        a = links.hop_success_with_retries([1.0], model, attempts)
-        b = links.hop_success_with_retries([1.0], model, attempts + 1)
+        a = links.hop_success_with_retries(p, attempts)
+        b = links.hop_success_with_retries(p, attempts + 1)
         assert b >= a

@@ -336,7 +336,7 @@ def test_accept_11_geometric_decay(lossy_200, sweep_instances):
 def test_accept_11a_criterion_on_binomial_draws(lossy_200):
     # ACCEPT-11(a)'s criterion on synthetic binomial deliveries with the run's
     # hop and resolved counts: false alarms at the true p = 0.9, detections
-    # of a per-hop loss 0.3 % and 0.5 % above it, against the old criterion
+    # of a per-hop loss 0.3 and 0.5 points above it, against the old criterion
     # (every |z| <= 3).
     hops, resolved, _ = lossy_200
     rng = np.random.default_rng(1111)

@@ -303,7 +303,7 @@ class TestDecayRegression:
     def test_criterion_on_binomial_draws(self, pooled_decay):
         # Synthetic pooled deliveries with the run's hop counts and resolved
         # counts: false alarms at the true p = 0.9, detections of a per-hop
-        # loss 0.3 % and 0.5 % above it, for the slope criterion and the
+        # loss 0.3 and 0.5 points above it, for the slope criterion and the
         # former R^2 criterion.
         hs, resolved, _ = pooled_decay
         rng = np.random.default_rng(2222)

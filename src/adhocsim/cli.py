@@ -51,7 +51,8 @@ def cmd_tessellate(args) -> int:
     save_schedule(sched, out.with_suffix(".schedule.txt"))
     print(
         f"n={args.n} rho_n={tess.rho_n:.6f} cells={tess.num_cells} K={sched.num_colors} "
-        f"min_occupancy={tess.occupancy().min()} -> {out}"
+        f"min_occupancy={tess.occupancy().min()} gap_ratio={tess.gap_ratio:.6f} "
+        f"cover_ratio={tess.cover_ratio:.6f} -> {out}"
     )
     return EXIT_OK
 

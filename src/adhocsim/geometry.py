@@ -27,13 +27,18 @@ def central_angle(a, b):
     """Angle at the sphere center between directions ``a`` and ``b``.
 
     Uses atan2 of cross/dot, which stays accurate for nearly parallel and
-    nearly antipodal pairs where arccos loses precision.
+    nearly antipodal pairs where arccos loses precision.  The cross product
+    is written out: ``np.cross`` adds ~40 us to a scalar call,
+    and this is the same arithmetic, bit for bit.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    dots = np.sum(a * b, axis=-1)
-    crosses = np.linalg.norm(np.cross(a, b), axis=-1)
-    return np.arctan2(crosses, dots)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0 = a1 * b2 - a2 * b1
+    c1 = a2 * b0 - a0 * b2
+    c2 = a0 * b1 - a1 * b0
+    return np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), np.sum(a * b, axis=-1))
 
 
 def surface_distance(a, b):

@@ -77,6 +77,8 @@ class Tessellation:
     cell_of_node: np.ndarray  # (n,) cell index per node
     neighbors: list[np.ndarray]  # adjacency lists, symmetric, irreflexive
     nodes_in_cell: list[np.ndarray] = field(repr=False)
+    gap_ratio: float  # closest center pair / (2*rho_n), >= 1 (inf for one cell)
+    cover_ratio: float  # covering radius / (2*rho_n), <= 1
 
     @property
     def num_cells(self) -> int:
@@ -97,7 +99,8 @@ def _greedy_packing(candidates: np.ndarray, cos_threshold: float) -> np.ndarray:
 
 
 def _farthest_uncovered(centers: np.ndarray):
-    """Point maximizing the distance to its nearest center, and that distance.
+    """Candidate farthest points, farthest first, and their distances to the
+    nearest center; the first is the point farthest from every center.
 
     The maximum sits where the distances to the nearest centers balance.  For
     four or more centers that is a vertex of the spherical Voronoi diagram.
@@ -122,78 +125,46 @@ def _farthest_uncovered(centers: np.ndarray):
         candidates = np.array(candidates)
     candidates = candidates / np.linalg.norm(candidates, axis=1)[:, None]
     cos_nearest = np.max(candidates @ centers.T, axis=1)
-    k = int(np.argmin(cos_nearest))
-    angle = math.acos(float(np.clip(cos_nearest[k], -1.0, 1.0)))
-    return candidates[k], geometry.RADIUS * angle
+    order = np.argsort(cos_nearest, kind="stable")
+    angles = np.arccos(np.clip(cos_nearest[order], -1.0, 1.0))
+    return candidates[order], geometry.RADIUS * angles
 
 
-def _repair_covering(centers: np.ndarray, rho_n: float) -> np.ndarray:
-    """Insert uncovered far points until the covering radius is <= 2*rho_n.
-
-    Random candidates can leave thin uncovered slivers between cells that
-    both the probe pass and the node assignment miss; any such point is a
-    valid new center (it is farther than 2*rho_n from all of them), and
-    inserting it restores the exact covering the adjacency relation needs.
-    """
-    for _ in range(64):
-        point, dist = _farthest_uncovered(centers)
-        if dist <= 2.0 * rho_n * (1.0 + 1e-12):
-            return centers
-        centers = np.vstack([centers, point])
-    raise ConfigurationError("covering repair did not converge")
-
-
-def build_tessellation(
-    dep: Deployment,
-    rho_n: float,
-    seed: int,
-    candidate_factor: float = 50.0,
-    probe_count: int = 10_000,
-    max_rebuilds: int = 8,
-) -> Tessellation:
+def build_tessellation(dep: Deployment, rho_n: float, seed: int) -> Tessellation:
     """Build the certified tessellation for one deployment.
 
-    Centers are greedily inserted from a dense random candidate set until no
-    candidate is ``>= 2*rho_n`` from all accepted centers; maximality is then
-    probed by rejection sampling (rebuilding with a denser candidate set on
-    failure) and finally made exact by inserting any still-uncovered Voronoi
-    vertex as a center, so the covering radius is certifiably ``<= 2*rho_n``.
+    One greedy pass packs ``10/cap_area(rho_n)`` random candidates at
+    pairwise distance ``2*rho_n``.  Completion then adds, in batches, the
+    spherical Voronoi vertices still farther than ``2*rho_n`` from every
+    center, packed greedily farthest first, until none is left: the packing
+    is kept and the covering radius is certifiably ``<= 2*rho_n``.
     """
     if rho_n <= 0:
         raise ConfigurationError("rho_n must be positive")
     if 2.0 * rho_n > geometry.MAX_DISTANCE + 1e-12:
         raise ConfigurationError("rho_n too large: 2*rho_n exceeds the sphere diameter")
 
-    theta_pack = 2.0 * rho_n / geometry.RADIUS
-    cos_pack = math.cos(min(theta_pack, math.pi))
-    factor = candidate_factor
+    cos_pack = math.cos(min(2.0 * rho_n / geometry.RADIUS, math.pi))
+    limit = 2.0 * rho_n * (1.0 + 1e-12)
     rng = np.random.default_rng(seed)
-    for _ in range(max_rebuilds):
-        n_cand = min(int(math.ceil(factor / geometry.cap_area(rho_n))), 4_000_000)
-        candidates = geometry.random_point(rng, n_cand)
-        centers = _greedy_packing(candidates, cos_pack + 1e-15)
+    n_cand = math.ceil(10.0 / geometry.cap_area(rho_n))
+    centers = _greedy_packing(geometry.random_point(rng, n_cand), cos_pack + 1e-15)
+    points, dists = _farthest_uncovered(centers)
+    while dists[0] > limit:
+        far = _greedy_packing(points[dists > limit], cos_pack + 1e-15)
+        centers = np.vstack([centers, far])
+        points, dists = _farthest_uncovered(centers)
 
-        probes = geometry.random_point(rng, probe_count)
-        probe_cos = probes @ centers.T
-        covered = np.max(probe_cos, axis=1) >= cos_pack - 1e-15
-        node_cos = dep.nodes @ centers.T
-        nearest = np.argmax(node_cos, axis=1)
-        nodes_covered = node_cos[np.arange(dep.n), nearest] >= cos_pack - 1e-15
-        if covered.all() and nodes_covered.all():
-            break
-        factor *= 2.0
-    else:
-        raise ConfigurationError("could not certify a maximal packing; rho_n too small?")
-
-    centers = _repair_covering(centers, rho_n)
-    nearest = np.argmax(dep.nodes @ centers.T, axis=1)
-
-    # Hard A1 certificate: packing and covering, not statistical.
+    # Hard A1 certificate, not statistical: the loop above ends only once the
+    # farthest point from every center is within 2*rho_n (covering); the
+    # closest pair of centers is at least 2*rho_n apart (packing).
     gram = centers @ centers.T
-    np.fill_diagonal(gram, -1.0)
-    if len(centers) > 1 and gram.max() > cos_pack + 1e-12:
+    np.fill_diagonal(gram, -np.inf)
+    i, j = np.unravel_index(np.argmax(gram), gram.shape)
+    if len(centers) > 1 and gram[i, j] > cos_pack + 1e-12:
         raise AssertionError("packing violated: two centers closer than 2*rho_n")
-    cell_of_node = nearest.astype(np.int64)
+    gap = geometry.surface_distance(centers[i], centers[j]) if len(centers) > 1 else math.inf
+    cell_of_node = np.argmax(dep.nodes @ centers.T, axis=1).astype(np.int64)
 
     neighbors = _adjacency(centers, rho_n)
     nodes_in_cell = [
@@ -205,6 +176,8 @@ def build_tessellation(
         cell_of_node=cell_of_node,
         neighbors=neighbors,
         nodes_in_cell=nodes_in_cell,
+        gap_ratio=float(gap / (2.0 * rho_n)),
+        cover_ratio=float(dists[0] / (2.0 * rho_n)),
     )
 
 

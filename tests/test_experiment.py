@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adhocsim import cli, experiment, geometry
+from adhocsim import cli, experiment, geometry, tessellation
 from adhocsim.engine import EngineConfig
 from adhocsim.errors import ConfigurationError
 from adhocsim.links import RadioParams
@@ -362,10 +362,11 @@ class TestCli:
             assert cli.main(argv) == 2, override
             assert not out.exists(), override
 
-    def test_tessellate_and_deploy(self, tmp_path):
+    def test_tessellate_and_deploy(self, tmp_path, capsys):
         out = tmp_path / "t.txt"
         code = cli.main(["tessellate", "--n", "250", "--seed", "1", "--out", str(out)])
         assert code == 0 and out.exists()
+        printed = dict(f.split("=") for f in capsys.readouterr().out.split() if "=" in f)
         # the text export: scale, cell count, one center line per cell and
         # one assignment line per node
         _, tess = experiment.prepare_instance(250, 1, 1.2)
@@ -381,6 +382,14 @@ class TestCli:
         np.testing.assert_array_equal([[float(x) for x in c[2:]] for c in centers], tess.centers)
         assert [int(a[1]) for a in assigned] == list(range(250))
         assert [int(a[2]) for a in assigned] == tess.cell_of_node.tolist()
+        # the certificate numbers, recomputed from the exported centers:
+        # closest center pair and covering radius over 2*rho_n
+        two_rho = 2 * tess.rho_n
+        pairs = geometry.surface_distance(tess.centers[:, None], tess.centers[None])
+        gap = pairs[~np.eye(tess.num_cells, dtype=bool)].min() / two_rho
+        cover = tessellation._farthest_uncovered(tess.centers)[1][0] / two_rho
+        assert printed["gap_ratio"] == f"{gap:.6f}" and gap >= 1
+        assert printed["cover_ratio"] == f"{cover:.6f}" and cover <= 1
         out2 = tmp_path / "d.txt"
         code = cli.main(["deploy", "--n", "50", "--seed", "1", "--out", str(out2)])
         assert code == 0 and out2.exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adhocsim import geometry
 from adhocsim.errors import GeometryError
@@ -50,6 +51,20 @@ class TestSurfaceDistance:
         b = geometry.random_point(rng, 1000)
         d = geometry.surface_distance(a, b)
         assert np.all((0 <= d) & (d <= geometry.MAX_DISTANCE))
+
+
+    @given(st.data(), st.sampled_from([((3,), (3,)), ((7, 3), (7, 3)), ((5, 4, 3), (5, 4, 3)),
+                                       ((6, 3), (3,)), ((3,), (2, 5, 3))]))
+    @settings(max_examples=200, deadline=None)
+    def test_central_angle_matches_np_cross_reference(self, data, shapes):
+        # the written-out cross product is the same arithmetic as np.cross
+        # followed by np.linalg.norm, so the angles agree bit for bit
+        floats = st.floats(-1e3, 1e3, allow_subnormal=False)
+        a, b = (data.draw(hnp.arrays(np.float64, shape, elements=floats)) for shape in shapes)
+        crosses = np.linalg.norm(np.cross(a, b), axis=-1)
+        reference = np.arctan2(crosses, np.sum(a * b, axis=-1))
+        angle = geometry.central_angle(a, b)
+        assert np.shape(angle) == np.shape(reference) and np.all(angle == reference)
 
 
 class TestCapArea:

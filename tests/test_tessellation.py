@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adhocsim import geometry, tessellation
 from adhocsim.errors import ConfigurationError
@@ -116,6 +118,35 @@ class TestBuildTessellation:
         tess = tessellation.build_tessellation(dep, SQRT_PI / 4, 4)
         assert 1 <= tess.num_cells <= 2
 
+    @given(st.integers(2, 5000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_certificate_on_random_instances(self, n, seed):
+        # packing: the closest pair of centers is >= 2*rho apart; covering:
+        # the farthest point from every center is within 2*rho; the stored
+        # ratios are those two numbers over 2*rho
+        rho = tessellation.rho_for_n(n, 1.2)
+        tess = tessellation.build_tessellation(tessellation.deploy(n, seed), rho, seed + 1)
+        if tess.num_cells > 1:
+            pairs = geometry.surface_distance(tess.centers[:, None], tess.centers[None])
+            gap = pairs[~np.eye(tess.num_cells, dtype=bool)].min()
+            assert gap >= 2 * rho * (1 - 1e-9)
+            assert tess.gap_ratio == pytest.approx(gap / (2 * rho), rel=1e-9)
+        cover = tessellation._farthest_uncovered(tess.centers)[1][0]
+        assert cover <= 2 * rho * (1 + 1e-9)
+        assert tess.cover_ratio == pytest.approx(cover / (2 * rho), rel=1e-12)
+
+    def test_one_packing_pass(self, monkeypatch):
+        # one build draws exactly ceil(10/cap_area(rho)) candidates, on an
+        # instance where probing for uncovered points once took four passes
+        dep = tessellation.deploy(1000, 7)
+        rho = tessellation.rho_for_n(1000, 1.2)
+        drawn = []
+        draw = geometry.random_point
+        monkeypatch.setattr(geometry, "random_point",
+                            lambda rng, size=None: drawn.append(size or 1) or draw(rng, size))
+        tessellation.build_tessellation(dep, rho, 8)
+        assert sum(drawn) == math.ceil(10 / geometry.cap_area(rho))
+
     def test_rho_too_large_rejected(self):
         dep = tessellation.deploy(10, 0)
         with pytest.raises(ConfigurationError):
@@ -135,14 +166,15 @@ class TestCoveringCertificate:
     ])
     def test_fewer_than_four_centers(self, centers, point, angle):
         found, dist = tessellation._farthest_uncovered(np.array(centers))
-        np.testing.assert_allclose(found, point, rtol=1e-12, atol=1e-12)
-        assert dist == pytest.approx(geometry.RADIUS * angle, rel=1e-12)
+        np.testing.assert_allclose(found[0], point, rtol=1e-12, atol=1e-12)
+        assert dist[0] == pytest.approx(geometry.RADIUS * angle, rel=1e-12)
+        assert np.all(np.diff(dist) <= 0)  # farthest first
 
     def test_antipodal_pair(self):
         # every point of the equator is a farthest point
         found, dist = tessellation._farthest_uncovered(np.array([[0, 0, 1.0], [0, 0, -1.0]]))
-        assert abs(found[2]) < 1e-12 and np.linalg.norm(found) == pytest.approx(1.0)
-        assert dist == pytest.approx(geometry.RADIUS * math.pi / 2, rel=1e-12)
+        assert abs(found[0, 2]) < 1e-12 and np.linalg.norm(found[0]) == pytest.approx(1.0)
+        assert dist[0] == pytest.approx(geometry.RADIUS * math.pi / 2, rel=1e-12)
 
     def test_voronoi_error_stops_the_build(self, monkeypatch):
         import scipy.spatial

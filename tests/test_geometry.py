@@ -52,7 +52,6 @@ class TestSurfaceDistance:
         d = geometry.surface_distance(a, b)
         assert np.all((0 <= d) & (d <= geometry.MAX_DISTANCE))
 
-
     @given(st.data(), st.sampled_from([((3,), (3,)), ((7, 3), (7, 3)), ((5, 4, 3), (5, 4, 3)),
                                        ((6, 3), (3,)), ((3,), (2, 5, 3))]))
     @settings(max_examples=200, deadline=None)

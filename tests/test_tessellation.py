@@ -142,8 +142,12 @@ class TestBuildTessellation:
         rho = tessellation.rho_for_n(1000, 1.2)
         drawn = []
         draw = geometry.random_point
-        monkeypatch.setattr(geometry, "random_point",
-                            lambda rng, size=None: drawn.append(size or 1) or draw(rng, size))
+
+        def counting(rng, size=None):
+            drawn.append(1 if size is None else size)
+            return draw(rng, size)
+
+        monkeypatch.setattr(geometry, "random_point", counting)
         tessellation.build_tessellation(dep, rho, 8)
         assert sum(drawn) == math.ceil(10 / geometry.cap_area(rho))
 

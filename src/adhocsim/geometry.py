@@ -28,8 +28,8 @@ def central_angle(a, b):
 
     Uses atan2 of cross/dot, which stays accurate for nearly parallel and
     nearly antipodal pairs where arccos loses precision.  The cross product
-    is written out because ``np.cross`` adds ~40 us to a scalar call; the
-    arithmetic is the same, bit for bit.
+    is written out because the overhead of ``np.cross`` is several times
+    the arithmetic on a scalar call; the result is the same, bit for bit.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -22,6 +22,8 @@ from .errors import ConfigurationError, GeometryError, RoutingError
 from .tessellation import Deployment, Tessellation
 
 MAX_HOP_FACTOR = 8.0  # hop length never exceeds 8*rho_n under adjacency
+_HALF_PI = 0.5 * math.pi
+_PHI_SLACK = 1e-12  # rounding allowance, in radians, on a bisector crossing
 STRATEGIES = ("straight_line", "shortest_cell_path", "random_walk_loop_erased")
 
 
@@ -70,63 +72,71 @@ def pick_connections(dep: Deployment, seed: int) -> list[Connection]:
     ]
 
 
-def cell_relay(tess: Tessellation, dep: Deployment, cell: int) -> int:
-    """Relay node of a cell: the node nearest to its center."""
-    ids = tess.nodes_in_cell[cell]
-    if len(ids) == 0:
-        raise RoutingError(f"cell {cell} has no nodes to relay through", cell=cell)
-    dots = dep.nodes[ids] @ tess.centers[cell]
-    return int(ids[np.argmax(dots)])
-
-
 def all_cell_relays(tess: Tessellation, dep: Deployment) -> np.ndarray:
-    """Relay node per cell; -1 marks an empty cell."""
+    """Relay node per cell, the node nearest its center; -1 marks an empty
+    cell.  Built once per tessellation and deployment; the table is read-only."""
+    if tess.relay_cache is not None and tess.relay_cache[0] is dep:
+        return tess.relay_cache[1]
     relays = np.full(tess.num_cells, -1, dtype=np.int64)
-    for c in range(tess.num_cells):
-        if len(tess.nodes_in_cell[c]):
-            relays[c] = cell_relay(tess, dep, c)
+    for c, ids in enumerate(tess.nodes_in_cell):
+        if len(ids):
+            relays[c] = ids[np.argmax(dep.nodes[ids] @ tess.centers[c])]
+    relays.flags.writeable = False
+    tess.relay_cache = (dep, relays)
     return relays
 
 
-def _crossed_cells(tess: Tessellation, a: np.ndarray, b: np.ndarray) -> list[int]:
-    """Cells whose region the minor arc from a to b intersects, in order.
+def _crossed_cells(tess: Tessellation, a: np.ndarray, b: np.ndarray, theta: float) -> list[int]:
+    """Cells whose region the minor arc from a to b crosses, in order.
 
-    Samples the arc at step ``rho_n/10`` and records nearest-center changes;
-    if two consecutive recorded cells are not adjacent the step is halved and
-    the walk redone, since a cell was skipped.
+    Walks the Voronoi bisectors exactly.  On the arc
+    ``x(phi) = (sin(theta - phi) a + sin(phi) b) / sin(theta)``, with ``theta``
+    the central angle from a to b, ``x(phi).(c_i - c_j)`` is a positive
+    multiple of ``P cos(phi) + Q sin(phi)`` with ``P = sin(theta) a.w`` and
+    ``Q = b.w - cos(theta) a.w`` for ``w = c_i - c_j``.  The arc therefore
+    leaves cell i across its bisector with j at ``phi = atan2(Q, P) + pi/2``,
+    and enters the neighbor whose bisector it crosses first; the cell just
+    left is not a candidate.  The 4*rho_n neighbor lists hold every Voronoi
+    neighbor because the covering radius is at most 2*rho_n.  The end cells
+    are the endpoints' nearest centers.
     """
-    d = float(geometry.surface_distance(a, b))
-    step = tess.rho_n / 10.0
-    for _ in range(8):
-        n_samples = max(int(math.ceil(d / step)) + 1, 2)
-        pts = geometry.geodesic_arc(a, b, np.linspace(0.0, d, n_samples))
-        nearest = np.argmax(pts @ tess.centers.T, axis=1)
-        cells = [int(nearest[0])]
-        for c in nearest[1:]:
-            if c != cells[-1]:
-                cells.append(int(c))
-        ok = all(
-            cells[i + 1] in set(tess.neighbors[cells[i]].tolist())
-            for i in range(len(cells) - 1)
-        )
-        if ok:
-            return cells
-        step /= 2.0
-    raise RoutingError("geodesic walk kept skipping cells at the finest step")
+    start = int(np.argmax(tess.centers @ a))
+    end = int(np.argmax(tess.centers @ b))
+    ax, ay, az = a.tolist()
+    bx, by, bz = b.tolist()
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    bisectors, max_cells = tess.bisectors, tess.num_cells
+    cells = [start]
+    prev, cell = -1, start
+    while cell != end:
+        exit_phi, nxt = math.inf, -1
+        for j, wx, wy, wz in bisectors[cell]:
+            if j == prev:
+                continue
+            aw = ax * wx + ay * wy + az * wz
+            phi = math.atan2(bx * wx + by * wy + bz * wz - cos_t * aw, sin_t * aw) + _HALF_PI
+            # a crossing rounded to just below 0 lies at the start point
+            if -_PHI_SLACK <= phi < exit_phi:
+                exit_phi, nxt = phi, j
+        if exit_phi > theta + _PHI_SLACK:
+            raise RoutingError(f"geodesic walk left cell {cell} beyond the arc's end", cell=cell)
+        if len(cells) == max_cells:
+            raise RoutingError("geodesic walk is longer than the cell count")
+        prev, cell = cell, nxt
+        cells.append(cell)
+    return cells
 
 
 def _assemble(conn: Connection, cells: list[int], tess: Tessellation, dep: Deployment) -> Route:
     if len(set(cells)) != len(cells):
         raise RoutingError("route revisits a cell")
-    if len(cells) == 1:
-        chain = [conn.source, conn.destination]
-    else:
-        chain = [conn.source]
-        for c in cells[1:-1]:
-            if len(tess.nodes_in_cell[c]) == 0:
-                raise RoutingError(f"route crosses empty cell {c}", cell=c)
-            chain.append(cell_relay(tess, dep, c))
-        chain.append(conn.destination)
+    relay = all_cell_relays(tess, dep)
+    chain = [conn.source]
+    for c in cells[1:-1]:
+        if relay[c] < 0:
+            raise RoutingError(f"route crosses empty cell {c}", cell=c)
+        chain.append(int(relay[c]))
+    chain.append(conn.destination)
     hops = geometry.surface_distance(dep.nodes[chain[:-1]], dep.nodes[chain[1:]])
     hops = np.atleast_1d(hops)
     route = Route(
@@ -153,9 +163,12 @@ def _assert_route_invariants(route: Route, tess: Tessellation) -> None:
 def straight_line_route(conn: Connection, dep: Deployment, tess: Tessellation) -> Route:
     """Route through every cell the source-destination geodesic crosses."""
     a, b = dep.nodes[conn.source], dep.nodes[conn.destination]
-    if float(geometry.central_angle(a, b)) > math.pi - 1e-9:
+    theta = float(geometry.central_angle(a, b))
+    if theta == 0.0:
+        raise GeometryError("co-located endpoints cannot be routed")
+    if theta > math.pi - 1e-9:
         raise GeometryError("antipodal endpoints cannot be routed")
-    return _assemble(conn, _crossed_cells(tess, a, b), tess, dep)
+    return _assemble(conn, _crossed_cells(tess, a, b, theta), tess, dep)
 
 
 def _bfs_cells(tess: Tessellation, start: int, goal: int) -> list[int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,8 @@ class Tessellation:
     nodes_in_cell: list[np.ndarray] = field(repr=False)
     gap_ratio: float  # closest center pair / (2*rho_n), >= 1 (inf for one cell)
     cover_ratio: float  # covering radius / (2*rho_n), <= 1
+    # (deployment, relay per cell) of the last routing.all_cell_relays call
+    relay_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_cells(self) -> int:
@@ -86,6 +89,16 @@ class Tessellation:
 
     def occupancy(self) -> np.ndarray:
         return np.array([len(ids) for ids in self.nodes_in_cell])
+
+    @cached_property
+    def bisectors(self) -> list[list[tuple[int, float, float, float]]]:
+        """Per cell ``i``, a row ``(j, *(c_i - c_j))`` for each neighbor ``j``:
+        the normals of the bisector planes that bound cell ``i``, as plain
+        floats for the geodesic walk."""
+        return [
+            [(j, *w) for j, w in zip(nbrs.tolist(), (c - self.centers[nbrs]).tolist())]
+            for c, nbrs in zip(self.centers, self.neighbors)
+        ]
 
 
 def _greedy_packing(candidates: np.ndarray, cos_threshold: float) -> np.ndarray:

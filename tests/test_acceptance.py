@@ -245,6 +245,44 @@ def test_accept_07_consecutive_short_hops(cert_instances):
            f"cell bound 2*(40*0.01+4)^2 = {n2}")
 
 
+def test_accept_15_routes_hold_every_crossed_cell(cert_instances):
+    """On the first two instances of each n, the cells of each straight
+    route's geodesic sampled every rho/100 form a subsequence of the route's
+    cells with its first and last cell; each route cell the samples miss is
+    found when the arc between the two samples around it is sampled 1000
+    times more finely."""
+
+    def nearest_cells(tess, a, b, s):
+        cells = np.argmax(geometry.geodesic_arc(a, b, s) @ tess.centers.T, axis=1).tolist()
+        runs = [0] + [i for i in range(1, len(s)) if cells[i] != cells[i - 1]]
+        return [cells[i] for i in runs], runs
+
+    total = bad = sliver_routes = 0
+    for pick_n in (500, 2000):
+        for n, seed, dep, tess, routes in [
+            x for x in cert_instances["instances"] if x[0] == pick_n
+        ][:2]:
+            for r in routes:
+                a, b = dep.nodes[r.relays[0]], dep.nodes[r.relays[-1]]
+                s = np.linspace(0.0, r.length, max(math.ceil(100 * r.length / tess.rho_n) + 1, 2))
+                seq, runs = nearest_cells(tess, a, b, s)
+                pos = [r.cells.index(c) if c in r.cells else -1 for c in seq]
+                ok = pos[0] == 0 and pos[-1] == len(r.cells) - 1
+                ok &= all(0 <= p < q for p, q in zip(pos, pos[1:]))
+                for k in range(1, len(seq)):
+                    if ok and pos[k] > pos[k - 1] + 1:
+                        fine, _ = nearest_cells(
+                            tess, a, b, np.linspace(s[runs[k] - 1], s[runs[k]], 1001)
+                        )
+                        ok &= fine == r.cells[pos[k - 1]:pos[k] + 1]
+                sliver_routes += len(seq) < len(r.cells)
+                total += 1
+                bad += not ok
+    report(15, "straight routes hold every cell their geodesic crosses", bad == 0,
+           f"{total - bad}/{total} against rho/100 sampling; "
+           f"{sliver_routes} routes cross a cell over less than rho/100")
+
+
 def test_accept_08_interferer_proximity(saturated_2000):
     dep, tess, sched, routes, metrics, run_seconds = saturated_2000
     t0 = time.perf_counter()

@@ -97,8 +97,8 @@ def pinned_case(name, small_instance):
 # A change to any draw, its order or a reception rule changes these digests;
 # only a change meant to alter simulated outcomes may update them.
 PINNED = {
-    "bernoulli": "434852d7080cbf295b18010d869847462d5cbdb05c677fac575e59ba1d140a94",
-    "saturated": "7567997abfa23cf6718ccea483930bd159f91cc8e76ddae5342d5eda3d9cfb98",
+    "bernoulli": "7443ae9750d81774358b3324b26f08ffa9321c35ba49206bf09387afb3381349",
+    "saturated": "cf0dff00dfcf0a44e4b20749d9a4728a6959c58ff5cc09a17f62003eb5311b7d",
     "collision": "dd67f8411bc590cf7c664283593c916084a31d00347ede780b3163f26aedf326",
 }
 

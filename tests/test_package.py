@@ -13,6 +13,7 @@ SOURCES = sorted((ROOT / "src" / "adhocsim").glob("*.py")) + sorted(
 CALLED_ONLY_BY_ACCEPTANCE = {
     "delivery_decay_direct": "test_accept_13_bound_calculator",
     "delivery_decay_stepwise": "test_accept_13_bound_calculator",
+    "geodesic_arc": "test_accept_15_routes_hold_every_crossed_cell",
 }
 
 

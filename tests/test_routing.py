@@ -1,7 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adhocsim import geometry, routing, tessellation
 from adhocsim.errors import ConfigurationError, GeometryError, RoutingError
@@ -111,6 +115,97 @@ class TestStraightLineRoutes:
         conn = routing.Connection(id=0, source=0, destination=1, length=0.0)
         with pytest.raises(GeometryError):
             routing.straight_line_route(conn, twin, tess)
+
+
+def assert_walk_covers_arc(tess, a, b, walk, lo, hi, count, depth=3):
+    """``walk`` holds, in order, every cell the arc from a to b crosses over
+    the arclengths [lo, hi], and, to the resolution of ``depth`` levels of
+    sampling, no other cell.
+
+    The cells of ``count`` evenly spaced samples form a subsequence of
+    ``walk`` with its first and last cell.  A walk cell the samples miss
+    lies between two consecutive samples, so the arc crosses it over less
+    than one sampling step; sampling that stretch ``count`` times more finely
+    must find it, down to ``depth`` levels."""
+    s = np.linspace(lo, hi, count)
+    nearest = np.argmax(geometry.geodesic_arc(a, b, s) @ tess.centers.T, axis=1).tolist()
+    runs = [0] + [i for i in range(1, count) if nearest[i] != nearest[i - 1]]
+    pos = [walk.index(nearest[i]) for i in runs]  # ValueError: the walk skipped a cell
+    assert pos[0] == 0 and pos[-1] == len(walk) - 1
+    assert all(p < q for p, q in zip(pos, pos[1:]))
+    for k in range(1, len(runs)):
+        if pos[k] > pos[k - 1] + 1 and depth > 1:
+            i = runs[k]
+            assert_walk_covers_arc(
+                tess, a, b, walk[pos[k - 1]:pos[k] + 1], s[i - 1], s[i], count, depth - 1
+            )
+
+
+directions = hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+    lambda v: np.linalg.norm(v) > 0.1
+)
+
+
+class TestExactWalk:
+    @given(directions, directions)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_walk_holds_every_sampled_cell(self, small_instance, a, b):
+        _, tess, _, _, _ = small_instance
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        theta = float(geometry.central_angle(a, b))
+        assume(1e-9 < theta < math.pi - 1e-6)
+        walk = routing._crossed_cells(tess, a, b, theta)
+        d = geometry.RADIUS * theta
+        count = max(math.ceil(d / (tess.rho_n / 1000)) + 1, 2)
+        assert_walk_covers_arc(tess, a, b, walk, 0.0, d, count)
+
+    def test_cell_the_sampled_walk_skipped(self, small_instance):
+        # The arc of connection 6 crosses cell 9 over 0.0041, less than the
+        # rho_n/10 = 0.0064 step of the sampled walk this one replaced, which
+        # routed it through [19, 3, 31, 36, 15].
+        dep, tess, _, conns, _ = small_instance
+        route = routing.straight_line_route(conns[6], dep, tess)
+        assert route.cells == [19, 9, 3, 31, 36, 15]
+        a, b = dep.nodes[conns[6].source], dep.nodes[conns[6].destination]
+        assert_walk_covers_arc(tess, a, b, route.cells, 0.0, conns[6].length, 10_001, depth=1)
+
+    def test_near_antipodal_rejected(self, small_instance):
+        dep, tess, _, _, _ = small_instance
+        nodes = dep.nodes.copy()
+        nodes[1] = -nodes[0] + 1e-12
+        nodes[1] /= np.linalg.norm(nodes[1])
+        twin = tessellation.Deployment(n=dep.n, seed=dep.seed, nodes=nodes)
+        conn = routing.Connection(id=0, source=0, destination=1, length=geometry.MAX_DISTANCE)
+        with pytest.raises(GeometryError):
+            routing.straight_line_route(conn, twin, tess)
+
+    def test_walk_past_the_arc_raises(self, small_instance):
+        # Without the bisector into the end cell the walk would leave the
+        # cell before it beyond the arc's end.
+        dep, tess, _, conns, routes = small_instance
+        conn, route = next((c, r) for c, r in zip(conns, routes) if len(r.cells) > 2)
+        a, b = dep.nodes[conn.source], dep.nodes[conn.destination]
+        last, end = route.cells[-2:]
+        broken = dataclasses.replace(tess)
+        broken.__dict__["bisectors"] = [
+            [row for row in rows if (i, row[0]) != (last, end)]
+            for i, rows in enumerate(tess.bisectors)
+        ]
+        with pytest.raises(RoutingError, match="beyond the arc"):
+            routing._crossed_cells(broken, a, b, conn.length / geometry.RADIUS)
+
+    def test_cycling_walk_stops_at_the_cell_count(self, small_instance):
+        # Bisector rows corrupted into a three-cell cycle, each crossed at
+        # the start point, never reach the end cell.
+        dep, tess, _, conns, routes = small_instance
+        conn, route = next((c, r) for c, r in zip(conns, routes) if len(r.cells) > 4)
+        a, b = dep.nodes[conn.source], dep.nodes[conn.destination]
+        w = ((a @ b) * a - b).tolist()
+        i, j, k = route.cells[:3]
+        broken = dataclasses.replace(tess)
+        broken.__dict__["bisectors"] = {i: [(j, *w)], j: [(k, *w)], k: [(i, *w)]}
+        with pytest.raises(RoutingError, match="cell count"):
+            routing._crossed_cells(broken, a, b, conn.length / geometry.RADIUS)
 
 
 class TestArbitraryRoutes:

@@ -39,9 +39,10 @@ def main():
         "engine.injection_rate=0.0",
     ])
     res = experiment.run_single(spec, args.n, args.seed)
-    print(f"n={args.n} rho_n={res.rho_n:.5f} cells={res.num_cells} K={res.schedule_length}")
+    K = res.schedule.num_colors
+    print(f"n={args.n} rho_n={res.tess.rho_n:.5f} cells={res.tess.num_cells} K={K}")
 
-    bounds = verification.compute_bounds(alpha=spec.radio.alpha, c1=res.schedule_length - 1)
+    bounds = verification.compute_bounds(alpha=spec.radio.alpha, c1=K - 1)
     print(f"t0={bounds.t0:.6f} m0={bounds.m0:.0f} beta0={bounds.beta0:.4g} beta1={bounds.beta1:.4g}")
 
     report = res.report

@@ -40,9 +40,8 @@ def main():
                 ("fixed", scheduling.build_schedule(tess, 12.0)),
                 ("conservative", scheduling.build_conservative_schedule(tess, n, args.growth)),
             ):
-                samples = saturated_hop_samples(dep, tess, sched, routes, radio)
-                gammas = np.array([s.gamma for ss in samples.values() for s in ss])
-                p5, p50, p95 = np.percentile(gammas, [5, 50, 95])
+                gamma, _ = saturated_hop_samples(dep, tess, sched, routes, radio)
+                p5, p50, p95 = np.percentile(gamma, [5, 50, 95])
                 rows.append(
                     f"{n},{seed},{regime},{sched.num_colors},"
                     f"{float(p5)!r},{float(p50)!r},{float(p95)!r}"

@@ -60,10 +60,10 @@ def cmd_tessellate(args) -> int:
 def cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
     res = experiment.run_single(spec, args.n, args.seed)
-    summary = throughput_summary(res.metrics)
+    summary = throughput_summary(res.tess, res.schedule)
     print(
-        f"n={args.n} seed={args.seed} rho_n={res.rho_n:.6f} cells={res.num_cells} "
-        f"K={res.schedule_length}"
+        f"n={args.n} seed={args.seed} rho_n={res.tess.rho_n:.6f} cells={res.tess.num_cells} "
+        f"K={res.schedule.num_colors}"
     )
     print(
         f"lambda_n={res.metrics.lambda_realized:.6g} Lambda_n={res.metrics.throughput:.6g} "
@@ -94,8 +94,8 @@ def cmd_verify(args) -> int:
     for check_id in sorted({r.check_id for r in res.report.records}):
         rate = res.report.pass_rate(check_id)
         print(f"{check_id}: pass rate {rate:.3f}")
-    if res.metrics.hop_samples:
-        gammas = [s.gamma for ss in res.metrics.hop_samples.values() for s in ss]
+    if res.metrics.hop_gamma is not None:
+        gammas = res.metrics.hop_gamma.tolist()
         print(
             f"realized per-hop SINR: min={min(gammas):.4g} "
             f"median={sorted(gammas)[len(gammas) // 2]:.4g}"

@@ -19,15 +19,17 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import geometry
 from .errors import ConfigurationError
 from .links import LinkModel, RadioParams, path_gain, sinr
-from .routing import Route, all_cell_relays
+from .routing import Route
 from .scheduling import Schedule
 from .tessellation import Deployment, Tessellation
+from .tessellation import all_cell_relays  # noqa: F401  (pipebench's tracer wraps this name)
 
 TRAFFIC_MODES = ("bernoulli", "saturated")
 
@@ -68,19 +70,12 @@ class _Packet:
         self.measured = measured
 
 
-@dataclass(frozen=True)
-class HopSample:
-    """Stationary per-hop measurement from a saturated run."""
-
-    gamma: float
-    nearest_interferer: float  # surface distance; inf = no interferer
-
-
 @dataclass
 class RunMetrics:
-    n: int
-    rho_n: float
-    schedule_length: int
+    """Per-connection counts, in ascending connection id, and per-hop
+    arrays, flat over those connections' hops: connection ``k``'s hops are
+    ``hop_offsets[k]:hop_offsets[k + 1]``."""
+
     slots: int
     warmup_slots: int
     saturated: bool
@@ -92,10 +87,18 @@ class RunMetrics:
     lambda_realized: float  # injected packets per node per slot
     throughput: float  # delivered packets per node per slot
     utilization: np.ndarray  # transmissions / active slots, per cell
-    cell_occupancy: np.ndarray  # nodes per cell
-    mean_hop_success: dict[int, list[float]] = field(repr=False)  # per hop; NaN: no attempt
-    hop_samples: dict[int, list[HopSample]] = field(default_factory=dict, repr=False)
+    hop_offsets: np.ndarray = field(repr=False)  # (connections + 1,)
+    mean_hop_success: np.ndarray = field(repr=False)  # NaN: no counted attempt
+    # Saturated runs only (None otherwise): each hop's stationary SINR and
+    # nearest-interferer surface distance (inf: no interferer).
+    hop_gamma: np.ndarray | None = field(default=None, repr=False)
+    hop_nearest: np.ndarray | None = field(default=None, repr=False)
     trace: list[tuple] = field(default_factory=list, repr=False)
+
+    @cached_property
+    def position(self) -> dict[int, int]:
+        """Connection id -> index ``k``; a connection not in the run has none."""
+        return {cid: k for k, cid in enumerate(self.connection_ids.tolist())}
 
     def delivery_probability(self) -> np.ndarray:
         """Delivered fraction of resolved in-window packets (in flight censored)."""
@@ -120,15 +123,14 @@ def run(
 ) -> RunMetrics:
     """Execute one simulation and aggregate per-connection delivery."""
     routes = sorted(routes, key=lambda r: r.connection_id)
-    conn_ids = [r.connection_id for r in routes]
     saturated = cfg.traffic == "saturated"
     K = schedule.num_colors
     warmup = cfg.warmup_slots if cfg.warmup_slots is not None else 10 * K
     total_slots = warmup + cfg.measure_slots
     rng = np.random.default_rng(cfg.seed)
 
-    relay_of_cell = all_cell_relays(tess, dep)
-    dummy_rx = _dummy_receivers(tess, routes, relay_of_cell)
+    relay_of_cell = tess.relay_of_cell
+    dummy_rx = _dummy_receivers(tess, routes)
     # Every link a slot can use, built once: per connection one per hop, per
     # cell its dummy link under saturation.  Received powers come from the
     # atan2 hop lengths (short links need its accuracy).
@@ -197,13 +199,10 @@ def run(
         np.array(counts, dtype=np.int64) for counts in (injected, delivered, dropped)
     )
     metrics = RunMetrics(
-        n=dep.n,
-        rho_n=tess.rho_n,
-        schedule_length=K,
         slots=cfg.measure_slots,
         warmup_slots=warmup,
         saturated=saturated,
-        connection_ids=np.asarray(conn_ids, dtype=np.int64),
+        connection_ids=np.array([r.connection_id for r in routes], dtype=np.int64),
         injected=injected,
         delivered=delivered,
         dropped=dropped,
@@ -211,17 +210,18 @@ def run(
         lambda_realized=float(injected.sum()) / (dep.n * cfg.measure_slots),
         throughput=float(delivered.sum()) / (dep.n * cfg.measure_slots),
         utilization=utilization,
-        cell_occupancy=tess.occupancy(),
-        mean_hop_success={
-            cid: [total / count if count else math.nan for total, count in zip(sums, counts)]
-            for cid, sums, counts in zip(conn_ids, success_sums, attempt_counts)
-        },
+        hop_offsets=np.cumsum([0] + [r.hop_count for r in routes], dtype=np.int64),
+        mean_hop_success=np.array([
+            total / count if count else math.nan
+            for sums, counts in zip(success_sums, attempt_counts)
+            for total, count in zip(sums, counts)
+        ]),
         trace=trace_rows,
     )
     metrics.check_conservation()
     if saturated:
-        metrics.hop_samples = saturated_hop_samples(
-            dep, tess, schedule, routes, radio, relay_of_cell
+        metrics.hop_gamma, metrics.hop_nearest = saturated_hop_samples(
+            dep, tess, schedule, routes, radio
         )
     return metrics
 
@@ -301,7 +301,7 @@ def _resolve_slot(
                     dropped[k] += 1
 
 
-def _dummy_receivers(tess, routes, relay_of_cell) -> np.ndarray:
+def _dummy_receivers(tess, routes) -> np.ndarray:
     """Per cell, the receiver its idle-slot dummy transmission targets.
 
     Prefers the next relay of the lowest-id route through the cell, then the
@@ -309,6 +309,7 @@ def _dummy_receivers(tess, routes, relay_of_cell) -> np.ndarray:
     cell; -1 if the cell cannot transmit to anyone.  ``routes`` is in
     connection-id order.
     """
+    relay_of_cell = tess.relay_of_cell
     dummy_rx = np.full(tess.num_cells, -1, dtype=np.int64)
     for r in routes:
         for hop in range(r.hop_count):
@@ -335,9 +336,9 @@ def saturated_hop_samples(
     schedule: Schedule,
     routes: list[Route],
     radio: RadioParams,
-    relay_of_cell: np.ndarray | None = None,
-) -> dict[int, list[HopSample]]:
-    """Per-hop SINR and nearest-interferer distance under saturation.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-hop SINR and nearest-interferer distance under saturation, as two
+    arrays flat over the routes' hops in the order given.
 
     With every occupied cell transmitting in each of its slots the
     transmitter set of a slot depends only on its color, so one measurement
@@ -347,8 +348,7 @@ def saturated_hop_samples(
     ``sinr`` call per color measures all of that color's hops, the same
     kernel, on the same field, that the engine runs in its slots.
     """
-    if relay_of_cell is None:
-        relay_of_cell = all_cell_relays(tess, dep)
+    relay_of_cell = tess.relay_of_cell
     cells = np.array([c for r in routes for c in r.cells[:r.hop_count]], dtype=np.int64)
     rx = np.array([x for r in routes for x in r.relays[1:]], dtype=np.int64)
     lengths = np.array([d for r in routes for d in r.hop_lengths], dtype=float)
@@ -365,9 +365,7 @@ def saturated_hop_samples(
             signal[hops], dep.nodes[rx[hops]], dep.nodes[relay_of_cell[field]], radio,
             own=position[cells[hops]],
         )
-    pairs = iter(zip(gamma.tolist(), nearest.tolist()))
-    return {r.connection_id: [HopSample(*next(pairs)) for _ in range(r.hop_count)]
-            for r in routes}
+    return gamma, nearest
 
 
 @dataclass(frozen=True)
@@ -376,7 +374,7 @@ class ThroughputSummary:
     occupancy_rate_bound: float  # 4 / (pi * n * rho_n^2)
 
 
-def throughput_summary(metrics: RunMetrics) -> ThroughputSummary:
+def throughput_summary(tess: Tessellation, schedule: Schedule) -> ThroughputSummary:
     """The cell-sharing feasibility ceilings of a run.
 
     A cell with ``Q`` resident nodes transmitting once per ``K`` slots cannot
@@ -384,7 +382,8 @@ def throughput_summary(metrics: RunMetrics) -> ThroughputSummary:
     certified tessellation the per-node rate is capped by
     ``4 / (pi * n * rho_n**2)``.
     """
+    n = len(tess.cell_of_node)
     return ThroughputSummary(
-        injection_ceiling=1.0 / (int(metrics.cell_occupancy.max()) * metrics.schedule_length),
-        occupancy_rate_bound=4.0 / (math.pi * metrics.n * metrics.rho_n**2),
+        injection_ceiling=1.0 / (int(tess.occupancy().max()) * schedule.num_colors),
+        occupancy_rate_bound=4.0 / (math.pi * n * tess.rho_n**2),
     )

@@ -72,6 +72,8 @@ class ExperimentSpec:
     track_connections: int | None = None  # limit injected sources; None = all
 
     def __post_init__(self):
+        if not self.n_values or not self.seeds:
+            raise ConfigurationError("the sweep grid needs at least one n and one seed")
         if any(n < 2 for n in self.n_values):
             raise ConfigurationError("every n must be at least 2")
         if any(seed < 0 for seed in self.seeds):
@@ -122,13 +124,11 @@ def make_schedule(spec: ExperimentSpec, tess: Tessellation, n: int) -> Schedule:
 class PointResult:
     n: int
     seed: int
-    rho_n: float
-    num_cells: int
-    schedule_length: int
+    tess: Tessellation
+    schedule: Schedule
     metrics: RunMetrics
     routes: list[Route]
     report: VerificationReport
-    min_occupancy: int
     hard_invariants_ok: bool
     error: str | None = None
 
@@ -180,13 +180,11 @@ def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
     return PointResult(
         n=n,
         seed=seed,
-        rho_n=tess.rho_n,
-        num_cells=tess.num_cells,
-        schedule_length=schedule.num_colors,
+        tess=tess,
+        schedule=schedule,
         metrics=metrics,
         routes=routes,
         report=report,
-        min_occupancy=int(tess.occupancy().min()),
         hard_invariants_ok=hard_ok,
     )
 
@@ -199,9 +197,9 @@ def _run_point_task(args) -> PointResult:
         return run_point(spec, n, seed)
     except Exception as exc:
         return PointResult(
-            n=n, seed=seed, rho_n=float("nan"), num_cells=0, schedule_length=0,
-            metrics=None, routes=[], report=VerificationReport(), min_occupancy=0,
-            hard_invariants_ok=False, error=f"{type(exc).__name__}: {exc}",
+            n=n, seed=seed, tess=None, schedule=None, metrics=None, routes=[],
+            report=VerificationReport(), hard_invariants_ok=False,
+            error=f"{type(exc).__name__}: {exc}",
         )
 
 
@@ -327,13 +325,14 @@ class CsvWriter:
 def connection_rows(res: PointResult) -> list[list]:
     rows = []
     m = res.metrics
+    rho_n, K = repr(res.tess.rho_n), res.schedule.num_colors
     delivery = m.delivery_probability()
     by_conn = {r.connection_id: r for r in res.routes}
     for k, cid in enumerate(m.connection_ids):
         r = by_conn[int(cid)]
         dp = float(delivery[k])
         rows.append([
-            res.n, res.seed, repr(res.rho_n), res.schedule_length, int(cid),
+            res.n, res.seed, rho_n, K, int(cid),
             repr(r.length), repr(r.path_length), r.hop_count,
             repr(float(m.injected[k]) / m.slots), int(m.injected[k]), int(m.delivered[k]),
             int(m.dropped[k]), int(m.in_flight[k]), "" if math.isnan(dp) else repr(dp),
@@ -342,14 +341,14 @@ def connection_rows(res: PointResult) -> list[list]:
 
 
 def summary_row(res: PointResult) -> list:
-    m = res.metrics
-    ts = throughput_summary(m)
+    m, tess = res.metrics, res.tess
+    ts = throughput_summary(tess, res.schedule)
     mean_h = float(np.mean([r.hop_count for r in res.routes])) if res.routes else 0.0
     return [
-        res.n, res.seed, repr(res.rho_n), res.num_cells, res.schedule_length,
+        res.n, res.seed, repr(tess.rho_n), tess.num_cells, res.schedule.num_colors,
         repr(m.lambda_realized), repr(m.throughput), int(m.injected.sum()),
         int(m.delivered.sum()), int(m.dropped.sum()), int(m.in_flight.sum()),
-        res.min_occupancy, repr(mean_h), repr(ts.injection_ceiling),
+        int(tess.occupancy().min()), repr(mean_h), repr(ts.injection_ceiling),
         repr(ts.occupancy_rate_bound), int(res.hard_invariants_ok),
     ]
 

@@ -72,20 +72,6 @@ def pick_connections(dep: Deployment, seed: int) -> list[Connection]:
     ]
 
 
-def all_cell_relays(tess: Tessellation, dep: Deployment) -> np.ndarray:
-    """Relay node per cell, the node nearest its center; -1 marks an empty
-    cell.  Built once per tessellation and deployment; the table is read-only."""
-    if tess.relay_cache is not None and tess.relay_cache[0] is dep:
-        return tess.relay_cache[1]
-    relays = np.full(tess.num_cells, -1, dtype=np.int64)
-    for c, ids in enumerate(tess.nodes_in_cell):
-        if len(ids):
-            relays[c] = ids[np.argmax(dep.nodes[ids] @ tess.centers[c])]
-    relays.flags.writeable = False
-    tess.relay_cache = (dep, relays)
-    return relays
-
-
 def _crossed_cells(tess: Tessellation, a: np.ndarray, b: np.ndarray, theta: float) -> list[int]:
     """Cells whose region the minor arc from a to b crosses, in order.
 
@@ -130,7 +116,7 @@ def _crossed_cells(tess: Tessellation, a: np.ndarray, b: np.ndarray, theta: floa
 def _assemble(conn: Connection, cells: list[int], tess: Tessellation, dep: Deployment) -> Route:
     if len(set(cells)) != len(cells):
         raise RoutingError("route revisits a cell")
-    relay = all_cell_relays(tess, dep)
+    relay = tess.relay_of_cell
     chain = [conn.source]
     for c in cells[1:-1]:
         if relay[c] < 0:

@@ -78,10 +78,9 @@ class Tessellation:
     cell_of_node: np.ndarray  # (n,) cell index per node
     neighbors: list[np.ndarray]  # adjacency lists, symmetric, irreflexive
     nodes_in_cell: list[np.ndarray] = field(repr=False)
+    relay_of_cell: np.ndarray = field(repr=False)  # (m,) node nearest each center, -1 if empty
     gap_ratio: float  # closest center pair / (2*rho_n), >= 1 (inf for one cell)
     cover_ratio: float  # covering radius / (2*rho_n), <= 1
-    # (deployment, relay per cell) of the last routing.all_cell_relays call
-    relay_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_cells(self) -> int:
@@ -189,9 +188,23 @@ def build_tessellation(dep: Deployment, rho_n: float, seed: int) -> Tessellation
         cell_of_node=cell_of_node,
         neighbors=neighbors,
         nodes_in_cell=nodes_in_cell,
+        relay_of_cell=all_cell_relays(centers, nodes_in_cell, dep.nodes),
         gap_ratio=float(gap / (2.0 * rho_n)),
         cover_ratio=float(dists[0] / (2.0 * rho_n)),
     )
+
+
+def all_cell_relays(
+    centers: np.ndarray, nodes_in_cell: list[np.ndarray], nodes: np.ndarray
+) -> np.ndarray:
+    """Relay node per cell, the node nearest its center; -1 marks an empty
+    cell.  The table is read-only."""
+    relays = np.full(len(centers), -1, dtype=np.int64)
+    for c, ids in enumerate(nodes_in_cell):
+        if len(ids):
+            relays[c] = ids[np.argmax(nodes[ids] @ centers[c])]
+    relays.flags.writeable = False
+    return relays
 
 
 def _adjacency(centers: np.ndarray, rho_n: float) -> list[np.ndarray]:

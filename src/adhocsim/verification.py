@@ -173,7 +173,8 @@ def check_hop_count(route: Route, rho_n: float) -> CheckRecord:
 
 def short_hop_count(route: Route, rho_n: float, t: float) -> int:
     """Hops shorter than ``t * rho_n``."""
-    return int(np.sum(route.hop_lengths < t * rho_n))
+    limit = t * rho_n
+    return sum(1 for hop in route.hop_lengths.tolist() if hop < limit)
 
 
 def check_short_hops(route: Route, rho_n: float, t: float) -> CheckRecord:
@@ -202,8 +203,9 @@ def check_short_hops(route: Route, rho_n: float, t: float) -> CheckRecord:
 def max_short_run(route: Route, rho_n: float, t: float = SHORT_HOP_T) -> int:
     """Longest run of consecutive hops of length ``t * rho_n`` or less."""
     best = run = 0
-    for hop in route.hop_lengths:
-        if hop <= t * rho_n:
+    limit = t * rho_n
+    for hop in route.hop_lengths.tolist():
+        if hop <= limit:
             run += 1
             best = max(best, run)
         else:
@@ -231,9 +233,12 @@ def check_consecutive_short_hops(
     )
 
 
-def _interior_hops(route: Route) -> range:
-    """Hop indices excluding the source and destination hops."""
-    return range(1, route.hop_count - 1)
+def _interior_counts(metrics: RunMetrics, hit: np.ndarray) -> list[int]:
+    """Per connection of the run, its interior hops (all but the source and
+    destination hops) at which the per-hop flag ``hit`` is set."""
+    below = np.concatenate(([0], np.cumsum(hit)))  # below[i]: hits before hop i
+    start, end = metrics.hop_offsets[:-1] + 1, metrics.hop_offsets[1:] - 1
+    return (below[end] - below[np.minimum(start, end)]).tolist()
 
 
 def check_interferer_proximity(
@@ -257,15 +262,10 @@ def check_interferer_proximity(
     if m <= min_m:
         raise ConfigurationError(f"m must exceed {min_m} for this variant")
     radius = (m + 8.0) * rho_n
+    isolated_of = _interior_counts(metrics, metrics.hop_nearest > radius)
     records = []
     for route in routes:
-        samples = metrics.hop_samples.get(route.connection_id)
-        if samples is None:
-            continue
-        isolated = 0
-        for hop in _interior_hops(route):
-            if samples[hop].nearest_interferer > radius:
-                isolated += 1
+        isolated = isolated_of[metrics.position[route.connection_id]]
         length = route.path_length if use_path_length else route.length
         bound = (length / rho_n) * 2.0 * schedule_length / m
         records.append(
@@ -297,14 +297,10 @@ def check_sinr_bounded_fraction(
     if not metrics.saturated:
         raise SaturationError("bounded-SINR counting needs a saturated trace")
     ceiling = bounds.beta1 if arbitrary else bounds.beta0
+    count_of = _interior_counts(metrics, metrics.hop_gamma <= ceiling)
     records = []
     for route in routes:
-        samples = metrics.hop_samples.get(route.connection_id)
-        if samples is None:
-            continue
-        count = sum(
-            1 for hop in _interior_hops(route) if samples[hop].gamma <= ceiling
-        )
+        count = count_of[metrics.position[route.connection_id]]
         if arbitrary:
             required = route.path_length / (640.0 * rho_n)
         else:
@@ -386,17 +382,16 @@ def delivery_prediction(
     (constant-p, or a saturated fixed schedule where the per-hop SINR is
     stationary).
     """
+    offsets, mean_success = metrics.hop_offsets.tolist(), metrics.mean_hop_success.tolist()
+    delivered, dropped = metrics.delivered.tolist(), metrics.dropped.tolist()
     records = []
     for route in routes:
         cid = route.connection_id
-        idx = np.flatnonzero(metrics.connection_ids == cid)
-        if len(idx) == 0:
-            continue
-        k = int(idx[0])
-        resolved = int(metrics.delivered[k] + metrics.dropped[k])
+        k = metrics.position[cid]
+        resolved = delivered[k] + dropped[k]
         if resolved == 0:
             continue
-        means = metrics.mean_hop_success[cid]
+        means = mean_success[offsets[k]:offsets[k + 1]]
         if model.continuous and any(math.isnan(p) for p in means):
             continue  # a hop never attempted has no success probability
         # An SINR-independent model succeeds with the same probability on a
@@ -405,7 +400,7 @@ def delivery_prediction(
             hop_success_with_retries(model.success(0.0) if math.isnan(p) else p, attempts)
             for p in means
         )
-        measured = metrics.delivered[k] / resolved
+        measured = delivered[k] / resolved
         sigma = math.sqrt(max(predicted * (1.0 - predicted), 1e-12) / resolved)
         records.append(
             CheckRecord(

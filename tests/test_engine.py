@@ -50,6 +50,7 @@ def collision_network():
         cell_of_node=np.array([0, 1, 2]),
         neighbors=tessellation._adjacency(centers, rho),
         nodes_in_cell=[np.array([0]), np.array([1]), np.array([2])],
+        relay_of_cell=np.array([0, 1, 2]),
         gap_ratio=math.nan,
         cover_ratio=math.nan,
     )
@@ -136,14 +137,17 @@ def test_mean_hop_success_is_the_mean_over_attempts(network):
     cfg = EngineConfig(injection_rate=0.25, measure_slots=2000, warmup_slots=0, seed=37,
                        trace=True)
     m = run(dep, tess, sched, routes, model, RADIO, cfg)
-    for r in routes:
+    for k, r in enumerate(routes):
         total, count = 0.0, 0
         for _, _, tx, rx, sinr, outcome in m.trace:
             if outcome != "dummy" and (tx, rx) == (r.relays[0], r.relays[1]):
                 total += model.success(sinr)
                 count += 1
         assert count > 100
-        assert m.mean_hop_success[r.connection_id] == [total / count]
+        assert m.position[r.connection_id] == k
+        assert m.mean_hop_success[m.hop_offsets[k]:m.hop_offsets[k + 1]].tolist() == [
+            total / count
+        ]
 
 
 def test_shared_slot_sinr_is_the_kernel_value():
@@ -262,9 +266,10 @@ class TestSaturated:
         assert m.saturated
         assert np.all(m.utilization == 1.0)
         for r in routes[:50]:
-            samples = m.hop_samples[r.connection_id]
-            assert len(samples) == r.hop_count
-            assert all(s.gamma > 0 for s in samples)
+            k = m.position[r.connection_id]
+            gamma = m.hop_gamma[m.hop_offsets[k]:m.hop_offsets[k + 1]]
+            assert len(gamma) == r.hop_count
+            assert all(g > 0 for g in gamma)
 
     def test_cells_transmit_in_the_slots_of_their_color(self, small_instance):
         # Slot s runs color s mod K; a window that is not a whole number of
@@ -299,15 +304,18 @@ class TestSaturated:
                 real[slot].append((hop_of[tx, rx], sinr))
         lone = [rows[0] for rows in real.values() if len(rows) == 1]
         assert len(lone) > 100
-        samples = m.hop_samples[route.connection_id]
-        assert all(sinr == samples[hop].gamma for hop, sinr in lone)
+        gamma = m.hop_gamma.tolist()
+        assert len(gamma) == route.hop_count
+        assert all(sinr == gamma[hop] for hop, sinr in lone)
 
     def test_samples_match_direct_evaluation(self, small_instance):
         dep, tess, sched, _, routes = small_instance
-        relay = routing.all_cell_relays(tess, dep)
-        samples = engine.saturated_hop_samples(dep, tess, sched, routes[:20], RADIO)
+        relay = tess.relay_of_cell
+        gammas, nearests = engine.saturated_hop_samples(dep, tess, sched, routes[:20], RADIO)
+        samples = iter(zip(gammas.tolist(), nearests.tolist()))
         for r in routes[:20]:
-            for hop, s in enumerate(samples[r.connection_id]):
+            for hop in range(r.hop_count):
+                s_gamma, s_nearest = next(samples)
                 cell = r.cells[hop]
                 field = [
                     c for c in sched.cells_by_color[sched.color_of_cell[cell]]
@@ -319,17 +327,18 @@ class TestSaturated:
                 gamma = RADIO.tx_power * d_signal**-RADIO.alpha / (
                     RADIO.noise + RADIO.tx_power * np.sum(d**-RADIO.alpha)
                 )
-                assert s.gamma == pytest.approx(gamma, rel=1e-13)
+                assert s_gamma == pytest.approx(gamma, rel=1e-13)
                 if field:
-                    assert s.nearest_interferer == pytest.approx(d.min(), rel=1e-13)
+                    assert s_nearest == pytest.approx(d.min(), rel=1e-13)
                 else:
-                    assert s.nearest_interferer == math.inf
+                    assert s_nearest == math.inf
+        assert next(samples, None) is None
 
     def test_samples_periodic_in_schedule(self, small_instance):
         dep, tess, sched, _, routes = small_instance
         s1 = engine.saturated_hop_samples(dep, tess, sched, routes[:20], RADIO)
         s2 = engine.saturated_hop_samples(dep, tess, sched, routes[:20], RADIO)
-        assert s1 == s2
+        assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
 
     def test_real_packets_still_flow(self, small_instance):
         dep, tess, sched, _, routes = small_instance
@@ -338,6 +347,38 @@ class TestSaturated:
         )
         m = run(dep, tess, sched, routes[:20], links.ConstantPModel(0.9), RADIO, cfg)
         assert m.delivered.sum() > 0
+
+
+class TestPerHopArrays:
+    def test_offsets_span_every_hop(self, small_instance):
+        dep, tess, sched, _, routes = small_instance
+        cfg = EngineConfig(injection_rate=0.0, traffic="saturated",
+                           measure_slots=sched.num_colors, seed=19)
+        m = run(dep, tess, sched, routes[:60], links.ConstantPModel(0.9), RADIO, cfg)
+        hops = sum(r.hop_count for r in routes[:60])
+        assert len(m.hop_offsets) == len(m.connection_ids) + 1
+        assert m.hop_offsets[0] == 0 and m.hop_offsets[-1] == hops
+        for per_hop in (m.mean_hop_success, m.hop_gamma, m.hop_nearest):
+            assert len(per_hop) == hops
+        for r in routes[:60]:
+            k = m.position[r.connection_id]
+            assert m.connection_ids[k] == r.connection_id
+            assert m.hop_offsets[k + 1] - m.hop_offsets[k] == r.hop_count
+
+    def test_connection_not_in_the_run_raises(self, small_instance):
+        # every other connection: each absent id sits between two present ones
+        dep, tess, sched, _, routes = small_instance
+        cfg = EngineConfig(injection_rate=0.01, measure_slots=50, seed=19)
+        m = run(dep, tess, sched, routes[:60:2], links.ConstantPModel(0.9), RADIO, cfg)
+        for cid in [r.connection_id for r in routes[1:60:2]] + [-1, 10**6]:
+            with pytest.raises(KeyError):
+                m.position[cid]
+
+    def test_bernoulli_run_has_no_saturated_samples(self, small_instance):
+        cfg = EngineConfig(injection_rate=0.01, measure_slots=50, seed=19)
+        m = run_subset(small_instance, links.ConstantPModel(0.9), cfg, count=20)
+        assert m.hop_gamma is None and m.hop_nearest is None
+        assert len(m.mean_hop_success) == m.hop_offsets[-1]
 
 
 class TestReceptionRules:
@@ -384,10 +425,8 @@ class TestSummary:
         ) * float(m.in_flight[0])
 
     def test_ceilings(self, small_instance):
-        dep, tess, sched, _, routes = small_instance
-        cfg = EngineConfig(injection_rate=0.01, measure_slots=2000, seed=59)
-        m = run(dep, tess, sched, routes[:50], links.ConstantPModel(0.9), RADIO, cfg)
-        summary = throughput_summary(m)
+        dep, tess, sched, _, _ = small_instance
+        summary = throughput_summary(tess, sched)
         occ = tess.occupancy()
         assert summary.injection_ceiling == pytest.approx(
             1.0 / (occ.max() * sched.num_colors)

@@ -94,10 +94,12 @@ class TestSpecLoading:
                 value, default = getattr(value, attr), getattr(default, attr)
             assert value != default, k.field
         path = tmp_path / "resolved.ini"
-        for seeds in [(0,), (5,), (3, 9, 27), ()]:
+        for seeds in [(0,), (5,), (3, 9, 27)]:
             spec = dataclasses.replace(spec, seeds=seeds)
             experiment.write_resolved_config(spec, path)
             assert experiment.load_spec(path) == spec
+        with pytest.raises(ConfigurationError):  # an empty grid is not a spec
+            dataclasses.replace(spec, seeds=())
 
     @pytest.mark.parametrize("override", [
         "engine.sede=5", "engine.seed=5", "enigne.trace=True", "DEFAULT.n=5", "link_model.q=0.5",
@@ -114,6 +116,8 @@ class TestSpecLoading:
         "engine.warmup_slots=-400", "sweep.track_connections=-5", "sweep.track_connections=0",
         "sweep.workers=0", "sweep.workers=-3", "sweep.n=1", "sweep.n=250,1", "sweep.seeds=-1,",
         "sweep.area_constant=-1", "sweep.area_constant=0", "sweep.area_constant=nan",
+        # an empty grid
+        "sweep.seeds=0", "sweep.n=",
     ])
     def test_unknown_key_or_malformed_value_rejected(self, override):
         with pytest.raises(ConfigurationError):
@@ -356,7 +360,8 @@ class TestCli:
                          "engine.debug_checks=True", "engine.traffic=periodic",
                          "engine.warmup_slots=-400", "sweep.track_connections=-5",
                          "sweep.track_connections=0", "sweep.workers=0", "sweep.workers=-3",
-                         "sweep.n=1", "sweep.seeds=-1,", "sweep.area_constant=-1"]:
+                         "sweep.n=1", "sweep.seeds=-1,", "sweep.area_constant=-1",
+                         "sweep.seeds=0", "sweep.n="]:
             out = tmp_path / override.partition("=")[0]
             argv = ["sweep", "--out", str(out)] + [f"--set={s}" for s in TINY + [override]]
             assert cli.main(argv) == 2, override

@@ -1,7 +1,10 @@
 """Package-wide structural checks."""
 
 import ast
+import sys
 from pathlib import Path
+
+from adhocsim import engine, experiment, geometry
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "adhocsim").glob("*.py")) + sorted(
@@ -67,3 +70,25 @@ def test_every_public_name_has_a_caller():
     for name, test in CALLED_ONLY_BY_ACCEPTANCE.items():
         assert name in {ref for ref, _ in _references(tests[test])}, (name, test)
 
+
+
+def test_traced_benchmark_point_runs(tmp_path, monkeypatch):
+    """The benchmark's per-layer run wraps program names listed in
+    ``pipebench/README.md`` and reads the stats they report; a renamed or
+    bypassed name stops it.  One traced point must run and check out."""
+    monkeypatch.syspath_prepend(str(ROOT / "pipebench"))
+    import point
+
+    saved = {module: dict(vars(module)) for module in (engine, experiment, geometry)}
+    try:
+        result = point.run_point("saturated_n4000", 0, tmp_path, trace=True)
+    finally:
+        # a point that raised may leave some attributes wrapped
+        for module, names in saved.items():
+            for name, value in names.items():
+                if getattr(module, name) is not value:
+                    setattr(module, name, value)
+        for name in ("point", "tracer"):
+            sys.modules.pop(name, None)
+    assert result["ok"], result["error"]
+    assert result["layers"]["routing.routes"] == 4000

@@ -217,3 +217,24 @@ class TestOccupancy:
             if tess.occupancy().min() >= floor:
                 hits += 1
         assert hits >= 0.95 * seeds
+
+
+class TestRelayTable:
+    @pytest.mark.parametrize("n,n_scale,seed", [(30, 3000, 11), (250, 250, 1), (600, 600, 42)])
+    def test_relay_is_the_node_nearest_the_center(self, n, n_scale, seed):
+        # the 30-node instance spreads its nodes over far more cells than it fills
+        dep = tessellation.deploy(n, seed)
+        rho = tessellation.rho_for_n(n_scale, 1.2)
+        tess = tessellation.build_tessellation(dep, rho, seed + 1)
+        relay = tess.relay_of_cell
+        assert relay.shape == (tess.num_cells,)
+        for c, ids in enumerate(tess.nodes_in_cell):
+            if len(ids) == 0:
+                assert relay[c] == -1
+            else:
+                d = [geometry.surface_distance(dep.nodes[i], tess.centers[c]) for i in ids]
+                assert relay[c] == ids[int(np.argmin(d))]
+        assert np.any(relay < 0) == (tess.occupancy().min() == 0)
+        assert not relay.flags.writeable
+        with pytest.raises(ValueError):
+            relay[0] = 0

@@ -299,6 +299,25 @@ class TestDeliveryPrediction:
             assert r.rhs == pytest.approx(0.8**route.hop_count, rel=1e-12)
         assert sum(r.passed for r in recs) / len(recs) >= 0.9
 
+    def test_route_not_in_the_run_raises(self, small_instance):
+        # each checker looks every route up: none is skipped or read another's hops
+        dep, tess, sched, _, routes = small_instance
+        cfg = EngineConfig(injection_rate=0.01, traffic="saturated",
+                           measure_slots=sched.num_colors, seed=83)
+        model = links.ConstantPModel(0.8)
+        m = run(dep, tess, sched, routes[:10:2], model, RADIO, cfg)
+        bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=sched.num_colors - 1)
+        checks = [
+            lambda rs: verification.delivery_prediction(m, rs, model, 1),
+            lambda rs: verification.check_interferer_proximity(
+                m, rs, 64.0, sched.num_colors, tess.rho_n),
+            lambda rs: verification.check_sinr_bounded_fraction(m, rs, bounds, tess.rho_n),
+        ]
+        for check in checks:
+            check(routes[:10:2])
+            with pytest.raises(KeyError):
+                check(routes[:10])
+
 
 class TestReport:
     def test_csv_and_text(self, tmp_path, small_instance):

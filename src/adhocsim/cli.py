@@ -33,6 +33,7 @@ def _spec_from_args(args) -> experiment.ExperimentSpec:
 def cmd_deploy(args) -> int:
     dep = deploy(args.n, args.seed)
     out = Path(args.out or "deployment.txt")
+    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
         fh.write("# adhocsim deployment v1\n")
         fh.write(f"n {dep.n}\nseed {dep.seed}\n")
@@ -46,6 +47,7 @@ def cmd_tessellate(args) -> int:
     spec = _spec_from_args(args)
     _, tess = experiment.prepare_instance(args.n, args.seed, spec.area_constant)
     out = Path(args.out or "tessellation.txt")
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_tessellation(tess, out)
     sched = experiment.make_schedule(spec, tess, args.n)
     save_schedule(sched, out.with_suffix(".schedule.txt"))
@@ -131,7 +133,7 @@ def cmd_appendix(args) -> int:
     for rec in report.records:
         status = "PASS" if rec.passed else "FAIL"
         print(f"{status} {rec.check_id}: lhs={rec.lhs!r} rhs={rec.rhs!r} {rec.detail}")
-    return EXIT_OK if report.passed else EXIT_INVARIANT
+    return EXIT_OK if all(rec.passed for rec in report.records) else EXIT_INVARIANT
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,10 +8,10 @@ is exhausted drops its packet.  Runs are fully deterministic given the
 configuration seed.
 
 Saturated traffic keeps every occupied cell transmitting in each of its
-slots (dummy relays fill idle queues), which makes the per-slot
-transmitter set repeat with the schedule; the per-hop SINR and
-nearest-interferer measurements used by the claim checkers are taken
-against those per-slot transmitter sets.
+slots: an idle cell's relay sends a dummy, which interferes and is
+received by no one.  The per-slot transmitter set then repeats with the
+schedule; the per-hop SINR and nearest-interferer measurements used by
+the claim checkers are taken against those per-slot transmitter sets.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import geometry
 from .errors import ConfigurationError
 from .links import LinkModel, RadioParams, path_gain, sinr
 from .routing import Route
@@ -129,11 +128,10 @@ def run(
     total_slots = warmup + cfg.measure_slots
     rng = np.random.default_rng(cfg.seed)
 
-    relay_of_cell = tess.relay_of_cell
-    dummy_rx = _dummy_receivers(tess, routes)
     # Every link a slot can use, built once: per connection one per hop, per
-    # cell its dummy link under saturation.  Received powers come from the
-    # atan2 hop lengths (short links need its accuracy).
+    # occupied cell its dummy link under saturation, which has no receiver.
+    # Received powers come from the atan2 hop lengths (short links need its
+    # accuracy).
     hop_links = [
         _links(r.cells[:r.hop_count], r.relays[:-1], r.relays[1:],
                radio.tx_power * path_gain(r.hop_lengths, radio.alpha), radio,
@@ -142,14 +140,9 @@ def run(
     ]
     dummy_links = [None] * tess.num_cells
     if saturated:
-        cells = np.flatnonzero((relay_of_cell >= 0) & (dummy_rx >= 0))
-        tx, rx = relay_of_cell[cells], dummy_rx[cells]
-        power = radio.tx_power * path_gain(
-            geometry.surface_distance(dep.nodes[tx], dep.nodes[rx]), radio.alpha
-        )
-        for link in _links(cells.tolist(), tx.tolist(), rx.tolist(), power, radio,
-                           [-1] * len(cells)):
-            dummy_links[link[0]] = link
+        for c, relay in enumerate(tess.relay_of_cell.tolist()):
+            if relay >= 0:
+                dummy_links[c] = (c, relay, -1, 0.0, math.nan, -1)
 
     # One FIFO per cell, shared by every connection relaying through it.
     queues = [deque() for _ in range(tess.num_cells)]
@@ -249,10 +242,19 @@ def _resolve_slot(
         links = tuple(link for _, link in txs)
         gamma = gamma_of.get(links)
         if gamma is None:
-            gamma = gamma_of[links] = sinr(
-                [link[3] for link in links], nodes[[link[2] for link in links]],
-                nodes[[link[1] for link in links]], radio, own=np.arange(len(links)),
-            )[0].tolist()
+            # Only real packets are received.  Every transmitter interferes,
+            # in the slot's color order, the order in which
+            # ``saturated_hop_samples`` sums its field: the same field then
+            # gives the same SINR, bit for bit.
+            real = [j for j, link in enumerate(links) if link[2] >= 0]
+            gamma = gamma_of[links] = [math.nan] * len(links)
+            if real:
+                values = sinr(
+                    [links[j][3] for j in real], nodes[[links[j][2] for j in real]],
+                    nodes[[link[1] for link in links]], radio, own=real,
+                )[0].tolist()
+                for j, g in zip(real, values):
+                    gamma[j] = g
         # A node decodes at most one packet per slot: only the strongest
         # inbound signal is attempted, the rest fail (but still interfere
         # network-wide).
@@ -299,35 +301,6 @@ def _resolve_slot(
                 queues[cell].popleft()
                 if counted:
                     dropped[k] += 1
-
-
-def _dummy_receivers(tess, routes) -> np.ndarray:
-    """Per cell, the receiver its idle-slot dummy transmission targets.
-
-    Prefers the next relay of the lowest-id route through the cell, then the
-    relay of the lowest-id occupied neighbor cell, then any other node in the
-    cell; -1 if the cell cannot transmit to anyone.  ``routes`` is in
-    connection-id order.
-    """
-    relay_of_cell = tess.relay_of_cell
-    dummy_rx = np.full(tess.num_cells, -1, dtype=np.int64)
-    for r in routes:
-        for hop in range(r.hop_count):
-            c = r.cells[hop]
-            if dummy_rx[c] < 0 and r.relays[hop + 1] != relay_of_cell[c]:
-                dummy_rx[c] = r.relays[hop + 1]
-    for c in range(tess.num_cells):
-        if dummy_rx[c] >= 0 or relay_of_cell[c] < 0:
-            continue
-        for d in tess.neighbors[c]:
-            if relay_of_cell[int(d)] >= 0:
-                dummy_rx[c] = relay_of_cell[int(d)]
-                break
-        else:
-            others = [i for i in tess.nodes_in_cell[c] if i != relay_of_cell[c]]
-            if others:
-                dummy_rx[c] = int(others[0])
-    return dummy_rx
 
 
 def saturated_hop_samples(

@@ -40,6 +40,7 @@ from .tessellation import (
     rho_for_n,
 )
 from .verification import (
+    CheckRecord,
     VerificationReport,
     check_consecutive_short_hops,
     check_hop_count,
@@ -274,7 +275,7 @@ CSV_LAYOUTS = {  # file name -> (schema stamp, header)
     "verification_detail.csv": (
         "verification_detail_v1", "check_id,connection_id,lhs,rhs,passed,detail"
     ),
-    "trace.csv": ("trace_v1", "slot,cell,tx_node,rx_node,sinr,outcome"),
+    "trace.csv": ("trace_v2", "slot,cell,tx_node,rx_node,sinr,outcome"),
 }
 SWEEP_CSVS = ("connections.csv", "summary.csv", "verification.csv")
 # Every file a run writes into its out dir except ``config.resolved.ini``,
@@ -371,16 +372,10 @@ def trace_rows(metrics: RunMetrics) -> list[list]:
             for slot, cell, tx, rx, sinr, outcome in metrics.trace]
 
 
-@dataclass(frozen=True)
-class AppendixReport:
-    records: list
-    passed: bool
-
-
-def verify_appendix(seed: int = 0, pairs: int = 1_000_000, grid: int = 1000) -> AppendixReport:
+def verify_appendix(
+    seed: int = 0, pairs: int = 1_000_000, grid: int = 1000
+) -> VerificationReport:
     """Closed-form checks: pair-distance expectation, distance law, cap sandwich."""
-    from .verification import CheckRecord
-
     rng = np.random.default_rng(seed)
     a = geometry.random_point(rng, pairs)
     b = geometry.random_point(rng, pairs)
@@ -426,7 +421,7 @@ def verify_appendix(seed: int = 0, pairs: int = 1_000_000, grid: int = 1000) -> 
             detail=f"grid={grid}",
         )
     )
-    return AppendixReport(records=records, passed=all(r.passed for r in records))
+    return VerificationReport(records)
 
 
 def kolmogorov_statistic(distances: np.ndarray) -> float:

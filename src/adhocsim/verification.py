@@ -126,13 +126,6 @@ class VerificationReport:
             return float("nan")
         return sum(r.passed for r in recs) / len(recs)
 
-    def failures(self, check_id: str | None = None) -> list[CheckRecord]:
-        return [
-            r
-            for r in self.records
-            if not r.passed and (check_id is None or r.check_id == check_id)
-        ]
-
     def write_text(self, path) -> None:
         ids = sorted({r.check_id for r in self.records})
         with open(path, "w") as fh:

@@ -32,44 +32,53 @@ def single_hop_network(seed=2):
     return dep, tess, sched, route
 
 
-def collision_network():
-    """Three single-node cells in a crafted one-color schedule; A and B both
-    send to the node in C in the same slot, with A's node closer."""
-    pole = np.array([0.0, 0.0, 1.0])
-    def at(theta, phi=0.0):
-        return np.array(
-            [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-        )
-    rho = 0.05
-    u = rho / geometry.RADIUS
-    nodes = np.vstack([at(2.2 * u), at(5.5 * u), pole])  # tx A, tx B, rx
-    centers = nodes.copy()
+def at(theta, phi=0.0):
+    """The point at polar angle ``theta`` and azimuth ``phi``."""
+    return np.array(
+        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+    )
+
+
+def single_node_cells(nodes, rho, colors):
+    """One cell per node, centered on it, colored by ``colors``."""
+    cells = np.arange(len(nodes))
+    colors = np.asarray(colors, dtype=np.int64)
     tess = tessellation.Tessellation(
-        centers=centers,
+        centers=nodes.copy(),
         rho_n=rho,
-        cell_of_node=np.array([0, 1, 2]),
-        neighbors=tessellation._adjacency(centers, rho),
-        nodes_in_cell=[np.array([0]), np.array([1]), np.array([2])],
-        relay_of_cell=np.array([0, 1, 2]),
+        cell_of_node=cells,
+        neighbors=tessellation._adjacency(nodes, rho),
+        nodes_in_cell=[np.array([c]) for c in cells],
+        relay_of_cell=cells,
         gap_ratio=math.nan,
         cover_ratio=math.nan,
     )
+    K = int(colors.max()) + 1
     sched = scheduling.Schedule(
-        color_of_cell=np.zeros(3, dtype=np.int64),
-        num_colors=1,
+        color_of_cell=colors,
+        num_colors=K,
         conflict_multiplier=12.0,
         regime="fixed",
-        cells_by_color=[np.array([0, 1, 2])],
+        cells_by_color=[np.flatnonzero(colors == k) for k in range(K)],
     )
-    mk = lambda cid, src: routing.Route(
-        connection_id=cid,
-        cells=[src, 2],
-        relays=[src, 2],
-        hop_lengths=np.array([float(geometry.surface_distance(nodes[src], pole))]),
-        length=float(geometry.surface_distance(nodes[src], pole)),
-    )
-    dep = tessellation.Deployment(n=3, seed=0, nodes=nodes)
-    return dep, tess, sched, [mk(0, 0), mk(1, 1)]
+    dep = tessellation.Deployment(n=len(nodes), seed=0, nodes=nodes)
+    return dep, tess, sched
+
+
+def one_hop_route(cid, nodes, src, dst):
+    length = float(geometry.surface_distance(nodes[src], nodes[dst]))
+    return routing.Route(connection_id=cid, cells=[src, dst], relays=[src, dst],
+                         hop_lengths=np.array([length]), length=length)
+
+
+def collision_network():
+    """Three single-node cells in a crafted one-color schedule; A and B both
+    send to the node in C in the same slot, with A's node closer."""
+    rho = 0.05
+    u = rho / geometry.RADIUS
+    nodes = np.vstack([at(2.2 * u), at(5.5 * u), at(0.0)])  # tx A, tx B, rx
+    dep, tess, sched = single_node_cells(nodes, rho, [0, 0, 0])
+    return dep, tess, sched, [one_hop_route(0, nodes, 0, 2), one_hop_route(1, nodes, 1, 2)]
 
 
 def outcome_digest(m):
@@ -99,7 +108,7 @@ def pinned_case(name, small_instance):
 # only a change meant to alter simulated outcomes may update them.
 PINNED = {
     "bernoulli": "7443ae9750d81774358b3324b26f08ffa9321c35ba49206bf09387afb3381349",
-    "saturated": "cf0dff00dfcf0a44e4b20749d9a4728a6959c58ff5cc09a17f62003eb5311b7d",
+    "saturated": "b99457d92637da709142f48903fb63956a5bbd4cf23017abb81125342892c806",
     "collision": "dd67f8411bc590cf7c664283593c916084a31d00347ede780b3163f26aedf326",
 }
 
@@ -286,6 +295,28 @@ class TestSaturated:
         for c, color in enumerate(sched.color_of_cell.tolist()):
             assert slots_of[c] == [s for s in window if s % K == color]
         assert np.all(m.utilization == 1.0)
+        # a dummy interferes and is received by no one
+        assert all(outcome == "dummy" and rx == -1 and math.isnan(sinr)
+                   for _, _, _, rx, sinr, outcome in m.trace)
+
+    def test_isolated_cell_interferes(self):
+        # A sends to C, which has the other color; D holds a single node, has
+        # no neighbor, carries no route and shares A's color.  Saturation
+        # keeps D transmitting, so A's hop faces the field the saturated
+        # measurement uses.
+        rho = 0.05
+        u = rho / geometry.RADIUS
+        nodes = np.vstack([at(0.0), at(1.5 * u), at(6.0 * u, math.pi)])  # A, C, D
+        dep, tess, sched = single_node_cells(nodes, rho, [0, 1, 0])
+        assert tess.neighbors[2].size == 0
+        cfg = EngineConfig(injection_rate=0.3, traffic="saturated", warmup_slots=0,
+                           measure_slots=400, seed=5, trace=True)
+        m = run(dep, tess, sched, [one_hop_route(0, nodes, 0, 1)], links.LogisticModel(),
+                RADIO, cfg)
+        assert [slot for slot, cell, *_ in m.trace if cell == 2] == list(range(0, 400, 2))
+        real = [sinr for *_, sinr, outcome in m.trace if outcome != "dummy"]
+        assert len(real) > 50
+        assert all(sinr == m.hop_gamma[0] for sinr in real)
 
     def test_engine_sinr_equals_saturated_measurement(self, small_instance):
         # A lone real transmission faces exactly the relay field the

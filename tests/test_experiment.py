@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adhocsim import cli, experiment, geometry, tessellation
+from adhocsim import cli, experiment, geometry, tessellation, verification
 from adhocsim.engine import EngineConfig
 from adhocsim.errors import ConfigurationError
 from adhocsim.links import RadioParams
@@ -326,7 +326,8 @@ class TestDecayRegression:
 class TestAppendix:
     def test_full_report_passes(self):
         report = experiment.verify_appendix(seed=5)
-        assert report.passed
+        assert isinstance(report, verification.VerificationReport)
+        assert all(rec.passed for rec in report.records)
         by_id = {}
         for rec in report.records:
             by_id.setdefault(rec.check_id, []).append(rec)
@@ -368,7 +369,8 @@ class TestCli:
             assert not out.exists(), override
 
     def test_tessellate_and_deploy(self, tmp_path, capsys):
-        out = tmp_path / "t.txt"
+        # both create a missing parent directory
+        out = tmp_path / "new" / "nested" / "t.txt"
         code = cli.main(["tessellate", "--n", "250", "--seed", "1", "--out", str(out)])
         assert code == 0 and out.exists()
         printed = dict(f.split("=") for f in capsys.readouterr().out.split() if "=" in f)
@@ -395,7 +397,8 @@ class TestCli:
         cover = tessellation._farthest_uncovered(tess.centers)[1][0] / two_rho
         assert printed["gap_ratio"] == f"{gap:.6f}" and gap >= 1
         assert printed["cover_ratio"] == f"{cover:.6f}" and cover <= 1
-        out2 = tmp_path / "d.txt"
+        assert out.with_suffix(".schedule.txt").exists()
+        out2 = tmp_path / "other" / "d.txt"
         code = cli.main(["deploy", "--n", "50", "--seed", "1", "--out", str(out2)])
         assert code == 0 and out2.exists()
 

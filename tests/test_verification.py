@@ -333,4 +333,4 @@ class TestReport:
         report.write_text(tmp_path / "verif.txt")
         assert "hop_count" in (tmp_path / "verif.txt").read_text()
         assert report.pass_rate("hop_count") == 1.0
-        assert report.failures() == []
+        assert all(r.passed for r in report.records)

@@ -79,11 +79,8 @@ def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
     if args.workers is not None:
         spec = replace(spec, workers=args.workers)
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    experiment.write_resolved_config(spec, out / "config.resolved.ini")
     ok = experiment.run_sweep(spec)
-    print(f"sweep outputs in {out} ({'ok' if ok else 'INVARIANT FAILURE'})")
+    print(f"sweep outputs in {Path(spec.out_dir)} ({'ok' if ok else 'INVARIANT FAILURE'})")
     return EXIT_OK if ok else EXIT_INVARIANT
 
 

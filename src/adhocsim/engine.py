@@ -4,14 +4,19 @@ Each slot, every scheduled cell with a nonempty queue transmits its head
 packet; the set of concurrent transmitters defines the interference seen
 by every receiver, receptions succeed independently with the link
 model's probability at the measured SINR, and a hop whose attempt budget
-is exhausted drops its packet.  Runs are fully deterministic given the
+is exhausted drops its packet.  A slot's SINRs, success probabilities and
+decoded receptions depend only on its set of links, so they are worked
+out once per distinct set.  Runs are fully deterministic given the
 configuration seed.
 
 Saturated traffic keeps every occupied cell transmitting in each of its
 slots: an idle cell's relay sends a dummy, which interferes and is
-received by no one.  The per-slot transmitter set then repeats with the
-schedule; the per-hop SINR and nearest-interferer measurements used by
-the claim checkers are taken against those per-slot transmitter sets.
+received by no one.  The set of transmitting cells then repeats with the
+schedule.  The per-hop SINR and nearest-interferer measurements used by
+the claim checkers take each of those cells' relay as its transmitter,
+but a first-hop packet is sent by its source node: an attempt gets its
+hop's measured SINR, bit for bit, if and only if every other transmitter
+of its slot is its cell's relay.
 """
 
 from __future__ import annotations
@@ -60,11 +65,11 @@ class EngineConfig:
 
 
 class _Packet:
-    __slots__ = ("conn", "hop", "attempts", "measured")  # conn: index in id order
+    __slots__ = ("conn", "link", "attempts", "measured")  # conn: index in id order
 
-    def __init__(self, conn, measured):
+    def __init__(self, conn, link, measured):
         self.conn = conn
-        self.hop = 0
+        self.link = link  # index of the link it is sent over next
         self.attempts = 0
         self.measured = measured
 
@@ -128,55 +133,90 @@ def run(
     total_slots = warmup + cfg.measure_slots
     rng = np.random.default_rng(cfg.seed)
 
-    # Every link a slot can use, built once: per connection one per hop, per
-    # occupied cell its dummy link under saturation, which has no receiver.
-    # Received powers come from the atan2 hop lengths (short links need its
-    # accuracy).
-    hop_links = [
-        _links(r.cells[:r.hop_count], r.relays[:-1], r.relays[1:],
-               radio.tx_power * path_gain(r.hop_lengths, radio.alpha), radio,
-               [*r.cells[1:r.hop_count], -1])
-        for r in routes
-    ]
-    dummy_links = [None] * tess.num_cells
+    # The link table: every route hop, flat in connection order, so
+    # connection k's hops are hop_offsets[k]:hop_offsets[k + 1]; under
+    # saturation each occupied cell's dummy link follows, with no receiver.
+    # A packet carries its link's index and moves to the next on success.
+    hop_cells, hop_tx, hop_rx, power, next_cells = _hop_table(routes, radio)
+    links = list(zip(hop_cells, hop_tx, hop_rx, power.tolist(), next_cells))
+    # Hops that routes share are one link by value; a slot names each link
+    # by its first index, so they share plans.
+    link_id = list(map({}.setdefault, links, range(len(links))))
+    # Per hop, the success probability summed over counted attempts, and
+    # their count.
+    success_sums, attempt_counts = [0.0] * len(links), [0] * len(links)
+    hop_offsets = np.cumsum([0] + [r.hop_count for r in routes], dtype=np.int64)
+    first_link = hop_offsets[:-1].tolist()
+    dummy_of_cell = [-1] * tess.num_cells
     if saturated:
         for c, relay in enumerate(tess.relay_of_cell.tolist()):
             if relay >= 0:
-                dummy_links[c] = (c, relay, -1, 0.0, math.nan, -1)
+                dummy_of_cell[c] = len(links)
+                links.append((c, relay, -1, 0.0, -1))
 
     # One FIFO per cell, shared by every connection relaying through it.
     queues = [deque() for _ in range(tess.num_cells)]
-    source_cell = [r.cells[0] for r in routes]
     injected, delivered, dropped = [0] * len(routes), [0] * len(routes), [0] * len(routes)
-    # Per hop, the success probability summed over counted attempts, and
-    # their count.
-    success_sums = [[0.0] * r.hop_count for r in routes]
-    attempt_counts = [[0] * r.hop_count for r in routes]
     transmit_slots = [0] * tess.num_cells
     trace_rows: list[tuple] = []
-    gamma_of: dict[tuple, list[float]] = {}  # SINRs of each multi-transmitter link set
-    cells_by_color = [cells.tolist() for cells in schedule.cells_by_color]
+    plans: dict[tuple, list[tuple]] = {}  # link set -> its outcome rules
+    cells_by_color = [row.tolist() for row in schedule.cells_by_color]
     for slot in range(total_slots):
         measuring = slot >= warmup
-        txs = []  # (packet or None for a dummy, link)
+        trace = cfg.trace and measuring
+        packets, ids = [], []  # per transmitter its packet (None: a dummy) and link
         for c in cells_by_color[slot % K]:
             if queues[c]:
                 pkt = queues[c][0]
-                txs.append((pkt, hop_links[pkt.conn][pkt.hop]))
-            elif dummy_links[c] is not None:
-                txs.append((None, dummy_links[c]))
-        if txs:
+                packets.append(pkt)
+                ids.append(link_id[pkt.link])
+            elif dummy_of_cell[c] >= 0:
+                packets.append(None)
+                ids.append(dummy_of_cell[c])
+        # An idle slot's empty set has an empty plan.
+        plan = plans.get(key := tuple(ids))
+        if plan is None:
+            plan = plans[key] = _plan([links[i] for i in ids], dep.nodes, model, radio)
+        for pkt, i, (g, p, decoded) in zip(packets, ids, plan):
+            cell, tx, rx, _, next_cell = links[i]
             if measuring:
-                for _, link in txs:
-                    transmit_slots[link[0]] += 1
-            _resolve_slot(
-                txs, dep.nodes, model, radio, cfg, rng, slot, measuring, queues,
-                delivered, dropped, success_sums, attempt_counts, trace_rows, gamma_of,
-            )
+                transmit_slots[cell] += 1
+            if pkt is None:
+                if trace:
+                    trace_rows.append((slot, cell, tx, rx, g, "dummy"))
+                continue
+            k = pkt.conn
+            counted = pkt.measured and measuring
+            if counted:
+                success_sums[pkt.link] += p
+                attempt_counts[pkt.link] += 1
+            if decoded:
+                success = rng.random() < p
+                outcome = "ok" if success else "fail"
+            else:
+                success = False
+                outcome = "collision"
+            if trace:
+                trace_rows.append((slot, cell, tx, rx, g, outcome))
+            if success:
+                queues[cell].popleft()
+                pkt.link += 1
+                pkt.attempts = 0
+                if next_cell < 0:
+                    if counted:
+                        delivered[k] += 1
+                else:
+                    queues[next_cell].append(pkt)
+            else:
+                pkt.attempts += 1
+                if pkt.attempts >= cfg.attempts_per_hop:
+                    queues[cell].popleft()
+                    if counted:
+                        dropped[k] += 1
         # Inject after transmissions so a fresh packet waits at least one slot.
         if cfg.injection_rate > 0.0:
             for k in (rng.random(len(routes)) < cfg.injection_rate).nonzero()[0].tolist():
-                queues[source_cell[k]].append(_Packet(k, measuring))
+                queues[hop_cells[first_link[k]]].append(_Packet(k, first_link[k], measuring))
                 if measuring:
                     injected[k] += 1
 
@@ -203,11 +243,10 @@ def run(
         lambda_realized=float(injected.sum()) / (dep.n * cfg.measure_slots),
         throughput=float(delivered.sum()) / (dep.n * cfg.measure_slots),
         utilization=utilization,
-        hop_offsets=np.cumsum([0] + [r.hop_count for r in routes], dtype=np.int64),
+        hop_offsets=hop_offsets,
         mean_hop_success=np.array([
             total / count if count else math.nan
-            for sums, counts in zip(success_sums, attempt_counts)
-            for total, count in zip(sums, counts)
+            for total, count in zip(success_sums, attempt_counts)
         ]),
         trace=trace_rows,
     )
@@ -219,88 +258,49 @@ def run(
     return metrics
 
 
-def _links(cells, tx, rx, power, radio, next_cells):
-    """Link tuples ``(cell, tx, rx, power, lone SINR, next cell or -1)``.
+def _hop_table(routes: list[Route], radio: RadioParams):
+    """The routes' hops, flat in the order given: per hop its cell,
+    transmitter, receiver and next cell (-1 after a route's last hop) as
+    lists, and its received power as an array.  Powers come from the atan2
+    hop lengths (short links need its accuracy)."""
+    cells, tx, rx, next_cells = [], [], [], []
+    for r in routes:
+        cells += r.cells[:r.hop_count]
+        tx += r.relays[:-1]
+        rx += r.relays[1:]
+        next_cells += [*r.cells[1:r.hop_count], -1]
+    lengths = np.array([d for r in routes for d in r.hop_lengths], dtype=float)
+    return cells, tx, rx, radio.tx_power * path_gain(lengths, radio.alpha), next_cells
 
-    The lone SINR ``power / noise`` is what ``sinr`` returns for a
-    transmitter that has the slot to itself.
+
+def _plan(links, nodes, model, radio) -> list[tuple]:
+    """A set of concurrent links' outcome rules, one ``(SINR, success
+    probability, decoded)`` per link in the slot's color order; a dummy's
+    is ``(nan, nan, False)``.
+
+    Only real packets are received.  Every transmitter interferes, in color
+    order, the order in which ``saturated_hop_samples`` sums its field: the
+    same field then gives the same SINR, bit for bit.  A lone transmitter
+    gets ``power / noise`` from the kernel.  A node decodes at most one
+    packet per slot: only its strongest inbound signal is attempted, the
+    rest collide (but still interfere network-wide).
     """
-    lone = power / radio.noise
-    return list(zip(cells, tx, rx, power.tolist(), lone.tolist(), next_cells))
-
-
-def _resolve_slot(
-    txs, nodes, model, radio, cfg, rng, slot, measuring, queues,
-    delivered, dropped, success_sums, attempt_counts, trace_rows, gamma_of,
-):
-    # The SINRs are a function of the slot's links alone, so a lone
-    # transmitter and a recurring set of links skip the kernel's overhead.
-    if len(txs) == 1:
-        gamma = (txs[0][1][4],)
-        strongest = None
-    else:
-        links = tuple(link for _, link in txs)
-        gamma = gamma_of.get(links)
-        if gamma is None:
-            # Only real packets are received.  Every transmitter interferes,
-            # in the slot's color order, the order in which
-            # ``saturated_hop_samples`` sums its field: the same field then
-            # gives the same SINR, bit for bit.
-            real = [j for j, link in enumerate(links) if link[2] >= 0]
-            gamma = gamma_of[links] = [math.nan] * len(links)
-            if real:
-                values = sinr(
-                    [links[j][3] for j in real], nodes[[links[j][2] for j in real]],
-                    nodes[[link[1] for link in links]], radio, own=real,
-                )[0].tolist()
-                for j, g in zip(real, values):
-                    gamma[j] = g
-        # A node decodes at most one packet per slot: only the strongest
-        # inbound signal is attempted, the rest fail (but still interfere
-        # network-wide).
-        strongest = {}
-        for j, (pkt, link) in enumerate(txs):
-            if pkt is not None:
-                best = strongest.get(link[2])
-                if best is None or link[3] > links[best][3]:
-                    strongest[link[2]] = j
-
-    trace = cfg.trace and measuring
-    for j, (pkt, (cell, tx, rx, _, _, next_cell)) in enumerate(txs):
-        g = gamma[j]
-        if pkt is None:
-            if trace:
-                trace_rows.append((slot, cell, tx, rx, g, "dummy"))
-            continue
-        k, hop = pkt.conn, pkt.hop
-        counted = pkt.measured and measuring
-        p = model.success(g)
-        if counted:
-            success_sums[k][hop] += p
-            attempt_counts[k][hop] += 1
-        if strongest is not None and strongest[rx] != j:
-            success = False
-            outcome = "collision"
-        else:
-            success = rng.random() < p
-            outcome = "ok" if success else "fail"
-        if trace:
-            trace_rows.append((slot, cell, tx, rx, g, outcome))
-        if success:
-            queues[cell].popleft()
-            pkt.hop += 1
-            pkt.attempts = 0
-            if next_cell < 0:
-                if counted:
-                    delivered[k] += 1
-            else:
-                queues[next_cell].append(pkt)
-        else:
-            pkt.attempts += 1
-            if pkt.attempts >= cfg.attempts_per_hop:
-                queues[cell].popleft()
-                if counted:
-                    dropped[k] += 1
+    plan = [(math.nan, math.nan, False)] * len(links)
+    real = [j for j, link in enumerate(links) if link[2] >= 0]
+    if not real:
+        return plan
+    gamma = sinr(
+        [links[j][3] for j in real], nodes[[links[j][2] for j in real]],
+        nodes[[link[1] for link in links]], radio, own=real,
+    )[0].tolist()
+    strongest = {}
+    for j in real:
+        best = strongest.get(links[j][2])
+        if best is None or links[j][3] > links[best][3]:
+            strongest[links[j][2]] = j
+    for j, g in zip(real, gamma):
+        plan[j] = (g, model.success(g), strongest[links[j][2]] == j)
+    return plan
 
 
 def saturated_hop_samples(
@@ -314,18 +314,16 @@ def saturated_hop_samples(
     arrays flat over the routes' hops in the order given.
 
     With every occupied cell transmitting in each of its slots the
-    transmitter set of a slot depends only on its color, so one measurement
-    per hop covers every attempt that hop can experience.  The transmitter
-    field of a color is each of its occupied cells' relay node; a hop's own
-    cell is left out of it, since that cell transmits the hop's signal.  One
-    ``sinr`` call per color measures all of that color's hops, the same
-    kernel, on the same field, that the engine runs in its slots.
+    transmitting cells of a slot depend only on its color.  The transmitter
+    field of a color is each of its occupied cells' relay node (the module
+    docstring says when an engine attempt sees exactly that field); a hop's
+    own cell is left out of it, since that cell transmits the hop's signal.
+    One ``sinr`` call per color measures all of that color's hops, the same
+    kernel that the engine runs in its slots.
     """
     relay_of_cell = tess.relay_of_cell
-    cells = np.array([c for r in routes for c in r.cells[:r.hop_count]], dtype=np.int64)
-    rx = np.array([x for r in routes for x in r.relays[1:]], dtype=np.int64)
-    lengths = np.array([d for r in routes for d in r.hop_lengths], dtype=float)
-    signal = radio.tx_power * path_gain(lengths, radio.alpha)
+    cells, _, rx, signal, _ = _hop_table(routes, radio)
+    cells, rx = np.array(cells, dtype=np.int64), np.array(rx, dtype=np.int64)
     colors = schedule.color_of_cell[cells]
     gamma = np.empty(len(cells))
     nearest = np.empty(len(cells))

@@ -207,10 +207,12 @@ def _run_point_task(args) -> PointResult:
 def run_sweep(spec: ExperimentSpec) -> bool:
     """Run the grid in sorted ``(n, seed)`` order, writing each point's rows
     as soon as it finishes; True iff every point ran and kept every hard
-    invariant.  Points that raised are listed in ``errors.txt``."""
+    invariant.  Points that raised are listed in ``errors.txt``; the
+    resolved configuration is in ``config.resolved.ini``."""
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _clear_outputs(out)
+    write_resolved_config(spec, out / "config.resolved.ini")
     points = sorted((n, seed) for n in spec.n_values for seed in spec.seeds)
     tasks = [(spec, n, seed) for n, seed in points]
     all_ok = True
@@ -279,7 +281,7 @@ CSV_LAYOUTS = {  # file name -> (schema stamp, header)
 }
 SWEEP_CSVS = ("connections.csv", "summary.csv", "verification.csv")
 # Every file a run writes into its out dir except ``config.resolved.ini``,
-# which ``adhocsim sweep`` writes before ``run_sweep`` starts.
+# which every run rewrites.
 OUTPUT_FILES = (*CSV_LAYOUTS, "errors.txt", "verification.txt", "routes.txt")
 
 

@@ -77,7 +77,6 @@ class Tessellation:
     rho_n: float
     cell_of_node: np.ndarray  # (n,) cell index per node
     neighbors: list[np.ndarray]  # adjacency lists, symmetric, irreflexive
-    nodes_in_cell: list[np.ndarray] = field(repr=False)
     relay_of_cell: np.ndarray = field(repr=False)  # (m,) node nearest each center, -1 if empty
     gap_ratio: float  # closest center pair / (2*rho_n), >= 1 (inf for one cell)
     cover_ratio: float  # covering radius / (2*rho_n), <= 1
@@ -87,7 +86,7 @@ class Tessellation:
         return len(self.centers)
 
     def occupancy(self) -> np.ndarray:
-        return np.array([len(ids) for ids in self.nodes_in_cell])
+        return np.bincount(self.cell_of_node, minlength=self.num_cells)
 
     @cached_property
     def bisectors(self) -> list[list[tuple[int, float, float, float]]]:
@@ -178,29 +177,25 @@ def build_tessellation(dep: Deployment, rho_n: float, seed: int) -> Tessellation
     gap = geometry.surface_distance(centers[i], centers[j]) if len(centers) > 1 else math.inf
     cell_of_node = np.argmax(dep.nodes @ centers.T, axis=1).astype(np.int64)
 
-    neighbors = _adjacency(centers, rho_n)
-    nodes_in_cell = [
-        np.flatnonzero(cell_of_node == c) for c in range(len(centers))
-    ]
     return Tessellation(
         centers=centers,
         rho_n=float(rho_n),
         cell_of_node=cell_of_node,
-        neighbors=neighbors,
-        nodes_in_cell=nodes_in_cell,
-        relay_of_cell=all_cell_relays(centers, nodes_in_cell, dep.nodes),
+        neighbors=_adjacency(centers, rho_n),
+        relay_of_cell=all_cell_relays(centers, cell_of_node, dep.nodes),
         gap_ratio=float(gap / (2.0 * rho_n)),
         cover_ratio=float(dists[0] / (2.0 * rho_n)),
     )
 
 
 def all_cell_relays(
-    centers: np.ndarray, nodes_in_cell: list[np.ndarray], nodes: np.ndarray
+    centers: np.ndarray, cell_of_node: np.ndarray, nodes: np.ndarray
 ) -> np.ndarray:
     """Relay node per cell, the node nearest its center; -1 marks an empty
     cell.  The table is read-only."""
     relays = np.full(len(centers), -1, dtype=np.int64)
-    for c, ids in enumerate(nodes_in_cell):
+    for c in range(len(centers)):
+        ids = np.flatnonzero(cell_of_node == c)
         if len(ids):
             relays[c] = ids[np.argmax(nodes[ids] @ centers[c])]
     relays.flags.writeable = False

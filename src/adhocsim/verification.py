@@ -371,9 +371,11 @@ def delivery_prediction(
     the hop's mean per-attempt success probability over the run's counted
     attempts.  Both numbers are recorded with a three-standard-error binomial
     band; the schedule can correlate hops, so treat the band as a report, not
-    an assertion, outside the cases where the per-hop probabilities are exact
-    (constant-p, or a saturated fixed schedule where the per-hop SINR is
-    stationary).
+    an assertion, outside the case where the per-hop probabilities are exact
+    (constant-p).  Under a saturated fixed schedule a hop's SINR is its
+    measured ``hop_gamma`` only in the slots where every other transmitter
+    is its cell's relay; a first-hop packet elsewhere in the slot is sent
+    by its source node and shifts the field.
     """
     offsets, mean_success = metrics.hop_offsets.tolist(), metrics.mean_hop_success.tolist()
     delivered, dropped = metrics.delivered.tolist(), metrics.dropped.tolist()

@@ -1,6 +1,6 @@
 import hashlib
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -48,7 +48,6 @@ def single_node_cells(nodes, rho, colors):
         rho_n=rho,
         cell_of_node=cells,
         neighbors=tessellation._adjacency(nodes, rho),
-        nodes_in_cell=[np.array([c]) for c in cells],
         relay_of_cell=cells,
         gap_ratio=math.nan,
         cover_ratio=math.nan,
@@ -319,25 +318,34 @@ class TestSaturated:
         assert all(sinr == m.hop_gamma[0] for sinr in real)
 
     def test_engine_sinr_equals_saturated_measurement(self, small_instance):
-        # A lone real transmission faces exactly the relay field the
-        # saturated measurement uses, so both must give the same SINR.
+        # The saturated measurement's field is every relay of the slot's
+        # color, but a first-hop packet is sent by its source node.  So a
+        # real attempt gets its hop's SINR, bit for bit, exactly when every
+        # other transmitter of its slot is its cell's relay.
         dep, tess, sched, _, routes = small_instance
-        route = max(routes, key=lambda r: r.hop_count)
-        cfg = EngineConfig(
-            injection_rate=0.002, traffic="saturated", measure_slots=20_000, seed=3,
-            trace=True,
-        )
-        m = run(dep, tess, sched, [route], links.LogisticModel(), RADIO, cfg)
-        hop_of = {(route.relays[h], route.relays[h + 1]): h for h in range(route.hop_count)}
-        real = defaultdict(list)
-        for slot, _, tx, rx, sinr, outcome in m.trace:
-            if outcome != "dummy":
-                real[slot].append((hop_of[tx, rx], sinr))
-        lone = [rows[0] for rows in real.values() if len(rows) == 1]
-        assert len(lone) > 100
-        gamma = m.hop_gamma.tolist()
-        assert len(gamma) == route.hop_count
-        assert all(sinr == gamma[hop] for hop, sinr in lone)
+        m = pinned_case("saturated", small_instance)
+        gamma_of = defaultdict(set)  # (cell, tx, rx) -> the gammas of its hops
+        for r in routes[:40]:
+            k = m.position[r.connection_id]
+            gammas = m.hop_gamma[m.hop_offsets[k]:m.hop_offsets[k + 1]].tolist()
+            for h, g in enumerate(gammas):
+                gamma_of[r.cells[h], r.relays[h], r.relays[h + 1]].add(g)
+        assert all(len(gammas) == 1 for gammas in gamma_of.values())
+        rows_of = defaultdict(list)
+        for row in m.trace:
+            rows_of[row[0]].append(row)
+        relay = tess.relay_of_cell.tolist()
+        agree = Counter()
+        for rows in rows_of.values():
+            for j, (_, cell, tx, rx, sinr, outcome) in enumerate(rows):
+                if outcome == "dummy":
+                    continue
+                relays_only = all(row[2] == relay[row[1]]
+                                  for i, row in enumerate(rows) if i != j)
+                (g,) = gamma_of[cell, tx, rx]
+                assert (sinr == g) == relays_only
+                agree[relays_only] += 1
+        assert agree[True] > 1000 and agree[False] > 100
 
     def test_samples_match_direct_evaluation(self, small_instance):
         dep, tess, sched, _, routes = small_instance

@@ -196,6 +196,11 @@ class TestSweep:
         header = conn[1].split(",")
         assert header[:6] == ["n", "seed", "rho_n", "K", "conn_id", "L"]
 
+    def test_writes_resolved_config(self, tmp_path):
+        spec = tiny_spec(tmp_path / "runs")
+        experiment.run_sweep(spec)
+        assert experiment.load_spec(tmp_path / "runs" / "config.resolved.ini") == spec
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         experiment.run_sweep(tiny_spec(out1))

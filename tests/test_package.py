@@ -1,8 +1,11 @@
 """Package-wide structural checks."""
 
 import ast
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from adhocsim import engine, experiment, geometry
 
@@ -78,17 +81,24 @@ def test_every_public_name_has_a_caller():
         assert name in {ref for ref, _ in _references(tests[test])}, (name, test)
 
 
+# Connections each gated workload routes (one per node, or the tracked ones).
+WORKLOAD_CONNECTIONS = {"saturated_n4000": 4000, "lossy_n500": 200}
 
-def test_traced_benchmark_point_runs(tmp_path, monkeypatch):
+
+@pytest.mark.parametrize(
+    "workload", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+)
+def test_traced_benchmark_point_runs(workload, tmp_path, monkeypatch):
     """The benchmark's per-layer run wraps program names listed in
     ``pipebench/README.md`` and reads the stats they report; a renamed or
-    bypassed name stops it.  One traced point must run and check out."""
+    bypassed name stops it.  One traced point of each gated workload must
+    run and check out."""
     monkeypatch.syspath_prepend(str(ROOT / "pipebench"))
     import point
 
     saved = {module: dict(vars(module)) for module in (engine, experiment, geometry)}
     try:
-        result = point.run_point("saturated_n4000", 0, tmp_path, trace=True)
+        result = point.run_point(workload, 0, tmp_path, trace=True)
     finally:
         # a point that raised may leave some attributes wrapped
         for module, names in saved.items():
@@ -98,4 +108,4 @@ def test_traced_benchmark_point_runs(tmp_path, monkeypatch):
         for name in ("point", "tracer"):
             sys.modules.pop(name, None)
     assert result["ok"], result["error"]
-    assert result["layers"]["routing.routes"] == 4000
+    assert result["layers"]["routing.routes"] == WORKLOAD_CONNECTIONS[workload]

@@ -48,7 +48,7 @@ class TestStraightLineRoutes:
     def test_same_cell_pair_is_one_hop(self, small_instance):
         dep, tess, _, _, _ = small_instance
         cell = int(np.argmax(tess.occupancy()))
-        ids = tess.nodes_in_cell[cell]
+        ids = np.flatnonzero(tess.cell_of_node == cell)
         conn = routing.Connection(id=0, source=int(ids[0]), destination=int(ids[1]),
                                   length=float(geometry.surface_distance(
                                       dep.nodes[ids[0]], dep.nodes[ids[1]])))

@@ -17,7 +17,6 @@ def synthetic_tessellation(centers, rho):
         rho_n=rho,
         cell_of_node=np.zeros(0, dtype=np.int64),
         neighbors=neighbors,
-        nodes_in_cell=[np.empty(0, dtype=np.int64) for _ in centers],
         relay_of_cell=np.full(len(centers), -1, dtype=np.int64),
         gap_ratio=math.nan,
         cover_ratio=math.nan,

@@ -228,7 +228,8 @@ class TestRelayTable:
         tess = tessellation.build_tessellation(dep, rho, seed + 1)
         relay = tess.relay_of_cell
         assert relay.shape == (tess.num_cells,)
-        for c, ids in enumerate(tess.nodes_in_cell):
+        for c in range(tess.num_cells):
+            ids = np.flatnonzero(tess.cell_of_node == c)
             if len(ids) == 0:
                 assert relay[c] == -1
             else:

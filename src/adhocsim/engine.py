@@ -9,6 +9,13 @@ decoded receptions depend only on its set of links, so they are worked
 out once per distinct set.  Runs are fully deterministic given the
 configuration seed.
 
+The seed spawns two independent streams, one for injections and one for
+receptions, so how often packets are received cannot move an injection.
+Injections are Bernoulli trials, one per slot and connection; the engine
+draws only the gaps between their successes.  Each decoded attempt takes
+the next reception uniform.  Both streams draw in fixed-size blocks, so
+a slot with no injection and no decoded attempt draws nothing.
+
 Saturated traffic keeps every occupied cell transmitting in each of its
 slots: an idle cell's relay sends a dummy, which interferes and is
 received by no one.  The set of transmitting cells then repeats with the
@@ -36,6 +43,7 @@ from .tessellation import Deployment, Tessellation
 from .tessellation import all_cell_relays  # noqa: F401  (pipebench's tracer wraps this name)
 
 TRAFFIC_MODES = ("bernoulli", "saturated")
+_BLOCK = 4096  # draws per numpy call; a stream holds one block at a time
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,8 @@ class EngineConfig:
             raise ConfigurationError("measure_slots must be at least 1")
         if self.warmup_slots is not None and self.warmup_slots < 0:
             raise ConfigurationError("warmup_slots must be nonnegative")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
 
 
 class _Packet:
@@ -131,7 +141,8 @@ def run(
     K = schedule.num_colors
     warmup = cfg.warmup_slots if cfg.warmup_slots is not None else 10 * K
     total_slots = warmup + cfg.measure_slots
-    rng = np.random.default_rng(cfg.seed)
+    streams = np.random.SeedSequence(cfg.seed).spawn(2)
+    injection, reception = map(np.random.default_rng, streams)
 
     # The link table: every route hop, flat in connection order, so
     # connection k's hops are hop_offsets[k]:hop_offsets[k + 1]; under
@@ -161,6 +172,9 @@ def run(
     trace_rows: list[tuple] = []
     plans: dict[tuple, list[tuple]] = {}  # link set -> its outcome rules
     cells_by_color = [row.tolist() for row in schedule.cells_by_color]
+    arrivals = _arrivals(injection, cfg.injection_rate, len(routes))
+    next_slot, conn = next(arrivals, (total_slots, 0))
+    draws = _uniforms(reception)
     for slot in range(total_slots):
         measuring = slot >= warmup
         trace = cfg.trace and measuring
@@ -191,7 +205,7 @@ def run(
                 success_sums[pkt.link] += p
                 attempt_counts[pkt.link] += 1
             if decoded:
-                success = rng.random() < p
+                success = next(draws) < p
                 outcome = "ok" if success else "fail"
             else:
                 success = False
@@ -214,11 +228,12 @@ def run(
                     if counted:
                         dropped[k] += 1
         # Inject after transmissions so a fresh packet waits at least one slot.
-        if cfg.injection_rate > 0.0:
-            for k in (rng.random(len(routes)) < cfg.injection_rate).nonzero()[0].tolist():
-                queues[hop_cells[first_link[k]]].append(_Packet(k, first_link[k], measuring))
-                if measuring:
-                    injected[k] += 1
+        while next_slot == slot:
+            link = first_link[conn]
+            queues[hop_cells[link]].append(_Packet(conn, link, measuring))
+            if measuring:
+                injected[conn] += 1
+            next_slot, conn = next(arrivals)
 
     in_flight = np.bincount(
         [pkt.conn for q in queues for pkt in q if pkt.measured], minlength=len(routes)
@@ -256,6 +271,30 @@ def run(
             dep, tess, schedule, routes, radio
         )
     return metrics
+
+
+def _arrivals(rng, rate: float, connections: int):
+    """The injections, as ``(slot, connection)`` pairs in order, without end.
+
+    Each slot and connection is one Bernoulli(``rate``) trial at position
+    ``slot * connections + k``; the gaps between successive successes are
+    geometric, so only the successes are drawn.  Within a slot connections
+    come in ascending order.  At rate 0 (or with no connection) the stream
+    is empty and draws nothing.
+    """
+    if rate == 0.0 or connections == 0:
+        return
+    position = -1
+    while True:
+        for gap in rng.geometric(rate, _BLOCK).tolist():
+            position += gap
+            yield divmod(position, connections)
+
+
+def _uniforms(rng):
+    """Uniforms on [0, 1), one at a time, drawn ``_BLOCK`` at once."""
+    while True:
+        yield from rng.random(_BLOCK).tolist()
 
 
 def _hop_table(routes: list[Route], radio: RadioParams):

@@ -4,6 +4,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from adhocsim import engine, geometry, links, routing, scheduling, tessellation
 from adhocsim.engine import EngineConfig, run, throughput_summary
@@ -106,9 +107,9 @@ def pinned_case(name, small_instance):
 # A change to any draw, its order or a reception rule changes these digests;
 # only a change meant to alter simulated outcomes may update them.
 PINNED = {
-    "bernoulli": "7443ae9750d81774358b3324b26f08ffa9321c35ba49206bf09387afb3381349",
-    "saturated": "b99457d92637da709142f48903fb63956a5bbd4cf23017abb81125342892c806",
-    "collision": "dd67f8411bc590cf7c664283593c916084a31d00347ede780b3163f26aedf326",
+    "bernoulli": "27b36661689daf0211ac7718b74c5676ea2da99f707ac3c3646a4e15801bd164",
+    "saturated": "999082fe6d0fdd17ef00bbbf266cbd6608a4191e75fe364621d4603054bd5f95",
+    "collision": "3d879180d0bb776a3176df6eed6d48295f4de0052caa2df35b0a1bbefb867ba6",
 }
 
 
@@ -191,6 +192,10 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             EngineConfig(attempts_per_hop=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigurationError):
+            EngineConfig(seed=-1)
+
 
 class TestDeterminismAndConservation:
     def test_identical_runs(self, small_instance):
@@ -201,6 +206,19 @@ class TestDeterminismAndConservation:
         np.testing.assert_array_equal(m1.delivered, m2.delivered)
         np.testing.assert_array_equal(m1.dropped, m2.dropped)
         np.testing.assert_array_equal(m1.in_flight, m2.in_flight)
+
+    def test_injections_have_their_own_stream(self, small_instance):
+        # The link model changes how many reception draws a run takes, and
+        # tracing takes none; neither may move an injection.
+        runs = {}
+        for p in (0.9, 0.5):
+            for trace in (False, True):
+                cfg = EngineConfig(injection_rate=0.02, measure_slots=3000, seed=5, trace=trace)
+                runs[p, trace] = run_subset(small_instance, links.ConstantPModel(p), cfg)
+        reference = runs[0.9, False]
+        assert not np.array_equal(runs[0.5, False].delivered, reference.delivered)
+        for m in runs.values():
+            np.testing.assert_array_equal(m.injected, reference.injected)
 
     def test_conservation_identity(self, small_instance):
         cfg = EngineConfig(injection_rate=0.02, measure_slots=3000, seed=5)
@@ -262,6 +280,25 @@ class TestDeliveryLaw:
         resolved = int(m.delivered[0] + m.dropped[0])
         assert resolved > 5000
         assert m.delivery_probability()[0] == pytest.approx(expected, abs=0.02)
+
+
+class TestArrivals:
+    def test_full_rate_injects_in_every_slot(self, small_instance):
+        cfg = EngineConfig(injection_rate=1.0, measure_slots=200, seed=3)
+        m = run_subset(small_instance, links.ConstantPModel(0.9), cfg, count=20)
+        assert m.injected.tolist() == [200] * 20
+
+    def test_injected_count_is_binomial(self):
+        # One connection injects Binomial(measure_slots, rate) packets in the
+        # window.  Its exact two-sided tail must exceed 1e-3, which a correct
+        # engine misses with probability at most 1e-3.
+        dep, tess, sched, route = single_hop_network()
+        lam, slots = 0.5 / sched.num_colors, 100_000
+        cfg = EngineConfig(injection_rate=lam, measure_slots=slots, seed=71)
+        m = run(dep, tess, sched, [route], links.ConstantPModel(0.5), RADIO, cfg)
+        k = int(m.injected[0])
+        tail = 2 * min(stats.binom.cdf(k, slots, lam), stats.binom.sf(k - 1, slots, lam))
+        assert tail > 1e-3
 
 
 class TestSaturated:
@@ -447,6 +484,7 @@ class TestSummary:
             injection_rate=0.0, traffic="saturated", measure_slots=sched.num_colors, seed=53
         )
         m = run(dep, tess, sched, routes[:10], links.ConstantPModel(0.9), RADIO, cfg)
+        assert not m.injected.any()
         assert m.throughput == 0.0
         assert m.lambda_realized == 0.0
 

@@ -34,8 +34,9 @@ def main():
     for n in NS:
         for seed in range(args.seeds):
             dep, tess = experiment.prepare_instance(n, 31 * seed + n, args.area_constant)
-            conns = routing.pick_connections(dep, 500 + seed)
-            routes = [routing.straight_line_route(c, dep, tess) for c in conns[:300]]
+            conns = routing.pick_connections(dep, 500 + seed)[:300]
+            paths = routing.cell_paths(conns, dep, tess)
+            routes = [routing.build_route(c, p, dep, tess) for c, p in zip(conns, paths)]
             for regime, sched in (
                 ("fixed", scheduling.build_schedule(tess, 12.0)),
                 ("conservative", scheduling.build_conservative_schedule(tess, n, args.growth)),

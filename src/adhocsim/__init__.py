@@ -19,7 +19,7 @@ from .links import (
     make_link_model,
     sinr,
 )
-from .routing import Connection, Route, arbitrary_route, pick_connections, straight_line_route
+from .routing import Connection, Route, build_route, cell_paths, pick_connections
 from .scheduling import Schedule, build_conservative_schedule, build_schedule
 from .tessellation import (
     Deployment,
@@ -48,10 +48,11 @@ __all__ = [
     "Schedule",
     "Tessellation",
     "ThresholdModel",
-    "arbitrary_route",
     "build_conservative_schedule",
+    "build_route",
     "build_schedule",
     "build_tessellation",
+    "cell_paths",
     "compute_bounds",
     "deploy",
     "hop_success_with_retries",
@@ -60,7 +61,6 @@ __all__ = [
     "rho_for_n",
     "run",
     "sinr",
-    "straight_line_route",
     "throughput_ceilings",
     "throughput_summary",
 ]

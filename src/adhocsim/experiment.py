@@ -24,7 +24,7 @@ from . import geometry
 from .engine import EngineConfig, RunMetrics, run, throughput_summary
 from .errors import ConfigurationError
 from .links import RadioParams, filter_model_params, make_link_model
-from .routing import Route, build_route, detour_factor, pick_connections
+from .routing import Route, build_route, cell_paths, detour_factor, pick_connections
 from .scheduling import (
     DEFAULT_CONFLICT_MULTIPLIER,
     Schedule,
@@ -140,14 +140,8 @@ def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
     connections = pick_connections(dep, seed + 3 * _SEED_STRIDE)
     if spec.track_connections is not None:
         connections = connections[: spec.track_connections]
-    routes = [
-        build_route(
-            c, dep, tess,
-            strategy=spec.routing_strategy,
-            seed=seed + 4 * _SEED_STRIDE + c.id,
-        )
-        for c in connections
-    ]
+    paths = cell_paths(connections, dep, tess, spec.routing_strategy, seed + 4 * _SEED_STRIDE)
+    routes = [build_route(c, cells, dep, tess) for c, cells in zip(connections, paths)]
     cfg = replace(spec.engine, seed=seed + 5 * _SEED_STRIDE)
     metrics = run(dep, tess, schedule, routes, spec.link_model(), spec.radio, cfg)
 

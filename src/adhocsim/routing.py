@@ -24,6 +24,7 @@ from .tessellation import Deployment, Tessellation
 MAX_HOP_FACTOR = 8.0  # hop length never exceeds 8*rho_n under adjacency
 _HALF_PI = 0.5 * math.pi
 _PHI_SLACK = 1e-12  # rounding allowance, in radians, on a bisector crossing
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
 STRATEGIES = ("straight_line", "shortest_cell_path", "random_walk_loop_erased")
 
 
@@ -51,7 +52,7 @@ class Route:
     path_length: float = field(init=False)  # sum of hop lengths
 
     def __post_init__(self):
-        self.path_length = float(np.sum(self.hop_lengths))
+        self.path_length = float(self.hop_lengths.sum())
 
     @property
     def hop_count(self) -> int:
@@ -67,13 +68,25 @@ def pick_connections(dep: Deployment, seed: int) -> list[Connection]:
     dests = (np.arange(dep.n) + offsets) % dep.n
     lengths = geometry.surface_distance(dep.nodes, dep.nodes[dests])
     return [
-        Connection(id=i, source=i, destination=int(dests[i]), length=float(lengths[i]))
-        for i in range(dep.n)
+        Connection(id=i, source=i, destination=d, length=length)
+        for i, (d, length) in enumerate(zip(dests.tolist(), lengths.tolist()))
     ]
 
 
-def _crossed_cells(tess: Tessellation, a: np.ndarray, b: np.ndarray, theta: float) -> list[int]:
-    """Cells whose region the minor arc from a to b crosses, in order.
+def bisector_table(tess: Tessellation) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell ``i``, its neighbors ``j`` padded with -1 to the largest
+    degree ``D``, shape ``(m, D)``, and the normals ``c_i - c_j`` of the
+    bisector planes that bound cell ``i``, shape ``(m, D, 3)``."""
+    width = max(map(len, tess.neighbors), default=0)
+    nbrs = np.full((tess.num_cells, width), -1, dtype=np.int64)
+    for i, row in enumerate(tess.neighbors):
+        nbrs[i, : len(row)] = row
+    return nbrs, tess.centers[:, None, :] - tess.centers[nbrs]
+
+
+def walk_geodesics(table, a, b, theta, start, end, ids) -> list[list[int]]:
+    """Cells whose region each minor arc from ``a[k]`` to ``b[k]`` crosses,
+    in order, for all arcs at once.
 
     Walks the Voronoi bisectors exactly.  On the arc
     ``x(phi) = (sin(theta - phi) a + sin(phi) b) / sin(theta)``, with ``theta``
@@ -81,80 +94,55 @@ def _crossed_cells(tess: Tessellation, a: np.ndarray, b: np.ndarray, theta: floa
     multiple of ``P cos(phi) + Q sin(phi)`` with ``P = sin(theta) a.w`` and
     ``Q = b.w - cos(theta) a.w`` for ``w = c_i - c_j``.  The arc therefore
     leaves cell i across its bisector with j at ``phi = atan2(Q, P) + pi/2``,
-    and enters the neighbor whose bisector it crosses first; the cell just
-    left is not a candidate.  The 4*rho_n neighbor lists hold every Voronoi
-    neighbor because the covering radius is at most 2*rho_n.  The end cells
-    are the endpoints' nearest centers.
+    and enters the neighbor whose bisector it crosses first (the first in
+    table order on a tie); the cell just left is not a candidate.  The
+    4*rho_n neighbor lists hold every Voronoi neighbor because the covering
+    radius is at most 2*rho_n.
+
+    ``table`` is ``bisector_table``'s pair; each step gathers its rows for
+    the walks still running.  ``atan2``, ``sin`` and ``cos`` are libm's,
+    whose last bit numpy's vector loops do not always reproduce.  A walk
+    that leaves a cell beyond its arc's end, or grows as long as the cell
+    count, raises ``RoutingError`` naming its arc's id from ``ids``.
     """
-    start = int(np.argmax(tess.centers @ a))
-    end = int(np.argmax(tess.centers @ b))
-    ax, ay, az = a.tolist()
-    bx, by, bz = b.tolist()
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    bisectors, max_cells = tess.bisectors, tess.num_cells
-    cells = [start]
-    prev, cell = -1, start
-    while cell != end:
-        exit_phi, nxt = math.inf, -1
-        for j, wx, wy, wz in bisectors[cell]:
-            if j == prev:
-                continue
-            aw = ax * wx + ay * wy + az * wz
-            phi = math.atan2(bx * wx + by * wy + bz * wz - cos_t * aw, sin_t * aw) + _HALF_PI
-            # a crossing rounded to just below 0 lies at the start point
-            if -_PHI_SLACK <= phi < exit_phi:
-                exit_phi, nxt = phi, j
-        if exit_phi > theta + _PHI_SLACK:
-            raise RoutingError(f"geodesic walk left cell {cell} beyond the arc's end", cell=cell)
-        if len(cells) == max_cells:
-            raise RoutingError("geodesic walk is longer than the cell count")
-        prev, cell = cell, nxt
-        cells.append(cell)
-    return cells
-
-
-def _assemble(conn: Connection, cells: list[int], tess: Tessellation, dep: Deployment) -> Route:
-    if len(set(cells)) != len(cells):
-        raise RoutingError("route revisits a cell")
-    relay = tess.relay_of_cell
-    chain = [conn.source]
-    for c in cells[1:-1]:
-        if relay[c] < 0:
-            raise RoutingError(f"route crosses empty cell {c}", cell=c)
-        chain.append(int(relay[c]))
-    chain.append(conn.destination)
-    hops = geometry.surface_distance(dep.nodes[chain[:-1]], dep.nodes[chain[1:]])
-    hops = np.atleast_1d(hops)
-    route = Route(
-        connection_id=conn.id,
-        cells=cells,
-        relays=chain,
-        hop_lengths=hops,
-        length=conn.length,
-    )
-    _assert_route_invariants(route, tess)
-    return route
-
-
-def _assert_route_invariants(route: Route, tess: Tessellation) -> None:
-    limit = MAX_HOP_FACTOR * tess.rho_n
-    if np.any(route.hop_lengths <= 0.0):
-        raise GeometryError("a hop's transmitter and receiver are co-located")
-    if np.any(route.hop_lengths > limit + 1e-12):
-        raise AssertionError("hop longer than 8*rho_n")
-    if route.path_length < route.length - 1e-9:
-        raise AssertionError("total path length shorter than the geodesic")
-
-
-def straight_line_route(conn: Connection, dep: Deployment, tess: Tessellation) -> Route:
-    """Route through every cell the source-destination geodesic crosses."""
-    a, b = dep.nodes[conn.source], dep.nodes[conn.destination]
-    theta = float(geometry.central_angle(a, b))
-    if theta == 0.0:
-        raise GeometryError("co-located endpoints cannot be routed")
-    if theta > math.pi - 1e-9:
-        raise GeometryError("antipodal endpoints cannot be routed")
-    return _assemble(conn, _crossed_cells(tess, a, b, theta), tess, dep)
+    nbrs, normals = table
+    sin_t = np.array([math.sin(t) for t in theta.tolist()])
+    cos_t = np.array([math.cos(t) for t in theta.tolist()])
+    cell = np.array(start, dtype=np.int64)
+    prev = np.full(len(cell), -1, dtype=np.int64)
+    paths = [[c] for c in cell.tolist()]
+    walking = np.flatnonzero(cell != end)
+    while len(walking):
+        here = cell[walking]
+        j, w = nbrs[here], normals[here]
+        u, v = a[walking, :, None], b[walking, :, None]
+        wx, wy, wz = w[..., 0], w[..., 1], w[..., 2]
+        aw = u[:, 0] * wx + u[:, 1] * wy + u[:, 2] * wz
+        q = v[:, 0] * wx + v[:, 1] * wy + v[:, 2] * wz - cos_t[walking, None] * aw
+        p = sin_t[walking, None] * aw
+        candidate = (j >= 0) & (j != prev[walking, None])
+        phi = np.full(j.shape, math.inf)
+        phi[candidate] = _atan2(q[candidate], p[candidate]).astype(float) + _HALF_PI
+        # a crossing rounded to just below 0 lies at the start point
+        phi[phi < -_PHI_SLACK] = math.inf
+        pick = np.argmin(phi, axis=1)
+        rows = np.arange(len(walking))
+        exit_phi, nxt = phi[rows, pick], j[rows, pick]
+        over = np.flatnonzero(exit_phi > theta[walking] + _PHI_SLACK)
+        if len(over):
+            k, c = walking[over[0]], int(here[over[0]])
+            raise RoutingError(
+                f"connection {ids[k]}: geodesic walk left cell {c} beyond the arc's end", cell=c
+            )
+        if len(paths[walking[0]]) == len(nbrs):  # every running walk is as long
+            raise RoutingError(
+                f"connection {ids[walking[0]]}: geodesic walk is longer than the cell count"
+            )
+        prev[walking], cell[walking] = cell[walking], nxt
+        for k, c in zip(walking.tolist(), nxt.tolist()):
+            paths[k].append(c)
+        walking = walking[nxt != end[walking]]
+    return paths
 
 
 def _bfs_cells(tess: Tessellation, start: int, goal: int) -> list[int]:
@@ -253,41 +241,70 @@ def detour_factor(strategy: str) -> float | None:
     )
 
 
-def arbitrary_route(
-    conn: Connection, dep: Deployment, tess: Tessellation, strategy: str, seed: int = 0
-) -> Route:
-    """Route under the adjacency-hops / no-revisit constraints.
-
-    Strategies: ``shortest_cell_path`` (BFS over cell adjacency),
-    ``random_walk_loop_erased``, or ``detour:<kappa>`` which accepts a random
-    waypoint only while the cell-path length stays within ``kappa`` times the
-    BFS path length.
-    """
-    kappa = detour_factor(strategy)
-    rng = np.random.default_rng(seed)
-    start = int(tess.cell_of_node[conn.source])
-    goal = int(tess.cell_of_node[conn.destination])
-    if kappa is not None:
-        cells = _detour_cells(tess, start, goal, kappa, rng)
-    elif strategy == "shortest_cell_path":
-        cells = _bfs_cells(tess, start, goal)
-    elif strategy == "random_walk_loop_erased":
-        cells = _random_walk_cells(tess, start, goal, rng)
-    else:
-        raise ConfigurationError(f"{strategy!r} is not an arbitrary routing strategy")
-    return _assemble(conn, cells, tess, dep)
-
-
-def build_route(
-    conn: Connection,
+def cell_paths(
+    connections: list[Connection],
     dep: Deployment,
     tess: Tessellation,
     strategy: str = "straight_line",
     seed: int = 0,
-) -> Route:
+) -> list[list[int]]:
+    """Each connection's cell path under ``strategy``, in order; ``build_route``
+    makes the route.  ``straight_line`` walks all geodesics in one batch.
+    The arbitrary strategies keep only the adjacency-hops / no-revisit
+    constraints, per connection with a generator seeded ``seed + conn.id``:
+    ``shortest_cell_path`` (BFS over cell adjacency), ``random_walk_loop_erased``,
+    or ``detour:<kappa>``, which accepts a random waypoint only while the
+    cell-path length stays within ``kappa`` times the BFS path length.
+    """
+    kappa = detour_factor(strategy)
     if strategy == "straight_line":
-        return straight_line_route(conn, dep, tess)
-    return arbitrary_route(conn, dep, tess, strategy, seed=seed)
+        src = np.array([c.source for c in connections], dtype=np.int64)
+        dst = np.array([c.destination for c in connections], dtype=np.int64)
+        a, b = dep.nodes[src], dep.nodes[dst]
+        theta = geometry.central_angle(a, b)
+        bad = (theta == 0.0) | (theta > math.pi - 1e-9)
+        if bad.any():
+            k = int(np.argmax(bad))
+            what = "co-located" if theta[k] == 0.0 else "antipodal"
+            raise GeometryError(
+                f"connection {connections[k].id}: {what} endpoints cannot be routed"
+            )
+        ids = [c.id for c in connections]
+        cells = tess.cell_of_node  # the end cells are the endpoints' cells
+        return walk_geodesics(bisector_table(tess), a, b, theta, cells[src], cells[dst], ids)
+    paths = []
+    for conn in connections:
+        rng = np.random.default_rng(seed + conn.id)
+        start = int(tess.cell_of_node[conn.source])
+        goal = int(tess.cell_of_node[conn.destination])
+        if kappa is not None:
+            paths.append(_detour_cells(tess, start, goal, kappa, rng))
+        elif strategy == "shortest_cell_path":
+            paths.append(_bfs_cells(tess, start, goal))
+        else:
+            paths.append(_random_walk_cells(tess, start, goal, rng))
+    return paths
+
+
+def build_route(conn: Connection, cells: list[int], dep: Deployment, tess: Tessellation) -> Route:
+    """The route through ``cells``: its relay chain and hop lengths, with the
+    route invariants checked."""
+    if len(set(cells)) != len(cells):
+        raise RoutingError(f"connection {conn.id}: route revisits a cell")
+    inner = tess.relay_of_cell[cells[1:-1]].tolist()
+    if -1 in inner:
+        c = cells[1 + inner.index(-1)]
+        raise RoutingError(f"connection {conn.id}: route crosses empty cell {c}", cell=c)
+    chain = [conn.source, *inner, conn.destination]
+    hops = geometry.surface_distance(dep.nodes[chain[:-1]], dep.nodes[chain[1:]])
+    route = Route(conn.id, cells, chain, hops, conn.length)
+    if hops.min() <= 0.0:
+        raise GeometryError(f"connection {conn.id}: a hop's endpoints are co-located")
+    if hops.max() > MAX_HOP_FACTOR * tess.rho_n + 1e-12:
+        raise AssertionError(f"connection {conn.id}: hop longer than 8*rho_n")
+    if route.path_length < conn.length - 1e-9:
+        raise AssertionError(f"connection {conn.id}: total path length shorter than the geodesic")
+    return route
 
 
 def write_routes(routes: list[Route], path) -> None:

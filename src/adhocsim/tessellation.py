@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -87,16 +86,6 @@ class Tessellation:
 
     def occupancy(self) -> np.ndarray:
         return np.bincount(self.cell_of_node, minlength=self.num_cells)
-
-    @cached_property
-    def bisectors(self) -> list[list[tuple[int, float, float, float]]]:
-        """Per cell ``i``, a row ``(j, *(c_i - c_j))`` for each neighbor ``j``:
-        the normals of the bisector planes that bound cell ``i``, as plain
-        floats for the geodesic walk."""
-        return [
-            [(j, *w) for j, w in zip(nbrs.tolist(), (c - self.centers[nbrs]).tolist())]
-            for c, nbrs in zip(self.centers, self.neighbors)
-        ]
 
 
 def _greedy_packing(candidates: np.ndarray, cos_threshold: float) -> np.ndarray:

@@ -15,7 +15,8 @@ def small_instance():
     tess = tessellation.build_tessellation(dep, rho, 43)
     sched = scheduling.build_schedule(tess, 12.0)
     conns = routing.pick_connections(dep, 45)
-    routes = [routing.straight_line_route(c, dep, tess) for c in conns]
+    paths = routing.cell_paths(conns, dep, tess)
+    routes = [routing.build_route(c, cells, dep, tess) for c, cells in zip(conns, paths)]
     return dep, tess, sched, conns, routes
 
 

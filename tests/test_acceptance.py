@@ -50,7 +50,8 @@ def cert_instances():
             dep, tess = experiment.prepare_instance(n, 1000 * seed + n, AREA_CONSTANT)
             t_tess += time.perf_counter() - t0
             conns = routing.pick_connections(dep, 7000 + seed)
-            routes = [routing.straight_line_route(c, dep, tess) for c in conns]
+            paths = routing.cell_paths(conns, dep, tess)
+            routes = [routing.build_route(c, p, dep, tess) for c, p in zip(conns, paths)]
             out.append((n, seed, dep, tess, routes))
     return {"instances": out, "tess_seconds": t_tess}
 
@@ -124,8 +125,9 @@ def sweep_instances():
             dep, tess = experiment.prepare_instance(n, 31 * seed + n, AREA_CONSTANT)
             fixed = scheduling.build_schedule(tess, 12.0)
             cons = scheduling.build_conservative_schedule(tess, n, "log")
-            conns = routing.pick_connections(dep, 500 + seed)
-            routes = [routing.straight_line_route(c, dep, tess) for c in conns[:300]]
+            conns = routing.pick_connections(dep, 500 + seed)[:300]
+            paths = routing.cell_paths(conns, dep, tess)
+            routes = [routing.build_route(c, p, dep, tess) for c, p in zip(conns, paths)]
             out[(n, seed)] = (dep, tess, fixed, cons, routes)
     return out
 
@@ -234,9 +236,9 @@ def test_accept_07_consecutive_short_hops(cert_instances):
             x for x in cert_instances["instances"] if x[0] == pick_n
         )
         conns = routing.pick_connections(dep, 7000)
-        for c in conns:
-            for strat in ("random_walk_loop_erased", "detour:2.0"):
-                r = routing.arbitrary_route(c, dep, tess, strat, seed=c.id)
+        for strat in ("random_walk_loop_erased", "detour:2.0"):
+            for c, cells in zip(conns, routing.cell_paths(conns, dep, tess, strat)):
+                r = routing.build_route(c, cells, dep, tess)
                 worst = max(worst, verification.max_short_run(r, tess.rho_n, 0.01))
                 total += 1
     ok &= worst < 40 and total >= 10_000
@@ -322,7 +324,7 @@ def test_accept_10_retry_success_law():
         id=0, source=0, destination=1,
         length=float(geometry.surface_distance(dep.nodes[0], dep.nodes[1])),
     )
-    route = routing.straight_line_route(conn, dep, tess)
+    route = routing.build_route(conn, routing.cell_paths([conn], dep, tess)[0], dep, tess)
     assert route.hop_count == 1
     ok = True
     details = []

@@ -28,7 +28,7 @@ def single_hop_network(seed=2):
         id=0, source=0, destination=1,
         length=float(geometry.surface_distance(dep.nodes[0], dep.nodes[1])),
     )
-    route = routing.straight_line_route(conn, dep, tess)
+    route = routing.build_route(conn, routing.cell_paths([conn], dep, tess)[0], dep, tess)
     assert route.hop_count == 1
     return dep, tess, sched, route
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +8,10 @@ from hypothesis.extra import numpy as hnp
 
 from adhocsim import geometry, routing, tessellation
 from adhocsim.errors import ConfigurationError, GeometryError, RoutingError
+
+
+def straight(conn, dep, tess):
+    return routing.build_route(conn, routing.cell_paths([conn], dep, tess)[0], dep, tess)
 
 
 class TestPickConnections:
@@ -52,7 +55,7 @@ class TestStraightLineRoutes:
         conn = routing.Connection(id=0, source=int(ids[0]), destination=int(ids[1]),
                                   length=float(geometry.surface_distance(
                                       dep.nodes[ids[0]], dep.nodes[ids[1]])))
-        route = routing.straight_line_route(conn, dep, tess)
+        route = straight(conn, dep, tess)
         assert route.cells == [cell]
         assert route.hop_count == 1
         assert route.relays == [conn.source, conn.destination]
@@ -103,7 +106,7 @@ class TestStraightLineRoutes:
         conns = routing.pick_connections(dep, 5)
         long = max(conns, key=lambda c: c.length)
         with pytest.raises(RoutingError) as err:
-            routing.straight_line_route(long, dep, tess)
+            straight(long, dep, tess)
         assert err.value.cell is not None
 
 
@@ -114,7 +117,7 @@ class TestStraightLineRoutes:
         twin = tessellation.Deployment(n=dep.n, seed=dep.seed, nodes=nodes)
         conn = routing.Connection(id=0, source=0, destination=1, length=0.0)
         with pytest.raises(GeometryError):
-            routing.straight_line_route(conn, twin, tess)
+            routing.cell_paths([conn], twin, tess)
 
 
 def assert_walk_covers_arc(tess, a, b, walk, lo, hi, count, depth=3):
@@ -146,6 +149,70 @@ directions = hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
 )
 
 
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+# Arcs between two random directions, and short ones from a direction to a
+# nearby point: within one cell or across a few (a cell's radius is at most
+# 2*rho_n, 0.45 rad at n = 600).
+arcs = st.one_of(
+    st.tuples(directions.map(unit), directions.map(unit)),
+    st.builds(
+        lambda v, d, s: (unit(v), unit(unit(v) + s * unit(d))),
+        directions, directions, st.floats(1e-6, 1.0),
+    ),
+).filter(lambda ab: 1e-9 < float(geometry.central_angle(*ab)) < math.pi - 1e-6)
+
+
+def reference_walk(tess, a, b, theta):
+    """The per-arc walk that ``routing.walk_geodesics`` batches, on plain
+    floats: the scalar reference for the batch."""
+    rows = [
+        [(j, *w) for j, w in zip(nbrs.tolist(), (c - tess.centers[nbrs]).tolist())]
+        for c, nbrs in zip(tess.centers, tess.neighbors)
+    ]
+    start = int(np.argmax(tess.centers @ a))
+    end = int(np.argmax(tess.centers @ b))
+    ax, ay, az = a.tolist()
+    bx, by, bz = b.tolist()
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    cells = [start]
+    prev, cell = -1, start
+    while cell != end:
+        exit_phi, nxt = math.inf, -1
+        for j, wx, wy, wz in rows[cell]:
+            if j == prev:
+                continue
+            aw = ax * wx + ay * wy + az * wz
+            phi = math.atan2(bx * wx + by * wy + bz * wz - cos_t * aw, sin_t * aw) + math.pi / 2
+            if -1e-12 <= phi < exit_phi:
+                exit_phi, nxt = phi, j
+        if exit_phi > theta + 1e-12:
+            raise RoutingError("geodesic walk left cell beyond the arc's end", cell=cell)
+        if len(cells) == tess.num_cells:
+            raise RoutingError("geodesic walk is longer than the cell count")
+        prev, cell = cell, nxt
+        cells.append(cell)
+    return cells
+
+
+def walk_one(tess, a, b, theta):
+    """``routing.walk_geodesics`` on the single arc from a to b."""
+    ends = np.array([np.argmax(tess.centers @ a)]), np.array([np.argmax(tess.centers @ b)])
+    return routing.walk_geodesics(
+        routing.bisector_table(tess), a[None], b[None], np.array([theta]), *ends, [0]
+    )[0]
+
+
+def walk_connection(table, dep, conn, route):
+    """``routing.walk_geodesics`` over ``table`` on one connection's arc."""
+    a, b = dep.nodes[[conn.source]], dep.nodes[[conn.destination]]
+    theta = np.array([conn.length / geometry.RADIUS])
+    ends = np.array(route.cells[:1]), np.array(route.cells[-1:])
+    return routing.walk_geodesics(table, a, b, theta, *ends, [conn.id])
+
+
 class TestExactWalk:
     @given(directions, directions)
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -154,7 +221,7 @@ class TestExactWalk:
         a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
         theta = float(geometry.central_angle(a, b))
         assume(1e-9 < theta < math.pi - 1e-6)
-        walk = routing._crossed_cells(tess, a, b, theta)
+        walk = walk_one(tess, a, b, theta)
         d = geometry.RADIUS * theta
         count = max(math.ceil(d / (tess.rho_n / 1000)) + 1, 2)
         assert_walk_covers_arc(tess, a, b, walk, 0.0, d, count)
@@ -164,7 +231,7 @@ class TestExactWalk:
         # rho_n/10 = 0.0064 step of the sampled walk this one replaced, which
         # routed it through [19, 3, 31, 36, 15].
         dep, tess, _, conns, _ = small_instance
-        route = routing.straight_line_route(conns[6], dep, tess)
+        route = straight(conns[6], dep, tess)
         assert route.cells == [19, 9, 3, 31, 36, 15]
         a, b = dep.nodes[conns[6].source], dep.nodes[conns[6].destination]
         assert_walk_covers_arc(tess, a, b, route.cells, 0.0, conns[6].length, 10_001, depth=1)
@@ -177,22 +244,19 @@ class TestExactWalk:
         twin = tessellation.Deployment(n=dep.n, seed=dep.seed, nodes=nodes)
         conn = routing.Connection(id=0, source=0, destination=1, length=geometry.MAX_DISTANCE)
         with pytest.raises(GeometryError):
-            routing.straight_line_route(conn, twin, tess)
+            routing.cell_paths([conn], twin, tess)
 
     def test_walk_past_the_arc_raises(self, small_instance):
         # Without the bisector into the end cell the walk would leave the
         # cell before it beyond the arc's end.
         dep, tess, _, conns, routes = small_instance
         conn, route = next((c, r) for c, r in zip(conns, routes) if len(r.cells) > 2)
-        a, b = dep.nodes[conn.source], dep.nodes[conn.destination]
         last, end = route.cells[-2:]
-        broken = dataclasses.replace(tess)
-        broken.__dict__["bisectors"] = [
-            [row for row in rows if (i, row[0]) != (last, end)]
-            for i, rows in enumerate(tess.bisectors)
-        ]
+        nbrs, normals = routing.bisector_table(tess)
+        nbrs = nbrs.copy()
+        nbrs[last][nbrs[last] == end] = -1
         with pytest.raises(RoutingError, match="beyond the arc"):
-            routing._crossed_cells(broken, a, b, conn.length / geometry.RADIUS)
+            walk_connection((nbrs, normals), dep, conn, route)
 
     def test_cycling_walk_stops_at_the_cell_count(self, small_instance):
         # Bisector rows corrupted into a three-cell cycle, each crossed at
@@ -200,12 +264,66 @@ class TestExactWalk:
         dep, tess, _, conns, routes = small_instance
         conn, route = next((c, r) for c, r in zip(conns, routes) if len(r.cells) > 4)
         a, b = dep.nodes[conn.source], dep.nodes[conn.destination]
-        w = ((a @ b) * a - b).tolist()
+        w = (a @ b) * a - b
         i, j, k = route.cells[:3]
-        broken = dataclasses.replace(tess)
-        broken.__dict__["bisectors"] = {i: [(j, *w)], j: [(k, *w)], k: [(i, *w)]}
+        nbrs = np.full((tess.num_cells, 1), -1)
+        normals = np.zeros((tess.num_cells, 1, 3))
+        for cell, nxt in ((i, j), (j, k), (k, i)):
+            nbrs[cell], normals[cell] = nxt, w
         with pytest.raises(RoutingError, match="cell count"):
-            routing._crossed_cells(broken, a, b, conn.length / geometry.RADIUS)
+            walk_connection((nbrs, normals), dep, conn, route)
+
+    @given(st.lists(arcs, min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_batch_matches_the_scalar_walk(self, small_instance, pairs):
+        _, tess, _, _, _ = small_instance
+        a = np.array([p[0] for p in pairs])
+        b = np.array([p[1] for p in pairs])
+        theta = geometry.central_angle(a, b)
+        start = np.array([np.argmax(tess.centers @ x) for x in a])
+        end = np.array([np.argmax(tess.centers @ x) for x in b])
+        walks = routing.walk_geodesics(
+            routing.bisector_table(tess), a, b, theta, start, end, ids=range(len(pairs))
+        )
+        for k, walk in enumerate(walks):
+            assert walk == reference_walk(tess, a[k], b[k], float(theta[k]))
+
+
+class TestRoutingErrors:
+    def test_errors_name_their_connection(self, small_instance):
+        dep, tess, _, conns, routes = small_instance
+        conn, route = next((c, r) for c, r in zip(conns, routes) if len(r.cells) > 2)
+        last, end = route.cells[-2:]
+        nbrs, normals = routing.bisector_table(tess)
+        nbrs = nbrs.copy()
+        nbrs[last][nbrs[last] == end] = -1
+        # Only walks that step from ``last`` into ``end`` can fail.
+        others = [c for c, r in zip(conns, routes) if (last, end) not in zip(r.cells, r.cells[1:])]
+        batch = others[:4] + [conn] + others[4:8]
+        a = dep.nodes[[c.source for c in batch]]
+        b = dep.nodes[[c.destination for c in batch]]
+        with pytest.raises(RoutingError, match=f"^connection {conn.id}: ") as err:
+            routing.walk_geodesics(
+                (nbrs, normals), a, b, geometry.central_angle(a, b),
+                tess.cell_of_node[[c.source for c in batch]],
+                tess.cell_of_node[[c.destination for c in batch]],
+                [c.id for c in batch],
+            )
+        assert err.value.cell is not None
+
+        nodes = dep.nodes.copy()
+        nodes[1] = nodes[0]
+        twin = tessellation.Deployment(n=dep.n, seed=dep.seed, nodes=nodes)
+        twins = [routing.Connection(id=17, source=0, destination=1, length=0.0)]
+        with pytest.raises(GeometryError, match="^connection 17: co-located"):
+            routing.cell_paths(conns[2:5] + twins, twin, tess)
+
+        sparse = tessellation.deploy(40, 3)
+        tess = tessellation.build_tessellation(sparse, tessellation.rho_for_n(2000, 1.2), 4)
+        long = max(routing.pick_connections(sparse, 5), key=lambda c: c.length)
+        with pytest.raises(RoutingError, match=f"^connection {long.id}: .*empty cell") as err:
+            straight(long, sparse, tess)
+        assert err.value.cell is not None
 
 
 class TestArbitraryRoutes:
@@ -215,7 +333,9 @@ class TestArbitraryRoutes:
             ca = int(tess.cell_of_node[c.source])
             cb = int(tess.cell_of_node[c.destination])
             if cb in set(tess.neighbors[ca].tolist()):
-                r = routing.arbitrary_route(c, dep, tess, "shortest_cell_path")
+                r = routing.build_route(
+                    c, routing.cell_paths([c], dep, tess, "shortest_cell_path")[0], dep, tess
+                )
                 assert r.cells == [ca, cb]
                 assert r.hop_count == 1
                 break
@@ -224,25 +344,26 @@ class TestArbitraryRoutes:
 
     def test_loop_erased_walk_never_revisits(self, small_instance):
         dep, tess, _, conns, _ = small_instance
-        for c in conns[:100]:
-            r = routing.arbitrary_route(c, dep, tess, "random_walk_loop_erased", seed=c.id)
+        paths = routing.cell_paths(conns[:100], dep, tess, "random_walk_loop_erased")
+        for c, cells in zip(conns, paths):
+            r = routing.build_route(c, cells, dep, tess)
             assert len(set(r.cells)) == len(r.cells)
             for a, b in zip(r.cells, r.cells[1:]):
                 assert b in set(tess.neighbors[a].tolist())
 
     def test_detour_length_within_factor_of_bfs(self, small_instance):
         dep, tess, _, conns, _ = small_instance
-        for c in conns[:60]:
-            bfs = routing.arbitrary_route(c, dep, tess, "shortest_cell_path")
-            detour = routing.arbitrary_route(c, dep, tess, "detour:2.0", seed=c.id)
-            bfs_len = routing._cells_path_length(bfs.cells, tess)
-            det_len = routing._cells_path_length(detour.cells, tess)
+        bfs = routing.cell_paths(conns[:60], dep, tess, "shortest_cell_path")
+        detour = routing.cell_paths(conns[:60], dep, tess, "detour:2.0")
+        for base, cells in zip(bfs, detour):
+            bfs_len = routing._cells_path_length(base, tess)
+            det_len = routing._cells_path_length(cells, tess)
             assert det_len <= 2.0 * max(bfs_len, 1e-12) + 1e-9
 
     def test_unknown_strategy(self, small_instance):
         dep, tess, _, conns, _ = small_instance
         with pytest.raises(ConfigurationError):
-            routing.arbitrary_route(conns[0], dep, tess, "teleport")
+            routing.cell_paths(conns[:1], dep, tess, "teleport")
 
     def test_loop_erasure_helper(self):
         assert routing._loop_erase([1, 2, 3, 2, 4]) == [1, 2, 4]

@@ -7,7 +7,7 @@ slot-synchronous SINR-based packet simulation, and empirically checks
 the geometric and throughput claims that motivate the design.
 """
 
-from .engine import EngineConfig, RunMetrics, run, throughput_summary
+from .engine import EngineConfig, RunMetrics, run
 from .errors import ConfigurationError, GeometryError, RoutingError, SaturationError
 from .links import (
     BpskPacketModel,
@@ -28,7 +28,7 @@ from .tessellation import (
     deploy,
     rho_for_n,
 )
-from .verification import BoundSet, compute_bounds, throughput_ceilings
+from .verification import BoundSet, compute_bounds, throughput_ceilings, throughput_summary
 
 __all__ = [
     "BoundSet",

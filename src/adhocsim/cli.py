@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 when a verified invariant failed, 2 on
-configuration errors.
+Exit codes: 0 on success, 1 when a verified invariant or, for ``verify``,
+a claim check failed, 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import experiment, verification
-from .engine import throughput_summary
 from .errors import ConfigurationError, GeometryError, RoutingError
 from .routing import write_routes
 from .scheduling import save_schedule
 from .tessellation import deploy, save_tessellation
+from .verification import throughput_summary
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -84,12 +84,25 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
+def cmd_schedules(args) -> int:
+    spec = _spec_from_args(args)
+    for n, seed, regime, K, p5, _, _ in experiment.run_schedules(spec):
+        print(f"n={n} seed={seed} {regime}: K={K} sinr_p5={float(p5):.4g}")
+    print(f"wrote {Path(spec.out_dir) / 'schedule_comparison.csv'}")
+    return EXIT_OK
+
+
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     res = experiment.run_single(spec, args.n, args.seed)
     out = Path(spec.out_dir)
     res.report.write_text(out / "verification.txt")
     write_routes(res.routes, out / "routes.txt")
+    K = res.schedule.num_colors
+    print(f"n={args.n} rho_n={res.tess.rho_n:.5f} cells={res.tess.num_cells} K={K}")
+    bounds = verification.compute_bounds(alpha=spec.radio.alpha, c1=K - 1)
+    print(f"t0={bounds.t0:.6f} m0={bounds.m0:.0f} beta0={bounds.beta0:.4g} "
+          f"beta1={bounds.beta1:.4g}")
     for check_id in sorted({r.check_id for r in res.report.records}):
         rate = res.report.pass_rate(check_id)
         print(f"{check_id}: pass rate {rate:.3f}")
@@ -99,9 +112,9 @@ def cmd_verify(args) -> int:
             f"realized per-hop SINR: min={min(gammas):.4g} "
             f"median={sorted(gammas)[len(gammas) // 2]:.4g}"
         )
-    ok = res.hard_invariants_ok
-    print("hard invariants:", "ok" if ok else "FAILED")
-    return EXIT_OK if ok else EXIT_INVARIANT
+    failed = verification.failed_claims(res.report)
+    print("claims:", f"FAILED {' '.join(failed)}" if failed else "ok")
+    return EXIT_INVARIANT if failed else EXIT_OK
 
 
 def cmd_bounds(args) -> int:
@@ -122,6 +135,8 @@ def cmd_bounds(args) -> int:
         if report.occupancy_ceiling is not None:
             print(f"occupancy_ceiling={report.occupancy_ceiling!r}")
             print(f"conservative_ceiling={report.conservative_ceiling!r}")
+            print(f"c0_over_n={report.c0_over_n!r}")
+            print(f"conservative_sqrt_form={report.conservative_sqrt_form!r}")
     return EXIT_OK
 
 
@@ -175,6 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     point(p)
     config(p)
     p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("schedules", help="fixed against conservative schedules on the grid")
+    config(p)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_schedules)
 
     p = sub.add_parser("bounds", help="closed-form bound calculator")
     p.add_argument("--eps1", type=float, default=verification.DEFAULT_EPS)

@@ -377,23 +377,3 @@ def saturated_hop_samples(
         )
     return gamma, nearest
 
-
-@dataclass(frozen=True)
-class ThroughputSummary:
-    injection_ceiling: float  # 1 / (max occupancy * K)
-    occupancy_rate_bound: float  # 4 / (pi * n * rho_n^2)
-
-
-def throughput_summary(tess: Tessellation, schedule: Schedule) -> ThroughputSummary:
-    """The cell-sharing feasibility ceilings of a run.
-
-    A cell with ``Q`` resident nodes transmitting once per ``K`` slots cannot
-    give any of them more than ``1/(Q*K)`` injections per slot, and for any
-    certified tessellation the per-node rate is capped by
-    ``4 / (pi * n * rho_n**2)``.
-    """
-    n = len(tess.cell_of_node)
-    return ThroughputSummary(
-        injection_ceiling=1.0 / (int(tess.occupancy().max()) * schedule.num_colors),
-        occupancy_rate_bound=4.0 / (math.pi * n * tess.rho_n**2),
-    )

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry
-from .engine import EngineConfig, RunMetrics, run, throughput_summary
+from .engine import EngineConfig, RunMetrics, run, saturated_hop_samples
 from .errors import ConfigurationError
 from .links import RadioParams, filter_model_params, make_link_model
 from .routing import Route, build_route, cell_paths, detour_factor, pick_connections
@@ -49,6 +49,7 @@ from .verification import (
     check_sinr_bounded_fraction,
     compute_bounds,
     delivery_prediction,
+    throughput_summary,
 )
 
 _SEED_STRIDE = 1_000_003  # sub-seed separation between pipeline stages
@@ -134,14 +135,22 @@ class PointResult:
     error: str | None = None
 
 
-def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
+def point_routes(
+    spec: ExperimentSpec, n: int, seed: int
+) -> tuple[Deployment, Tessellation, list[Route]]:
+    """The instance of point ``(n, seed)`` and the routes of its connections."""
     dep, tess = prepare_instance(n, seed, spec.area_constant)
-    schedule = make_schedule(spec, tess, n)
     connections = pick_connections(dep, seed + 3 * _SEED_STRIDE)
     if spec.track_connections is not None:
         connections = connections[: spec.track_connections]
     paths = cell_paths(connections, dep, tess, spec.routing_strategy, seed + 4 * _SEED_STRIDE)
     routes = [build_route(c, cells, dep, tess) for c, cells in zip(connections, paths)]
+    return dep, tess, routes
+
+
+def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
+    dep, tess, routes = point_routes(spec, n, seed)
+    schedule = make_schedule(spec, tess, n)
     cfg = replace(spec.engine, seed=seed + 5 * _SEED_STRIDE)
     metrics = run(dep, tess, schedule, routes, spec.link_model(), spec.radio, cfg)
 
@@ -203,10 +212,7 @@ def run_sweep(spec: ExperimentSpec) -> bool:
     as soon as it finishes; True iff every point ran and kept every hard
     invariant.  Points that raised are listed in ``errors.txt``; the
     resolved configuration is in ``config.resolved.ini``."""
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _clear_outputs(out)
-    write_resolved_config(spec, out / "config.resolved.ini")
+    out = _open_out_dir(spec)
     points = sorted((n, seed) for n in spec.n_values for seed in spec.seeds)
     tasks = [(spec, n, seed) for n, seed in points]
     all_ok = True
@@ -238,10 +244,7 @@ def run_single(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
     and ``config.resolved.ini`` for the one point.
     """
     spec = replace(spec, n_values=(n,), seeds=(seed,))
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _clear_outputs(out)
-    write_resolved_config(spec, out / "config.resolved.ini")
+    out = _open_out_dir(spec)
     res = run_point(spec, n, seed)
     names = SWEEP_CSVS + ("verification_detail.csv",)
     if spec.engine.trace:
@@ -252,6 +255,29 @@ def run_single(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
         if spec.engine.trace:
             writer.write("trace.csv", trace_rows(res.metrics))
     return res
+
+
+def run_schedules(spec: ExperimentSpec) -> list[list]:
+    """Fixed against conservative spatial reuse over the sweep grid.
+
+    Each ``(n, seed)`` point's instance and routes get one schedule per
+    regime in ``SCHEDULE_REGIMES``; its row holds the schedule length and
+    the 5th, 50th and 95th percentiles of the saturated per-hop SINR.  The
+    rows go to ``schedule_comparison.csv`` and are returned.
+    """
+    out = _open_out_dir(spec)
+    rows = []
+    with CsvWriter(out, ("schedule_comparison.csv",)) as writer:
+        for n, seed in sorted((n, seed) for n in spec.n_values for seed in spec.seeds):
+            dep, tess, routes = point_routes(spec, n, seed)
+            for regime in SCHEDULE_REGIMES:
+                schedule = make_schedule(replace(spec, schedule_regime=regime), tess, n)
+                gamma, _ = saturated_hop_samples(dep, tess, schedule, routes, spec.radio)
+                p5, p50, p95 = np.percentile(gamma, [5, 50, 95]).tolist()
+                row = [n, seed, regime, schedule.num_colors, repr(p5), repr(p50), repr(p95)]
+                writer.write("schedule_comparison.csv", [row])
+                rows.append(row)
+    return rows
 
 
 # --- CSV output ---------------------------------------------------------------
@@ -272,6 +298,9 @@ CSV_LAYOUTS = {  # file name -> (schema stamp, header)
         "verification_detail_v1", "check_id,connection_id,lhs,rhs,passed,detail"
     ),
     "trace.csv": ("trace_v2", "slot,cell,tx_node,rx_node,sinr,outcome"),
+    "schedule_comparison.csv": (
+        "schedule_comparison_v1", "n,seed,regime,K,sinr_p5,sinr_p50,sinr_p95"
+    ),
 }
 SWEEP_CSVS = ("connections.csv", "summary.csv", "verification.csv")
 # Every file a run writes into its out dir except ``config.resolved.ini``,
@@ -279,10 +308,15 @@ SWEEP_CSVS = ("connections.csv", "summary.csv", "verification.csv")
 OUTPUT_FILES = (*CSV_LAYOUTS, "errors.txt", "verification.txt", "routes.txt")
 
 
-def _clear_outputs(out: Path) -> None:
-    """Delete what an earlier run left in ``out``; other files stay."""
+def _open_out_dir(spec: ExperimentSpec) -> Path:
+    """Create the out dir, delete what an earlier run left there (other
+    files stay) and record the resolved configuration."""
+    out = Path(spec.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for name in OUTPUT_FILES:
         (out / name).unlink(missing_ok=True)
+    write_resolved_config(spec, out / "config.resolved.ini")
+    return out
 
 
 class CsvWriter:

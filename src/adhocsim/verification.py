@@ -23,6 +23,8 @@ from .errors import ConfigurationError, SaturationError
 from .engine import RunMetrics
 from .links import LinkModel, hop_success_with_retries
 from .routing import Route
+from .scheduling import Schedule
+from .tessellation import Tessellation
 
 DEFAULT_EPS = 1.0 / 32.0
 ARBITRARY_EPS = 1.0 / 640.0
@@ -312,6 +314,22 @@ def check_sinr_bounded_fraction(
     return records
 
 
+def failed_claims(report: VerificationReport) -> list[str]:
+    """The checks of ``report`` below their floor, in sorted order;
+    ``adhocsim verify`` fails when there is any.
+
+    ``sinr_bounded_fraction`` asserts its count on at least 95 % of its
+    records, every other check on all of them.  ``delivery_prediction`` is
+    left out: it is a 3-sigma report, not an assertion.
+    """
+    failed = []
+    for check_id in sorted({r.check_id for r in report.records} - {"delivery_prediction"}):
+        floor = 0.95 if check_id == "sinr_bounded_fraction" else 1.0
+        if report.pass_rate(check_id) < floor:
+            failed.append(check_id)
+    return failed
+
+
 @dataclass(frozen=True)
 class CeilingReport:
     lambda_bound: float  # injection rate times the delivery-decay factor
@@ -342,7 +360,32 @@ def throughput_ceilings(
         c0_over_n=c0 / n,
         conservative_ceiling=1.0 / (n * rho_n * schedule_length),
         conservative_sqrt_form=1.0 / (schedule_length * math.sqrt(n * math.log(n))),
-        occupancy_ceiling=4.0 / (math.pi * n * rho_n**2),
+        occupancy_ceiling=_occupancy_ceiling(n, rho_n),
+    )
+
+
+def _occupancy_ceiling(n: int, rho_n: float) -> float:
+    """Per-node rate cap ``4 / (pi * n * rho_n**2)`` of any certified tessellation."""
+    return 4.0 / (math.pi * n * rho_n**2)
+
+
+@dataclass(frozen=True)
+class ThroughputSummary:
+    injection_ceiling: float  # 1 / (max occupancy * K)
+    occupancy_rate_bound: float  # 4 / (pi * n * rho_n^2)
+
+
+def throughput_summary(tess: Tessellation, schedule: Schedule) -> ThroughputSummary:
+    """The cell-sharing feasibility ceilings of a run.
+
+    A cell with ``Q`` resident nodes transmitting once per ``K`` slots cannot
+    give any of them more than ``1/(Q*K)`` injections per slot, and for any
+    certified tessellation the per-node rate is capped by
+    ``4 / (pi * n * rho_n**2)``.
+    """
+    return ThroughputSummary(
+        injection_ceiling=1.0 / (int(tess.occupancy().max()) * schedule.num_colors),
+        occupancy_rate_bound=_occupancy_ceiling(len(tess.cell_of_node), tess.rho_n),
     )
 
 

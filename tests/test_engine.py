@@ -7,8 +7,9 @@ import pytest
 from scipy import stats
 
 from adhocsim import engine, geometry, links, routing, scheduling, tessellation
-from adhocsim.engine import EngineConfig, run, throughput_summary
+from adhocsim.engine import EngineConfig, run
 from adhocsim.errors import ConfigurationError
+from adhocsim.verification import throughput_summary
 
 RADIO = links.RadioParams()
 

@@ -1,8 +1,5 @@
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +18,6 @@ TINY = [
     "sweep.track_connections=40",
     "engine.measure_slots=1500",
 ]
-
-
-def run_script(name, *args):
-    """Run ``scripts/<name>`` in a fresh interpreter; it must exit 0."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def tiny_spec(out_dir, extra=()):
@@ -446,6 +435,13 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "t0=" in out and "beta0=" in out
+        # with phi(beta0), rho_n and n: the two headline rates
+        argv = ["bounds", "--c1", "33", "--phi-beta0", "0.37", "--rho-n", "0.038", "--n", "2000"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        report = verification.throughput_ceilings(0.038, 34, 1.0, 0.37, n=2000)
+        assert f"c0_over_n={report.c0_over_n!r}" in lines
+        assert f"conservative_sqrt_form={report.conservative_sqrt_form!r}" in lines
 
     def test_appendix_subcommand(self, capsys):
         code = cli.main(["appendix", "--pairs", "1000000", "--seed", "2"])
@@ -488,24 +484,78 @@ class TestCli:
         detail = (sim / "verification_detail.csv").read_text().splitlines()
         assert detail[0] == "# schema=verification_detail_v1"
 
-    def test_claim_checks_script(self, tmp_path):
-        run_script("run_claim_checks.py", "--n", "2000", "--seed", "0",
-                   "--out", str(tmp_path / "claims"))
-        detail = (tmp_path / "claims" / "verification_detail.csv").read_text()
+    def test_verify_saturated_claims_hold(self, tmp_path, capsys):
+        out = tmp_path / "claims"
+        code = cli.main(["verify", "--n", "2000", "--seed", "0", "--out", str(out),
+                         "--set", "engine.traffic=saturated",
+                         "--set", "engine.injection_rate=0.0"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("n=2000 rho_n=") and " K=" in lines[0]
+        assert lines[1].startswith("t0=") and " beta1=" in lines[1]
+        for check_id in ("consecutive_short_hops", "hop_count", "interferer_proximity",
+                         "short_hops", "sinr_bounded_fraction"):
+            assert f"{check_id}: pass rate 1.000" in lines
+        detail = (out / "verification_detail.csv").read_text()
         assert detail.startswith("# schema=verification_detail_v1\n")
 
-    def test_schedule_comparison_script(self, tmp_path):
-        out = tmp_path / "comparison.csv"
-        run_script("run_schedule_comparison.py", "--seeds", "1", "--out", str(out))
-        lines = out.read_text().splitlines()
+    @pytest.mark.parametrize("check_id, failing, code", [
+        ("short_hops", 1, 1),
+        ("interferer_proximity", 1, 1),
+        ("sinr_bounded_fraction", 2, 1),  # 90 % of its records pass
+        ("sinr_bounded_fraction", 1, 0),  # 95 %
+        ("delivery_prediction", 20, 0),
+    ])
+    def test_verify_exit_rule(self, tmp_path, monkeypatch, check_id, failing, code):
+        real = experiment.run_point
+
+        def tampered(*args):
+            res = real(*args)
+            res.report.extend(
+                verification.CheckRecord(check_id, k, 0.0, 1.0, passed=k >= failing)
+                for k in range(20)
+            )
+            return res
+
+        monkeypatch.setattr(experiment, "run_point", tampered)
+        argv = ["verify", "--n", "250", "--seed", "0", "--out", str(tmp_path)]
+        assert cli.main(argv + [f"--set={s}" for s in TINY]) == code
+
+    def test_verify_ignores_delivery_prediction(self, tmp_path, capsys):
+        code = cli.main(["verify", "--n", "500", "--seed", "0", "--out", str(tmp_path)])
+        rates = dict(line.split(": pass rate ") for line in capsys.readouterr().out.splitlines()
+                     if ": pass rate " in line)
+        assert float(rates["delivery_prediction"]) < 1.0
+        assert code == 0
+
+    def test_schedules_subcommand(self, tmp_path, capsys):
+        out = tmp_path / "schedules"
+        code = cli.main(["schedules", "--out", str(out),
+                         "--set=sweep.n=500,1000,2000,4000", "--set=sweep.seeds=1"])
+        assert code == 0
+        lines = (out / "schedule_comparison.csv").read_text().splitlines()
         assert lines[:2] == ["# schema=schedule_comparison_v1",
                              "n,seed,regime,K,sinr_p5,sinr_p50,sinr_p95"]
-        assert len(lines) == 2 + 8  # four n, one seed, two regimes
+        assert [line.split(",")[:3] for line in lines[2:]] == [
+            [str(n), "0", regime] for n in (500, 1000, 2000, 4000)
+            for regime in ("fixed", "conservative")
+        ]
+        assert (out / "config.resolved.ini").exists()
 
-    def test_desk_sweep_script(self, tmp_path):
+    def test_schedules_fixed_row_matches_run_point(self, tmp_path):
+        spec = tiny_spec(tmp_path, ["sweep.seeds=0,", "engine.traffic=saturated",
+                                    "engine.injection_rate=0.0"])
+        fixed = experiment.run_schedules(spec)[0]
+        res = experiment.run_point(spec, 250, 0)
+        assert fixed[:4] == [250, 0, "fixed", res.schedule.num_colors]
+        assert float(fixed[4]) == np.percentile(res.metrics.hop_gamma, 5)
+
+    def test_desk_config_sweep(self, tmp_path):
         out = tmp_path / "desk"
-        run_script("run_desk_sweep.py", "--out", str(out),
-                   *[f"--set={s}" for s in TINY + ["sweep.seeds=1"]])
+        code = cli.main(["sweep", "--config", str(ROOT / "configs" / "desk.ini"),
+                         "--out", str(out)]
+                        + [f"--set={s}" for s in TINY + ["sweep.seeds=1"]])
+        assert code == 0
         for name in experiment.SWEEP_CSVS:
             schema = experiment.CSV_LAYOUTS[name][0]
             assert (out / name).read_text().startswith(f"# schema={schema}\n"), name

@@ -10,11 +10,9 @@ import pytest
 from adhocsim import engine, experiment, geometry
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "adhocsim").glob("*.py")) + sorted(
-    (ROOT / "scripts").glob("*.py")
-)
+SOURCES = sorted((ROOT / "src" / "adhocsim").glob("*.py"))
 
-# Public names kept although nothing in the package or the scripts calls them;
+# Public names kept although nothing in the package calls them;
 # each entry names the test of ``test_acceptance.py`` that does.
 CALLED_ONLY_BY_ACCEPTANCE = {
     "delivery_decay_direct": "test_accept_13_bound_calculator",

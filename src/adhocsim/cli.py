@@ -103,6 +103,9 @@ def cmd_verify(args) -> int:
     bounds = verification.compute_bounds(alpha=spec.radio.alpha, c1=K - 1)
     print(f"t0={bounds.t0:.6f} m0={bounds.m0:.0f} beta0={bounds.beta0:.4g} "
           f"beta1={bounds.beta1:.4g}")
+    # one cell per slot is a schedule without spatial reuse, not a claim failure
+    sizes = [len(cells) for cells in res.schedule.cells_by_color]
+    print(f"cells per slot: min={min(sizes)} mean={sum(sizes) / len(sizes):.2f}")
     for check_id in sorted({r.check_id for r in res.report.records}):
         rate = res.report.pass_rate(check_id)
         print(f"{check_id}: pass rate {rate:.3f}")

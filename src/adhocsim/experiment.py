@@ -14,7 +14,7 @@ import contextlib
 import csv
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -49,10 +49,13 @@ from .verification import (
     check_sinr_bounded_fraction,
     compute_bounds,
     delivery_prediction,
+    hard_invariants_hold,
     throughput_summary,
 )
 
 _SEED_STRIDE = 1_000_003  # sub-seed separation between pipeline stages
+MAX_REDEPLOYS = 50  # deployments tried per point before giving up
+_CAP_GRID = 1000  # cap radii the appendix's cap-area sandwich evaluates
 SCHEDULE_REGIMES = ("fixed", "conservative")
 
 
@@ -98,20 +101,18 @@ class ExperimentSpec:
         return make_link_model(self.link_model_name, **dict(self.link_model_params))
 
 
-def prepare_instance(
-    n: int, seed: int, area_constant: float, max_redeploys: int = 50
-) -> tuple[Deployment, Tessellation]:
+def prepare_instance(n: int, seed: int, area_constant: float) -> tuple[Deployment, Tessellation]:
     """Deploy and tessellate, resampling the seed until no cell is empty (the
     large-n regime guarantees occupancy only with high probability, so
     desk-scale runs occasionally redraw)."""
     rho = rho_for_n(n, area_constant)
-    for k in range(max_redeploys):
+    for k in range(MAX_REDEPLOYS):
         dep = deploy(n, seed + k * _SEED_STRIDE)
         tess = build_tessellation(dep, rho, seed + k * _SEED_STRIDE + 1)
         if tess.occupancy().min() > 0:
             return dep, tess
     raise ConfigurationError(
-        f"no fully occupied deployment in {max_redeploys} redraws at n={n}; "
+        f"no fully occupied deployment in {MAX_REDEPLOYS} redraws at n={n}; "
         "raise area_constant"
     )
 
@@ -131,8 +132,11 @@ class PointResult:
     metrics: RunMetrics
     routes: list[Route]
     report: VerificationReport
-    hard_invariants_ok: bool
     error: str | None = None
+    hard_invariants_ok: bool = field(init=False)  # ran, and kept every hard invariant
+
+    def __post_init__(self):
+        self.hard_invariants_ok = self.error is None and hard_invariants_hold(self.report)
 
 
 def point_routes(
@@ -152,7 +156,8 @@ def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
     dep, tess, routes = point_routes(spec, n, seed)
     schedule = make_schedule(spec, tess, n)
     cfg = replace(spec.engine, seed=seed + 5 * _SEED_STRIDE)
-    metrics = run(dep, tess, schedule, routes, spec.link_model(), spec.radio, cfg)
+    model = spec.link_model()
+    metrics = run(dep, tess, schedule, routes, model, spec.radio, cfg)
 
     report = VerificationReport()
     straight = spec.routing_strategy == "straight_line"
@@ -163,7 +168,7 @@ def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
             report.records.append(check_short_hops(r, tess.rho_n, bounds.t0))
         report.records.append(check_consecutive_short_hops(r, tess.rho_n))
     if metrics.saturated:
-        report.extend(
+        report.records.extend(
             check_interferer_proximity(
                 metrics, routes,
                 m=bounds.m0 if straight else bounds.m0_arbitrary,
@@ -172,15 +177,12 @@ def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
                 use_path_length=not straight,
             )
         )
-        report.extend(
+        report.records.extend(
             check_sinr_bounded_fraction(
                 metrics, routes, bounds, tess.rho_n, arbitrary=not straight
             )
         )
-    report.extend(delivery_prediction(metrics, routes, spec.link_model(), cfg.attempts_per_hop))
-
-    hard_ids = {"hop_count", "consecutive_short_hops"}
-    hard_ok = all(r.passed for r in report.records if r.check_id in hard_ids)
+    report.records.extend(delivery_prediction(metrics, routes, model, cfg.attempts_per_hop))
     return PointResult(
         n=n,
         seed=seed,
@@ -189,7 +191,6 @@ def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
         metrics=metrics,
         routes=routes,
         report=report,
-        hard_invariants_ok=hard_ok,
     )
 
 
@@ -202,8 +203,7 @@ def _run_point_task(args) -> PointResult:
     except Exception as exc:
         return PointResult(
             n=n, seed=seed, tess=None, schedule=None, metrics=None, routes=[],
-            report=VerificationReport(), hard_invariants_ok=False,
-            error=f"{type(exc).__name__}: {exc}",
+            report=VerificationReport(), error=f"{type(exc).__name__}: {exc}",
         )
 
 
@@ -402,9 +402,7 @@ def trace_rows(metrics: RunMetrics) -> list[list]:
             for slot, cell, tx, rx, sinr, outcome in metrics.trace]
 
 
-def verify_appendix(
-    seed: int = 0, pairs: int = 1_000_000, grid: int = 1000
-) -> VerificationReport:
+def verify_appendix(seed: int = 0, pairs: int = 1_000_000) -> VerificationReport:
     """Closed-form checks: pair-distance expectation, distance law, cap sandwich."""
     rng = np.random.default_rng(seed)
     a = geometry.random_point(rng, pairs)
@@ -437,7 +435,9 @@ def verify_appendix(
             detail=f"pairs={pairs}",
         )
     )
-    rhos = np.linspace(geometry.MAX_DISTANCE / 2.0 / grid, geometry.MAX_DISTANCE / 2.0, grid)
+    rhos = np.linspace(
+        geometry.MAX_DISTANCE / 2.0 / _CAP_GRID, geometry.MAX_DISTANCE / 2.0, _CAP_GRID
+    )
     areas = geometry.cap_area(rhos)
     ok_lower = bool(np.all(math.pi * rhos**2 / 2.0 <= areas))
     ok_upper = bool(np.all(areas <= math.pi * rhos**2))
@@ -448,7 +448,7 @@ def verify_appendix(
             lhs=float(ok_lower and ok_upper),
             rhs=1.0,
             passed=ok_lower and ok_upper,
-            detail=f"grid={grid}",
+            detail=f"grid={_CAP_GRID}",
         )
     )
     return VerificationReport(records)

@@ -67,10 +67,9 @@ def rho_for_area(area):
     return float(rho) if np.isscalar(area) or area_arr.ndim == 0 else rho
 
 
-def random_point(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Uniform point(s) on the sphere via normalized Gaussian directions."""
-    n = 1 if size is None else int(size)
-    v = rng.standard_normal((n, 3))
+def random_point(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` uniform points on the sphere via normalized Gaussian directions."""
+    v = rng.standard_normal((int(size), 3))
     norms = np.linalg.norm(v, axis=1)
     # Resample the (measure-zero) degenerate draws.
     while np.any(norms < 1e-12):
@@ -78,7 +77,7 @@ def random_point(rng: np.random.Generator, size: int | None = None) -> np.ndarra
         v[bad] = rng.standard_normal((int(bad.sum()), 3))
         norms = np.linalg.norm(v, axis=1)
     v /= norms[:, None]
-    return v[0] if size is None else v
+    return v
 
 
 def distance_cdf(l):

@@ -41,7 +41,7 @@ def path_gain(distance, alpha: float):
     return np.asarray(distance, dtype=float) ** (-alpha)
 
 
-def sinr(signal, receivers, interferers, radio: RadioParams, own=None):
+def sinr(signal, receivers, interferers, radio: RadioParams, own):
     """Per-receiver SINR and nearest-interferer distance; the one SINR kernel.
 
     ``signal`` (m,) is each receiver's received signal power, ``receivers``
@@ -57,14 +57,13 @@ def sinr(signal, receivers, interferers, radio: RadioParams, own=None):
     be short and need atan2, so callers pass their powers.
     """
     signal = np.asarray(signal, dtype=float)
-    if len(interferers) <= (own is not None):  # nobody but the own transmitter
+    if len(interferers) <= 1:  # nobody but the own transmitter
         return signal / radio.noise, np.full(len(signal), np.inf)
     receivers = np.asarray(receivers, dtype=float)
     interferers = np.asarray(interferers, dtype=float)
     cos = (receivers[:, None, :] * interferers[None, :, :]).sum(axis=-1)
     dist = geometry.RADIUS * np.arccos(np.clip(cos, -1.0, 1.0))
-    if own is not None:
-        dist[np.arange(len(dist)), own] = np.inf  # contributes zero power
+    dist[np.arange(len(dist)), own] = np.inf  # contributes zero power
     # A receiver that is itself transmitting hears infinite interference.
     with np.errstate(divide="ignore"):
         interference = radio.tx_power * path_gain(dist, radio.alpha).sum(axis=-1)

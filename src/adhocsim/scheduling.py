@@ -11,7 +11,7 @@ function of ``n`` so that spatial reuse shrinks as the network grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,10 +26,16 @@ DEFAULT_CONFLICT_MULTIPLIER = 12.0
 @dataclass
 class Schedule:
     color_of_cell: np.ndarray  # (m,) color per cell
-    num_colors: int
     conflict_multiplier: float
     regime: str  # "fixed" or "conservative:<growth>"
-    cells_by_color: list[np.ndarray]  # slot s runs color s mod num_colors
+    num_colors: int = field(init=False)
+    cells_by_color: list[np.ndarray] = field(init=False)  # slot s runs color s mod num_colors
+
+    def __post_init__(self):
+        self.num_colors = int(self.color_of_cell.max()) + 1
+        self.cells_by_color = [
+            np.flatnonzero(self.color_of_cell == k) for k in range(self.num_colors)
+        ]
 
 
 def _conflict_sets(tess: Tessellation, delta: float) -> list[set[int]]:
@@ -92,14 +98,7 @@ def _rebalance_classes(colors: np.ndarray, conflicts: list[set[int]]) -> np.ndar
 
 
 def _finalize(colors, delta, regime, tess) -> Schedule:
-    num_colors = int(colors.max()) + 1
-    sched = Schedule(
-        color_of_cell=colors,
-        num_colors=num_colors,
-        conflict_multiplier=float(delta),
-        regime=regime,
-        cells_by_color=[np.flatnonzero(colors == k) for k in range(num_colors)],
-    )
+    sched = Schedule(color_of_cell=colors, conflict_multiplier=float(delta), regime=regime)
     assert_proper(sched, tess)
     return sched
 

@@ -18,7 +18,6 @@ import numpy as np
 from . import geometry
 from .errors import ConfigurationError
 
-DEFAULT_AREA_CONSTANT = 100.0
 _MAX_AREA = 0.5  # keeps rho_n <= sqrt(pi)/4 so the cap-area sandwich applies
 
 
@@ -54,7 +53,7 @@ def min_valid_n(area_constant: float) -> int:
     return hi
 
 
-def rho_for_n(n, area_constant: float = DEFAULT_AREA_CONSTANT) -> float:
+def rho_for_n(n, area_constant: float) -> float:
     """Cell scale: radius of a cap of area ``area_constant*ln(n)/n``."""
     if n < 2:
         raise ConfigurationError("n must be at least 2")
@@ -75,10 +74,13 @@ class Tessellation:
     centers: np.ndarray  # (m, 3) unit vectors
     rho_n: float
     cell_of_node: np.ndarray  # (n,) cell index per node
-    neighbors: list[np.ndarray]  # adjacency lists, symmetric, irreflexive
     relay_of_cell: np.ndarray = field(repr=False)  # (m,) node nearest each center, -1 if empty
     gap_ratio: float  # closest center pair / (2*rho_n), >= 1 (inf for one cell)
     cover_ratio: float  # covering radius / (2*rho_n), <= 1
+    neighbors: list[np.ndarray] = field(init=False, repr=False)  # symmetric, irreflexive
+
+    def __post_init__(self):
+        self.neighbors = _adjacency(self.centers, self.rho_n)
 
     @property
     def num_cells(self) -> int:
@@ -170,7 +172,6 @@ def build_tessellation(dep: Deployment, rho_n: float, seed: int) -> Tessellation
         centers=centers,
         rho_n=float(rho_n),
         cell_of_node=cell_of_node,
-        neighbors=_adjacency(centers, rho_n),
         relay_of_cell=all_cell_relays(centers, cell_of_node, dep.nodes),
         gap_ratio=float(gap / (2.0 * rho_n)),
         cover_ratio=float(dists[0] / (2.0 * rho_n)),

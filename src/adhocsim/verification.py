@@ -30,6 +30,8 @@ DEFAULT_EPS = 1.0 / 32.0
 ARBITRARY_EPS = 1.0 / 640.0
 SHORT_HOP_W = 40
 SHORT_HOP_T = 0.01
+# Cells reachable by SHORT_HOP_W hops of length <= SHORT_HOP_T*rho_n: 2*(w*t + 4)**2.
+SHORT_HOP_CELL_BOUND = 2.0 * (SHORT_HOP_W * SHORT_HOP_T + 4.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class BoundSet:
     beta0: float
     m0_arbitrary: float
     beta1: float
-    c0: float | None = None  # needs phi(beta0); see throughput_ceilings
+    c0: float | None  # needs phi(beta0); see throughput_ceilings
 
 
 def short_hop_fraction(t: float) -> float:
@@ -59,7 +61,7 @@ def short_hop_fraction(t: float) -> float:
     return (1.0 - 16.0 * t / math.pi) / (8.0 - t)
 
 
-def short_hop_threshold_root(eps1: float, tol: float = 1e-10) -> float:
+def short_hop_threshold_root(eps1: float) -> float:
     """Bisection solve of ``short_hop_fraction(t) == 1/8 - eps1`` on (0, pi/16)."""
     target = 0.125 - eps1
     lo, hi = 0.0, math.pi / 16.0
@@ -67,7 +69,7 @@ def short_hop_threshold_root(eps1: float, tol: float = 1e-10) -> float:
     f_hi = -target
     if f_lo <= 0 or f_hi >= 0:
         raise ConfigurationError("no root in (0, pi/16); eps1 out of range")
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if short_hop_fraction(mid) - target > 0:
             lo = mid
@@ -92,15 +94,18 @@ def compute_bounds(
     m0_arbitrary = 2.0 * (1.0 + c1) / ARBITRARY_EPS
     beta0 = ((m0 + 8.0) / t0) ** alpha
     beta1 = 100.0**alpha * (m0_arbitrary + 8.0) ** alpha
-    c0 = None
-    if phi_of_beta0 is not None:
-        if not 0.0 < phi_of_beta0 < 1.0:
-            raise ConfigurationError("phi(beta0) must lie in (0, 1)")
-        c0 = 2.0**12 / math.log(phi_of_beta0) ** 2
     return BoundSet(
         eps1=eps1, eps2=eps2, alpha=alpha, c1=c1, t0=t0, m0=m0, beta0=beta0,
-        m0_arbitrary=m0_arbitrary, beta1=beta1, c0=c0,
+        m0_arbitrary=m0_arbitrary, beta1=beta1,
+        c0=None if phi_of_beta0 is None else _c0(phi_of_beta0),
     )
+
+
+def _c0(phi_of_beta0: float) -> float:
+    """The throughput constant ``2**12 / log(phi(beta0))**2``."""
+    if not 0.0 < phi_of_beta0 < 1.0:
+        raise ConfigurationError("phi(beta0) must lie in (0, 1)")
+    return 2.0**12 / math.log(phi_of_beta0) ** 2
 
 
 @dataclass(frozen=True)
@@ -117,13 +122,8 @@ class CheckRecord:
 class VerificationReport:
     records: list[CheckRecord] = field(default_factory=list)
 
-    def extend(self, records) -> None:
-        self.records.extend(records)
-
-    def pass_rate(self, check_id: str | None = None) -> float:
-        recs = [
-            r for r in self.records if check_id is None or r.check_id == check_id
-        ]
+    def pass_rate(self, check_id: str) -> float:
+        recs = [r for r in self.records if r.check_id == check_id]
         if not recs:
             return float("nan")
         return sum(r.passed for r in recs) / len(recs)
@@ -195,10 +195,10 @@ def check_short_hops(route: Route, rho_n: float, t: float) -> CheckRecord:
     )
 
 
-def max_short_run(route: Route, rho_n: float, t: float = SHORT_HOP_T) -> int:
-    """Longest run of consecutive hops of length ``t * rho_n`` or less."""
+def max_short_run(route: Route, rho_n: float) -> int:
+    """Longest run of consecutive hops of length ``SHORT_HOP_T * rho_n`` or less."""
     best = run = 0
-    limit = t * rho_n
+    limit = SHORT_HOP_T * rho_n
     for hop in route.hop_lengths.tolist():
         if hop <= limit:
             run += 1
@@ -208,23 +208,16 @@ def max_short_run(route: Route, rho_n: float, t: float = SHORT_HOP_T) -> int:
     return best
 
 
-def consecutive_short_hop_cell_bound(w: int = SHORT_HOP_W, t: float = SHORT_HOP_T) -> float:
-    """Cells reachable by ``w`` hops of length <= ``t*rho_n``: ``2*(w*t + 4)**2``."""
-    return 2.0 * (w * t + 4.0) ** 2
-
-
-def check_consecutive_short_hops(
-    route: Route, rho_n: float, w: int = SHORT_HOP_W, t: float = SHORT_HOP_T
-) -> CheckRecord:
-    """No ``w`` consecutive hops of length ``t * rho_n`` or less."""
-    run = max_short_run(route, rho_n, t)
+def check_consecutive_short_hops(route: Route, rho_n: float) -> CheckRecord:
+    """No ``SHORT_HOP_W`` consecutive hops of length ``SHORT_HOP_T * rho_n`` or less."""
+    run = max_short_run(route, rho_n)
     return CheckRecord(
         check_id="consecutive_short_hops",
         connection_id=route.connection_id,
         lhs=float(run),
-        rhs=float(w),
-        passed=bool(run < w),
-        detail=f"cell_bound={consecutive_short_hop_cell_bound(w, t)!r}",
+        rhs=float(SHORT_HOP_W),
+        passed=bool(run < SHORT_HOP_W),
+        detail=f"cell_bound={SHORT_HOP_CELL_BOUND!r}",
     )
 
 
@@ -314,6 +307,13 @@ def check_sinr_bounded_fraction(
     return records
 
 
+def hard_invariants_hold(report: VerificationReport) -> bool:
+    """Whether every ``hop_count`` and ``consecutive_short_hops`` record of
+    ``report`` passed; ``simulate`` and ``sweep`` fail when one did not."""
+    hard_ids = {"hop_count", "consecutive_short_hops"}
+    return all(r.passed for r in report.records if r.check_id in hard_ids)
+
+
 def failed_claims(report: VerificationReport) -> list[str]:
     """The checks of ``report`` below their floor, in sorted order;
     ``adhocsim verify`` fails when there is any.
@@ -347,11 +347,8 @@ def throughput_ceilings(
     phi_beta0: float,
     n: int | None = None,
 ) -> CeilingReport:
-    if not 0.0 < phi_beta0 < 1.0:
-        raise ConfigurationError("phi(beta0) must lie in (0, 1)")
-    log_phi = math.log(phi_beta0)
-    lambda_bound = injection_rate * 1024.0 * math.pi * rho_n**2 / log_phi**2
-    c0 = 2.0**12 / log_phi**2
+    c0 = _c0(phi_beta0)
+    lambda_bound = injection_rate * 1024.0 * math.pi * rho_n**2 / math.log(phi_beta0) ** 2
     if n is None:
         return CeilingReport(lambda_bound, c0, None, None, None, None)
     return CeilingReport(

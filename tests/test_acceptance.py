@@ -222,13 +222,13 @@ def test_accept_06_short_hop_floor(cert_instances):
 
 
 def test_accept_07_consecutive_short_hops(cert_instances):
-    n2 = verification.consecutive_short_hop_cell_bound(40, 0.01)
+    n2 = verification.SHORT_HOP_CELL_BOUND
     ok = abs(n2 - 38.72) < 1e-12
     total = 0
     worst = 0
     for n, seed, dep, tess, routes in cert_instances["instances"]:
         for r in routes:
-            worst = max(worst, verification.max_short_run(r, tess.rho_n, 0.01))
+            worst = max(worst, verification.max_short_run(r, tess.rho_n))
         total += len(routes)
     # arbitrary strategies on the first instance of each n
     for pick_n in (500, 2000):
@@ -239,7 +239,7 @@ def test_accept_07_consecutive_short_hops(cert_instances):
         for strat in ("random_walk_loop_erased", "detour:2.0"):
             for c, cells in zip(conns, routing.cell_paths(conns, dep, tess, strat)):
                 r = routing.build_route(c, cells, dep, tess)
-                worst = max(worst, verification.max_short_run(r, tess.rho_n, 0.01))
+                worst = max(worst, verification.max_short_run(r, tess.rho_n))
                 total += 1
     ok &= worst < 40 and total >= 10_000
     report(7, "no 40 consecutive short hops", ok,

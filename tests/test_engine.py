@@ -49,19 +49,11 @@ def single_node_cells(nodes, rho, colors):
         centers=nodes.copy(),
         rho_n=rho,
         cell_of_node=cells,
-        neighbors=tessellation._adjacency(nodes, rho),
         relay_of_cell=cells,
         gap_ratio=math.nan,
         cover_ratio=math.nan,
     )
-    K = int(colors.max()) + 1
-    sched = scheduling.Schedule(
-        color_of_cell=colors,
-        num_colors=K,
-        conflict_multiplier=12.0,
-        regime="fixed",
-        cells_by_color=[np.flatnonzero(colors == k) for k in range(K)],
-    )
+    sched = scheduling.Schedule(color_of_cell=colors, conflict_multiplier=12.0, regime="fixed")
     dep = tessellation.Deployment(n=len(nodes), seed=0, nodes=nodes)
     return dep, tess, sched
 

@@ -143,10 +143,11 @@ def test_every_field_has_one_config_key():
 
 
 class TestPrepareInstance:
-    def test_rejects_underoccupied_scale(self):
+    def test_rejects_underoccupied_scale(self, monkeypatch):
         # a tiny area constant makes far more cells than nodes
+        monkeypatch.setattr(experiment, "MAX_REDEPLOYS", 3)
         with pytest.raises(ConfigurationError):
-            experiment.prepare_instance(40, 0, 0.05, max_redeploys=3)
+            experiment.prepare_instance(40, 0, 0.05)
 
     def test_occupied_instance(self):
         dep, tess = experiment.prepare_instance(250, 0, 1.2)
@@ -493,6 +494,9 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("n=2000 rho_n=") and " K=" in lines[0]
         assert lines[1].startswith("t0=") and " beta1=" in lines[1]
+        cells, K = (int(f.split("=")[1]) for f in lines[0].split()[2:4])
+        assert lines[2].startswith("cells per slot: min=")
+        assert lines[2].endswith(f" mean={cells / K:.2f}")  # each cell has one slot
         for check_id in ("consecutive_short_hops", "hop_count", "interferer_proximity",
                          "short_hops", "sinr_bounded_fraction"):
             assert f"{check_id}: pass rate 1.000" in lines
@@ -511,7 +515,7 @@ class TestCli:
 
         def tampered(*args):
             res = real(*args)
-            res.report.extend(
+            res.report.records.extend(
                 verification.CheckRecord(check_id, k, 0.0, 1.0, passed=k >= failing)
                 for k in range(20)
             )

@@ -26,11 +26,11 @@ def bisect_rho_for_area(area, tol=1e-12):
 
 class TestSurfaceDistance:
     def test_identity(self, rng):
-        p = geometry.random_point(rng)
+        p = geometry.random_point(rng, 1)[0]
         assert geometry.surface_distance(p, p) == 0.0
 
     def test_antipodal_is_half_great_circle(self, rng):
-        p = geometry.random_point(rng)
+        p = geometry.random_point(rng, 1)[0]
         d = geometry.surface_distance(p, -p)
         assert d == pytest.approx(SQRT_PI / 2, abs=1e-12)
 
@@ -226,7 +226,7 @@ class TestGeodesic:
         )
 
     def test_antipodal_rejected(self, rng):
-        p = geometry.random_point(rng)
+        p = geometry.random_point(rng, 1)[0]
         with pytest.raises(GeometryError):
             geometry.geodesic_arc(p, -p, [0.1])
 

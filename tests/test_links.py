@@ -33,7 +33,7 @@ class TestSinr:
         gamma, nearest = one_link(rx, tx, [], radio)
         assert gamma == pytest.approx(2.0 * 0.1**-3.0 / 1e-6, rel=1e-9)
         assert nearest == math.inf
-        alone, none_near = links.sinr([2.0 * 0.1**-3.0], [rx], np.empty((0, 3)), radio)
+        alone, none_near = links.sinr([2.0 * 0.1**-3.0], [rx], [tx], radio, own=[0])
         assert alone[0] == pytest.approx(gamma, rel=1e-15)
         assert none_near[0] == math.inf
 
@@ -76,19 +76,16 @@ class TestSinr:
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=1, max_value=8),
-        st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_batch_equals_direct_sums(self, seed, m, k, with_own):
+    def test_batch_equals_direct_sums(self, seed, m, k):
         radio = links.RadioParams(tx_power=1.5, noise=1e-9, alpha=3.5)
         rng = np.random.default_rng(seed)
         rx = geometry.random_point(rng, m)
         itf = geometry.random_point(rng, k)
         signal = rng.uniform(1.0, 1e6, m)
-        own = rng.integers(k, size=m) if with_own else None
-        counted = [
-            [j for j in range(k) if own is None or j != own[i]] for i in range(m)
-        ]
+        own = rng.integers(k, size=m)
+        counted = [[j for j in range(k) if j != own[i]] for i in range(m)]
         # arccos is accurate only away from the receiver
         assume(all(
             np.all(geometry.central_angle(itf[c], rx[i]) >= 0.05)

@@ -79,6 +79,77 @@ def test_every_public_name_has_a_caller():
         assert name in {ref for ref, _ in _references(tests[test])}, (name, test)
 
 
+# Default parameters kept although no call in the package overrides them,
+# each with its reason.
+DEFAULT_KEPT = {
+    ("main", "argv"): "the argparse entry point; the tests pass argv",
+}
+
+
+def _defaulted_parameters(node):
+    """``(position, name)`` of each parameter of ``node`` that has a default;
+    keyword-only parameters have no position.  ``self`` is not counted."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    if positional and positional[0].arg in ("self", "cls"):
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    for position, arg in enumerate(positional):
+        if position >= first:
+            yield position, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def test_every_default_parameter_is_overridden():
+    """A default that no call in the package overrides is a setting nobody
+    varies: make it a constant, or derive it.  A call overrides a parameter
+    when it passes that position or that keyword, or any ``*args`` or
+    ``**kwargs``; ``ClassName(...)`` calls ``__init__``.  As for callers,
+    functions match by name and methods by attribute, and a call inside the
+    definition itself does not count."""
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in SOURCES]
+    definitions = []  # (qualname, name the callers use, whether only as attribute, node)
+    for tree in trees:
+        for qualname, node in _public_definitions(tree):
+            if isinstance(node, ast.FunctionDef):
+                definitions.append((qualname, node.name, "." in qualname, node))
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for item in cls.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                        definitions.append((f"{cls.name}.__init__", cls.name, False, item))
+    calls = {}  # called name -> [(call, by attribute, its enclosing definitions)]
+    for tree in trees:
+        stack = [(tree, ())]
+        while stack:
+            node, around = stack.pop()
+            if isinstance(node, ast.FunctionDef):
+                around = around + (node,)
+            if isinstance(node, ast.Call):
+                by_attribute = isinstance(node.func, ast.Attribute)
+                name = node.func.attr if by_attribute else getattr(node.func, "id", None)
+                calls.setdefault(name, []).append((node, by_attribute, around))
+            stack.extend((child, around) for child in ast.iter_child_nodes(node))
+    unvaried, kept = [], set()
+    for qualname, called_as, method, node in definitions:
+        for position, param in _defaulted_parameters(node):
+            if (called_as, param) in DEFAULT_KEPT:
+                kept.add((called_as, param))
+                continue
+            if not any(
+                any(isinstance(a, ast.Starred) for a in call.args)
+                or any(kw.arg is None or kw.arg == param for kw in call.keywords)
+                or (position is not None and position < len(call.args))
+                for call, by_attribute, around in calls.get(called_as, [])
+                if node not in around and (by_attribute or not method)
+            ):
+                unvaried.append(f"{qualname}({param})")
+    assert not unvaried, f"defaults no call in the package overrides: {sorted(unvaried)}"
+    assert kept == set(DEFAULT_KEPT)  # no stale entry
+
+
 # Connections each gated workload routes (one per node, or the tracked ones).
 WORKLOAD_CONNECTIONS = {"saturated_n4000": 4000, "lossy_n500": 200}
 

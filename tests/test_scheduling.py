@@ -11,12 +11,10 @@ def synthetic_tessellation(centers, rho):
     """Tessellation stub with hand-placed centers (tests only)."""
     centers = np.asarray(centers, dtype=float)
     centers /= np.linalg.norm(centers, axis=1)[:, None]
-    neighbors = tessellation._adjacency(centers, rho)
     return tessellation.Tessellation(
         centers=centers,
         rho_n=rho,
         cell_of_node=np.zeros(0, dtype=np.int64),
-        neighbors=neighbors,
         relay_of_cell=np.full(len(centers), -1, dtype=np.int64),
         gap_ratio=math.nan,
         cover_ratio=math.nan,
@@ -68,11 +66,7 @@ class TestBuildSchedule:
         )
         assert list(tess.neighbors[0]) == [1]
         shared = scheduling.Schedule(
-            color_of_cell=np.zeros(2, dtype=np.int64),
-            num_colors=1,
-            conflict_multiplier=4.0,
-            regime="fixed",
-            cells_by_color=[np.array([0, 1])],
+            color_of_cell=np.zeros(2, dtype=np.int64), conflict_multiplier=4.0, regime="fixed"
         )
         with pytest.raises(AssertionError, match="adjacent"):
             scheduling.assert_proper(shared, tess)

@@ -130,15 +130,13 @@ class TestShortHopsCheck:
 
 class TestConsecutiveShortHops:
     def test_cell_bound_value(self):
-        assert verification.consecutive_short_hop_cell_bound(40, 0.01) == pytest.approx(
-            38.72, abs=1e-12
-        )
+        assert verification.SHORT_HOP_CELL_BOUND == pytest.approx(38.72, abs=1e-12)
 
     def test_max_run_counting(self):
         rho = 0.1
         hops = [0.005 * rho, 0.005 * rho, 2 * rho, 0.009 * rho, 0.01 * rho, 0.02 * rho]
         route = synthetic_route(list(range(7)), hops, 2 * rho)
-        assert verification.max_short_run(route, rho, 0.01) == 2
+        assert verification.max_short_run(route, rho) == 2
 
     def test_zero_runs_on_straight_routes(self, small_instance):
         _, tess, _, _, routes = small_instance
@@ -187,10 +185,8 @@ class TestInterfererProximity:
         dep, tess, _, _, routes = small_instance
         one_color = scheduling.Schedule(
             color_of_cell=np.zeros(tess.num_cells, dtype=np.int64),
-            num_colors=1,
             conflict_multiplier=12.0,
             regime="fixed",
-            cells_by_color=[np.arange(tess.num_cells)],
         )
         cfg = EngineConfig(injection_rate=0.0, traffic="saturated", measure_slots=1, seed=79)
         m = run(dep, tess, one_color, routes, links.ConstantPModel(0.5), RADIO, cfg)

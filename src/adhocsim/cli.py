@@ -49,7 +49,7 @@ def cmd_tessellate(args) -> int:
     out = Path(args.out or "tessellation.txt")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_tessellation(tess, out)
-    sched = experiment.make_schedule(spec, tess, args.n)
+    sched = experiment.make_schedule(spec, tess)
     save_schedule(sched, out.with_suffix(".schedule.txt"))
     print(
         f"n={args.n} rho_n={tess.rho_n:.6f} cells={tess.num_cells} K={sched.num_colors} "
@@ -98,9 +98,8 @@ def cmd_verify(args) -> int:
     out = Path(spec.out_dir)
     res.report.write_text(out / "verification.txt")
     write_routes(res.routes, out / "routes.txt")
-    K = res.schedule.num_colors
+    K, bounds = res.schedule.num_colors, res.bounds
     print(f"n={args.n} rho_n={res.tess.rho_n:.5f} cells={res.tess.num_cells} K={K}")
-    bounds = verification.compute_bounds(alpha=spec.radio.alpha, c1=K - 1)
     print(f"t0={bounds.t0:.6f} m0={bounds.m0:.0f} beta0={bounds.beta0:.4g} "
           f"beta1={bounds.beta1:.4g}")
     # one cell per slot is a schedule without spatial reuse, not a claim failure
@@ -125,15 +124,17 @@ def cmd_bounds(args) -> int:
         eps1=args.eps1, eps2=args.eps2, alpha=args.alpha, c1=args.c1,
         phi_of_beta0=args.phi_beta0,
     )
+    report = None
+    if args.phi_beta0 is not None and args.rho_n is not None:
+        report = verification.throughput_ceilings(
+            args.rho_n, int(args.c1) + 1, args.injection_rate, args.phi_beta0, n=args.n
+        )
     print(f"t0={bounds.t0!r}")
     print(f"m0={bounds.m0!r} (straight-line), m0_arbitrary={bounds.m0_arbitrary!r}")
     print(f"beta0={bounds.beta0!r} beta1={bounds.beta1!r}")
     if bounds.c0 is not None:
         print(f"c0={bounds.c0!r}")
-    if args.phi_beta0 is not None and args.rho_n is not None:
-        report = verification.throughput_ceilings(
-            args.rho_n, int(args.c1) + 1, args.injection_rate, args.phi_beta0, n=args.n
-        )
+    if report is not None:
         print(f"lambda_bound={report.lambda_bound!r}")
         if report.occupancy_ceiling is not None:
             print(f"occupancy_ceiling={report.occupancy_ceiling!r}")

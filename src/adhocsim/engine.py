@@ -92,7 +92,6 @@ class RunMetrics:
 
     slots: int
     warmup_slots: int
-    saturated: bool
     connection_ids: np.ndarray
     injected: np.ndarray
     delivered: np.ndarray
@@ -108,6 +107,10 @@ class RunMetrics:
     hop_gamma: np.ndarray | None = field(default=None, repr=False)
     hop_nearest: np.ndarray | None = field(default=None, repr=False)
     trace: list[tuple] = field(default_factory=list, repr=False)
+
+    @property
+    def saturated(self) -> bool:
+        return self.hop_gamma is not None
 
     @cached_property
     def position(self) -> dict[int, int]:
@@ -200,8 +203,9 @@ def run(
                     trace_rows.append((slot, cell, tx, rx, g, "dummy"))
                 continue
             k = pkt.conn
-            counted = pkt.measured and measuring
-            if counted:
+            # A packet injected in the measured window is counted: every slot
+            # after its injection is in the window too.
+            if pkt.measured:
                 success_sums[pkt.link] += p
                 attempt_counts[pkt.link] += 1
             if decoded:
@@ -217,7 +221,7 @@ def run(
                 pkt.link += 1
                 pkt.attempts = 0
                 if next_cell < 0:
-                    if counted:
+                    if pkt.measured:
                         delivered[k] += 1
                 else:
                     queues[next_cell].append(pkt)
@@ -225,7 +229,7 @@ def run(
                 pkt.attempts += 1
                 if pkt.attempts >= cfg.attempts_per_hop:
                     queues[cell].popleft()
-                    if counted:
+                    if pkt.measured:
                         dropped[k] += 1
         # Inject after transmissions so a fresh packet waits at least one slot.
         while next_slot == slot:
@@ -249,7 +253,6 @@ def run(
     metrics = RunMetrics(
         slots=cfg.measure_slots,
         warmup_slots=warmup,
-        saturated=saturated,
         connection_ids=np.array([r.connection_id for r in routes], dtype=np.int64),
         injected=injected,
         delivered=delivered,

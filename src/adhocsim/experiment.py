@@ -40,6 +40,7 @@ from .tessellation import (
     rho_for_n,
 )
 from .verification import (
+    BoundSet,
     CheckRecord,
     VerificationReport,
     check_consecutive_short_hops,
@@ -117,10 +118,10 @@ def prepare_instance(n: int, seed: int, area_constant: float) -> tuple[Deploymen
     )
 
 
-def make_schedule(spec: ExperimentSpec, tess: Tessellation, n: int) -> Schedule:
+def make_schedule(spec: ExperimentSpec, tess: Tessellation) -> Schedule:
     if spec.schedule_regime == "fixed":
         return build_schedule(tess, delta=spec.schedule_delta)
-    return build_conservative_schedule(tess, n, spec.schedule_growth)
+    return build_conservative_schedule(tess, spec.schedule_growth)
 
 
 @dataclass
@@ -131,6 +132,7 @@ class PointResult:
     schedule: Schedule
     metrics: RunMetrics
     routes: list[Route]
+    bounds: BoundSet  # the checkers' constants, c1 = K - 1
     report: VerificationReport
     error: str | None = None
     hard_invariants_ok: bool = field(init=False)  # ran, and kept every hard invariant
@@ -154,7 +156,7 @@ def point_routes(
 
 def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
     dep, tess, routes = point_routes(spec, n, seed)
-    schedule = make_schedule(spec, tess, n)
+    schedule = make_schedule(spec, tess)
     cfg = replace(spec.engine, seed=seed + 5 * _SEED_STRIDE)
     model = spec.link_model()
     metrics = run(dep, tess, schedule, routes, model, spec.radio, cfg)
@@ -169,13 +171,7 @@ def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
         report.records.append(check_consecutive_short_hops(r, tess.rho_n))
     if metrics.saturated:
         report.records.extend(
-            check_interferer_proximity(
-                metrics, routes,
-                m=bounds.m0 if straight else bounds.m0_arbitrary,
-                schedule_length=schedule.num_colors,
-                rho_n=tess.rho_n,
-                use_path_length=not straight,
-            )
+            check_interferer_proximity(metrics, routes, bounds, tess.rho_n, arbitrary=not straight)
         )
         report.records.extend(
             check_sinr_bounded_fraction(
@@ -183,15 +179,8 @@ def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
             )
         )
     report.records.extend(delivery_prediction(metrics, routes, model, cfg.attempts_per_hop))
-    return PointResult(
-        n=n,
-        seed=seed,
-        tess=tess,
-        schedule=schedule,
-        metrics=metrics,
-        routes=routes,
-        report=report,
-    )
+    return PointResult(n=n, seed=seed, tess=tess, schedule=schedule, metrics=metrics,
+                       routes=routes, bounds=bounds, report=report)
 
 
 def _run_point_task(args) -> PointResult:
@@ -202,7 +191,7 @@ def _run_point_task(args) -> PointResult:
         return run_point(spec, n, seed)
     except Exception as exc:
         return PointResult(
-            n=n, seed=seed, tess=None, schedule=None, metrics=None, routes=[],
+            n=n, seed=seed, tess=None, schedule=None, metrics=None, routes=[], bounds=None,
             report=VerificationReport(), error=f"{type(exc).__name__}: {exc}",
         )
 
@@ -271,7 +260,7 @@ def run_schedules(spec: ExperimentSpec) -> list[list]:
         for n, seed in sorted((n, seed) for n in spec.n_values for seed in spec.seeds):
             dep, tess, routes = point_routes(spec, n, seed)
             for regime in SCHEDULE_REGIMES:
-                schedule = make_schedule(replace(spec, schedule_regime=regime), tess, n)
+                schedule = make_schedule(replace(spec, schedule_regime=regime), tess)
                 gamma, _ = saturated_hop_samples(dep, tess, schedule, routes, spec.radio)
                 p5, p50, p95 = np.percentile(gamma, [5, 50, 95]).tolist()
                 row = [n, seed, regime, schedule.num_colors, repr(p5), repr(p50), repr(p95)]
@@ -404,6 +393,8 @@ def trace_rows(metrics: RunMetrics) -> list[list]:
 
 def verify_appendix(seed: int = 0, pairs: int = 1_000_000) -> VerificationReport:
     """Closed-form checks: pair-distance expectation, distance law, cap sandwich."""
+    if pairs < 2:
+        raise ConfigurationError("pairs must be at least 2 (a standard error needs two)")
     rng = np.random.default_rng(seed)
     a = geometry.random_point(rng, pairs)
     b = geometry.random_point(rng, pairs)

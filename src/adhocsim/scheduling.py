@@ -97,7 +97,11 @@ def _rebalance_classes(colors: np.ndarray, conflicts: list[set[int]]) -> np.ndar
     return colors
 
 
-def _finalize(colors, delta, regime, tess) -> Schedule:
+def _color(tess: Tessellation, delta: float, regime: str) -> Schedule:
+    """The one coloring path of both regimes: conflict sets, greedy
+    coloring, rebalancing, then the hard properness check."""
+    conflicts = _conflict_sets(tess, delta)
+    colors = _rebalance_classes(_greedy_coloring(conflicts), conflicts)
     sched = Schedule(color_of_cell=colors, conflict_multiplier=float(delta), regime=regime)
     assert_proper(sched, tess)
     return sched
@@ -114,9 +118,7 @@ def build_schedule(tess: Tessellation, delta: float = DEFAULT_CONFLICT_MULTIPLIE
             f"conflict multiplier {delta} < {MIN_CONFLICT_MULTIPLIER} would let a "
             "receiver's own cell transmit while it is receiving"
         )
-    conflicts = _conflict_sets(tess, delta)
-    colors = _rebalance_classes(_greedy_coloring(conflicts), conflicts)
-    return _finalize(colors, delta, "fixed", tess)
+    return _color(tess, delta, "fixed")
 
 
 def growth_value(growth: str, n: int) -> float:
@@ -139,16 +141,14 @@ def growth_value(growth: str, n: int) -> float:
     )
 
 
-def build_conservative_schedule(tess: Tessellation, n: int, growth: str) -> Schedule:
-    """Schedule with conflict radius ``12 * growth(n) * rho_n``.
+def build_conservative_schedule(tess: Tessellation, growth: str) -> Schedule:
+    """Schedule with conflict radius ``12 * growth(n) * rho_n`` over ``n`` nodes.
 
     Widening the conflict radius shrinks spatial reuse, so the measured
     schedule length grows with ``n``.
     """
-    delta = DEFAULT_CONFLICT_MULTIPLIER * growth_value(growth, n)
-    conflicts = _conflict_sets(tess, delta)
-    colors = _rebalance_classes(_greedy_coloring(conflicts), conflicts)
-    return _finalize(colors, delta, f"conservative:{growth}", tess)
+    delta = DEFAULT_CONFLICT_MULTIPLIER * growth_value(growth, len(tess.cell_of_node))
+    return _color(tess, delta, f"conservative:{growth}")
 
 
 def assert_proper(sched: Schedule, tess: Tessellation) -> None:

@@ -25,16 +25,19 @@ _MAX_AREA = 0.5  # keeps rho_n <= sqrt(pi)/4 so the cap-area sandwich applies
 class Deployment:
     """``n`` uniform nodes on the sphere, reproducible from the seed."""
 
-    n: int
     seed: int
     nodes: np.ndarray  # (n, 3) unit vectors
+
+    @property
+    def n(self) -> int:
+        return len(self.nodes)
 
 
 def deploy(n: int, seed: int) -> Deployment:
     if n < 2:
         raise ConfigurationError(f"need at least 2 nodes, got {n}")
     rng = np.random.default_rng(seed)
-    return Deployment(n=int(n), seed=int(seed), nodes=geometry.random_point(rng, n))
+    return Deployment(seed=int(seed), nodes=geometry.random_point(rng, n))
 
 
 def min_valid_n(area_constant: float) -> int:

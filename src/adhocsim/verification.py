@@ -89,6 +89,8 @@ def compute_bounds(
         raise ConfigurationError("eps1 + eps2 must stay below 1/8")
     if alpha <= 2:
         raise ConfigurationError("alpha must exceed 2")
+    if c1 < 0 or eps2 <= 0:
+        raise ConfigurationError("c1 = K - 1 must be nonnegative and eps2 positive")
     t0 = short_hop_threshold_root(eps1)
     m0 = 2.0 * (1.0 + c1) / eps2
     m0_arbitrary = 2.0 * (1.0 + c1) / ARBITRARY_EPS
@@ -134,8 +136,8 @@ class VerificationReport:
             fh.write("# adhocsim verification report\n")
             for cid in ids:
                 recs = [r for r in self.records if r.check_id == cid]
-                rate = sum(r.passed for r in recs) / len(recs)
-                fh.write(f"{cid}: {sum(r.passed for r in recs)}/{len(recs)} pass ({rate:.3f})\n")
+                fh.write(f"{cid}: {sum(r.passed for r in recs)}/{len(recs)} pass "
+                         f"({self.pass_rate(cid):.3f})\n")
                 for r in recs:
                     if not r.passed:
                         fh.write(
@@ -232,30 +234,28 @@ def _interior_counts(metrics: RunMetrics, hit: np.ndarray) -> list[int]:
 def check_interferer_proximity(
     metrics: RunMetrics,
     routes: list[Route],
-    m: float,
-    schedule_length: int,
+    bounds: BoundSet,
     rho_n: float,
-    use_path_length: bool = False,
+    arbitrary: bool = False,
 ) -> list[CheckRecord]:
     """Count interior hops with no concurrent transmitter within ``(m+8)*rho_n``.
 
     Requires a saturated run (otherwise a silent cell would inflate the count
-    for reasons unrelated to the claim).  The straight-line variant needs
-    ``m > 9`` and compares against ``(L/rho) * 2K/m``; the arbitrary-routing
-    variant needs ``m > 16`` and uses the traversed path length instead.
+    for reasons unrelated to the claim).  The straight-line variant takes
+    ``m = bounds.m0`` and compares against ``(L/rho) * 2K/m``, ``K = c1 + 1``;
+    the arbitrary-routing variant takes ``bounds.m0_arbitrary`` and the
+    traversed path length instead.
     """
     if not metrics.saturated:
         raise SaturationError("interferer-proximity counting needs a saturated trace")
-    min_m = 16.0 if use_path_length else 9.0
-    if m <= min_m:
-        raise ConfigurationError(f"m must exceed {min_m} for this variant")
+    m = bounds.m0_arbitrary if arbitrary else bounds.m0
     radius = (m + 8.0) * rho_n
     isolated_of = _interior_counts(metrics, metrics.hop_nearest > radius)
     records = []
     for route in routes:
         isolated = isolated_of[metrics.position[route.connection_id]]
-        length = route.path_length if use_path_length else route.length
-        bound = (length / rho_n) * 2.0 * schedule_length / m
+        length = route.path_length if arbitrary else route.length
+        bound = (length / rho_n) * 2.0 * (bounds.c1 + 1) / m
         records.append(
             CheckRecord(
                 check_id="interferer_proximity",
@@ -347,6 +347,10 @@ def throughput_ceilings(
     phi_beta0: float,
     n: int | None = None,
 ) -> CeilingReport:
+    if not rho_n > 0:
+        raise ConfigurationError("rho_n must be positive")
+    if n is not None and n < 2:
+        raise ConfigurationError("n must be at least 2")
     c0 = _c0(phi_beta0)
     lambda_bound = injection_rate * 1024.0 * math.pi * rho_n**2 / math.log(phi_beta0) ** 2
     if n is None:
@@ -418,12 +422,13 @@ def delivery_prediction(
     by its source node and shifts the field.
     """
     offsets, mean_success = metrics.hop_offsets.tolist(), metrics.mean_hop_success.tolist()
-    delivered, dropped = metrics.delivered.tolist(), metrics.dropped.tolist()
+    resolved_of = (metrics.delivered + metrics.dropped).tolist()
+    measured_of = metrics.delivery_probability().tolist()
     records = []
     for route in routes:
         cid = route.connection_id
         k = metrics.position[cid]
-        resolved = delivered[k] + dropped[k]
+        resolved, measured = resolved_of[k], measured_of[k]
         if resolved == 0:
             continue
         means = mean_success[offsets[k]:offsets[k + 1]]
@@ -435,7 +440,6 @@ def delivery_prediction(
             hop_success_with_retries(model.success(0.0) if math.isnan(p) else p, attempts)
             for p in means
         )
-        measured = delivered[k] / resolved
         sigma = math.sqrt(max(predicted * (1.0 - predicted), 1e-12) / resolved)
         records.append(
             CheckRecord(

@@ -54,7 +54,7 @@ def single_node_cells(nodes, rho, colors):
         cover_ratio=math.nan,
     )
     sched = scheduling.Schedule(color_of_cell=colors, conflict_multiplier=12.0, regime="fixed")
-    dep = tessellation.Deployment(n=len(nodes), seed=0, nodes=nodes)
+    dep = tessellation.Deployment(seed=0, nodes=nodes)
     return dep, tess, sched
 
 

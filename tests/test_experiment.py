@@ -444,6 +444,22 @@ class TestCli:
         assert f"c0_over_n={report.c0_over_n!r}" in lines
         assert f"conservative_sqrt_form={report.conservative_sqrt_form!r}" in lines
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--c1", "3", "--eps2", "0"],
+        ["bounds", "--c1", "3", "--eps2", "-0.5"],
+        ["bounds", "--c1", "-3"],
+        ["bounds", "--c1", "33", "--phi-beta0", "0.37", "--rho-n", "0.038", "--n", "1"],
+        ["bounds", "--c1", "33", "--phi-beta0", "0.37", "--rho-n", "0", "--n", "2000"],
+        ["bounds", "--c1", "33", "--phi-beta0", "0.37", "--rho-n", "-0.1", "--n", "2000"],
+        ["appendix", "--pairs", "0"],
+        ["appendix", "--pairs", "1"],
+    ])
+    def test_out_of_range_input_is_a_configuration_error(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:")
+        assert captured.out == ""
+
     def test_appendix_subcommand(self, capsys):
         code = cli.main(["appendix", "--pairs", "1000000", "--seed", "2"])
         assert code == 0

@@ -114,7 +114,7 @@ class TestStraightLineRoutes:
         dep, tess, _, _, _ = small_instance
         nodes = dep.nodes.copy()
         nodes[1] = nodes[0]
-        twin = tessellation.Deployment(n=dep.n, seed=dep.seed, nodes=nodes)
+        twin = tessellation.Deployment(seed=dep.seed, nodes=nodes)
         conn = routing.Connection(id=0, source=0, destination=1, length=0.0)
         with pytest.raises(GeometryError):
             routing.cell_paths([conn], twin, tess)
@@ -241,7 +241,7 @@ class TestExactWalk:
         nodes = dep.nodes.copy()
         nodes[1] = -nodes[0] + 1e-12
         nodes[1] /= np.linalg.norm(nodes[1])
-        twin = tessellation.Deployment(n=dep.n, seed=dep.seed, nodes=nodes)
+        twin = tessellation.Deployment(seed=dep.seed, nodes=nodes)
         conn = routing.Connection(id=0, source=0, destination=1, length=geometry.MAX_DISTANCE)
         with pytest.raises(GeometryError):
             routing.cell_paths([conn], twin, tess)
@@ -313,7 +313,7 @@ class TestRoutingErrors:
 
         nodes = dep.nodes.copy()
         nodes[1] = nodes[0]
-        twin = tessellation.Deployment(n=dep.n, seed=dep.seed, nodes=nodes)
+        twin = tessellation.Deployment(seed=dep.seed, nodes=nodes)
         twins = [routing.Connection(id=17, source=0, destination=1, length=0.0)]
         with pytest.raises(GeometryError, match="^connection 17: co-located"):
             routing.cell_paths(conns[2:5] + twins, twin, tess)

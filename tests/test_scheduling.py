@@ -121,18 +121,18 @@ class TestConservative:
     def test_unknown_growth_rejected(self, small_instance):
         _, tess, _, _, _ = small_instance
         with pytest.raises(ConfigurationError):
-            scheduling.build_conservative_schedule(tess, 600, "constant")
+            scheduling.build_conservative_schedule(tess, "constant")
 
     def test_conservative_regime_recorded(self, small_instance):
         _, tess, _, _, _ = small_instance
-        sched = scheduling.build_conservative_schedule(tess, 600, "log")
+        sched = scheduling.build_conservative_schedule(tess, "log")
         assert sched.regime == "conservative:log"
         assert sched.conflict_multiplier == pytest.approx(12.0 * math.log(600))
         scheduling.assert_proper(sched, tess)
 
     def test_longer_schedule_than_fixed(self, small_instance):
         _, tess, sched, _, _ = small_instance
-        cons = scheduling.build_conservative_schedule(tess, 600, "log")
+        cons = scheduling.build_conservative_schedule(tess, "log")
         assert cons.num_colors >= sched.num_colors
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adhocsim import experiment, links, routing, scheduling, verification
+from adhocsim import experiment, geometry, links, routing, scheduling, verification
 from adhocsim.engine import EngineConfig, run
 from adhocsim.errors import ConfigurationError, SaturationError
 
@@ -58,6 +58,12 @@ class TestComputeBounds:
             verification.compute_bounds(eps1=0.1, eps2=0.1)
         with pytest.raises(ConfigurationError):
             verification.compute_bounds(alpha=1.5)
+        # c1 >= 0 and 0 < eps2 < 1/8 keep m0 above the interferer-proximity
+        # minimum of 16
+        for kwargs in ({"c1": -1.0}, {"c1": -3.0}, {"c1": 3.0, "eps2": 0.0},
+                       {"c1": 3.0, "eps2": -0.5}):
+            with pytest.raises(ConfigurationError):
+                verification.compute_bounds(**kwargs)
 
     def test_c0_requires_valid_phi(self):
         b = verification.compute_bounds(c1=0.0, phi_of_beta0=math.exp(-1.0))
@@ -152,6 +158,11 @@ class TestConsecutiveShortHops:
         assert rec.lhs == 40
 
 
+def bounds_of(sched):
+    """The default bound set of a schedule, c1 = K - 1."""
+    return verification.compute_bounds(c1=sched.num_colors - 1)
+
+
 @pytest.fixture(scope="module")
 def saturated_run(small_instance):
     dep, tess, sched, _, routes = small_instance
@@ -168,16 +179,7 @@ class TestInterfererProximity:
         cfg = EngineConfig(injection_rate=0.01, measure_slots=500, seed=73)
         m = run(dep, tess, sched, routes[:10], links.ConstantPModel(0.5), RADIO, cfg)
         with pytest.raises(SaturationError):
-            verification.check_interferer_proximity(m, routes[:10], 64.0, sched.num_colors, tess.rho_n)
-
-    def test_m_minimums(self, saturated_run):
-        metrics, routes, sched, tess = saturated_run
-        with pytest.raises(ConfigurationError):
-            verification.check_interferer_proximity(metrics, routes, 9.0, sched.num_colors, tess.rho_n)
-        with pytest.raises(ConfigurationError):
-            verification.check_interferer_proximity(
-                metrics, routes, 16.0, sched.num_colors, tess.rho_n, use_path_length=True
-            )
+            verification.check_interferer_proximity(m, routes[:10], bounds_of(sched), tess.rho_n)
 
     def test_single_color_schedule_counts_zero(self, small_instance):
         # every cell transmits every slot, so every interior hop has an
@@ -190,38 +192,49 @@ class TestInterfererProximity:
         )
         cfg = EngineConfig(injection_rate=0.0, traffic="saturated", measure_slots=1, seed=79)
         m = run(dep, tess, one_color, routes, links.ConstantPModel(0.5), RADIO, cfg)
-        recs = verification.check_interferer_proximity(m, routes, 32.0, 1, tess.rho_n)
+        # K = 1 and eps2 = 1/16 give m = 2/eps2 = 32
+        bounds = verification.compute_bounds(eps2=1 / 16, c1=0)
+        assert bounds.m0 == 32.0
+        recs = verification.check_interferer_proximity(m, routes, bounds, tess.rho_n)
         assert all(r.passed for r in recs)
         assert all(r.lhs == 0 for r in recs)
         long = [r for r in recs if r.rhs > 0]
         assert long  # bound (L/rho) * 2/32 is positive for long connections
 
-    def test_monotone_in_m(self, saturated_run):
-        metrics, routes, sched, tess = saturated_run
-        counts = {}
-        for m_val in (17.0, 34.0, 68.0):
-            recs = verification.check_interferer_proximity(
-                metrics, routes, m_val, sched.num_colors, tess.rho_n
-            )
-            counts[m_val] = sum(r.lhs for r in recs)
-        assert counts[17.0] <= counts[34.0] <= counts[68.0]
+    def test_counts_fall_as_m_grows(self, saturated_run):
+        # A smaller eps2 gives a larger m and so a wider (m+8)*rho radius,
+        # inside which more hops find an interferer.  At the instance's own
+        # rho_n every such radius exceeds the sphere's diameter, so the scale
+        # passed keeps the widest one below it.
+        metrics, routes, sched, _ = saturated_run
+        all_bounds = [verification.compute_bounds(eps2=eps2, c1=sched.num_colors - 1)
+                      for eps2 in (0.09, 0.06, 0.04, 1 / 32)]
+        rho = 0.9 * geometry.MAX_DISTANCE / (all_bounds[-1].m0 + 8.0)
+        counts = [sum(r.lhs for r in verification.check_interferer_proximity(
+            metrics, routes, bounds, rho)) for bounds in all_bounds]
+        assert all(a >= b for a, b in zip(counts, counts[1:])), counts
+        assert counts[0] > counts[-1], counts
 
     def test_single_hop_route_excluded_entirely(self, saturated_run):
         metrics, routes, sched, tess = saturated_run
         singles = [r for r in routes if r.hop_count <= 2][:3]
         recs = verification.check_interferer_proximity(
-            metrics, singles, 64.0, sched.num_colors, tess.rho_n
+            metrics, singles, bounds_of(sched), tess.rho_n
         )
         # no interior hops to count once source and destination hops drop out
         assert all(r.lhs == 0 for r in recs)
 
     def test_records_carry_numbers(self, saturated_run):
         metrics, routes, sched, tess = saturated_run
-        recs = verification.check_interferer_proximity(
-            metrics, routes, 64.0 * sched.num_colors, sched.num_colors, tess.rho_n
-        )
-        assert all(r.rhs >= 0 for r in recs)
-        assert any("radius=" in r.detail for r in recs)
+        bounds = bounds_of(sched)
+        recs = verification.check_interferer_proximity(metrics, routes, bounds, tess.rho_n)
+        length_of = {r.connection_id: r.length for r in routes}
+        assert all(r.rhs == (length_of[r.connection_id] / tess.rho_n) * 2.0
+                   * sched.num_colors / bounds.m0 for r in recs)  # K = c1 + 1
+        assert all(r.detail.startswith(f"m={bounds.m0!r} radius=") for r in recs)
+        arbitrary = verification.check_interferer_proximity(
+            metrics, routes, bounds, tess.rho_n, arbitrary=True)
+        assert all(r.detail.startswith(f"m={bounds.m0_arbitrary!r} ") for r in arbitrary)
 
 
 class TestSinrBoundedFraction:
@@ -305,8 +318,7 @@ class TestDeliveryPrediction:
         bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=sched.num_colors - 1)
         checks = [
             lambda rs: verification.delivery_prediction(m, rs, model, 1),
-            lambda rs: verification.check_interferer_proximity(
-                m, rs, 64.0, sched.num_colors, tess.rho_n),
+            lambda rs: verification.check_interferer_proximity(m, rs, bounds, tess.rho_n),
             lambda rs: verification.check_sinr_bounded_fraction(m, rs, bounds, tess.rho_n),
         ]
         for check in checks:

@@ -125,7 +125,9 @@ def cmd_bounds(args) -> int:
         phi_of_beta0=args.phi_beta0,
     )
     report = None
-    if args.phi_beta0 is not None and args.rho_n is not None:
+    if args.rho_n is not None or args.n is not None:
+        if args.phi_beta0 is None or args.rho_n is None:
+            raise ConfigurationError("--rho-n and --n need --phi-beta0 and --rho-n")
         report = verification.throughput_ceilings(
             args.rho_n, int(args.c1) + 1, args.injection_rate, args.phi_beta0, n=args.n
         )

@@ -24,7 +24,7 @@ from . import geometry
 from .engine import EngineConfig, RunMetrics, run, saturated_hop_samples
 from .errors import ConfigurationError
 from .links import RadioParams, filter_model_params, make_link_model
-from .routing import Route, build_route, cell_paths, detour_factor, pick_connections
+from .routing import Route, build_route, cell_paths, detour_factor, pick_connections, relay_chains
 from .scheduling import (
     DEFAULT_CONFLICT_MULTIPLIER,
     Schedule,
@@ -150,7 +150,8 @@ def point_routes(
     if spec.track_connections is not None:
         connections = connections[: spec.track_connections]
     paths = cell_paths(connections, dep, tess, spec.routing_strategy, seed + 4 * _SEED_STRIDE)
-    routes = [build_route(c, cells, dep, tess) for c, cells in zip(connections, paths)]
+    chains, hops = relay_chains(connections, paths, dep, tess)
+    routes = [build_route(*args, tess.rho_n) for args in zip(connections, paths, chains, hops)]
     return dep, tess, routes
 
 
@@ -395,6 +396,8 @@ def verify_appendix(seed: int = 0, pairs: int = 1_000_000) -> VerificationReport
     """Closed-form checks: pair-distance expectation, distance law, cap sandwich."""
     if pairs < 2:
         raise ConfigurationError("pairs must be at least 2 (a standard error needs two)")
+    if seed < 0:
+        raise ConfigurationError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     a = geometry.random_point(rng, pairs)
     b = geometry.random_point(rng, pairs)

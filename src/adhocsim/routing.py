@@ -1,4 +1,5 @@
-"""Route construction: great-circle cell routing plus arbitrary strategies.
+"""Route construction: cell paths (``cell_paths``), then every relay chain and
+hop length in one pass (``relay_chains``), then each route (``build_route``).
 
 A route visits a sequence of pairwise-distinct cells in which consecutive
 cells are adjacent, and relays its packets along a node chain whose first
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -248,8 +250,8 @@ def cell_paths(
     strategy: str = "straight_line",
     seed: int = 0,
 ) -> list[list[int]]:
-    """Each connection's cell path under ``strategy``, in order; ``build_route``
-    makes the route.  ``straight_line`` walks all geodesics in one batch.
+    """Each connection's cell path under ``strategy``, in order; ``relay_chains``
+    and ``build_route`` make the routes.  ``straight_line`` walks all geodesics at once.
     The arbitrary strategies keep only the adjacency-hops / no-revisit
     constraints, per connection with a generator seeded ``seed + conn.id``:
     ``shortest_cell_path`` (BFS over cell adjacency), ``random_walk_loop_erased``,
@@ -286,21 +288,36 @@ def cell_paths(
     return paths
 
 
-def build_route(conn: Connection, cells: list[int], dep: Deployment, tess: Tessellation) -> Route:
-    """The route through ``cells``: its relay chain and hop lengths, with the
-    route invariants checked."""
+def relay_chains(
+    connections: list[Connection], paths: list[list[int]], dep: Deployment, tess: Tessellation
+) -> tuple[list[list[int]], list[np.ndarray]]:
+    """Per connection, the relay chain through its path (-1 at an empty cell)
+    and the hop lengths, views of one flat array measured in one pass."""
+    relay = tess.relay_of_cell.tolist()
+    chains = [[conn.source, *[relay[c] for c in cells[1:-1]], conn.destination]
+              for conn, cells in zip(connections, paths)]
+    tx = [x for chain in chains for x in chain[:-1]]
+    rx = [x for chain in chains for x in chain[1:]]
+    flat = geometry.surface_distance(dep.nodes[tx], dep.nodes[rx])
+    ends = list(accumulate((len(chain) - 1 for chain in chains), initial=0))
+    return chains, [flat[i:j] for i, j in zip(ends, ends[1:])]
+
+
+def build_route(
+    conn: Connection, cells: list[int], chain: list[int], hops: np.ndarray, rho_n: float
+) -> Route:
+    """The route through ``cells`` along ``chain``.  Called per connection in
+    order, it reports the first connection that breaks a route invariant."""
     if len(set(cells)) != len(cells):
         raise RoutingError(f"connection {conn.id}: route revisits a cell")
-    inner = tess.relay_of_cell[cells[1:-1]].tolist()
-    if -1 in inner:
-        c = cells[1 + inner.index(-1)]
+    if -1 in chain:
+        c = cells[chain.index(-1)]
         raise RoutingError(f"connection {conn.id}: route crosses empty cell {c}", cell=c)
-    chain = [conn.source, *inner, conn.destination]
-    hops = geometry.surface_distance(dep.nodes[chain[:-1]], dep.nodes[chain[1:]])
     route = Route(conn.id, cells, chain, hops, conn.length)
-    if hops.min() <= 0.0:
+    lengths = hops.tolist()  # min and max of a short list are cheaper in Python
+    if min(lengths) <= 0.0:
         raise GeometryError(f"connection {conn.id}: a hop's endpoints are co-located")
-    if hops.max() > MAX_HOP_FACTOR * tess.rho_n + 1e-12:
+    if max(lengths) > MAX_HOP_FACTOR * rho_n + 1e-12:
         raise AssertionError(f"connection {conn.id}: hop longer than 8*rho_n")
     if route.path_length < conn.length - 1e-9:
         raise AssertionError(f"connection {conn.id}: total path length shorter than the geodesic")

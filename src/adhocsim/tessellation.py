@@ -36,6 +36,8 @@ class Deployment:
 def deploy(n: int, seed: int) -> Deployment:
     if n < 2:
         raise ConfigurationError(f"need at least 2 nodes, got {n}")
+    if seed < 0:
+        raise ConfigurationError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     return Deployment(seed=int(seed), nodes=geometry.random_point(rng, n))
 

@@ -351,6 +351,8 @@ def throughput_ceilings(
         raise ConfigurationError("rho_n must be positive")
     if n is not None and n < 2:
         raise ConfigurationError("n must be at least 2")
+    if not 0.0 <= injection_rate <= 1.0:
+        raise ConfigurationError("injection rate must lie in [0, 1]")
     c0 = _c0(phi_beta0)
     lambda_bound = injection_rate * 1024.0 * math.pi * rho_n**2 / math.log(phi_beta0) ** 2
     if n is None:

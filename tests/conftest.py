@@ -16,7 +16,8 @@ def small_instance():
     sched = scheduling.build_schedule(tess, 12.0)
     conns = routing.pick_connections(dep, 45)
     paths = routing.cell_paths(conns, dep, tess)
-    routes = [routing.build_route(c, cells, dep, tess) for c, cells in zip(conns, paths)]
+    chains, hops = routing.relay_chains(conns, paths, dep, tess)
+    routes = [routing.build_route(*a, tess.rho_n) for a in zip(conns, paths, chains, hops)]
     return dep, tess, sched, conns, routes
 
 

@@ -51,7 +51,8 @@ def cert_instances():
             t_tess += time.perf_counter() - t0
             conns = routing.pick_connections(dep, 7000 + seed)
             paths = routing.cell_paths(conns, dep, tess)
-            routes = [routing.build_route(c, p, dep, tess) for c, p in zip(conns, paths)]
+            chains, hops = routing.relay_chains(conns, paths, dep, tess)
+            routes = [routing.build_route(*a, tess.rho_n) for a in zip(conns, paths, chains, hops)]
             out.append((n, seed, dep, tess, routes))
     return {"instances": out, "tess_seconds": t_tess}
 
@@ -127,7 +128,8 @@ def sweep_instances():
             cons = scheduling.build_conservative_schedule(tess, "log")
             conns = routing.pick_connections(dep, 500 + seed)[:300]
             paths = routing.cell_paths(conns, dep, tess)
-            routes = [routing.build_route(c, p, dep, tess) for c, p in zip(conns, paths)]
+            chains, hops = routing.relay_chains(conns, paths, dep, tess)
+            routes = [routing.build_route(*a, tess.rho_n) for a in zip(conns, paths, chains, hops)]
             out[(n, seed)] = (dep, tess, fixed, cons, routes)
     return out
 
@@ -237,8 +239,10 @@ def test_accept_07_consecutive_short_hops(cert_instances):
         )
         conns = routing.pick_connections(dep, 7000)
         for strat in ("random_walk_loop_erased", "detour:2.0"):
-            for c, cells in zip(conns, routing.cell_paths(conns, dep, tess, strat)):
-                r = routing.build_route(c, cells, dep, tess)
+            paths = routing.cell_paths(conns, dep, tess, strat)
+            chains, hops = routing.relay_chains(conns, paths, dep, tess)
+            for args in zip(conns, paths, chains, hops):
+                r = routing.build_route(*args, tess.rho_n)
                 worst = max(worst, verification.max_short_run(r, tess.rho_n))
                 total += 1
     ok &= worst < 40 and total >= 10_000
@@ -323,7 +327,9 @@ def test_accept_10_retry_success_law():
         id=0, source=0, destination=1,
         length=float(geometry.surface_distance(dep.nodes[0], dep.nodes[1])),
     )
-    route = routing.build_route(conn, routing.cell_paths([conn], dep, tess)[0], dep, tess)
+    paths = routing.cell_paths([conn], dep, tess)
+    (chain,), (hops,) = routing.relay_chains([conn], paths, dep, tess)
+    route = routing.build_route(conn, paths[0], chain, hops, tess.rho_n)
     assert route.hop_count == 1
     ok = True
     details = []

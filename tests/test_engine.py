@@ -29,7 +29,9 @@ def single_hop_network(seed=2):
         id=0, source=0, destination=1,
         length=float(geometry.surface_distance(dep.nodes[0], dep.nodes[1])),
     )
-    route = routing.build_route(conn, routing.cell_paths([conn], dep, tess)[0], dep, tess)
+    paths = routing.cell_paths([conn], dep, tess)
+    (chain,), (hops,) = routing.relay_chains([conn], paths, dep, tess)
+    route = routing.build_route(conn, paths[0], chain, hops, tess.rho_n)
     assert route.hop_count == 1
     return dep, tess, sched, route
 

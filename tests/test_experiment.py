@@ -453,6 +453,16 @@ class TestCli:
         ["bounds", "--c1", "33", "--phi-beta0", "0.37", "--rho-n", "-0.1", "--n", "2000"],
         ["appendix", "--pairs", "0"],
         ["appendix", "--pairs", "1"],
+        ["deploy", "--n", "10", "--seed", "-1"],
+        ["appendix", "--seed", "-1"],
+        ["bounds", "--c1", "3", "--rho-n", "-1", "--n", "1"],
+        ["bounds", "--c1", "3", "--rho-n", "0.038"],
+        ["bounds", "--c1", "3", "--n", "2000"],
+        ["bounds", "--c1", "33", "--phi-beta0", "0.37", "--n", "2000"],
+        ["bounds", "--c1", "33", "--phi-beta0", "0.37", "--rho-n", "0.038",
+         "--injection-rate", "-2"],
+        ["bounds", "--c1", "33", "--phi-beta0", "0.37", "--rho-n", "0.038",
+         "--injection-rate", "1.5"],
     ])
     def test_out_of_range_input_is_a_configuration_error(self, argv, capsys):
         assert cli.main(argv) == 2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from adhocsim import geometry, routing, tessellation
+from adhocsim import experiment, geometry, routing, tessellation
 from adhocsim.errors import ConfigurationError, GeometryError, RoutingError
 
 
+def assemble(conns, paths, dep, tess):
+    """The routes through ``paths``, in the two steps ``experiment`` takes."""
+    chains, hops = routing.relay_chains(conns, paths, dep, tess)
+    return [routing.build_route(*a, tess.rho_n) for a in zip(conns, paths, chains, hops)]
+
+
 def straight(conn, dep, tess):
-    return routing.build_route(conn, routing.cell_paths([conn], dep, tess)[0], dep, tess)
+    return assemble([conn], routing.cell_paths([conn], dep, tess), dep, tess)[0]
 
 
 class TestPickConnections:
@@ -289,6 +296,54 @@ class TestExactWalk:
             assert walk == reference_walk(tess, a[k], b[k], float(theta[k]))
 
 
+def reference_assembly(conn, cells, dep, tess):
+    """One route's relay chain, hop-length bytes and path length, measured
+    route by route: the reference for ``routing.relay_chains``'s one pass."""
+    chain = [conn.source, *tess.relay_of_cell[cells[1:-1]].tolist(), conn.destination]
+    hops = geometry.surface_distance(dep.nodes[chain[:-1]], dep.nodes[chain[1:]])
+    return chain, hops.tobytes(), float(hops.sum())
+
+
+def assert_assembly_matches_reference(conns, paths, dep, tess):
+    for conn, cells, route in zip(conns, paths, assemble(conns, paths, dep, tess), strict=True):
+        batched = route.relays, route.hop_lengths.tobytes(), route.path_length
+        assert batched == reference_assembly(conn, cells, dep, tess), conn.id
+
+
+class TestBatchedAssembly:
+    # sweep seeds of the benchmark's two panels: saturated_n4000 and lossy_n500
+    @pytest.mark.parametrize("n, seed", [(4000, 0), (500, 0), (500, 10007)])
+    def test_straight_routes_match_the_reference(self, n, seed):
+        dep, tess = experiment.prepare_instance(n, seed, 1.2)
+        conns = routing.pick_connections(dep, seed + 1)
+        assert_assembly_matches_reference(conns, routing.cell_paths(conns, dep, tess), dep, tess)
+
+    @pytest.mark.parametrize(
+        "strategy", ["shortest_cell_path", "random_walk_loop_erased", "detour:2.0"]
+    )
+    def test_arbitrary_routes_match_the_reference(self, small_instance, strategy):
+        dep, tess, _, conns, _ = small_instance
+        paths = routing.cell_paths(conns[:150], dep, tess, strategy, 9)
+        assert_assembly_matches_reference(conns[:150], paths, dep, tess)
+
+    def test_the_first_connection_to_break_an_invariant_is_reported(self, small_instance):
+        # Of a path that revisits a cell and one shorter than its geodesic,
+        # whichever connection comes first is the one named.
+        dep, tess, _, conns, routes = small_instance
+        paths = [r.cells for r in routes[:8]]
+        for too_long, revisits, error, message in (
+            (2, 5, AssertionError, "total path length"),
+            (5, 2, RoutingError, "route revisits"),
+        ):
+            batch = list(conns[:8])
+            batch[too_long] = replace(batch[too_long], length=10.0)
+            broken = list(paths)
+            broken[revisits] = paths[revisits] + paths[revisits][:1]
+            first = batch[min(too_long, revisits)].id
+            with pytest.raises(error, match=f"^connection {first}: {message}"):
+                assemble(batch, broken, dep, tess)
+
+
 class TestRoutingErrors:
     def test_errors_name_their_connection(self, small_instance):
         dep, tess, _, conns, routes = small_instance
@@ -333,9 +388,8 @@ class TestArbitraryRoutes:
             ca = int(tess.cell_of_node[c.source])
             cb = int(tess.cell_of_node[c.destination])
             if cb in set(tess.neighbors[ca].tolist()):
-                r = routing.build_route(
-                    c, routing.cell_paths([c], dep, tess, "shortest_cell_path")[0], dep, tess
-                )
+                paths = routing.cell_paths([c], dep, tess, "shortest_cell_path")
+                r = assemble([c], paths, dep, tess)[0]
                 assert r.cells == [ca, cb]
                 assert r.hop_count == 1
                 break
@@ -345,8 +399,7 @@ class TestArbitraryRoutes:
     def test_loop_erased_walk_never_revisits(self, small_instance):
         dep, tess, _, conns, _ = small_instance
         paths = routing.cell_paths(conns[:100], dep, tess, "random_walk_loop_erased")
-        for c, cells in zip(conns, paths):
-            r = routing.build_route(c, cells, dep, tess)
+        for r in assemble(conns[:100], paths, dep, tess):
             assert len(set(r.cells)) == len(r.cells)
             for a, b in zip(r.cells, r.cells[1:]):
                 assert b in set(tess.neighbors[a].tolist())

@@ -11,6 +11,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import experiment, verification
 from .errors import ConfigurationError, GeometryError, RoutingError
 from .routing import write_routes
@@ -105,15 +107,11 @@ def cmd_verify(args) -> int:
     # one cell per slot is a schedule without spatial reuse, not a claim failure
     sizes = [len(cells) for cells in res.schedule.cells_by_color]
     print(f"cells per slot: min={min(sizes)} mean={sum(sizes) / len(sizes):.2f}")
-    for check_id in sorted({r.check_id for r in res.report.records}):
-        rate = res.report.pass_rate(check_id)
-        print(f"{check_id}: pass rate {rate:.3f}")
-    if res.metrics.hop_gamma is not None:
-        gammas = res.metrics.hop_gamma.tolist()
-        print(
-            f"realized per-hop SINR: min={min(gammas):.4g} "
-            f"median={sorted(gammas)[len(gammas) // 2]:.4g}"
-        )
+    for check_id, (passes, total) in res.report.pass_counts().items():
+        print(f"{check_id}: pass rate {passes / total:.3f}")
+    gamma = res.metrics.hop_gamma
+    if gamma is not None:
+        print(f"realized per-hop SINR: min={gamma.min():.4g} median={np.median(gamma):.4g}")
     failed = verification.failed_claims(res.report)
     print("claims:", f"FAILED {' '.join(failed)}" if failed else "ok")
     return EXIT_INVARIANT if failed else EXIT_OK

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .links import LinkModel, RadioParams, path_gain, sinr
-from .routing import Route
+from .routing import Route, flat_hop_lengths
 from .scheduling import Schedule
 from .tessellation import Deployment, Tessellation
 from .tessellation import all_cell_relays  # noqa: F401  (pipebench's tracer wraps this name)
@@ -311,8 +311,8 @@ def _hop_table(routes: list[Route], radio: RadioParams):
         tx += r.relays[:-1]
         rx += r.relays[1:]
         next_cells += [*r.cells[1:r.hop_count], -1]
-    lengths = np.array([d for r in routes for d in r.hop_lengths], dtype=float)
-    return cells, tx, rx, radio.tx_power * path_gain(lengths, radio.alpha), next_cells
+    power = radio.tx_power * path_gain(flat_hop_lengths(routes), radio.alpha)
+    return cells, tx, rx, power, next_cells
 
 
 def _plan(links, nodes, model, radio) -> list[tuple]:

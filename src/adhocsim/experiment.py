@@ -15,6 +15,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -41,7 +42,7 @@ from .tessellation import (
 )
 from .verification import (
     BoundSet,
-    CheckRecord,
+    CheckTable,
     VerificationReport,
     check_consecutive_short_hops,
     check_hop_count,
@@ -163,23 +164,17 @@ def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
     metrics = run(dep, tess, schedule, routes, model, spec.radio, cfg)
 
     report = VerificationReport()
-    straight = spec.routing_strategy == "straight_line"
+    arbitrary, rho = spec.routing_strategy != "straight_line", tess.rho_n
     bounds = compute_bounds(alpha=spec.radio.alpha, c1=schedule.num_colors - 1)
-    for r in routes:
-        if straight:
-            report.records.append(check_hop_count(r, tess.rho_n))
-            report.records.append(check_short_hops(r, tess.rho_n, bounds.t0))
-        report.records.append(check_consecutive_short_hops(r, tess.rho_n))
+    if arbitrary:
+        report.add(check_consecutive_short_hops(routes, rho))
+    else:  # written route by route: hop_count, short_hops, consecutive_short_hops
+        report.add(check_hop_count(routes, rho), check_short_hops(routes, rho, bounds.t0),
+                   check_consecutive_short_hops(routes, rho))
     if metrics.saturated:
-        report.records.extend(
-            check_interferer_proximity(metrics, routes, bounds, tess.rho_n, arbitrary=not straight)
-        )
-        report.records.extend(
-            check_sinr_bounded_fraction(
-                metrics, routes, bounds, tess.rho_n, arbitrary=not straight
-            )
-        )
-    report.records.extend(delivery_prediction(metrics, routes, model, cfg.attempts_per_hop))
+        report.add(check_interferer_proximity(metrics, routes, bounds, rho, arbitrary))
+        report.add(check_sinr_bounded_fraction(metrics, routes, bounds, rho, arbitrary))
+    report.add(delivery_prediction(metrics, routes, model, cfg.attempts_per_hop))
     return PointResult(n=n, seed=seed, tess=tess, schedule=schedule, metrics=metrics,
                        routes=routes, bounds=bounds, report=report)
 
@@ -241,7 +236,7 @@ def run_single(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
         names += ("trace.csv",)
     with CsvWriter(out, names) as writer:
         writer.write_point(res)
-        writer.write("verification_detail.csv", detail_rows(res.report))
+        writer.write_fields("verification_detail.csv", verification_rows(res.report, detail=True))
         if spec.engine.trace:
             writer.write("trace.csv", trace_rows(res.metrics))
     return res
@@ -318,23 +313,34 @@ class CsvWriter:
 
     def __init__(self, out_dir, names=SWEEP_CSVS):
         self._files = contextlib.ExitStack()
-        self._writers = {}
+        self._handles = {}
         for name in names:
             fh = self._files.enter_context(open(Path(out_dir) / name, "w", newline=""))
             schema, header = CSV_LAYOUTS[name]
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([f"# schema={schema}"])
-            writer.writerow(header.split(","))
-            self._writers[name] = writer
+            fh.write(f"# schema={schema}\n{header}\n")
+            self._handles[name] = fh
 
     def write(self, name: str, rows) -> None:
-        self._writers[name].writerows(rows)
+        csv.writer(self._handles[name], lineterminator="\n").writerows(rows)
+
+    def write_fields(self, name: str, rows: list[tuple[str, ...]]) -> None:
+        """Append rows of two or more str fields each.  When no field holds
+        a comma, quote or line break, the csv writer would write each row as
+        its fields joined by commas, so that is done directly, several times
+        faster; otherwise the rows go through the csv writer."""
+        text = "".join([",".join(row) + "\n" for row in rows])
+        plain = text.count(",") == sum(map(len, rows)) - len(rows)
+        if plain and text.count("\n") == len(rows) and '"' not in text and "\r" not in text:
+            self._handles[name].write(text)
+        else:
+            self.write(name, rows)
 
     def write_point(self, res: PointResult) -> None:
         """Append one finished point to the sweep layouts."""
-        self.write("connections.csv", connection_rows(res))
+        self.write_fields("connections.csv", connection_rows(res))
         self.write("summary.csv", [summary_row(res)])
-        self.write("verification.csv", verification_rows(res))
+        self.write_fields("verification.csv",
+                          verification_rows(res.report, (str(res.n), str(res.seed))))
 
     def __enter__(self):
         return self
@@ -343,22 +349,17 @@ class CsvWriter:
         self._files.close()
 
 
-def connection_rows(res: PointResult) -> list[list]:
-    rows = []
+def connection_rows(res: PointResult) -> list[tuple[str, ...]]:
     m = res.metrics
-    rho_n, K = repr(res.tess.rho_n), res.schedule.num_colors
-    delivery = m.delivery_probability()
-    by_conn = {r.connection_id: r for r in res.routes}
-    for k, cid in enumerate(m.connection_ids):
-        r = by_conn[int(cid)]
-        dp = float(delivery[k])
-        rows.append([
-            res.n, res.seed, rho_n, K, int(cid),
-            repr(r.length), repr(r.path_length), r.hop_count,
-            repr(float(m.injected[k]) / m.slots), int(m.injected[k]), int(m.delivered[k]),
-            int(m.dropped[k]), int(m.in_flight[k]), "" if math.isnan(dp) else repr(dp),
-        ])
-    return rows
+    routes = sorted(res.routes, key=lambda r: r.connection_id)  # the run's order
+    lead = (str(res.n), str(res.seed), repr(res.tess.rho_n), str(res.schedule.num_colors))
+    return list(zip(
+        *map(repeat, lead), map(str, m.connection_ids.tolist()),
+        [repr(r.length) for r in routes], [repr(r.path_length) for r in routes],
+        [str(r.hop_count) for r in routes], map(repr, (m.injected / m.slots).tolist()),
+        *(map(str, c.tolist()) for c in (m.injected, m.delivered, m.dropped, m.in_flight)),
+        ["" if math.isnan(dp) else repr(dp) for dp in m.delivery_probability().tolist()],
+    ))
 
 
 def summary_row(res: PointResult) -> list:
@@ -374,17 +375,21 @@ def summary_row(res: PointResult) -> list:
     ]
 
 
-def verification_rows(res: PointResult) -> list[list]:
-    """The detail rows without ``detail``, keyed by ``(n, seed)``."""
-    return [[res.n, res.seed, *row[:-1]] for row in detail_rows(res.report)]
+def verification_rows(
+    report: VerificationReport, lead=(), detail=False
+) -> list[tuple[str, ...]]:
+    """One row of str fields per record, in written order: ``lead`` (the
+    point's ``n`` and seed in ``verification.csv``), the check id, the
+    connection id (empty for a check of the whole run), lhs, rhs, passed as
+    0 or 1, and the detail string if ``detail``."""
 
+    def rows_of(t):
+        ids = repeat("") if t.connection_ids is None else map(str, t.connection_ids.tolist())
+        columns = [*map(repeat, lead), repeat(t.check_id), ids, map(repr, t.lhs.tolist()),
+                   map(repr, t.rhs.tolist()), np.where(t.passed, "1", "0").tolist()]
+        return zip(*columns, *([t.details()] if detail else []))
 
-def detail_rows(report: VerificationReport) -> list[list]:
-    return [
-        [r.check_id, "" if r.connection_id is None else r.connection_id,
-         repr(r.lhs), repr(r.rhs), int(r.passed), r.detail]
-        for r in report.records
-    ]
+    return report.rows(rows_of)
 
 
 def trace_rows(metrics: RunMetrics) -> list[list]:
@@ -402,50 +407,28 @@ def verify_appendix(seed: int = 0, pairs: int = 1_000_000) -> VerificationReport
     a = geometry.random_point(rng, pairs)
     b = geometry.random_point(rng, pairs)
     dist = geometry.surface_distance(a, b)
-    records = []
-    for delta in (0.1, 0.5, 0.9, math.exp(-2.0 * math.sqrt(math.pi))):
+    deltas = np.array([0.1, 0.5, 0.9, math.exp(-2.0 * math.sqrt(math.pi))])
+    mc, se, closed = np.empty(4), np.empty(4), np.empty(4)
+    for k, delta in enumerate(deltas.tolist()):
         vals = delta**dist
-        mc = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(pairs))
-        closed = geometry.expected_delta_pow_L(delta)
-        records.append(
-            CheckRecord(
-                check_id="pair_distance_expectation",
-                connection_id=None,
-                lhs=mc,
-                rhs=closed,
-                passed=bool(abs(mc - closed) <= 3.0 * se),
-                detail=f"delta={delta!r} se={se!r}",
-            )
-        )
+        mc[k], se[k] = vals.mean(), vals.std(ddof=1) / math.sqrt(pairs)
+        closed[k] = geometry.expected_delta_pow_L(delta)
+    report = VerificationReport()
+    report.add(CheckTable(
+        "pair_distance_expectation", None, mc, closed, np.abs(mc - closed) <= 3.0 * se,
+        "delta={delta!r} se={se!r}", {"delta": deltas, "se": se},
+    ))
     ks = kolmogorov_statistic(dist)
-    records.append(
-        CheckRecord(
-            check_id="distance_law_ks",
-            connection_id=None,
-            lhs=ks,
-            rhs=0.002,
-            passed=bool(ks < 0.002),
-            detail=f"pairs={pairs}",
-        )
-    )
+    report.add(CheckTable("distance_law_ks", None, np.array([ks]), np.array([0.002]),
+                          np.array([ks < 0.002]), f"pairs={pairs}"))
     rhos = np.linspace(
         geometry.MAX_DISTANCE / 2.0 / _CAP_GRID, geometry.MAX_DISTANCE / 2.0, _CAP_GRID
     )
     areas = geometry.cap_area(rhos)
-    ok_lower = bool(np.all(math.pi * rhos**2 / 2.0 <= areas))
-    ok_upper = bool(np.all(areas <= math.pi * rhos**2))
-    records.append(
-        CheckRecord(
-            check_id="cap_area_sandwich",
-            connection_id=None,
-            lhs=float(ok_lower and ok_upper),
-            rhs=1.0,
-            passed=ok_lower and ok_upper,
-            detail=f"grid={_CAP_GRID}",
-        )
-    )
-    return VerificationReport(records)
+    ok = bool(np.all(math.pi * rhos**2 / 2.0 <= areas) and np.all(areas <= math.pi * rhos**2))
+    report.add(CheckTable("cap_area_sandwich", None, np.array([float(ok)]), np.array([1.0]),
+                          np.array([ok]), f"grid={_CAP_GRID}"))
+    return report
 
 
 def kolmogorov_statistic(distances: np.ndarray) -> float:

@@ -303,6 +303,11 @@ def relay_chains(
     return chains, [flat[i:j] for i, j in zip(ends, ends[1:])]
 
 
+def flat_hop_lengths(routes: list[Route]) -> np.ndarray:
+    """The routes' hop lengths end to end, in the order given."""
+    return np.concatenate([r.hop_lengths for r in routes]) if routes else np.empty(0)
+
+
 def build_route(
     conn: Connection, cells: list[int], chain: list[int], hops: np.ndarray, rho_n: float
 ) -> Route:

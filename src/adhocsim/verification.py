@@ -1,7 +1,9 @@
 """Empirical checkers for the hop-count, interference and throughput claims.
 
-Every check records the two compared numbers, never just a boolean, and
-checkers are side-effect-free over run measurements.
+A checker returns one ``CheckTable``, its records as columns: the two
+compared numbers (never just a boolean), the verdict, and the numbers its
+detail strings are formatted from when written.  Checkers are
+side-effect-free over run measurements.
 
 The hop-count and short-hop checks assert the finite-size forms of the
 claims, which keep the endpoint-cell correction term ``8*rho_n`` that the
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from . import geometry
 from .errors import ConfigurationError, SaturationError
 from .engine import RunMetrics
 from .links import LinkModel, hop_success_with_retries
-from .routing import Route
+from .routing import Route, flat_hop_lengths
 from .scheduling import Schedule
 from .tessellation import Tessellation
 
@@ -120,115 +124,176 @@ class CheckRecord:
     detail: str = ""
 
 
+@dataclass(frozen=True)
+class CheckTable:
+    """One check's records as columns: per record its connection id (none
+    for a check of the whole run), the two compared numbers and whether it
+    passed.  A record's detail string is ``detail.format(**columns)``, made
+    only when written: an array in ``columns`` holds one value per record,
+    any other value is shared by all of them."""
+
+    check_id: str
+    connection_ids: np.ndarray | None
+    lhs: np.ndarray
+    rhs: np.ndarray
+    passed: np.ndarray
+    detail: str = ""
+    columns: dict = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.passed)
+
+    def details(self) -> list[str]:
+        """Each record's detail string, formatted on each call."""
+        shared = {k: v for k, v in self.columns.items() if not isinstance(v, np.ndarray)}
+        own = {k: v.tolist() for k, v in self.columns.items() if isinstance(v, np.ndarray)}
+        return [self.detail.format(**shared, **{k: v[i] for k, v in own.items()})
+                for i in range(len(self))]
+
+
 @dataclass
 class VerificationReport:
-    records: list[CheckRecord] = field(default_factory=list)
+    """A run's check tables in written order.  The tables of one ``add``
+    call hold one record per route each and are written interleaved, route
+    by route; each call's records follow the one before."""
+
+    groups: list[tuple[CheckTable, ...]] = field(default_factory=list)
+
+    def add(self, *tables: CheckTable) -> None:
+        self.groups.append(tables)
+
+    @property
+    def tables(self) -> list[CheckTable]:
+        return [t for group in self.groups for t in group]
+
+    def rows(self, rows_of: Callable[[CheckTable], Iterable]) -> list:
+        """The rows ``rows_of`` makes of each table, in written order."""
+        rows = []
+        for group in self.groups:
+            rows += chain.from_iterable(zip(*map(rows_of, group), strict=True))
+        return rows
+
+    @property
+    def records(self) -> list[CheckRecord]:
+        """Every record with its detail, in written order; built on each read."""
+        return self.rows(lambda t: map(
+            CheckRecord, repeat(t.check_id),
+            repeat(None) if t.connection_ids is None else t.connection_ids.tolist(),
+            t.lhs.tolist(), t.rhs.tolist(), t.passed.tolist(), t.details()))
+
+    def pass_counts(self) -> dict[str, tuple[int, int]]:
+        """Passed and total records of each check that has one, by check id."""
+        counts = {}
+        for t in self.tables:
+            if len(t):
+                passes, total = counts.get(t.check_id, (0, 0))
+                counts[t.check_id] = (passes + int(t.passed.sum()), total + len(t))
+        return dict(sorted(counts.items()))
 
     def pass_rate(self, check_id: str) -> float:
-        recs = [r for r in self.records if r.check_id == check_id]
-        if not recs:
-            return float("nan")
-        return sum(r.passed for r in recs) / len(recs)
+        passes, total = self.pass_counts().get(check_id, (0, 0))
+        return passes / total if total else float("nan")
 
     def write_text(self, path) -> None:
-        ids = sorted({r.check_id for r in self.records})
+        failed = [r for r in self.records if not r.passed]
         with open(path, "w") as fh:
             fh.write("# adhocsim verification report\n")
-            for cid in ids:
-                recs = [r for r in self.records if r.check_id == cid]
-                fh.write(f"{cid}: {sum(r.passed for r in recs)}/{len(recs)} pass "
-                         f"({self.pass_rate(cid):.3f})\n")
-                for r in recs:
-                    if not r.passed:
-                        fh.write(
-                            f"  FAIL conn={r.connection_id} lhs={r.lhs!r} rhs={r.rhs!r} {r.detail}\n"
-                        )
+            for cid, (passes, total) in self.pass_counts().items():
+                fh.write(f"{cid}: {passes}/{total} pass ({passes / total:.3f})\n")
+                for r in failed:
+                    if r.check_id == cid:
+                        fh.write(f"  FAIL conn={r.connection_id} lhs={r.lhs!r} "
+                                 f"rhs={r.rhs!r} {r.detail}\n")
 
 
-def hop_count_bounds(length: float, rho_n: float) -> tuple[float, float, float]:
-    """(lower, asymptotic upper, endpoint-corrected upper) hop-count bounds."""
-    lower = max(length / (8.0 * rho_n), 1.0)
-    upper_asym = 16.0 * length / (math.pi * rho_n)
+def _columns(routes: list[Route], *names: str) -> list[np.ndarray]:
+    """Per attribute name, the routes' values as one array."""
+    return [np.array([getattr(r, name) for r in routes]) for name in names]
+
+
+def _offsets(routes: list[Route]) -> np.ndarray:
+    """Route ``k``'s hops are ``offsets[k]:offsets[k + 1]`` of ``flat_hop_lengths(routes)``."""
+    return np.cumsum([0] + [r.hop_count for r in routes], dtype=np.int64)
+
+
+def _segment_counts(hit: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Per segment ``start[k]:end[k]`` of the per-hop flag ``hit``, its set entries."""
+    below = np.concatenate(([0], np.cumsum(hit)))  # below[i]: hits before hop i
+    return below[end] - below[np.minimum(start, end)]
+
+
+def check_hop_count(routes: list[Route], rho_n: float) -> CheckTable:
+    """Hop counts against the geodesic-length bounds (straight-line routes):
+    at least ``max(L/(8*rho), 1)``, at most the endpoint-corrected
+    ``16*(L + 8*rho)/(pi*rho)``; the asymptotic ``16*L/(pi*rho)`` is reported."""
+    ids, length, h = _columns(routes, "connection_id", "length", "hop_count")
+    lower = np.maximum(length / (8.0 * rho_n), 1.0)
     upper = 16.0 * (length + 8.0 * rho_n) / (math.pi * rho_n)
-    return lower, upper_asym, upper
-
-
-def check_hop_count(route: Route, rho_n: float) -> CheckRecord:
-    """Hop count against the geodesic-length bounds (straight-line routes)."""
-    lower, upper_asym, upper = hop_count_bounds(route.length, rho_n)
-    h = route.hop_count
-    passed = lower <= h <= upper
-    return CheckRecord(
-        check_id="hop_count",
-        connection_id=route.connection_id,
-        lhs=float(h),
-        rhs=upper,
-        passed=bool(passed),
-        detail=f"lower={lower!r} upper_asymptotic={upper_asym!r}",
+    return CheckTable(
+        "hop_count", ids, h.astype(float), upper, (lower <= h) & (h <= upper),
+        "lower={lower!r} upper_asymptotic={upper_asymptotic!r}",
+        {"lower": lower, "upper_asymptotic": 16.0 * length / (math.pi * rho_n)},
     )
 
 
-def short_hop_count(route: Route, rho_n: float, t: float) -> int:
-    """Hops shorter than ``t * rho_n``."""
-    limit = t * rho_n
-    return sum(1 for hop in route.hop_lengths.tolist() if hop < limit)
-
-
-def check_short_hops(route: Route, rho_n: float, t: float) -> CheckRecord:
-    """Long-hop count ``H - h`` against its guaranteed floor.
+def check_short_hops(routes: list[Route], rho_n: float, t: float) -> CheckTable:
+    """Long-hop counts ``H - h`` against their guaranteed floor, ``h`` the
+    hops shorter than ``t * rho_n``.
 
     The floor keeps the ``128 t / pi`` endpoint correction inherited from the
     corrected hop-count upper bound; the asymptotic floor is reported.
     """
     if not 0.0 < t < math.pi / 16.0:
         raise ConfigurationError("t must lie in (0, pi/16)")
-    h_short = short_hop_count(route, rho_n, t)
-    long_hops = route.hop_count - h_short
-    ratio = route.length / rho_n
-    floor_asym = ratio * short_hop_fraction(t)
+    ids, length, h = _columns(routes, "connection_id", "length", "hop_count")
+    offsets = _offsets(routes)
+    h_short = _segment_counts(flat_hop_lengths(routes) < t * rho_n, offsets[:-1], offsets[1:])
+    long_hops = h - h_short
+    ratio = length / rho_n
     floor = (ratio * (1.0 - 16.0 * t / math.pi) - 128.0 * t / math.pi) / (8.0 - t)
-    return CheckRecord(
-        check_id="short_hops",
-        connection_id=route.connection_id,
-        lhs=float(long_hops),
-        rhs=floor,
-        passed=bool(long_hops >= floor),
-        detail=f"t={t!r} h_short={h_short} floor_asymptotic={floor_asym!r}",
+    return CheckTable(
+        "short_hops", ids, long_hops.astype(float), floor, long_hops >= floor,
+        "t={t!r} h_short={h_short} floor_asymptotic={floor_asymptotic!r}",
+        {"t": t, "h_short": h_short, "floor_asymptotic": ratio * short_hop_fraction(t)},
     )
 
 
-def max_short_run(route: Route, rho_n: float) -> int:
-    """Longest run of consecutive hops of length ``SHORT_HOP_T * rho_n`` or less."""
-    best = run = 0
-    limit = SHORT_HOP_T * rho_n
-    for hop in route.hop_lengths.tolist():
-        if hop <= limit:
-            run += 1
-            best = max(best, run)
-        else:
-            run = 0
+def max_short_run(routes: list[Route], rho_n: float) -> np.ndarray:
+    """Per route, its longest run of consecutive hops of length
+    ``SHORT_HOP_T * rho_n`` or less, by one scan over all routes' hops."""
+    hops, offsets = flat_hop_lengths(routes), _offsets(routes)
+    index = np.arange(len(hops))
+    # reset[i]: the hop at or before i after which i's run starts, a long hop
+    # or the hop before its route's first
+    reset = np.where(hops <= SHORT_HOP_T * rho_n, -1, index)
+    nonempty = np.diff(offsets) > 0
+    first = offsets[:-1][nonempty]
+    reset[first] = np.maximum(reset[first], first - 1)
+    run = index - np.maximum.accumulate(reset)
+    best = np.zeros(len(routes), dtype=np.int64)
+    best[nonempty] = np.maximum.reduceat(run, first)
     return best
 
 
-def check_consecutive_short_hops(route: Route, rho_n: float) -> CheckRecord:
+def check_consecutive_short_hops(routes: list[Route], rho_n: float) -> CheckTable:
     """No ``SHORT_HOP_W`` consecutive hops of length ``SHORT_HOP_T * rho_n`` or less."""
-    run = max_short_run(route, rho_n)
-    return CheckRecord(
-        check_id="consecutive_short_hops",
-        connection_id=route.connection_id,
-        lhs=float(run),
-        rhs=float(SHORT_HOP_W),
-        passed=bool(run < SHORT_HOP_W),
-        detail=f"cell_bound={SHORT_HOP_CELL_BOUND!r}",
+    run = max_short_run(routes, rho_n)
+    return CheckTable(
+        "consecutive_short_hops", *_columns(routes, "connection_id"), run.astype(float),
+        np.full(len(run), float(SHORT_HOP_W)), run < SHORT_HOP_W,
+        "cell_bound={cell_bound!r}", {"cell_bound": SHORT_HOP_CELL_BOUND},
     )
 
 
-def _interior_counts(metrics: RunMetrics, hit: np.ndarray) -> list[int]:
+def _positions(metrics: RunMetrics, routes: list[Route]) -> np.ndarray:
+    """Each route's index in the run; KeyError for a route not in it."""
+    return np.array([metrics.position[r.connection_id] for r in routes], dtype=np.int64)
+
+
+def _interior_counts(metrics: RunMetrics, hit: np.ndarray) -> np.ndarray:
     """Per connection of the run, its interior hops (all but the source and
     destination hops) at which the per-hop flag ``hit`` is set."""
-    below = np.concatenate(([0], np.cumsum(hit)))  # below[i]: hits before hop i
-    start, end = metrics.hop_offsets[:-1] + 1, metrics.hop_offsets[1:] - 1
-    return (below[end] - below[np.minimum(start, end)]).tolist()
+    return _segment_counts(hit, metrics.hop_offsets[:-1] + 1, metrics.hop_offsets[1:] - 1)
 
 
 def check_interferer_proximity(
@@ -237,7 +302,7 @@ def check_interferer_proximity(
     bounds: BoundSet,
     rho_n: float,
     arbitrary: bool = False,
-) -> list[CheckRecord]:
+) -> CheckTable:
     """Count interior hops with no concurrent transmitter within ``(m+8)*rho_n``.
 
     Requires a saturated run (otherwise a silent cell would inflate the count
@@ -250,23 +315,15 @@ def check_interferer_proximity(
         raise SaturationError("interferer-proximity counting needs a saturated trace")
     m = bounds.m0_arbitrary if arbitrary else bounds.m0
     radius = (m + 8.0) * rho_n
-    isolated_of = _interior_counts(metrics, metrics.hop_nearest > radius)
-    records = []
-    for route in routes:
-        isolated = isolated_of[metrics.position[route.connection_id]]
-        length = route.path_length if arbitrary else route.length
-        bound = (length / rho_n) * 2.0 * (bounds.c1 + 1) / m
-        records.append(
-            CheckRecord(
-                check_id="interferer_proximity",
-                connection_id=route.connection_id,
-                lhs=float(isolated),
-                rhs=bound,
-                passed=bool(isolated <= bound),
-                detail=f"m={m!r} radius={radius!r} interior_hops={max(route.hop_count - 2, 0)}",
-            )
-        )
-    return records
+    isolated = _interior_counts(metrics, metrics.hop_nearest > radius)[_positions(metrics, routes)]
+    length_name = "path_length" if arbitrary else "length"
+    ids, length, h = _columns(routes, "connection_id", length_name, "hop_count")
+    bound = (length / rho_n) * 2.0 * (bounds.c1 + 1) / m
+    return CheckTable(
+        "interferer_proximity", ids, isolated.astype(float), bound, isolated <= bound,
+        "m={m!r} radius={radius!r} interior_hops={interior_hops}",
+        {"m": m, "radius": radius, "interior_hops": np.maximum(h - 2, 0)},
+    )
 
 
 def check_sinr_bounded_fraction(
@@ -275,7 +332,7 @@ def check_sinr_bounded_fraction(
     bounds: BoundSet,
     rho_n: float,
     arbitrary: bool = False,
-) -> list[CheckRecord]:
+) -> CheckTable:
     """Interior hops with SINR below the ceiling, against the required count.
 
     Straight-line variant: at least ``L/(16*rho_n)`` hops at or below
@@ -285,33 +342,21 @@ def check_sinr_bounded_fraction(
     if not metrics.saturated:
         raise SaturationError("bounded-SINR counting needs a saturated trace")
     ceiling = bounds.beta1 if arbitrary else bounds.beta0
-    count_of = _interior_counts(metrics, metrics.hop_gamma <= ceiling)
-    records = []
-    for route in routes:
-        count = count_of[metrics.position[route.connection_id]]
-        if arbitrary:
-            required = route.path_length / (640.0 * rho_n)
-        else:
-            required = route.length / (16.0 * rho_n)
-        passed = required < 1.0 or count >= required
-        records.append(
-            CheckRecord(
-                check_id="sinr_bounded_fraction" + ("_arbitrary" if arbitrary else ""),
-                connection_id=route.connection_id,
-                lhs=float(count),
-                rhs=required,
-                passed=bool(passed),
-                detail=f"ceiling={ceiling!r}",
-            )
-        )
-    return records
+    count = _interior_counts(metrics, metrics.hop_gamma <= ceiling)[_positions(metrics, routes)]
+    ids, length = _columns(routes, "connection_id", "path_length" if arbitrary else "length")
+    required = length / ((640.0 if arbitrary else 16.0) * rho_n)
+    return CheckTable(
+        "sinr_bounded_fraction" + ("_arbitrary" if arbitrary else ""), ids,
+        count.astype(float), required, (required < 1.0) | (count >= required),
+        "ceiling={ceiling!r}", {"ceiling": ceiling},
+    )
 
 
 def hard_invariants_hold(report: VerificationReport) -> bool:
     """Whether every ``hop_count`` and ``consecutive_short_hops`` record of
     ``report`` passed; ``simulate`` and ``sweep`` fail when one did not."""
     hard_ids = {"hop_count", "consecutive_short_hops"}
-    return all(r.passed for r in report.records if r.check_id in hard_ids)
+    return all(bool(t.passed.all()) for t in report.tables if t.check_id in hard_ids)
 
 
 def failed_claims(report: VerificationReport) -> list[str]:
@@ -323,9 +368,9 @@ def failed_claims(report: VerificationReport) -> list[str]:
     left out: it is a 3-sigma report, not an assertion.
     """
     failed = []
-    for check_id in sorted({r.check_id for r in report.records} - {"delivery_prediction"}):
+    for check_id in report.pass_counts():
         floor = 0.95 if check_id == "sinr_bounded_fraction" else 1.0
-        if report.pass_rate(check_id) < floor:
+        if check_id != "delivery_prediction" and report.pass_rate(check_id) < floor:
             failed.append(check_id)
     return failed
 
@@ -410,7 +455,7 @@ def delivery_decay_stepwise(injection_rate: float, rho_n: float, phi_beta0: floa
 
 def delivery_prediction(
     metrics: RunMetrics, routes: list[Route], model: LinkModel, attempts: int
-) -> list[CheckRecord]:
+) -> CheckTable:
     """Measured delivery against the independent-hops product prediction.
 
     The prediction multiplies each hop's retry-budget success probability at
@@ -423,14 +468,11 @@ def delivery_prediction(
     is its cell's relay; a first-hop packet elsewhere in the slot is sent
     by its source node and shifts the field.
     """
+    position = _positions(metrics, routes)
     offsets, mean_success = metrics.hop_offsets.tolist(), metrics.mean_hop_success.tolist()
-    resolved_of = (metrics.delivered + metrics.dropped).tolist()
-    measured_of = metrics.delivery_probability().tolist()
-    records = []
-    for route in routes:
-        cid = route.connection_id
-        k = metrics.position[cid]
-        resolved, measured = resolved_of[k], measured_of[k]
+    resolved_of = metrics.delivered + metrics.dropped
+    kept, predicted = [], []
+    for k, resolved in zip(position.tolist(), resolved_of[position].tolist()):
         if resolved == 0:
             continue
         means = mean_success[offsets[k]:offsets[k + 1]]
@@ -438,19 +480,17 @@ def delivery_prediction(
             continue  # a hop never attempted has no success probability
         # An SINR-independent model succeeds with the same probability on a
         # hop never attempted.
-        predicted = math.prod(
+        predicted.append(math.prod(
             hop_success_with_retries(model.success(0.0) if math.isnan(p) else p, attempts)
             for p in means
-        )
-        sigma = math.sqrt(max(predicted * (1.0 - predicted), 1e-12) / resolved)
-        records.append(
-            CheckRecord(
-                check_id="delivery_prediction",
-                connection_id=cid,
-                lhs=float(measured),
-                rhs=float(predicted),
-                passed=bool(abs(measured - predicted) <= 3.0 * sigma),
-                detail=f"resolved={resolved} sigma={sigma!r}",
-            )
-        )
-    return records
+        ))
+        kept.append(k)
+    kept, predicted = np.array(kept, dtype=np.int64), np.array(predicted, dtype=float)
+    resolved = resolved_of[kept]
+    measured = metrics.delivery_probability()[kept]
+    sigma = np.sqrt(np.maximum(predicted * (1.0 - predicted), 1e-12) / resolved)
+    return CheckTable(
+        "delivery_prediction", metrics.connection_ids[kept], measured, predicted,
+        np.abs(measured - predicted) <= 3.0 * sigma,
+        "resolved={resolved} sigma={sigma!r}", {"resolved": resolved, "sigma": sigma},
+    )

@@ -203,11 +203,10 @@ def test_accept_04_cell_size_certificate(cert_instances):
 def test_accept_05_hop_count_bounds(cert_instances):
     total = bad = asym_viol = 0
     for n, seed, _, tess, routes in cert_instances["instances"]:
-        for r in routes:
-            rec = verification.check_hop_count(r, tess.rho_n)
-            total += 1
-            bad += not rec.passed
-            asym_viol += r.hop_count > 16 * r.length / (math.pi * tess.rho_n)
+        table = verification.check_hop_count(routes, tess.rho_n)
+        total += len(table)
+        bad += int((~table.passed).sum())
+        asym_viol += sum(r.hop_count > 16 * r.length / (math.pi * tess.rho_n) for r in routes)
     report(5, "hop-count bounds on straight routes", bad == 0,
            f"{total - bad}/{total} within [max(L/8rho,1), 16(L+8rho)/(pi rho)]; "
            f"{asym_viol} short-pair routes above the uncorrected asymptotic ceiling")
@@ -216,10 +215,9 @@ def test_accept_05_hop_count_bounds(cert_instances):
 def test_accept_06_short_hop_floor(cert_instances):
     total = bad = 0
     for n, seed, _, tess, routes in cert_instances["instances"]:
-        for r in routes:
-            rec = verification.check_short_hops(r, tess.rho_n, 0.05)
-            total += 1
-            bad += not rec.passed
+        table = verification.check_short_hops(routes, tess.rho_n, 0.05)
+        total += len(table)
+        bad += int((~table.passed).sum())
     report(6, "long-hop count floor at t=0.05", bad == 0, f"{total - bad}/{total}")
 
 
@@ -229,8 +227,7 @@ def test_accept_07_consecutive_short_hops(cert_instances):
     total = 0
     worst = 0
     for n, seed, dep, tess, routes in cert_instances["instances"]:
-        for r in routes:
-            worst = max(worst, verification.max_short_run(r, tess.rho_n))
+        worst = max(worst, int(verification.max_short_run(routes, tess.rho_n).max()))
         total += len(routes)
     # arbitrary strategies on the first instance of each n
     for pick_n in (500, 2000):
@@ -241,10 +238,9 @@ def test_accept_07_consecutive_short_hops(cert_instances):
         for strat in ("random_walk_loop_erased", "detour:2.0"):
             paths = routing.cell_paths(conns, dep, tess, strat)
             chains, hops = routing.relay_chains(conns, paths, dep, tess)
-            for args in zip(conns, paths, chains, hops):
-                r = routing.build_route(*args, tess.rho_n)
-                worst = max(worst, verification.max_short_run(r, tess.rho_n))
-                total += 1
+            routes = [routing.build_route(*a, tess.rho_n) for a in zip(conns, paths, chains, hops)]
+            worst = max(worst, int(verification.max_short_run(routes, tess.rho_n).max()))
+            total += len(routes)
     ok &= worst < 40 and total >= 10_000
     report(7, "no 40 consecutive short hops", ok,
            f"{total} routes over three strategies, max run {worst}, "
@@ -295,12 +291,12 @@ def test_accept_08_interferer_proximity(saturated_2000):
     c1 = sched.num_colors - 1
     bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=c1)
     m0 = 64.0 * (1 + c1)
-    recs = verification.check_interferer_proximity(metrics, routes, bounds, tess.rho_n)
-    bad = [r for r in recs if not r.passed]
+    table = verification.check_interferer_proximity(metrics, routes, bounds, tess.rho_n)
+    bad = int((~table.passed).sum())
     elapsed = run_seconds + time.perf_counter() - t0
     ok = bounds.m0 == m0 and not bad and elapsed < 300.0
     report(8, "interferer-proximity count at n=2000", ok,
-           f"{len(recs) - len(bad)}/{len(recs)} with N_i <= (L/rho)*2K/M, "
+           f"{len(table) - bad}/{len(table)} with N_i <= (L/rho)*2K/M, "
            f"M=64(1+c1)={m0:.0f}, K={sched.num_colors}, {elapsed:.1f}s (<300s)")
 
 
@@ -308,11 +304,12 @@ def test_accept_09_bounded_sinr_fraction(saturated_2000):
     dep, tess, sched, routes, metrics, _ = saturated_2000
     bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=sched.num_colors - 1)
     ok_t0 = abs(bounds.t0 - 0.0500) <= 1e-3
-    recs = verification.check_sinr_bounded_fraction(metrics, routes, bounds, tess.rho_n)
-    fails = [r for r in recs if not r.passed]
-    rate = 1 - len(fails) / len(recs)
-    for r in fails:  # every failure dumped with its numbers
-        print(f"  bounded-SINR failure: conn={r.connection_id} lhs={r.lhs} rhs={r.rhs}")
+    table = verification.check_sinr_bounded_fraction(metrics, routes, bounds, tess.rho_n)
+    fails = np.flatnonzero(~table.passed)
+    rate = 1 - len(fails) / len(table)
+    for k in fails.tolist():  # every failure dumped with its numbers
+        print(f"  bounded-SINR failure: conn={table.connection_ids[k]} lhs={table.lhs[k]} "
+              f"rhs={table.rhs[k]}")
     ok = ok_t0 and rate >= 0.95
     report(9, "bounded-SINR hop fraction", ok,
            f"pass rate {rate:.3f} (>=0.95), t0={bounds.t0:.6f} (0.0500±1e-3), "

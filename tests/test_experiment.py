@@ -166,7 +166,7 @@ class TestRunPoint:
         spec = tiny_spec(tmp_path, ["routing.strategy=random_walk_loop_erased"])
         res = experiment.run_point(spec, 250, 0)
         assert res.hard_invariants_ok  # consecutive-short-hop check still runs
-        assert all(r.check_id != "hop_count" for r in res.report.records)
+        assert all(t.check_id != "hop_count" for t in res.report.tables)
 
 
 class TestSweep:
@@ -541,15 +541,28 @@ class TestCli:
 
         def tampered(*args):
             res = real(*args)
-            res.report.records.extend(
-                verification.CheckRecord(check_id, k, 0.0, 1.0, passed=k >= failing)
-                for k in range(20)
-            )
+            res.report.add(verification.CheckTable(
+                check_id, np.arange(20), np.zeros(20), np.ones(20), np.arange(20) >= failing))
             return res
 
         monkeypatch.setattr(experiment, "run_point", tampered)
         argv = ["verify", "--n", "250", "--seed", "0", "--out", str(tmp_path)]
         assert cli.main(argv + [f"--set={s}" for s in TINY]) == code
+
+    def test_verify_prints_the_median_sinr(self, tmp_path, capsys, monkeypatch):
+        real, points = experiment.run_single, []  # the point verify ran
+        monkeypatch.setattr(experiment, "run_single",
+                            lambda *a: points.append(real(*a)) or points[0])
+        argv = ["verify", "--n", "250", "--seed", "2", "--out", str(tmp_path),
+                "--set=engine.traffic=saturated", "--set=engine.injection_rate=0.0",
+                "--set=engine.measure_slots=200", "--set=sweep.track_connections=40"]
+        cli.main(argv)
+        gamma = points[0].metrics.hop_gamma
+        line = next(x for x in capsys.readouterr().out.splitlines() if "per-hop SINR" in x)
+        assert line.endswith(f" median={np.median(gamma):.4g}")
+        # an even hop count, whose upper middle value prints differently
+        assert len(gamma) % 2 == 0
+        assert f"{np.sort(gamma)[len(gamma) // 2]:.4g}" != f"{np.median(gamma):.4g}"
 
     def test_verify_ignores_delivery_prediction(self, tmp_path, capsys):
         code = cli.main(["verify", "--n", "500", "--seed", "0", "--out", str(tmp_path)])

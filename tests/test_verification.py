@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adhocsim import experiment, geometry, links, routing, scheduling, verification
-from adhocsim.engine import EngineConfig, run
+from adhocsim.engine import EngineConfig, RunMetrics, run
 from adhocsim.errors import ConfigurationError, SaturationError
 
 RADIO = links.RadioParams()
@@ -85,53 +85,53 @@ def synthetic_route(cells, hop_lengths, length, cid=0):
 class TestHopCountCheck:
     def test_pass_on_real_routes(self, small_instance):
         _, tess, _, _, routes = small_instance
-        recs = [verification.check_hop_count(r, tess.rho_n) for r in routes]
-        assert all(r.passed for r in recs)
+        table = verification.check_hop_count(routes, tess.rho_n)
+        assert table.passed.all()
 
     def test_negative_control_records_numbers(self):
         # 60 hops over a geodesic of 1 cell-scale is far beyond the ceiling
         rho = 0.02
         route = synthetic_route(list(range(61)), [0.5 * rho] * 60, 0.04)
-        rec = verification.check_hop_count(route, rho)
-        assert not rec.passed
-        assert rec.lhs == 60
-        assert rec.rhs == pytest.approx(16 * (0.04 + 8 * rho) / (math.pi * rho))
+        table = verification.check_hop_count([route], rho)
+        assert not table.passed[0]
+        assert table.lhs[0] == 60
+        assert table.rhs[0] == pytest.approx(16 * (0.04 + 8 * rho) / (math.pi * rho))
 
     def test_single_hop_near_pair_passes_exact_form_only(self):
         # source and destination almost on top of each other: one hop violates
         # the asymptotic ceiling 16 L / (pi rho) but not the finite-size form
         rho = 0.02
         route = synthetic_route([0], [0.001 * rho], 0.001 * rho)
-        rec = verification.check_hop_count(route, rho)
-        assert rec.passed
-        assert rec.lhs > 16 * route.length / (math.pi * rho)
+        table = verification.check_hop_count([route], rho)
+        assert table.passed[0]
+        assert table.lhs[0] > 16 * route.length / (math.pi * rho)
 
 
 class TestShortHopsCheck:
     def test_pass_on_real_routes(self, small_instance):
         _, tess, _, _, routes = small_instance
         t0 = verification.compute_bounds(c1=0.0).t0
-        recs = [verification.check_short_hops(r, tess.rho_n, t0) for r in routes]
-        assert all(r.passed for r in recs)
+        table = verification.check_short_hops(routes, tess.rho_n, t0)
+        assert table.passed.all()
 
     def test_limit_recovers_hop_count_floor(self):
         # as t -> 0 the floor approaches L / (8 rho)
         rho, L = 0.05, 0.6
         route = synthetic_route(list(range(10)), [L / 9] * 9, L)
-        rec = verification.check_short_hops(route, rho, 1e-9)
-        assert rec.rhs == pytest.approx(L / (8 * rho), rel=1e-6)
+        table = verification.check_short_hops([route], rho, 1e-9)
+        assert table.rhs[0] == pytest.approx(L / (8 * rho), rel=1e-6)
 
     def test_all_long_hops_trivially_pass(self):
         rho = 0.05
         route = synthetic_route(list(range(5)), [6 * rho] * 4, 20 * rho)
-        rec = verification.check_short_hops(route, rho, 0.05)
-        assert rec.passed
-        assert "h_short=0" in rec.detail
+        table = verification.check_short_hops([route], rho, 0.05)
+        assert table.passed[0]
+        assert "h_short=0" in table.details()[0]
 
     def test_t_domain(self):
         route = synthetic_route([0, 1], [0.1], 0.1)
         with pytest.raises(ConfigurationError):
-            verification.check_short_hops(route, 0.05, 0.5)
+            verification.check_short_hops([route], 0.05, 0.5)
 
 
 class TestConsecutiveShortHops:
@@ -142,20 +142,20 @@ class TestConsecutiveShortHops:
         rho = 0.1
         hops = [0.005 * rho, 0.005 * rho, 2 * rho, 0.009 * rho, 0.01 * rho, 0.02 * rho]
         route = synthetic_route(list(range(7)), hops, 2 * rho)
-        assert verification.max_short_run(route, rho) == 2
+        assert verification.max_short_run([route], rho).tolist() == [2]
 
     def test_zero_runs_on_straight_routes(self, small_instance):
         _, tess, _, _, routes = small_instance
-        recs = [verification.check_consecutive_short_hops(r, tess.rho_n) for r in routes]
-        assert all(r.passed for r in recs)
-        assert max(r.lhs for r in recs) < 40
+        table = verification.check_consecutive_short_hops(routes, tess.rho_n)
+        assert table.passed.all()
+        assert table.lhs.max() < 40
 
     def test_synthetic_violation_detected(self):
         rho = 0.1
         route = synthetic_route(list(range(41)), [0.005 * rho] * 40, 0.02 * rho)
-        rec = verification.check_consecutive_short_hops(route, rho)
-        assert not rec.passed
-        assert rec.lhs == 40
+        table = verification.check_consecutive_short_hops([route], rho)
+        assert not table.passed[0]
+        assert table.lhs[0] == 40
 
 
 def bounds_of(sched):
@@ -195,11 +195,11 @@ class TestInterfererProximity:
         # K = 1 and eps2 = 1/16 give m = 2/eps2 = 32
         bounds = verification.compute_bounds(eps2=1 / 16, c1=0)
         assert bounds.m0 == 32.0
-        recs = verification.check_interferer_proximity(m, routes, bounds, tess.rho_n)
-        assert all(r.passed for r in recs)
-        assert all(r.lhs == 0 for r in recs)
-        long = [r for r in recs if r.rhs > 0]
-        assert long  # bound (L/rho) * 2/32 is positive for long connections
+        table = verification.check_interferer_proximity(m, routes, bounds, tess.rho_n)
+        assert table.passed.all()
+        assert (table.lhs == 0).all()
+        # bound (L/rho) * 2/32 is positive for long connections
+        assert (table.rhs > 0).any()
 
     def test_counts_fall_as_m_grows(self, saturated_run):
         # A smaller eps2 gives a larger m and so a wider (m+8)*rho radius,
@@ -210,39 +210,40 @@ class TestInterfererProximity:
         all_bounds = [verification.compute_bounds(eps2=eps2, c1=sched.num_colors - 1)
                       for eps2 in (0.09, 0.06, 0.04, 1 / 32)]
         rho = 0.9 * geometry.MAX_DISTANCE / (all_bounds[-1].m0 + 8.0)
-        counts = [sum(r.lhs for r in verification.check_interferer_proximity(
-            metrics, routes, bounds, rho)) for bounds in all_bounds]
+        counts = [verification.check_interferer_proximity(metrics, routes, bounds, rho).lhs.sum()
+                  for bounds in all_bounds]
         assert all(a >= b for a, b in zip(counts, counts[1:])), counts
         assert counts[0] > counts[-1], counts
 
     def test_single_hop_route_excluded_entirely(self, saturated_run):
         metrics, routes, sched, tess = saturated_run
         singles = [r for r in routes if r.hop_count <= 2][:3]
-        recs = verification.check_interferer_proximity(
+        table = verification.check_interferer_proximity(
             metrics, singles, bounds_of(sched), tess.rho_n
         )
         # no interior hops to count once source and destination hops drop out
-        assert all(r.lhs == 0 for r in recs)
+        assert (table.lhs == 0).all()
 
     def test_records_carry_numbers(self, saturated_run):
         metrics, routes, sched, tess = saturated_run
         bounds = bounds_of(sched)
-        recs = verification.check_interferer_proximity(metrics, routes, bounds, tess.rho_n)
+        table = verification.check_interferer_proximity(metrics, routes, bounds, tess.rho_n)
         length_of = {r.connection_id: r.length for r in routes}
-        assert all(r.rhs == (length_of[r.connection_id] / tess.rho_n) * 2.0
-                   * sched.num_colors / bounds.m0 for r in recs)  # K = c1 + 1
-        assert all(r.detail.startswith(f"m={bounds.m0!r} radius=") for r in recs)
+        assert all(rhs == (length_of[cid] / tess.rho_n) * 2.0
+                   * sched.num_colors / bounds.m0  # K = c1 + 1
+                   for cid, rhs in zip(table.connection_ids.tolist(), table.rhs.tolist()))
+        assert all(d.startswith(f"m={bounds.m0!r} radius=") for d in table.details())
         arbitrary = verification.check_interferer_proximity(
             metrics, routes, bounds, tess.rho_n, arbitrary=True)
-        assert all(r.detail.startswith(f"m={bounds.m0_arbitrary!r} ") for r in arbitrary)
+        assert all(d.startswith(f"m={bounds.m0_arbitrary!r} ") for d in arbitrary.details())
 
 
 class TestSinrBoundedFraction:
     def test_pass_rates(self, saturated_run):
         metrics, routes, sched, tess = saturated_run
         bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=sched.num_colors - 1)
-        recs = verification.check_sinr_bounded_fraction(metrics, routes, bounds, tess.rho_n)
-        rate = sum(r.passed for r in recs) / len(recs)
+        table = verification.check_sinr_bounded_fraction(metrics, routes, bounds, tess.rho_n)
+        rate = table.passed.sum() / len(table)
         assert rate >= 0.95
 
     def test_beta0_recomputed_identically(self, saturated_run):
@@ -256,9 +257,9 @@ class TestSinrBoundedFraction:
         metrics, routes, sched, tess = saturated_run
         bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=sched.num_colors - 1)
         short = [r for r in routes if r.length < 16 * tess.rho_n][:1]
-        recs = verification.check_sinr_bounded_fraction(metrics, short, bounds, tess.rho_n)
-        assert recs[0].passed
-        assert recs[0].rhs < 1.0
+        table = verification.check_sinr_bounded_fraction(metrics, short, bounds, tess.rho_n)
+        assert table.passed[0]
+        assert table.rhs[0] < 1.0
 
 
 class TestThroughputCeilings:
@@ -301,12 +302,12 @@ class TestDeliveryPrediction:
         dep, tess, sched, _, routes = small_instance
         cfg = EngineConfig(injection_rate=0.01, measure_slots=40_000, seed=83)
         m = run(dep, tess, sched, routes[:40], links.ConstantPModel(0.8), RADIO, cfg)
-        recs = verification.delivery_prediction(m, routes[:40], links.ConstantPModel(0.8), 1)
-        assert len(recs) >= 30
-        for r in recs:
-            route = next(x for x in routes if x.connection_id == r.connection_id)
-            assert r.rhs == pytest.approx(0.8**route.hop_count, rel=1e-12)
-        assert sum(r.passed for r in recs) / len(recs) >= 0.9
+        table = verification.delivery_prediction(m, routes[:40], links.ConstantPModel(0.8), 1)
+        assert len(table) >= 30
+        for cid, rhs in zip(table.connection_ids.tolist(), table.rhs.tolist()):
+            route = next(x for x in routes if x.connection_id == cid)
+            assert rhs == pytest.approx(0.8**route.hop_count, rel=1e-12)
+        assert table.passed.sum() / len(table) >= 0.9
 
     def test_route_not_in_the_run_raises(self, small_instance):
         # each checker looks every route up: none is skipped or read another's hops
@@ -331,9 +332,10 @@ class TestReport:
     def test_csv_and_text(self, tmp_path, small_instance):
         _, tess, _, _, routes = small_instance
         report = verification.VerificationReport()
-        report.records = [verification.check_hop_count(r, tess.rho_n) for r in routes[:20]]
+        report.add(verification.check_hop_count(routes[:20], tess.rho_n))
         with experiment.CsvWriter(tmp_path, ["verification_detail.csv"]) as writer:
-            writer.write("verification_detail.csv", experiment.detail_rows(report))
+            writer.write("verification_detail.csv",
+                         experiment.verification_rows(report, detail=True))
         lines = (tmp_path / "verification_detail.csv").read_text().splitlines()
         assert lines[0] == "# schema=verification_detail_v1"
         assert lines[1].split(",")[:4] == ["check_id", "connection_id", "lhs", "rhs"]
@@ -341,4 +343,315 @@ class TestReport:
         report.write_text(tmp_path / "verif.txt")
         assert "hop_count" in (tmp_path / "verif.txt").read_text()
         assert report.pass_rate("hop_count") == 1.0
-        assert all(r.passed for r in report.records)
+        assert report.pass_counts() == {"hop_count": (20, 20)}
+
+
+# --- the record-by-record checkers and formatter: the reference ---------------
+# The tables must give every record these functions give, value for value,
+# and the files written from them must equal these functions' bytes.
+
+def reference_route_records(routes, rho_n, t, straight=True):
+    """The per-route records, route by route: hop_count, short_hops and
+    consecutive_short_hops (the last alone unless ``straight``)."""
+    records = []
+    for r in routes:
+        if straight:
+            lower = max(r.length / (8.0 * rho_n), 1.0)
+            upper_asym = 16.0 * r.length / (math.pi * rho_n)
+            upper = 16.0 * (r.length + 8.0 * rho_n) / (math.pi * rho_n)
+            h = r.hop_count
+            records.append(("hop_count", r.connection_id, float(h), upper, lower <= h <= upper,
+                            f"lower={lower!r} upper_asymptotic={upper_asym!r}"))
+            h_short = sum(1 for hop in r.hop_lengths.tolist() if hop < t * rho_n)
+            long_hops = r.hop_count - h_short
+            ratio = r.length / rho_n
+            floor_asym = ratio * verification.short_hop_fraction(t)
+            floor = (ratio * (1.0 - 16.0 * t / math.pi) - 128.0 * t / math.pi) / (8.0 - t)
+            records.append(("short_hops", r.connection_id, float(long_hops), floor,
+                            long_hops >= floor,
+                            f"t={t!r} h_short={h_short} floor_asymptotic={floor_asym!r}"))
+        best = run = 0
+        for hop in r.hop_lengths.tolist():
+            run = run + 1 if hop <= verification.SHORT_HOP_T * rho_n else 0
+            best = max(best, run)
+        records.append(("consecutive_short_hops", r.connection_id, float(best),
+                        float(verification.SHORT_HOP_W), best < verification.SHORT_HOP_W,
+                        f"cell_bound={verification.SHORT_HOP_CELL_BOUND!r}"))
+    return records
+
+
+def reference_interior(metrics, route, hit):
+    """The route's interior hops (all but its first and last) where ``hit`` is set."""
+    k = metrics.position[route.connection_id]
+    lo, hi = int(metrics.hop_offsets[k]), int(metrics.hop_offsets[k + 1])
+    return int(sum(hit[lo + 1:hi - 1].tolist()))
+
+
+def reference_saturated_records(metrics, routes, bounds, rho_n, arbitrary=False):
+    m = bounds.m0_arbitrary if arbitrary else bounds.m0
+    radius = (m + 8.0) * rho_n
+    ceiling = bounds.beta1 if arbitrary else bounds.beta0
+    proximity, sinr_bounded = [], []
+    for r in routes:
+        isolated = reference_interior(metrics, r, metrics.hop_nearest > radius)
+        length = r.path_length if arbitrary else r.length
+        bound = (length / rho_n) * 2.0 * (bounds.c1 + 1) / m
+        proximity.append(("interferer_proximity", r.connection_id, float(isolated), bound,
+                          isolated <= bound,
+                          f"m={m!r} radius={radius!r} interior_hops={max(r.hop_count - 2, 0)}"))
+        count = reference_interior(metrics, r, metrics.hop_gamma <= ceiling)
+        required = length / ((640.0 if arbitrary else 16.0) * rho_n)
+        sinr_bounded.append(("sinr_bounded_fraction" + ("_arbitrary" if arbitrary else ""),
+                             r.connection_id, float(count), required,
+                             required < 1.0 or count >= required, f"ceiling={ceiling!r}"))
+    return proximity + sinr_bounded
+
+
+def reference_delivery_records(metrics, routes, model, attempts):
+    records = []
+    for r in routes:
+        k = metrics.position[r.connection_id]
+        resolved = int(metrics.delivered[k] + metrics.dropped[k])
+        if resolved == 0:
+            continue
+        lo, hi = int(metrics.hop_offsets[k]), int(metrics.hop_offsets[k + 1])
+        means = metrics.mean_hop_success[lo:hi].tolist()
+        if model.continuous and any(math.isnan(p) for p in means):
+            continue
+        predicted = math.prod(
+            links.hop_success_with_retries(model.success(0.0) if math.isnan(p) else p, attempts)
+            for p in means
+        )
+        measured = float(metrics.delivery_probability()[k])
+        sigma = math.sqrt(max(predicted * (1.0 - predicted), 1e-12) / resolved)
+        records.append(("delivery_prediction", r.connection_id, measured, predicted,
+                        abs(measured - predicted) <= 3.0 * sigma,
+                        f"resolved={resolved} sigma={sigma!r}"))
+    return records
+
+
+def reference_point_records(res, spec):
+    straight = spec.routing_strategy == "straight_line"
+    records = reference_route_records(res.routes, res.tess.rho_n, res.bounds.t0, straight)
+    if res.metrics.saturated:
+        records += reference_saturated_records(
+            res.metrics, res.routes, res.bounds, res.tess.rho_n, arbitrary=not straight)
+    return records + reference_delivery_records(
+        res.metrics, res.routes, spec.link_model(), spec.engine.attempts_per_hop)
+
+
+def reference_appendix_records(seed, pairs):
+    rng = np.random.default_rng(seed)
+    dist = geometry.surface_distance(geometry.random_point(rng, pairs),
+                                     geometry.random_point(rng, pairs))
+    records = []
+    for delta in (0.1, 0.5, 0.9, math.exp(-2.0 * math.sqrt(math.pi))):
+        vals = delta**dist
+        mc, se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(pairs))
+        closed = geometry.expected_delta_pow_L(delta)
+        records.append(("pair_distance_expectation", None, mc, closed,
+                        abs(mc - closed) <= 3.0 * se, f"delta={delta!r} se={se!r}"))
+    ks = experiment.kolmogorov_statistic(dist)
+    records.append(("distance_law_ks", None, ks, 0.002, ks < 0.002, f"pairs={pairs}"))
+    return records + [("cap_area_sandwich", None, 1.0, 1.0, True, "grid=1000")]
+
+
+def reference_csv(records, name, lead=()):
+    """``name`` as written from ``records``, schema line and header first."""
+    schema, header = experiment.CSV_LAYOUTS[name]
+    lines = [f"# schema={schema}", header]
+    for check_id, cid, lhs, rhs, passed, detail in records:
+        fields = [*map(str, lead), check_id, "" if cid is None else str(cid), repr(lhs),
+                  repr(rhs), str(int(passed))]
+        lines.append(",".join(fields + ([] if lead else [detail])))
+    return "\n".join(lines) + "\n"
+
+
+def reference_text(records):
+    lines = ["# adhocsim verification report"]
+    for check_id in sorted({r[0] for r in records}):
+        recs = [r for r in records if r[0] == check_id]
+        passes = sum(r[4] for r in recs)
+        lines.append(f"{check_id}: {passes}/{len(recs)} pass ({passes / len(recs):.3f})")
+        lines += [f"  FAIL conn={cid} lhs={lhs!r} rhs={rhs!r} {detail}"
+                  for _, cid, lhs, rhs, passed, detail in recs if not passed]
+    return "\n".join(lines) + "\n"
+
+
+def table_after_table(records):
+    """Route-by-route per-route records, reordered one check after another."""
+    order = ["hop_count", "short_hops", "consecutive_short_hops"]
+    return sorted(records, key=lambda r: order.index(r[0]))
+
+
+def table_records(*tables):
+    """The tables' records, table after table, as the reference writes them."""
+    return [(t.check_id, cid, lhs, rhs, passed, detail) for t in tables
+            for cid, lhs, rhs, passed, detail in zip(
+                t.connection_ids.tolist(), t.lhs.tolist(), t.rhs.tolist(), t.passed.tolist(),
+                t.details(), strict=True)]
+
+
+def crafted_routes(rho):
+    """A 1-hop and a 2-hop route (no interior hops); one with a run of 45
+    short hops; one with hops exactly at ``SHORT_HOP_T * rho`` that ends on
+    a short hop, followed by one that starts with two, so a run that went
+    on across routes would show; one with too many hops for its geodesic;
+    and an ordinary one."""
+    at = verification.SHORT_HOP_T * rho
+    hop_lists = [
+        [0.3 * rho],
+        [0.5 * rho, 0.7 * rho],
+        [2.0 * rho] + [0.005 * rho] * 45 + [3.0 * rho],
+        [at, at, 2.0 * rho, at, 0.001 * rho, 1.5 * rho, at],
+        [0.004 * rho, 0.004 * rho, 2.0 * rho],
+        [0.5 * rho] * 60,
+        [1.0 * rho, 0.02 * rho, 2.5 * rho, 0.049 * rho, 3.0 * rho, 0.06 * rho],
+    ]
+    lengths = [0.3 * rho, 1.1 * rho, 4.0 * rho, 5.0 * rho, 2.0 * rho, 0.04, 7.5 * rho]
+    return [synthetic_route(list(range(len(h))), h, length, cid=cid)
+            for cid, (h, length) in enumerate(zip(hop_lists, lengths))]
+
+
+def crafted_metrics(routes, seed=5):
+    """A saturated run over ``routes`` with per-hop values drawn around the
+    checks' thresholds, unresolved and never-attempted hops included."""
+    rng = np.random.default_rng(seed)
+    offsets = np.cumsum([0] + [r.hop_count for r in routes], dtype=np.int64)
+    hops = int(offsets[-1])
+    mean_success = rng.uniform(0.5, 1.0, hops)
+    mean_success[rng.random(hops) < 0.1] = np.nan
+    delivered = rng.integers(0, 30, len(routes))
+    dropped = rng.integers(0, 5, len(routes))
+    delivered[1] = dropped[1] = 0  # nothing resolved: no delivery record
+    return RunMetrics(
+        slots=100, warmup_slots=10,
+        connection_ids=np.array([r.connection_id for r in routes], dtype=np.int64),
+        injected=delivered + dropped, delivered=delivered, dropped=dropped,
+        in_flight=np.zeros(len(routes), dtype=np.int64),
+        lambda_realized=0.0, throughput=0.0, utilization=np.zeros(1),
+        hop_offsets=offsets, mean_hop_success=mean_success,
+        hop_gamma=10.0 ** rng.uniform(10.0, 16.0, hops),
+        hop_nearest=rng.uniform(0.0, 3.0, hops),
+    )
+
+
+class TestTablesMatchTheReference:
+    @pytest.mark.parametrize("t", [verification.SHORT_HOP_T, 0.05])
+    def test_per_route_checks_on_crafted_routes(self, t):
+        rho = 0.02
+        routes = crafted_routes(rho)
+        tables = [verification.check_hop_count(routes, rho),
+                  verification.check_short_hops(routes, rho, t),
+                  verification.check_consecutive_short_hops(routes, rho)]
+        report = verification.VerificationReport()
+        report.add(*tables)
+        expected = reference_route_records(routes, rho, t)
+        assert [tuple(vars(r).values()) for r in report.records] == expected
+        assert table_records(*tables) == table_after_table(expected)
+        # the cases the routes were made for
+        assert not tables[2].passed[2] and tables[2].lhs[2] == 45  # 45 short hops
+        assert tables[2].lhs[3] == 2  # hops at the threshold are short
+        assert tables[2].lhs[4] == 2  # a run ends with its route
+        assert not tables[0].passed[5]  # 60 hops over 0.04
+        # a hop at t * rho is not shorter than it
+        assert tables[1].columns["h_short"][3] == (5 if t == 0.05 else 1)
+
+    def test_empty_route_list(self):
+        empty = [verification.check_hop_count([], 0.02),
+                 verification.check_short_hops([], 0.02, 0.05),
+                 verification.check_consecutive_short_hops([], 0.02)]
+        assert table_records(*empty) == reference_route_records([], 0.02, 0.05) == []
+        report = verification.VerificationReport()
+        report.add(*empty)
+        assert report.pass_counts() == {} and verification.hard_invariants_hold(report)
+        assert math.isnan(report.pass_rate("hop_count"))
+
+    @pytest.mark.parametrize("arbitrary", [False, True])
+    def test_saturated_checks_on_crafted_routes(self, arbitrary):
+        rho = 0.02
+        routes = crafted_routes(rho)
+        metrics = crafted_metrics(routes)
+        bounds = verification.compute_bounds(eps2=1 / 16, c1=0)
+        # a scale at which the crafted nearest distances straddle the radius
+        rho_n = 1.5 / ((bounds.m0_arbitrary if arbitrary else bounds.m0) + 8.0)
+        tables = [
+            verification.check_interferer_proximity(metrics, routes, bounds, rho_n, arbitrary),
+            verification.check_sinr_bounded_fraction(metrics, routes, bounds, rho_n, arbitrary),
+        ]
+        expected = reference_saturated_records(metrics, routes, bounds, rho_n, arbitrary)
+        assert table_records(*tables) == expected
+        assert 0 < sum(r[2] for r in expected[:len(routes)]) < sum(
+            r.hop_count for r in routes)
+
+    @pytest.mark.parametrize("model", [links.ConstantPModel(0.8), links.LogisticModel()])
+    def test_delivery_prediction_on_crafted_routes(self, model):
+        routes = crafted_routes(0.02)
+        metrics = crafted_metrics(routes)
+        table = verification.delivery_prediction(metrics, routes[::-1], model, 2)
+        expected = reference_delivery_records(metrics, routes[::-1], model, 2)
+        assert table_records(table) == expected
+        assert 1 not in table.connection_ids.tolist()  # nothing resolved
+
+    def test_route_subset_of_a_saturated_run(self, saturated_run):
+        metrics, routes, sched, tess = saturated_run
+        bounds = bounds_of(sched)
+        for subset in (routes[:10], routes[30:10:-2]):
+            for arbitrary in (False, True):
+                tables = [
+                    verification.check_interferer_proximity(
+                        metrics, subset, bounds, tess.rho_n, arbitrary),
+                    verification.check_sinr_bounded_fraction(
+                        metrics, subset, bounds, tess.rho_n, arbitrary),
+                ]
+                assert table_records(*tables) == reference_saturated_records(
+                    metrics, subset, bounds, tess.rho_n, arbitrary)
+            assert table_records(
+                verification.check_hop_count(subset, tess.rho_n),
+                verification.check_short_hops(subset, tess.rho_n, bounds.t0),
+                verification.check_consecutive_short_hops(subset, tess.rho_n),
+            ) == table_after_table(reference_route_records(subset, tess.rho_n, bounds.t0))
+
+
+class TestWrittenBytesMatchTheReference:
+    @pytest.mark.parametrize("overrides, covered", [
+        (["engine.traffic=saturated", "engine.injection_rate=0.0",
+          "engine.measure_slots=200", "engine.trace=True"], "interferer_proximity"),
+        (["routing.strategy=random_walk_loop_erased", "engine.injection_rate=0.01",
+          "engine.measure_slots=1500", "link_model.name=constant_p", "link_model.p=0.9"],
+         "delivery_prediction"),
+    ])
+    def test_point_outputs(self, tmp_path, overrides, covered):
+        spec = experiment.load_spec(None, [
+            "sweep.n=250", "sweep.track_connections=60", f"sweep.out={tmp_path}", *overrides])
+        res = experiment.run_single(spec, 250, 2)
+        res.report.write_text(tmp_path / "verification.txt")
+        records = reference_point_records(res, spec)
+        assert any(r[0] == covered for r in records)
+        if covered == "interferer_proximity":  # at n = 250 it fails: FAIL lines are written
+            assert not all(r[4] for r in records)
+        assert (tmp_path / "verification.csv").read_text() == reference_csv(
+            records, "verification.csv", (250, 2))
+        assert (tmp_path / "verification_detail.csv").read_text() == reference_csv(
+            records, "verification_detail.csv")
+        assert (tmp_path / "verification.txt").read_text() == reference_text(records)
+
+    def test_appendix_outputs(self, tmp_path):
+        report = experiment.verify_appendix(seed=3, pairs=20_000)
+        with experiment.CsvWriter(tmp_path, ["verification_detail.csv"]) as writer:
+            writer.write("verification_detail.csv",
+                         experiment.verification_rows(report, detail=True))
+        report.write_text(tmp_path / "verification.txt")
+        records = reference_appendix_records(3, 20_000)
+        assert [tuple(vars(r).values()) for r in report.records] == records
+        assert (tmp_path / "verification_detail.csv").read_text() == reference_csv(
+            records, "verification_detail.csv")
+        assert (tmp_path / "verification.txt").read_text() == reference_text(records)
+        assert "FAIL conn=None" in reference_text(records)  # the KS check at 20k pairs
+
+    def test_a_field_that_needs_quoting_goes_through_the_csv_writer(self, tmp_path):
+        rows = [("a", "1", "2.0", "3.0", "1", "x=1"), ("b", "", "2.0", "3.0", "0", 'y=1, "z"')]
+        with experiment.CsvWriter(tmp_path, ["verification_detail.csv"]) as writer:
+            writer.write_fields("verification_detail.csv", rows)
+        lines = (tmp_path / "verification_detail.csv").read_text().splitlines()
+        assert lines[2:] == ["a,1,2.0,3.0,1,x=1", 'b,,2.0,3.0,0,"y=1, ""z"""']

@@ -31,13 +31,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .links import LinkModel, RadioParams, path_gain, sinr
-from .routing import Route, flat_hop_lengths
+from .routing import Route, RouteTable, route_table
 from .scheduling import Schedule
 from .tessellation import Deployment, Tessellation
 from .tessellation import all_cell_relays  # noqa: F401  (pipebench's tracer wraps this name)
@@ -86,13 +85,13 @@ class _Packet:
 
 @dataclass
 class RunMetrics:
-    """Per-connection counts, in ascending connection id, and per-hop
-    arrays, flat over those connections' hops: connection ``k``'s hops are
-    ``hop_offsets[k]:hop_offsets[k + 1]``."""
+    """Per-connection counts and per-hop arrays in the layout of the run's
+    ``routes`` table: connection ``k`` is ``routes.connection_ids[k]`` and
+    its hops are ``routes.offsets[k]:routes.offsets[k + 1]``."""
 
     slots: int
     warmup_slots: int
-    connection_ids: np.ndarray
+    routes: RouteTable = field(repr=False)
     injected: np.ndarray
     delivered: np.ndarray
     dropped: np.ndarray
@@ -100,7 +99,6 @@ class RunMetrics:
     lambda_realized: float  # injected packets per node per slot
     throughput: float  # delivered packets per node per slot
     utilization: np.ndarray  # transmissions / active slots, per cell
-    hop_offsets: np.ndarray = field(repr=False)  # (connections + 1,)
     mean_hop_success: np.ndarray = field(repr=False)  # NaN: no counted attempt
     # Saturated runs only (None otherwise): each hop's stationary SINR and
     # nearest-interferer surface distance (inf: no interferer).
@@ -112,21 +110,11 @@ class RunMetrics:
     def saturated(self) -> bool:
         return self.hop_gamma is not None
 
-    @cached_property
-    def position(self) -> dict[int, int]:
-        """Connection id -> index ``k``; a connection not in the run has none."""
-        return {cid: k for k, cid in enumerate(self.connection_ids.tolist())}
-
     def delivery_probability(self) -> np.ndarray:
         """Delivered fraction of resolved in-window packets (in flight censored)."""
         resolved = self.delivered + self.dropped
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(resolved > 0, self.delivered / resolved, np.nan)
-
-    def check_conservation(self) -> None:
-        bad = self.injected != self.delivered + self.dropped + self.in_flight
-        if np.any(bad):
-            raise AssertionError("packet conservation violated")
 
 
 def run(
@@ -139,7 +127,7 @@ def run(
     cfg: EngineConfig,
 ) -> RunMetrics:
     """Execute one simulation and aggregate per-connection delivery."""
-    routes = sorted(routes, key=lambda r: r.connection_id)
+    table = route_table(routes)
     saturated = cfg.traffic == "saturated"
     K = schedule.num_colors
     warmup = cfg.warmup_slots if cfg.warmup_slots is not None else 10 * K
@@ -147,20 +135,21 @@ def run(
     streams = np.random.SeedSequence(cfg.seed).spawn(2)
     injection, reception = map(np.random.default_rng, streams)
 
-    # The link table: every route hop, flat in connection order, so
-    # connection k's hops are hop_offsets[k]:hop_offsets[k + 1]; under
-    # saturation each occupied cell's dummy link follows, with no receiver.
-    # A packet carries its link's index and moves to the next on success.
-    hop_cells, hop_tx, hop_rx, power, next_cells = _hop_table(routes, radio)
-    links = list(zip(hop_cells, hop_tx, hop_rx, power.tolist(), next_cells))
+    # The link table: every hop of the route table, in its order, with its
+    # received power (from the atan2 hop lengths, which short links need);
+    # under saturation each occupied cell's dummy link follows, with no
+    # receiver.  A packet carries its link's index and moves to the next.
+    hop_cells = table.cell.tolist()
+    power = radio.tx_power * path_gain(table.hop_length, radio.alpha)
+    links = list(zip(hop_cells, table.tx.tolist(), table.rx.tolist(), power.tolist(),
+                     table.next_cell.tolist()))
     # Hops that routes share are one link by value; a slot names each link
     # by its first index, so they share plans.
     link_id = list(map({}.setdefault, links, range(len(links))))
     # Per hop, the success probability summed over counted attempts, and
     # their count.
     success_sums, attempt_counts = [0.0] * len(links), [0] * len(links)
-    hop_offsets = np.cumsum([0] + [r.hop_count for r in routes], dtype=np.int64)
-    first_link = hop_offsets[:-1].tolist()
+    first_link = table.offsets[:-1].tolist()
     dummy_of_cell = [-1] * tess.num_cells
     if saturated:
         for c, relay in enumerate(tess.relay_of_cell.tolist()):
@@ -170,12 +159,12 @@ def run(
 
     # One FIFO per cell, shared by every connection relaying through it.
     queues = [deque() for _ in range(tess.num_cells)]
-    injected, delivered, dropped = [0] * len(routes), [0] * len(routes), [0] * len(routes)
+    injected, delivered, dropped = [0] * len(table), [0] * len(table), [0] * len(table)
     transmit_slots = [0] * tess.num_cells
     trace_rows: list[tuple] = []
     plans: dict[tuple, list[tuple]] = {}  # link set -> its outcome rules
     cells_by_color = [row.tolist() for row in schedule.cells_by_color]
-    arrivals = _arrivals(injection, cfg.injection_rate, len(routes))
+    arrivals = _arrivals(injection, cfg.injection_rate, len(table))
     next_slot, conn = next(arrivals, (total_slots, 0))
     draws = _uniforms(reception)
     for slot in range(total_slots):
@@ -240,7 +229,7 @@ def run(
             next_slot, conn = next(arrivals)
 
     in_flight = np.bincount(
-        [pkt.conn for q in queues for pkt in q if pkt.measured], minlength=len(routes)
+        [pkt.conn for q in queues for pkt in q if pkt.measured], minlength=len(table)
     ).astype(np.int64)
     # A cell is active in the slots congruent to its color.
     window = np.arange(warmup, total_slots) % K
@@ -250,10 +239,12 @@ def run(
     injected, delivered, dropped = (
         np.array(counts, dtype=np.int64) for counts in (injected, delivered, dropped)
     )
+    if np.any(injected != delivered + dropped + in_flight):
+        raise AssertionError("packet conservation violated")
     metrics = RunMetrics(
         slots=cfg.measure_slots,
         warmup_slots=warmup,
-        connection_ids=np.array([r.connection_id for r in routes], dtype=np.int64),
+        routes=table,
         injected=injected,
         delivered=delivered,
         dropped=dropped,
@@ -261,17 +252,15 @@ def run(
         lambda_realized=float(injected.sum()) / (dep.n * cfg.measure_slots),
         throughput=float(delivered.sum()) / (dep.n * cfg.measure_slots),
         utilization=utilization,
-        hop_offsets=hop_offsets,
         mean_hop_success=np.array([
             total / count if count else math.nan
             for total, count in zip(success_sums, attempt_counts)
         ]),
         trace=trace_rows,
     )
-    metrics.check_conservation()
     if saturated:
         metrics.hop_gamma, metrics.hop_nearest = saturated_hop_samples(
-            dep, tess, schedule, routes, radio
+            dep, tess, schedule, table, radio
         )
     return metrics
 
@@ -298,21 +287,6 @@ def _uniforms(rng):
     """Uniforms on [0, 1), one at a time, drawn ``_BLOCK`` at once."""
     while True:
         yield from rng.random(_BLOCK).tolist()
-
-
-def _hop_table(routes: list[Route], radio: RadioParams):
-    """The routes' hops, flat in the order given: per hop its cell,
-    transmitter, receiver and next cell (-1 after a route's last hop) as
-    lists, and its received power as an array.  Powers come from the atan2
-    hop lengths (short links need its accuracy)."""
-    cells, tx, rx, next_cells = [], [], [], []
-    for r in routes:
-        cells += r.cells[:r.hop_count]
-        tx += r.relays[:-1]
-        rx += r.relays[1:]
-        next_cells += [*r.cells[1:r.hop_count], -1]
-    power = radio.tx_power * path_gain(flat_hop_lengths(routes), radio.alpha)
-    return cells, tx, rx, power, next_cells
 
 
 def _plan(links, nodes, model, radio) -> list[tuple]:
@@ -349,11 +323,11 @@ def saturated_hop_samples(
     dep: Deployment,
     tess: Tessellation,
     schedule: Schedule,
-    routes: list[Route],
+    table: RouteTable,
     radio: RadioParams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-hop SINR and nearest-interferer distance under saturation, as two
-    arrays flat over the routes' hops in the order given.
+    arrays flat over the hops of ``table``.
 
     With every occupied cell transmitting in each of its slots the
     transmitting cells of a slot depend only on its color.  The transmitter
@@ -364,8 +338,8 @@ def saturated_hop_samples(
     kernel that the engine runs in its slots.
     """
     relay_of_cell = tess.relay_of_cell
-    cells, _, rx, signal, _ = _hop_table(routes, radio)
-    cells, rx = np.array(cells, dtype=np.int64), np.array(rx, dtype=np.int64)
+    cells, rx = table.cell, table.rx
+    signal = radio.tx_power * path_gain(table.hop_length, radio.alpha)
     colors = schedule.color_of_cell[cells]
     gamma = np.empty(len(cells))
     nearest = np.empty(len(cells))

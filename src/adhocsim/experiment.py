@@ -25,12 +25,14 @@ from . import geometry
 from .engine import EngineConfig, RunMetrics, run, saturated_hop_samples
 from .errors import ConfigurationError
 from .links import RadioParams, filter_model_params, make_link_model
-from .routing import Route, build_route, cell_paths, detour_factor, pick_connections, relay_chains
+from .routing import (Route, build_route, cell_paths, detour_factor, pick_connections,
+                      relay_chains, route_table)
 from .scheduling import (
     DEFAULT_CONFLICT_MULTIPLIER,
     Schedule,
     build_conservative_schedule,
     build_schedule,
+    check_conflict_multiplier,
     growth_value,
 )
 from .tessellation import (
@@ -96,8 +98,10 @@ class ExperimentSpec:
                 f"unknown schedule regime {self.schedule_regime!r}; "
                 f"expected one of {SCHEDULE_REGIMES}"
             )
+        check_conflict_multiplier(self.schedule_delta)
         growth_value(self.schedule_growth, 2)
         detour_factor(self.routing_strategy)
+        self.link_model()
 
     def link_model(self):
         return make_link_model(self.link_model_name, **dict(self.link_model_params))
@@ -164,17 +168,17 @@ def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
     metrics = run(dep, tess, schedule, routes, model, spec.radio, cfg)
 
     report = VerificationReport()
-    arbitrary, rho = spec.routing_strategy != "straight_line", tess.rho_n
+    table, arbitrary, rho = metrics.routes, spec.routing_strategy != "straight_line", tess.rho_n
     bounds = compute_bounds(alpha=spec.radio.alpha, c1=schedule.num_colors - 1)
     if arbitrary:
-        report.add(check_consecutive_short_hops(routes, rho))
+        report.add(check_consecutive_short_hops(table, rho))
     else:  # written route by route: hop_count, short_hops, consecutive_short_hops
-        report.add(check_hop_count(routes, rho), check_short_hops(routes, rho, bounds.t0),
-                   check_consecutive_short_hops(routes, rho))
+        report.add(check_hop_count(table, rho), check_short_hops(table, rho, bounds.t0),
+                   check_consecutive_short_hops(table, rho))
     if metrics.saturated:
-        report.add(check_interferer_proximity(metrics, routes, bounds, rho, arbitrary))
-        report.add(check_sinr_bounded_fraction(metrics, routes, bounds, rho, arbitrary))
-    report.add(delivery_prediction(metrics, routes, model, cfg.attempts_per_hop))
+        report.add(check_interferer_proximity(metrics, bounds, rho, arbitrary))
+        report.add(check_sinr_bounded_fraction(metrics, bounds, rho, arbitrary))
+    report.add(delivery_prediction(metrics, model, cfg.attempts_per_hop))
     return PointResult(n=n, seed=seed, tess=tess, schedule=schedule, metrics=metrics,
                        routes=routes, bounds=bounds, report=report)
 
@@ -255,9 +259,10 @@ def run_schedules(spec: ExperimentSpec) -> list[list]:
     with CsvWriter(out, ("schedule_comparison.csv",)) as writer:
         for n, seed in sorted((n, seed) for n in spec.n_values for seed in spec.seeds):
             dep, tess, routes = point_routes(spec, n, seed)
+            table = route_table(routes)
             for regime in SCHEDULE_REGIMES:
                 schedule = make_schedule(replace(spec, schedule_regime=regime), tess)
-                gamma, _ = saturated_hop_samples(dep, tess, schedule, routes, spec.radio)
+                gamma, _ = saturated_hop_samples(dep, tess, schedule, table, spec.radio)
                 p5, p50, p95 = np.percentile(gamma, [5, 50, 95]).tolist()
                 row = [n, seed, regime, schedule.num_colors, repr(p5), repr(p50), repr(p95)]
                 writer.write("schedule_comparison.csv", [row])
@@ -350,13 +355,12 @@ class CsvWriter:
 
 
 def connection_rows(res: PointResult) -> list[tuple[str, ...]]:
-    m = res.metrics
-    routes = sorted(res.routes, key=lambda r: r.connection_id)  # the run's order
+    m, table = res.metrics, res.metrics.routes
     lead = (str(res.n), str(res.seed), repr(res.tess.rho_n), str(res.schedule.num_colors))
     return list(zip(
-        *map(repeat, lead), map(str, m.connection_ids.tolist()),
-        [repr(r.length) for r in routes], [repr(r.path_length) for r in routes],
-        [str(r.hop_count) for r in routes], map(repr, (m.injected / m.slots).tolist()),
+        *map(repeat, lead), map(str, table.connection_ids.tolist()),
+        map(repr, table.length.tolist()), map(repr, table.path_length.tolist()),
+        map(str, table.hop_count.tolist()), map(repr, (m.injected / m.slots).tolist()),
         *(map(str, c.tolist()) for c in (m.injected, m.delivered, m.dropped, m.in_flight)),
         ["" if math.isnan(dp) else repr(dp) for dp in m.delivery_probability().tolist()],
     ))
@@ -365,7 +369,7 @@ def connection_rows(res: PointResult) -> list[tuple[str, ...]]:
 def summary_row(res: PointResult) -> list:
     m, tess = res.metrics, res.tess
     ts = throughput_summary(tess, res.schedule)
-    mean_h = float(np.mean([r.hop_count for r in res.routes])) if res.routes else 0.0
+    mean_h = float(np.mean(m.routes.hop_count)) if len(m.routes) else 0.0
     return [
         res.n, res.seed, repr(tess.rho_n), tess.num_cells, res.schedule.num_colors,
         repr(m.lambda_realized), repr(m.throughput), int(m.injected.sum()),

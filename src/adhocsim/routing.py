@@ -1,5 +1,6 @@
 """Route construction: cell paths (``cell_paths``), then every relay chain and
-hop length in one pass (``relay_chains``), then each route (``build_route``).
+hop length in one pass (``relay_chains``), then each route (``build_route``),
+and all routes as the one table of columns that is read (``route_table``).
 
 A route visits a sequence of pairwise-distinct cells in which consecutive
 cells are adjacent, and relays its packets along a node chain whose first
@@ -59,6 +60,51 @@ class Route:
     @property
     def hop_count(self) -> int:
         return len(self.hop_lengths)
+
+
+@dataclass(frozen=True)
+class RouteTable:
+    """Routes as columns, in ascending connection id.  Per route: connection
+    id, geodesic ``length`` and ``path_length``.  Per hop, flat (route ``k``'s
+    hops are ``offsets[k]:offsets[k + 1]``): cell, transmitter, receiver,
+    next cell (-1 after the route's last hop) and length."""
+
+    connection_ids: np.ndarray
+    length: np.ndarray
+    path_length: np.ndarray
+    offsets: np.ndarray  # (routes + 1,)
+    cell: np.ndarray
+    tx: np.ndarray
+    rx: np.ndarray
+    next_cell: np.ndarray
+    hop_length: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.connection_ids)
+
+    @property
+    def hop_count(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+
+def route_table(routes: list[Route]) -> RouteTable:
+    """The one ``RouteTable`` of ``routes``, given in any order."""
+    routes = sorted(routes, key=lambda r: r.connection_id)
+    cells, tx, rx, next_cells = [], [], [], []
+    for r in routes:
+        cells += r.cells[:r.hop_count]
+        tx += r.relays[:-1]
+        rx += r.relays[1:]
+        next_cells += [*r.cells[1:r.hop_count], -1]
+    return RouteTable(
+        connection_ids=np.array([r.connection_id for r in routes], dtype=np.int64),
+        length=np.array([r.length for r in routes], dtype=float),
+        path_length=np.array([r.path_length for r in routes], dtype=float),
+        offsets=np.cumsum([0] + [r.hop_count for r in routes], dtype=np.int64),
+        cell=np.array(cells, dtype=np.int64), tx=np.array(tx, dtype=np.int64),
+        rx=np.array(rx, dtype=np.int64), next_cell=np.array(next_cells, dtype=np.int64),
+        hop_length=np.concatenate([r.hop_lengths for r in routes]) if routes else np.empty(0),
+    )
 
 
 def pick_connections(dep: Deployment, seed: int) -> list[Connection]:
@@ -301,11 +347,6 @@ def relay_chains(
     flat = geometry.surface_distance(dep.nodes[tx], dep.nodes[rx])
     ends = list(accumulate((len(chain) - 1 for chain in chains), initial=0))
     return chains, [flat[i:j] for i, j in zip(ends, ends[1:])]
-
-
-def flat_hop_lengths(routes: list[Route]) -> np.ndarray:
-    """The routes' hop lengths end to end, in the order given."""
-    return np.concatenate([r.hop_lengths for r in routes]) if routes else np.empty(0)
 
 
 def build_route(

@@ -113,12 +113,17 @@ def build_schedule(tess: Tessellation, delta: float = DEFAULT_CONFLICT_MULTIPLIE
     Color classes are rebalanced afterwards so no color is left on a single
     cell when the conflict graph allows an alternative.
     """
-    if delta < MIN_CONFLICT_MULTIPLIER:
+    check_conflict_multiplier(delta)
+    return _color(tess, delta, "fixed")
+
+
+def check_conflict_multiplier(delta: float) -> None:
+    """A fixed schedule's ``delta`` must be at least ``MIN_CONFLICT_MULTIPLIER``."""
+    if not delta >= MIN_CONFLICT_MULTIPLIER:
         raise ConfigurationError(
             f"conflict multiplier {delta} < {MIN_CONFLICT_MULTIPLIER} would let a "
             "receiver's own cell transmit while it is receiving"
         )
-    return _color(tess, delta, "fixed")
 
 
 def growth_value(growth: str, n: int) -> float:

@@ -26,7 +26,7 @@ from . import geometry
 from .errors import ConfigurationError, SaturationError
 from .engine import RunMetrics
 from .links import LinkModel, hop_success_with_retries
-from .routing import Route, flat_hop_lengths
+from .routing import RouteTable
 from .scheduling import Schedule
 from .tessellation import Tessellation
 
@@ -206,37 +206,30 @@ class VerificationReport:
                                  f"rhs={r.rhs!r} {r.detail}\n")
 
 
-def _columns(routes: list[Route], *names: str) -> list[np.ndarray]:
-    """Per attribute name, the routes' values as one array."""
-    return [np.array([getattr(r, name) for r in routes]) for name in names]
-
-
-def _offsets(routes: list[Route]) -> np.ndarray:
-    """Route ``k``'s hops are ``offsets[k]:offsets[k + 1]`` of ``flat_hop_lengths(routes)``."""
-    return np.cumsum([0] + [r.hop_count for r in routes], dtype=np.int64)
-
-
-def _segment_counts(hit: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Per segment ``start[k]:end[k]`` of the per-hop flag ``hit``, its set entries."""
+def _route_counts(hit: np.ndarray, offsets: np.ndarray, trim: int) -> np.ndarray:
+    """Per route of ``offsets``, the set entries of the per-hop flag ``hit``
+    over its hops less ``trim`` at each end: with ``trim`` 1, over its
+    interior hops (all but the source and destination hops)."""
     below = np.concatenate(([0], np.cumsum(hit)))  # below[i]: hits before hop i
+    start, end = offsets[:-1] + trim, offsets[1:] - trim
     return below[end] - below[np.minimum(start, end)]
 
 
-def check_hop_count(routes: list[Route], rho_n: float) -> CheckTable:
+def check_hop_count(routes: RouteTable, rho_n: float) -> CheckTable:
     """Hop counts against the geodesic-length bounds (straight-line routes):
     at least ``max(L/(8*rho), 1)``, at most the endpoint-corrected
     ``16*(L + 8*rho)/(pi*rho)``; the asymptotic ``16*L/(pi*rho)`` is reported."""
-    ids, length, h = _columns(routes, "connection_id", "length", "hop_count")
+    length, h = routes.length, routes.hop_count
     lower = np.maximum(length / (8.0 * rho_n), 1.0)
     upper = 16.0 * (length + 8.0 * rho_n) / (math.pi * rho_n)
     return CheckTable(
-        "hop_count", ids, h.astype(float), upper, (lower <= h) & (h <= upper),
+        "hop_count", routes.connection_ids, h.astype(float), upper, (lower <= h) & (h <= upper),
         "lower={lower!r} upper_asymptotic={upper_asymptotic!r}",
         {"lower": lower, "upper_asymptotic": 16.0 * length / (math.pi * rho_n)},
     )
 
 
-def check_short_hops(routes: list[Route], rho_n: float, t: float) -> CheckTable:
+def check_short_hops(routes: RouteTable, rho_n: float, t: float) -> CheckTable:
     """Long-hop counts ``H - h`` against their guaranteed floor, ``h`` the
     hops shorter than ``t * rho_n``.
 
@@ -245,23 +238,21 @@ def check_short_hops(routes: list[Route], rho_n: float, t: float) -> CheckTable:
     """
     if not 0.0 < t < math.pi / 16.0:
         raise ConfigurationError("t must lie in (0, pi/16)")
-    ids, length, h = _columns(routes, "connection_id", "length", "hop_count")
-    offsets = _offsets(routes)
-    h_short = _segment_counts(flat_hop_lengths(routes) < t * rho_n, offsets[:-1], offsets[1:])
-    long_hops = h - h_short
-    ratio = length / rho_n
+    h_short = _route_counts(routes.hop_length < t * rho_n, routes.offsets, 0)
+    long_hops = routes.hop_count - h_short
+    ratio = routes.length / rho_n
     floor = (ratio * (1.0 - 16.0 * t / math.pi) - 128.0 * t / math.pi) / (8.0 - t)
     return CheckTable(
-        "short_hops", ids, long_hops.astype(float), floor, long_hops >= floor,
+        "short_hops", routes.connection_ids, long_hops.astype(float), floor, long_hops >= floor,
         "t={t!r} h_short={h_short} floor_asymptotic={floor_asymptotic!r}",
         {"t": t, "h_short": h_short, "floor_asymptotic": ratio * short_hop_fraction(t)},
     )
 
 
-def max_short_run(routes: list[Route], rho_n: float) -> np.ndarray:
+def max_short_run(routes: RouteTable, rho_n: float) -> np.ndarray:
     """Per route, its longest run of consecutive hops of length
     ``SHORT_HOP_T * rho_n`` or less, by one scan over all routes' hops."""
-    hops, offsets = flat_hop_lengths(routes), _offsets(routes)
+    hops, offsets = routes.hop_length, routes.offsets
     index = np.arange(len(hops))
     # reset[i]: the hop at or before i after which i's run starts, a long hop
     # or the hop before its route's first
@@ -275,30 +266,18 @@ def max_short_run(routes: list[Route], rho_n: float) -> np.ndarray:
     return best
 
 
-def check_consecutive_short_hops(routes: list[Route], rho_n: float) -> CheckTable:
+def check_consecutive_short_hops(routes: RouteTable, rho_n: float) -> CheckTable:
     """No ``SHORT_HOP_W`` consecutive hops of length ``SHORT_HOP_T * rho_n`` or less."""
     run = max_short_run(routes, rho_n)
     return CheckTable(
-        "consecutive_short_hops", *_columns(routes, "connection_id"), run.astype(float),
+        "consecutive_short_hops", routes.connection_ids, run.astype(float),
         np.full(len(run), float(SHORT_HOP_W)), run < SHORT_HOP_W,
         "cell_bound={cell_bound!r}", {"cell_bound": SHORT_HOP_CELL_BOUND},
     )
 
 
-def _positions(metrics: RunMetrics, routes: list[Route]) -> np.ndarray:
-    """Each route's index in the run; KeyError for a route not in it."""
-    return np.array([metrics.position[r.connection_id] for r in routes], dtype=np.int64)
-
-
-def _interior_counts(metrics: RunMetrics, hit: np.ndarray) -> np.ndarray:
-    """Per connection of the run, its interior hops (all but the source and
-    destination hops) at which the per-hop flag ``hit`` is set."""
-    return _segment_counts(hit, metrics.hop_offsets[:-1] + 1, metrics.hop_offsets[1:] - 1)
-
-
 def check_interferer_proximity(
     metrics: RunMetrics,
-    routes: list[Route],
     bounds: BoundSet,
     rho_n: float,
     arbitrary: bool = False,
@@ -315,20 +294,19 @@ def check_interferer_proximity(
         raise SaturationError("interferer-proximity counting needs a saturated trace")
     m = bounds.m0_arbitrary if arbitrary else bounds.m0
     radius = (m + 8.0) * rho_n
-    isolated = _interior_counts(metrics, metrics.hop_nearest > radius)[_positions(metrics, routes)]
-    length_name = "path_length" if arbitrary else "length"
-    ids, length, h = _columns(routes, "connection_id", length_name, "hop_count")
+    routes = metrics.routes
+    isolated = _route_counts(metrics.hop_nearest > radius, routes.offsets, 1)
+    length = routes.path_length if arbitrary else routes.length
     bound = (length / rho_n) * 2.0 * (bounds.c1 + 1) / m
     return CheckTable(
-        "interferer_proximity", ids, isolated.astype(float), bound, isolated <= bound,
-        "m={m!r} radius={radius!r} interior_hops={interior_hops}",
-        {"m": m, "radius": radius, "interior_hops": np.maximum(h - 2, 0)},
+        "interferer_proximity", routes.connection_ids, isolated.astype(float), bound,
+        isolated <= bound, "m={m!r} radius={radius!r} interior_hops={interior_hops}",
+        {"m": m, "radius": radius, "interior_hops": np.maximum(routes.hop_count - 2, 0)},
     )
 
 
 def check_sinr_bounded_fraction(
     metrics: RunMetrics,
-    routes: list[Route],
     bounds: BoundSet,
     rho_n: float,
     arbitrary: bool = False,
@@ -342,11 +320,12 @@ def check_sinr_bounded_fraction(
     if not metrics.saturated:
         raise SaturationError("bounded-SINR counting needs a saturated trace")
     ceiling = bounds.beta1 if arbitrary else bounds.beta0
-    count = _interior_counts(metrics, metrics.hop_gamma <= ceiling)[_positions(metrics, routes)]
-    ids, length = _columns(routes, "connection_id", "path_length" if arbitrary else "length")
+    routes = metrics.routes
+    count = _route_counts(metrics.hop_gamma <= ceiling, routes.offsets, 1)
+    length = routes.path_length if arbitrary else routes.length
     required = length / ((640.0 if arbitrary else 16.0) * rho_n)
     return CheckTable(
-        "sinr_bounded_fraction" + ("_arbitrary" if arbitrary else ""), ids,
+        "sinr_bounded_fraction" + ("_arbitrary" if arbitrary else ""), routes.connection_ids,
         count.astype(float), required, (required < 1.0) | (count >= required),
         "ceiling={ceiling!r}", {"ceiling": ceiling},
     )
@@ -453,9 +432,7 @@ def delivery_decay_stepwise(injection_rate: float, rho_n: float, phi_beta0: floa
     return injection_rate * num / den
 
 
-def delivery_prediction(
-    metrics: RunMetrics, routes: list[Route], model: LinkModel, attempts: int
-) -> CheckTable:
+def delivery_prediction(metrics: RunMetrics, model: LinkModel, attempts: int) -> CheckTable:
     """Measured delivery against the independent-hops product prediction.
 
     The prediction multiplies each hop's retry-budget success probability at
@@ -468,11 +445,10 @@ def delivery_prediction(
     is its cell's relay; a first-hop packet elsewhere in the slot is sent
     by its source node and shifts the field.
     """
-    position = _positions(metrics, routes)
-    offsets, mean_success = metrics.hop_offsets.tolist(), metrics.mean_hop_success.tolist()
+    offsets, mean_success = metrics.routes.offsets.tolist(), metrics.mean_hop_success.tolist()
     resolved_of = metrics.delivered + metrics.dropped
     kept, predicted = [], []
-    for k, resolved in zip(position.tolist(), resolved_of[position].tolist()):
+    for k, resolved in enumerate(resolved_of.tolist()):
         if resolved == 0:
             continue
         means = mean_success[offsets[k]:offsets[k + 1]]
@@ -490,7 +466,7 @@ def delivery_prediction(
     measured = metrics.delivery_probability()[kept]
     sigma = np.sqrt(np.maximum(predicted * (1.0 - predicted), 1e-12) / resolved)
     return CheckTable(
-        "delivery_prediction", metrics.connection_ids[kept], measured, predicted,
+        "delivery_prediction", metrics.routes.connection_ids[kept], measured, predicted,
         np.abs(measured - predicted) <= 3.0 * sigma,
         "resolved={resolved} sigma={sigma!r}", {"resolved": resolved, "sigma": sigma},
     )

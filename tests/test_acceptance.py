@@ -82,7 +82,7 @@ def lossy_200(small_instance):
     cfg = EngineConfig(injection_rate=0.0015, measure_slots=150_000, seed=7)
     m = run(dep, tess, sched, routes[:200], links.ConstantPModel(0.9), RADIO, cfg)
     hops = {r.connection_id: r.hop_count for r in routes[:200]}
-    return (np.array([hops[int(cid)] for cid in m.connection_ids]),
+    return (np.array([hops[int(cid)] for cid in m.routes.connection_ids]),
             m.delivered + m.dropped, m.delivered)
 
 
@@ -203,7 +203,7 @@ def test_accept_04_cell_size_certificate(cert_instances):
 def test_accept_05_hop_count_bounds(cert_instances):
     total = bad = asym_viol = 0
     for n, seed, _, tess, routes in cert_instances["instances"]:
-        table = verification.check_hop_count(routes, tess.rho_n)
+        table = verification.check_hop_count(routing.route_table(routes), tess.rho_n)
         total += len(table)
         bad += int((~table.passed).sum())
         asym_viol += sum(r.hop_count > 16 * r.length / (math.pi * tess.rho_n) for r in routes)
@@ -215,7 +215,7 @@ def test_accept_05_hop_count_bounds(cert_instances):
 def test_accept_06_short_hop_floor(cert_instances):
     total = bad = 0
     for n, seed, _, tess, routes in cert_instances["instances"]:
-        table = verification.check_short_hops(routes, tess.rho_n, 0.05)
+        table = verification.check_short_hops(routing.route_table(routes), tess.rho_n, 0.05)
         total += len(table)
         bad += int((~table.passed).sum())
     report(6, "long-hop count floor at t=0.05", bad == 0, f"{total - bad}/{total}")
@@ -227,7 +227,8 @@ def test_accept_07_consecutive_short_hops(cert_instances):
     total = 0
     worst = 0
     for n, seed, dep, tess, routes in cert_instances["instances"]:
-        worst = max(worst, int(verification.max_short_run(routes, tess.rho_n).max()))
+        longest = verification.max_short_run(routing.route_table(routes), tess.rho_n)
+        worst = max(worst, int(longest.max()))
         total += len(routes)
     # arbitrary strategies on the first instance of each n
     for pick_n in (500, 2000):
@@ -239,7 +240,8 @@ def test_accept_07_consecutive_short_hops(cert_instances):
             paths = routing.cell_paths(conns, dep, tess, strat)
             chains, hops = routing.relay_chains(conns, paths, dep, tess)
             routes = [routing.build_route(*a, tess.rho_n) for a in zip(conns, paths, chains, hops)]
-            worst = max(worst, int(verification.max_short_run(routes, tess.rho_n).max()))
+            longest = verification.max_short_run(routing.route_table(routes), tess.rho_n)
+            worst = max(worst, int(longest.max()))
             total += len(routes)
     ok &= worst < 40 and total >= 10_000
     report(7, "no 40 consecutive short hops", ok,
@@ -291,7 +293,7 @@ def test_accept_08_interferer_proximity(saturated_2000):
     c1 = sched.num_colors - 1
     bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=c1)
     m0 = 64.0 * (1 + c1)
-    table = verification.check_interferer_proximity(metrics, routes, bounds, tess.rho_n)
+    table = verification.check_interferer_proximity(metrics, bounds, tess.rho_n)
     bad = int((~table.passed).sum())
     elapsed = run_seconds + time.perf_counter() - t0
     ok = bounds.m0 == m0 and not bad and elapsed < 300.0
@@ -304,7 +306,7 @@ def test_accept_09_bounded_sinr_fraction(saturated_2000):
     dep, tess, sched, routes, metrics, _ = saturated_2000
     bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=sched.num_colors - 1)
     ok_t0 = abs(bounds.t0 - 0.0500) <= 1e-3
-    table = verification.check_sinr_bounded_fraction(metrics, routes, bounds, tess.rho_n)
+    table = verification.check_sinr_bounded_fraction(metrics, bounds, tess.rho_n)
     fails = np.flatnonzero(~table.passed)
     rate = 1 - len(fails) / len(table)
     for k in fails.tolist():  # every failure dumped with its numbers
@@ -373,7 +375,7 @@ def test_accept_11_geometric_decay(lossy_200, sweep_instances):
         mm = run(dep, tess, fixed, routes[:200], model, RADIO, cfg)
         hops = {r.connection_id: r.hop_count for r in routes[:200]}
         xs, ys = [], []
-        for k, cid in enumerate(mm.connection_ids):
+        for k, cid in enumerate(mm.routes.connection_ids):
             resolved = int(mm.delivered[k] + mm.dropped[k])
             if mm.delivered[k] < 5:  # ln undefined / unstable below this
                 continue
@@ -425,8 +427,9 @@ def test_accept_12_conservative_schedule_trade(sweep_instances):
         fixed_g, cons_g = [], []
         for seed in range(5):
             dep, tess, fixed, cons, routes = sweep_instances[(n, seed)]
+            table = routing.route_table(routes)
             for sched, sink in ((fixed, fixed_g), (cons, cons_g)):
-                gamma, _ = engine.saturated_hop_samples(dep, tess, sched, routes, RADIO)
+                gamma, _ = engine.saturated_hop_samples(dep, tess, sched, table, RADIO)
                 sink.extend(gamma.tolist())
         p5_fixed = float(np.percentile(fixed_g, 5))
         p5_cons = float(np.percentile(cons_g, 5))

@@ -88,15 +88,26 @@ def outcome_digest(m):
     return h.hexdigest()
 
 
-def pinned_case(name, small_instance):
+def pinned_case(name, small_instance, reverse=False):
+    """The pinned run ``name``; ``reverse`` hands its routes to the engine
+    in reverse order."""
     if name == "collision":
         dep, tess, sched, routes = collision_network()
         cfg = EngineConfig(injection_rate=0.5, measure_slots=400, warmup_slots=0, seed=31,
                            attempts_per_hop=2, trace=True)
-        return run(dep, tess, sched, routes, links.LogisticModel(), RADIO, cfg)
-    cfg = EngineConfig(injection_rate=0.01, measure_slots=4000, seed=7, attempts_per_hop=2,
-                       traffic=name, trace=True)
-    return run_subset(small_instance, links.LogisticModel(), cfg, count=40)
+    else:
+        dep, tess, sched, _, routes = small_instance
+        routes = routes[:40]
+        cfg = EngineConfig(injection_rate=0.01, measure_slots=4000, seed=7, attempts_per_hop=2,
+                           traffic=name, trace=True)
+    routes = routes[::-1] if reverse else routes
+    return run(dep, tess, sched, routes, links.LogisticModel(), RADIO, cfg)
+
+
+def hop_slice(m, cid):
+    """The part of the run's per-hop arrays that holds connection ``cid``'s hops."""
+    k = m.routes.connection_ids.tolist().index(cid)
+    return slice(m.routes.offsets[k], m.routes.offsets[k + 1])
 
 
 # A change to any draw, its order or a reception rule changes these digests;
@@ -114,6 +125,21 @@ def test_outcomes_pinned(name, small_instance):
     outcomes = {row[5] for row in m.trace}
     assert outcomes >= ({"ok", "fail", "collision"} if name == "collision" else {"ok", "fail"})
     assert outcome_digest(m) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", ["saturated", "collision"])
+def test_route_order_does_not_matter(name, small_instance):
+    # The engine lays the routes out in ascending connection id whatever
+    # order they come in, so reversing them changes no bit of the run.
+    m, rev = pinned_case(name, small_instance), pinned_case(name, small_instance, reverse=True)
+    ids = m.routes.connection_ids
+    assert np.all(np.diff(ids) > 0) and np.array_equal(rev.routes.connection_ids, ids)
+    for counts in ("injected", "delivered", "dropped", "in_flight", "utilization"):
+        assert np.array_equal(getattr(rev, counts), getattr(m, counts)), counts
+    for per_hop in ("mean_hop_success", "hop_gamma", "hop_nearest"):
+        a, b = getattr(m, per_hop), getattr(rev, per_hop)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), per_hop
+    assert repr(rev.trace) == repr(m.trace) and len(m.trace) > 100
 
 
 def test_lone_transmitter_sinr_is_signal_over_noise():
@@ -148,10 +174,8 @@ def test_mean_hop_success_is_the_mean_over_attempts(network):
                 total += model.success(sinr)
                 count += 1
         assert count > 100
-        assert m.position[r.connection_id] == k
-        assert m.mean_hop_success[m.hop_offsets[k]:m.hop_offsets[k + 1]].tolist() == [
-            total / count
-        ]
+        assert m.routes.connection_ids[k] == r.connection_id
+        assert m.mean_hop_success[hop_slice(m, r.connection_id)].tolist() == [total / count]
 
 
 def test_shared_slot_sinr_is_the_kernel_value():
@@ -306,8 +330,7 @@ class TestSaturated:
         assert m.saturated
         assert np.all(m.utilization == 1.0)
         for r in routes[:50]:
-            k = m.position[r.connection_id]
-            gamma = m.hop_gamma[m.hop_offsets[k]:m.hop_offsets[k + 1]]
+            gamma = m.hop_gamma[hop_slice(m, r.connection_id)]
             assert len(gamma) == r.hop_count
             assert all(g > 0 for g in gamma)
 
@@ -358,8 +381,7 @@ class TestSaturated:
         m = pinned_case("saturated", small_instance)
         gamma_of = defaultdict(set)  # (cell, tx, rx) -> the gammas of its hops
         for r in routes[:40]:
-            k = m.position[r.connection_id]
-            gammas = m.hop_gamma[m.hop_offsets[k]:m.hop_offsets[k + 1]].tolist()
+            gammas = m.hop_gamma[hop_slice(m, r.connection_id)].tolist()
             for h, g in enumerate(gammas):
                 gamma_of[r.cells[h], r.relays[h], r.relays[h + 1]].add(g)
         assert all(len(gammas) == 1 for gammas in gamma_of.values())
@@ -382,7 +404,8 @@ class TestSaturated:
     def test_samples_match_direct_evaluation(self, small_instance):
         dep, tess, sched, _, routes = small_instance
         relay = tess.relay_of_cell
-        gammas, nearests = engine.saturated_hop_samples(dep, tess, sched, routes[:20], RADIO)
+        table = routing.route_table(routes[:20])
+        gammas, nearests = engine.saturated_hop_samples(dep, tess, sched, table, RADIO)
         samples = iter(zip(gammas.tolist(), nearests.tolist()))
         for r in routes[:20]:
             for hop in range(r.hop_count):
@@ -407,8 +430,9 @@ class TestSaturated:
 
     def test_samples_periodic_in_schedule(self, small_instance):
         dep, tess, sched, _, routes = small_instance
-        s1 = engine.saturated_hop_samples(dep, tess, sched, routes[:20], RADIO)
-        s2 = engine.saturated_hop_samples(dep, tess, sched, routes[:20], RADIO)
+        table = routing.route_table(routes[:20])
+        s1 = engine.saturated_hop_samples(dep, tess, sched, table, RADIO)
+        s2 = engine.saturated_hop_samples(dep, tess, sched, table, RADIO)
         assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
 
     def test_real_packets_still_flow(self, small_instance):
@@ -427,29 +451,19 @@ class TestPerHopArrays:
                            measure_slots=sched.num_colors, seed=19)
         m = run(dep, tess, sched, routes[:60], links.ConstantPModel(0.9), RADIO, cfg)
         hops = sum(r.hop_count for r in routes[:60])
-        assert len(m.hop_offsets) == len(m.connection_ids) + 1
-        assert m.hop_offsets[0] == 0 and m.hop_offsets[-1] == hops
+        assert len(m.routes.offsets) == len(m.routes) + 1
+        assert m.routes.offsets[0] == 0 and m.routes.offsets[-1] == hops
         for per_hop in (m.mean_hop_success, m.hop_gamma, m.hop_nearest):
             assert len(per_hop) == hops
         for r in routes[:60]:
-            k = m.position[r.connection_id]
-            assert m.connection_ids[k] == r.connection_id
-            assert m.hop_offsets[k + 1] - m.hop_offsets[k] == r.hop_count
-
-    def test_connection_not_in_the_run_raises(self, small_instance):
-        # every other connection: each absent id sits between two present ones
-        dep, tess, sched, _, routes = small_instance
-        cfg = EngineConfig(injection_rate=0.01, measure_slots=50, seed=19)
-        m = run(dep, tess, sched, routes[:60:2], links.ConstantPModel(0.9), RADIO, cfg)
-        for cid in [r.connection_id for r in routes[1:60:2]] + [-1, 10**6]:
-            with pytest.raises(KeyError):
-                m.position[cid]
+            span = hop_slice(m, r.connection_id)
+            assert span.stop - span.start == r.hop_count
 
     def test_bernoulli_run_has_no_saturated_samples(self, small_instance):
         cfg = EngineConfig(injection_rate=0.01, measure_slots=50, seed=19)
         m = run_subset(small_instance, links.ConstantPModel(0.9), cfg, count=20)
         assert m.hop_gamma is None and m.hop_nearest is None
-        assert len(m.mean_hop_success) == m.hop_offsets[-1]
+        assert len(m.mean_hop_success) == m.routes.offsets[-1]
 
 
 class TestReceptionRules:

@@ -250,7 +250,7 @@ def pooled_decay(small_instance):
     m = run(dep, tess, sched, routes[:200], links.ConstantPModel(0.9), RadioParams(), cfg)
     hops = {r.connection_id: r.hop_count for r in routes[:200]}
     delivered, resolved = {}, {}
-    for k, cid in enumerate(m.connection_ids):
+    for k, cid in enumerate(m.routes.connection_ids):
         h = hops[int(cid)]
         delivered[h] = delivered.get(h, 0) + int(m.delivered[k])
         resolved[h] = resolved.get(h, 0) + int(m.delivered[k] + m.dropped[k])
@@ -362,6 +362,20 @@ class TestCli:
             argv = ["sweep", "--out", str(out)] + [f"--set={s}" for s in TINY + [override]]
             assert cli.main(argv) == 2, override
             assert not out.exists(), override
+
+    @pytest.mark.parametrize("command", ["sweep", "schedules", "simulate"])
+    @pytest.mark.parametrize("override", [
+        ["link_model.name=constant_p", "link_model.p=1.5"], ["schedule.delta=2"],
+    ])
+    def test_bad_link_model_or_delta_is_a_configuration_error(
+        self, tmp_path, capsys, command, override
+    ):
+        # rejected when the spec is built: before any point runs or any file is written
+        argv = [command, "--out", str(tmp_path / "out")]
+        argv += ["--n", "250"] if command == "simulate" else []
+        assert cli.main(argv + [f"--set={s}" for s in TINY + override]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_tessellate_and_deploy(self, tmp_path, capsys):
         # both create a missing parent directory

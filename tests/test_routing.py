@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from adhocsim import experiment, geometry, routing, tessellation
+from adhocsim import experiment, geometry, links, routing, tessellation
 from adhocsim.errors import ConfigurationError, GeometryError, RoutingError
 
 
@@ -308,6 +309,48 @@ def assert_assembly_matches_reference(conns, paths, dep, tess):
     for conn, cells, route in zip(conns, paths, assemble(conns, paths, dep, tess), strict=True):
         batched = route.relays, route.hop_lengths.tobytes(), route.path_length
         assert batched == reference_assembly(conn, cells, dep, tess), conn.id
+
+
+def reference_hop_table(routes, radio):
+    """The routes' hops, flat in the order given: per hop its cell,
+    transmitter, receiver and next cell (-1 after a route's last hop) as
+    lists, and its received power as an array, gathered route by route:
+    the reference for ``routing.route_table``."""
+    cells, tx, rx, next_cells = [], [], [], []
+    for r in routes:
+        cells += r.cells[:r.hop_count]
+        tx += r.relays[:-1]
+        rx += r.relays[1:]
+        next_cells += [*r.cells[1:r.hop_count], -1]
+    hops = np.concatenate([r.hop_lengths for r in routes]) if routes else np.empty(0)
+    return cells, tx, rx, radio.tx_power * links.path_gain(hops, radio.alpha), next_cells
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize("case", ["small_instance", "same_cell", "empty"])
+    def test_columns_match_the_reference(self, small_instance, case):
+        routes = {
+            "small_instance": small_instance[4],
+            "same_cell": [routing.Route(7, [3], [11, 12], np.array([0.004]), 0.0035)],
+            "empty": [],
+        }[case]
+        radio = links.RadioParams()
+        table = routing.route_table(routes[::-1])  # ascending connection id from any order
+        ordered = sorted(routes, key=lambda r: r.connection_id)
+        cells, tx, rx, power, next_cells = reference_hop_table(ordered, radio)
+        assert [table.cell.tolist(), table.tx.tolist(), table.rx.tolist(),
+                table.next_cell.tolist()] == [cells, tx, rx, next_cells]
+        measured = radio.tx_power * links.path_gain(table.hop_length, radio.alpha)
+        assert measured.tobytes() == power.tobytes()
+        assert table.connection_ids.tolist() == [r.connection_id for r in ordered]
+        for column, name in ((table.length, "length"), (table.path_length, "path_length")):
+            assert column.tobytes() == np.array([getattr(r, name) for r in ordered]).tobytes()
+        hop_counts = [r.hop_count for r in ordered]
+        assert table.offsets.tolist() == list(accumulate(hop_counts, initial=0))
+        assert table.hop_count.tolist() == hop_counts and len(table) == len(routes)
+        for column in (table.connection_ids, table.offsets, table.cell, table.tx, table.rx,
+                       table.next_cell):
+            assert column.dtype == np.int64
 
 
 class TestBatchedAssembly:

@@ -85,14 +85,14 @@ def synthetic_route(cells, hop_lengths, length, cid=0):
 class TestHopCountCheck:
     def test_pass_on_real_routes(self, small_instance):
         _, tess, _, _, routes = small_instance
-        table = verification.check_hop_count(routes, tess.rho_n)
+        table = verification.check_hop_count(routing.route_table(routes), tess.rho_n)
         assert table.passed.all()
 
     def test_negative_control_records_numbers(self):
         # 60 hops over a geodesic of 1 cell-scale is far beyond the ceiling
         rho = 0.02
         route = synthetic_route(list(range(61)), [0.5 * rho] * 60, 0.04)
-        table = verification.check_hop_count([route], rho)
+        table = verification.check_hop_count(routing.route_table([route]), rho)
         assert not table.passed[0]
         assert table.lhs[0] == 60
         assert table.rhs[0] == pytest.approx(16 * (0.04 + 8 * rho) / (math.pi * rho))
@@ -102,7 +102,7 @@ class TestHopCountCheck:
         # the asymptotic ceiling 16 L / (pi rho) but not the finite-size form
         rho = 0.02
         route = synthetic_route([0], [0.001 * rho], 0.001 * rho)
-        table = verification.check_hop_count([route], rho)
+        table = verification.check_hop_count(routing.route_table([route]), rho)
         assert table.passed[0]
         assert table.lhs[0] > 16 * route.length / (math.pi * rho)
 
@@ -111,27 +111,27 @@ class TestShortHopsCheck:
     def test_pass_on_real_routes(self, small_instance):
         _, tess, _, _, routes = small_instance
         t0 = verification.compute_bounds(c1=0.0).t0
-        table = verification.check_short_hops(routes, tess.rho_n, t0)
+        table = verification.check_short_hops(routing.route_table(routes), tess.rho_n, t0)
         assert table.passed.all()
 
     def test_limit_recovers_hop_count_floor(self):
         # as t -> 0 the floor approaches L / (8 rho)
         rho, L = 0.05, 0.6
         route = synthetic_route(list(range(10)), [L / 9] * 9, L)
-        table = verification.check_short_hops([route], rho, 1e-9)
+        table = verification.check_short_hops(routing.route_table([route]), rho, 1e-9)
         assert table.rhs[0] == pytest.approx(L / (8 * rho), rel=1e-6)
 
     def test_all_long_hops_trivially_pass(self):
         rho = 0.05
         route = synthetic_route(list(range(5)), [6 * rho] * 4, 20 * rho)
-        table = verification.check_short_hops([route], rho, 0.05)
+        table = verification.check_short_hops(routing.route_table([route]), rho, 0.05)
         assert table.passed[0]
         assert "h_short=0" in table.details()[0]
 
     def test_t_domain(self):
         route = synthetic_route([0, 1], [0.1], 0.1)
         with pytest.raises(ConfigurationError):
-            verification.check_short_hops([route], 0.05, 0.5)
+            verification.check_short_hops(routing.route_table([route]), 0.05, 0.5)
 
 
 class TestConsecutiveShortHops:
@@ -142,18 +142,18 @@ class TestConsecutiveShortHops:
         rho = 0.1
         hops = [0.005 * rho, 0.005 * rho, 2 * rho, 0.009 * rho, 0.01 * rho, 0.02 * rho]
         route = synthetic_route(list(range(7)), hops, 2 * rho)
-        assert verification.max_short_run([route], rho).tolist() == [2]
+        assert verification.max_short_run(routing.route_table([route]), rho).tolist() == [2]
 
     def test_zero_runs_on_straight_routes(self, small_instance):
         _, tess, _, _, routes = small_instance
-        table = verification.check_consecutive_short_hops(routes, tess.rho_n)
+        table = verification.check_consecutive_short_hops(routing.route_table(routes), tess.rho_n)
         assert table.passed.all()
         assert table.lhs.max() < 40
 
     def test_synthetic_violation_detected(self):
         rho = 0.1
         route = synthetic_route(list(range(41)), [0.005 * rho] * 40, 0.02 * rho)
-        table = verification.check_consecutive_short_hops([route], rho)
+        table = verification.check_consecutive_short_hops(routing.route_table([route]), rho)
         assert not table.passed[0]
         assert table.lhs[0] == 40
 
@@ -179,7 +179,7 @@ class TestInterfererProximity:
         cfg = EngineConfig(injection_rate=0.01, measure_slots=500, seed=73)
         m = run(dep, tess, sched, routes[:10], links.ConstantPModel(0.5), RADIO, cfg)
         with pytest.raises(SaturationError):
-            verification.check_interferer_proximity(m, routes[:10], bounds_of(sched), tess.rho_n)
+            verification.check_interferer_proximity(m, bounds_of(sched), tess.rho_n)
 
     def test_single_color_schedule_counts_zero(self, small_instance):
         # every cell transmits every slot, so every interior hop has an
@@ -195,7 +195,7 @@ class TestInterfererProximity:
         # K = 1 and eps2 = 1/16 give m = 2/eps2 = 32
         bounds = verification.compute_bounds(eps2=1 / 16, c1=0)
         assert bounds.m0 == 32.0
-        table = verification.check_interferer_proximity(m, routes, bounds, tess.rho_n)
+        table = verification.check_interferer_proximity(m, bounds, tess.rho_n)
         assert table.passed.all()
         assert (table.lhs == 0).all()
         # bound (L/rho) * 2/32 is positive for long connections
@@ -210,31 +210,29 @@ class TestInterfererProximity:
         all_bounds = [verification.compute_bounds(eps2=eps2, c1=sched.num_colors - 1)
                       for eps2 in (0.09, 0.06, 0.04, 1 / 32)]
         rho = 0.9 * geometry.MAX_DISTANCE / (all_bounds[-1].m0 + 8.0)
-        counts = [verification.check_interferer_proximity(metrics, routes, bounds, rho).lhs.sum()
+        counts = [verification.check_interferer_proximity(metrics, bounds, rho).lhs.sum()
                   for bounds in all_bounds]
         assert all(a >= b for a, b in zip(counts, counts[1:])), counts
         assert counts[0] > counts[-1], counts
 
     def test_single_hop_route_excluded_entirely(self, saturated_run):
         metrics, routes, sched, tess = saturated_run
-        singles = [r for r in routes if r.hop_count <= 2][:3]
-        table = verification.check_interferer_proximity(
-            metrics, singles, bounds_of(sched), tess.rho_n
-        )
+        singles = metrics.routes.hop_count <= 2
+        table = verification.check_interferer_proximity(metrics, bounds_of(sched), tess.rho_n)
         # no interior hops to count once source and destination hops drop out
-        assert (table.lhs == 0).all()
+        assert singles.sum() >= 3 and (table.lhs[singles] == 0).all()
 
     def test_records_carry_numbers(self, saturated_run):
         metrics, routes, sched, tess = saturated_run
         bounds = bounds_of(sched)
-        table = verification.check_interferer_proximity(metrics, routes, bounds, tess.rho_n)
+        table = verification.check_interferer_proximity(metrics, bounds, tess.rho_n)
         length_of = {r.connection_id: r.length for r in routes}
         assert all(rhs == (length_of[cid] / tess.rho_n) * 2.0
                    * sched.num_colors / bounds.m0  # K = c1 + 1
                    for cid, rhs in zip(table.connection_ids.tolist(), table.rhs.tolist()))
         assert all(d.startswith(f"m={bounds.m0!r} radius=") for d in table.details())
         arbitrary = verification.check_interferer_proximity(
-            metrics, routes, bounds, tess.rho_n, arbitrary=True)
+            metrics, bounds, tess.rho_n, arbitrary=True)
         assert all(d.startswith(f"m={bounds.m0_arbitrary!r} ") for d in arbitrary.details())
 
 
@@ -242,7 +240,7 @@ class TestSinrBoundedFraction:
     def test_pass_rates(self, saturated_run):
         metrics, routes, sched, tess = saturated_run
         bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=sched.num_colors - 1)
-        table = verification.check_sinr_bounded_fraction(metrics, routes, bounds, tess.rho_n)
+        table = verification.check_sinr_bounded_fraction(metrics, bounds, tess.rho_n)
         rate = table.passed.sum() / len(table)
         assert rate >= 0.95
 
@@ -256,10 +254,10 @@ class TestSinrBoundedFraction:
     def test_short_connection_trivially_passes(self, saturated_run):
         metrics, routes, sched, tess = saturated_run
         bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=sched.num_colors - 1)
-        short = [r for r in routes if r.length < 16 * tess.rho_n][:1]
-        table = verification.check_sinr_bounded_fraction(metrics, short, bounds, tess.rho_n)
-        assert table.passed[0]
-        assert table.rhs[0] < 1.0
+        short = np.flatnonzero(metrics.routes.length < 16 * tess.rho_n)[0]
+        table = verification.check_sinr_bounded_fraction(metrics, bounds, tess.rho_n)
+        assert table.passed[short]
+        assert table.rhs[short] < 1.0
 
 
 class TestThroughputCeilings:
@@ -302,37 +300,19 @@ class TestDeliveryPrediction:
         dep, tess, sched, _, routes = small_instance
         cfg = EngineConfig(injection_rate=0.01, measure_slots=40_000, seed=83)
         m = run(dep, tess, sched, routes[:40], links.ConstantPModel(0.8), RADIO, cfg)
-        table = verification.delivery_prediction(m, routes[:40], links.ConstantPModel(0.8), 1)
+        table = verification.delivery_prediction(m, links.ConstantPModel(0.8), 1)
         assert len(table) >= 30
         for cid, rhs in zip(table.connection_ids.tolist(), table.rhs.tolist()):
             route = next(x for x in routes if x.connection_id == cid)
             assert rhs == pytest.approx(0.8**route.hop_count, rel=1e-12)
         assert table.passed.sum() / len(table) >= 0.9
 
-    def test_route_not_in_the_run_raises(self, small_instance):
-        # each checker looks every route up: none is skipped or read another's hops
-        dep, tess, sched, _, routes = small_instance
-        cfg = EngineConfig(injection_rate=0.01, traffic="saturated",
-                           measure_slots=sched.num_colors, seed=83)
-        model = links.ConstantPModel(0.8)
-        m = run(dep, tess, sched, routes[:10:2], model, RADIO, cfg)
-        bounds = verification.compute_bounds(alpha=RADIO.alpha, c1=sched.num_colors - 1)
-        checks = [
-            lambda rs: verification.delivery_prediction(m, rs, model, 1),
-            lambda rs: verification.check_interferer_proximity(m, rs, bounds, tess.rho_n),
-            lambda rs: verification.check_sinr_bounded_fraction(m, rs, bounds, tess.rho_n),
-        ]
-        for check in checks:
-            check(routes[:10:2])
-            with pytest.raises(KeyError):
-                check(routes[:10])
-
 
 class TestReport:
     def test_csv_and_text(self, tmp_path, small_instance):
         _, tess, _, _, routes = small_instance
         report = verification.VerificationReport()
-        report.add(verification.check_hop_count(routes[:20], tess.rho_n))
+        report.add(verification.check_hop_count(routing.route_table(routes[:20]), tess.rho_n))
         with experiment.CsvWriter(tmp_path, ["verification_detail.csv"]) as writer:
             writer.write("verification_detail.csv",
                          experiment.verification_rows(report, detail=True))
@@ -380,10 +360,15 @@ def reference_route_records(routes, rho_n, t, straight=True):
     return records
 
 
+def reference_hops(metrics, route):
+    """The run's index of ``route`` and the first and end index of its hops."""
+    k = metrics.routes.connection_ids.tolist().index(route.connection_id)
+    return k, int(metrics.routes.offsets[k]), int(metrics.routes.offsets[k + 1])
+
+
 def reference_interior(metrics, route, hit):
     """The route's interior hops (all but its first and last) where ``hit`` is set."""
-    k = metrics.position[route.connection_id]
-    lo, hi = int(metrics.hop_offsets[k]), int(metrics.hop_offsets[k + 1])
+    _, lo, hi = reference_hops(metrics, route)
     return int(sum(hit[lo + 1:hi - 1].tolist()))
 
 
@@ -410,11 +395,10 @@ def reference_saturated_records(metrics, routes, bounds, rho_n, arbitrary=False)
 def reference_delivery_records(metrics, routes, model, attempts):
     records = []
     for r in routes:
-        k = metrics.position[r.connection_id]
+        k, lo, hi = reference_hops(metrics, r)
         resolved = int(metrics.delivered[k] + metrics.dropped[k])
         if resolved == 0:
             continue
-        lo, hi = int(metrics.hop_offsets[k]), int(metrics.hop_offsets[k + 1])
         means = metrics.mean_hop_success[lo:hi].tolist()
         if model.continuous and any(math.isnan(p) for p in means):
             continue
@@ -517,20 +501,19 @@ def crafted_metrics(routes, seed=5):
     """A saturated run over ``routes`` with per-hop values drawn around the
     checks' thresholds, unresolved and never-attempted hops included."""
     rng = np.random.default_rng(seed)
-    offsets = np.cumsum([0] + [r.hop_count for r in routes], dtype=np.int64)
-    hops = int(offsets[-1])
+    table = routing.route_table(routes)
+    hops = int(table.offsets[-1])
     mean_success = rng.uniform(0.5, 1.0, hops)
     mean_success[rng.random(hops) < 0.1] = np.nan
     delivered = rng.integers(0, 30, len(routes))
     dropped = rng.integers(0, 5, len(routes))
     delivered[1] = dropped[1] = 0  # nothing resolved: no delivery record
     return RunMetrics(
-        slots=100, warmup_slots=10,
-        connection_ids=np.array([r.connection_id for r in routes], dtype=np.int64),
+        slots=100, warmup_slots=10, routes=table,
         injected=delivered + dropped, delivered=delivered, dropped=dropped,
         in_flight=np.zeros(len(routes), dtype=np.int64),
         lambda_realized=0.0, throughput=0.0, utilization=np.zeros(1),
-        hop_offsets=offsets, mean_hop_success=mean_success,
+        mean_hop_success=mean_success,
         hop_gamma=10.0 ** rng.uniform(10.0, 16.0, hops),
         hop_nearest=rng.uniform(0.0, 3.0, hops),
     )
@@ -541,9 +524,10 @@ class TestTablesMatchTheReference:
     def test_per_route_checks_on_crafted_routes(self, t):
         rho = 0.02
         routes = crafted_routes(rho)
-        tables = [verification.check_hop_count(routes, rho),
-                  verification.check_short_hops(routes, rho, t),
-                  verification.check_consecutive_short_hops(routes, rho)]
+        table = routing.route_table(routes)
+        tables = [verification.check_hop_count(table, rho),
+                  verification.check_short_hops(table, rho, t),
+                  verification.check_consecutive_short_hops(table, rho)]
         report = verification.VerificationReport()
         report.add(*tables)
         expected = reference_route_records(routes, rho, t)
@@ -558,9 +542,10 @@ class TestTablesMatchTheReference:
         assert tables[1].columns["h_short"][3] == (5 if t == 0.05 else 1)
 
     def test_empty_route_list(self):
-        empty = [verification.check_hop_count([], 0.02),
-                 verification.check_short_hops([], 0.02, 0.05),
-                 verification.check_consecutive_short_hops([], 0.02)]
+        table = routing.route_table([])
+        empty = [verification.check_hop_count(table, 0.02),
+                 verification.check_short_hops(table, 0.02, 0.05),
+                 verification.check_consecutive_short_hops(table, 0.02)]
         assert table_records(*empty) == reference_route_records([], 0.02, 0.05) == []
         report = verification.VerificationReport()
         report.add(*empty)
@@ -576,8 +561,8 @@ class TestTablesMatchTheReference:
         # a scale at which the crafted nearest distances straddle the radius
         rho_n = 1.5 / ((bounds.m0_arbitrary if arbitrary else bounds.m0) + 8.0)
         tables = [
-            verification.check_interferer_proximity(metrics, routes, bounds, rho_n, arbitrary),
-            verification.check_sinr_bounded_fraction(metrics, routes, bounds, rho_n, arbitrary),
+            verification.check_interferer_proximity(metrics, bounds, rho_n, arbitrary),
+            verification.check_sinr_bounded_fraction(metrics, bounds, rho_n, arbitrary),
         ]
         expected = reference_saturated_records(metrics, routes, bounds, rho_n, arbitrary)
         assert table_records(*tables) == expected
@@ -588,29 +573,10 @@ class TestTablesMatchTheReference:
     def test_delivery_prediction_on_crafted_routes(self, model):
         routes = crafted_routes(0.02)
         metrics = crafted_metrics(routes)
-        table = verification.delivery_prediction(metrics, routes[::-1], model, 2)
-        expected = reference_delivery_records(metrics, routes[::-1], model, 2)
+        table = verification.delivery_prediction(metrics, model, 2)
+        expected = reference_delivery_records(metrics, routes, model, 2)
         assert table_records(table) == expected
         assert 1 not in table.connection_ids.tolist()  # nothing resolved
-
-    def test_route_subset_of_a_saturated_run(self, saturated_run):
-        metrics, routes, sched, tess = saturated_run
-        bounds = bounds_of(sched)
-        for subset in (routes[:10], routes[30:10:-2]):
-            for arbitrary in (False, True):
-                tables = [
-                    verification.check_interferer_proximity(
-                        metrics, subset, bounds, tess.rho_n, arbitrary),
-                    verification.check_sinr_bounded_fraction(
-                        metrics, subset, bounds, tess.rho_n, arbitrary),
-                ]
-                assert table_records(*tables) == reference_saturated_records(
-                    metrics, subset, bounds, tess.rho_n, arbitrary)
-            assert table_records(
-                verification.check_hop_count(subset, tess.rho_n),
-                verification.check_short_hops(subset, tess.rho_n, bounds.t0),
-                verification.check_consecutive_short_hops(subset, tess.rho_n),
-            ) == table_after_table(reference_route_records(subset, tess.rho_n, bounds.t0))
 
 
 class TestWrittenBytesMatchTheReference:

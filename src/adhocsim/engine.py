@@ -9,6 +9,8 @@ decoded receptions depend only on its set of links, so they are worked
 out once per distinct set.  Runs are fully deterministic given the
 configuration seed.
 
+``run`` reads the routes as the ``routing.RouteTable`` that set-up built.
+
 The seed spawns two independent streams, one for injections and one for
 receptions, so how often packets are received cannot move an injection.
 Injections are Bernoulli trials, one per slot and connection; the engine
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .links import LinkModel, RadioParams, path_gain, sinr
-from .routing import Route, RouteTable, route_table
+from .routing import RouteTable
 from .scheduling import Schedule
 from .tessellation import Deployment, Tessellation
 from .tessellation import all_cell_relays  # noqa: F401  (pipebench's tracer wraps this name)
@@ -121,13 +123,13 @@ def run(
     dep: Deployment,
     tess: Tessellation,
     schedule: Schedule,
-    routes: list[Route],
+    table: RouteTable,
     model: LinkModel,
     radio: RadioParams,
     cfg: EngineConfig,
 ) -> RunMetrics:
-    """Execute one simulation and aggregate per-connection delivery."""
-    table = route_table(routes)
+    """Execute one simulation over the routes of ``table`` and aggregate
+    per-connection delivery."""
     saturated = cfg.traffic == "saturated"
     K = schedule.num_colors
     warmup = cfg.warmup_slots if cfg.warmup_slots is not None else 10 * K
@@ -139,16 +141,19 @@ def run(
     # received power (from the atan2 hop lengths, which short links need);
     # under saturation each occupied cell's dummy link follows, with no
     # receiver.  A packet carries its link's index and moves to the next.
-    hop_cells = table.cell.tolist()
-    power = radio.tx_power * path_gain(table.hop_length, radio.alpha)
-    links = list(zip(hop_cells, table.tx.tolist(), table.rx.tolist(), power.tolist(),
-                     table.next_cell.tolist()))
-    # Hops that routes share are one link by value; a slot names each link
-    # by its first index, so they share plans.
-    link_id = list(map({}.setdefault, links, range(len(links))))
+    # Without injections no packet needs a hop's link, so none is built.
+    links, link_id = [], []
+    if cfg.injection_rate > 0:
+        power = radio.tx_power * path_gain(table.hop_length, radio.alpha)
+        links = list(zip(table.cell.tolist(), table.tx.tolist(), table.rx.tolist(),
+                         power.tolist(), table.next_cell.tolist()))
+        # Hops that routes share are one link by value; a slot names each
+        # link by its first index, so they share plans.
+        link_id = list(map({}.setdefault, links, range(len(links))))
     # Per hop, the success probability summed over counted attempts, and
     # their count.
-    success_sums, attempt_counts = [0.0] * len(links), [0] * len(links)
+    hops = len(table.cell)
+    success_sums, attempt_counts = [0.0] * hops, [0] * hops
     first_link = table.offsets[:-1].tolist()
     dummy_of_cell = [-1] * tess.num_cells
     if saturated:
@@ -223,7 +228,7 @@ def run(
         # Inject after transmissions so a fresh packet waits at least one slot.
         while next_slot == slot:
             link = first_link[conn]
-            queues[hop_cells[link]].append(_Packet(conn, link, measuring))
+            queues[links[link][0]].append(_Packet(conn, link, measuring))  # its first hop's cell
             if measuring:
                 injected[conn] += 1
             next_slot, conn = next(arrivals)
@@ -252,10 +257,7 @@ def run(
         lambda_realized=float(injected.sum()) / (dep.n * cfg.measure_slots),
         throughput=float(delivered.sum()) / (dep.n * cfg.measure_slots),
         utilization=utilization,
-        mean_hop_success=np.array([
-            total / count if count else math.nan
-            for total, count in zip(success_sums, attempt_counts)
-        ]),
+        mean_hop_success=_mean(success_sums, attempt_counts),
         trace=trace_rows,
     )
     if saturated:
@@ -263,6 +265,12 @@ def run(
             dep, tess, schedule, table, radio
         )
     return metrics
+
+
+def _mean(sums: list[float], counts: list[int]) -> np.ndarray:
+    """``sums / counts`` elementwise; NaN where the count is 0."""
+    sums, counts = np.fromiter(sums, float, len(sums)), np.fromiter(counts, int, len(counts))
+    return np.divide(sums, counts, out=np.full(len(sums), math.nan), where=counts > 0)
 
 
 def _arrivals(rng, rate: float, connections: int):

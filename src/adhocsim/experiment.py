@@ -25,8 +25,8 @@ from . import geometry
 from .engine import EngineConfig, RunMetrics, run, saturated_hop_samples
 from .errors import ConfigurationError
 from .links import RadioParams, filter_model_params, make_link_model
-from .routing import (Route, build_route, cell_paths, detour_factor, pick_connections,
-                      relay_chains, route_table)
+from .routing import (Route, RouteTable, build_route, cell_paths, detour_factor,
+                      pick_connections, relay_chains, route_table)
 from .scheduling import (
     DEFAULT_CONFLICT_MULTIPLIER,
     Schedule,
@@ -148,8 +148,9 @@ class PointResult:
 
 def point_routes(
     spec: ExperimentSpec, n: int, seed: int
-) -> tuple[Deployment, Tessellation, list[Route]]:
-    """The instance of point ``(n, seed)`` and the routes of its connections."""
+) -> tuple[Deployment, Tessellation, list[Route], RouteTable]:
+    """The instance of point ``(n, seed)``, the routes of its connections and
+    their table."""
     dep, tess = prepare_instance(n, seed, spec.area_constant)
     connections = pick_connections(dep, seed + 3 * _SEED_STRIDE)
     if spec.track_connections is not None:
@@ -157,18 +158,18 @@ def point_routes(
     paths = cell_paths(connections, dep, tess, spec.routing_strategy, seed + 4 * _SEED_STRIDE)
     chains, hops = relay_chains(connections, paths, dep, tess)
     routes = [build_route(*args, tess.rho_n) for args in zip(connections, paths, chains, hops)]
-    return dep, tess, routes
+    return dep, tess, routes, route_table(routes)
 
 
 def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
-    dep, tess, routes = point_routes(spec, n, seed)
+    dep, tess, routes, table = point_routes(spec, n, seed)
     schedule = make_schedule(spec, tess)
     cfg = replace(spec.engine, seed=seed + 5 * _SEED_STRIDE)
     model = spec.link_model()
-    metrics = run(dep, tess, schedule, routes, model, spec.radio, cfg)
+    metrics = run(dep, tess, schedule, table, model, spec.radio, cfg)
 
     report = VerificationReport()
-    table, arbitrary, rho = metrics.routes, spec.routing_strategy != "straight_line", tess.rho_n
+    arbitrary, rho = spec.routing_strategy != "straight_line", tess.rho_n
     bounds = compute_bounds(alpha=spec.radio.alpha, c1=schedule.num_colors - 1)
     if arbitrary:
         report.add(check_consecutive_short_hops(table, rho))
@@ -258,8 +259,7 @@ def run_schedules(spec: ExperimentSpec) -> list[list]:
     rows = []
     with CsvWriter(out, ("schedule_comparison.csv",)) as writer:
         for n, seed in sorted((n, seed) for n in spec.n_values for seed in spec.seeds):
-            dep, tess, routes = point_routes(spec, n, seed)
-            table = route_table(routes)
+            dep, tess, _, table = point_routes(spec, n, seed)
             for regime in SCHEDULE_REGIMES:
                 schedule = make_schedule(replace(spec, schedule_regime=regime), tess)
                 gamma, _ = saturated_hop_samples(dep, tess, schedule, table, spec.radio)

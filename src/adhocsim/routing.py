@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .tessellation import Deployment, Tessellation
 MAX_HOP_FACTOR = 8.0  # hop length never exceeds 8*rho_n under adjacency
 _HALF_PI = 0.5 * math.pi
 _PHI_SLACK = 1e-12  # rounding allowance, in radians, on a bisector crossing
+_RECHECK = 1e-9  # a step decided closer than this is re-decided with libm's atan2
 _atan2 = np.frompyfunc(math.atan2, 2, 1)
 STRATEGIES = ("straight_line", "shortest_cell_path", "random_walk_loop_erased")
 
@@ -90,19 +91,25 @@ class RouteTable:
 def route_table(routes: list[Route]) -> RouteTable:
     """The one ``RouteTable`` of ``routes``, given in any order."""
     routes = sorted(routes, key=lambda r: r.connection_id)
-    cells, tx, rx, next_cells = [], [], [], []
-    for r in routes:
-        cells += r.cells[:r.hop_count]
-        tx += r.relays[:-1]
-        rx += r.relays[1:]
-        next_cells += [*r.cells[1:r.hop_count], -1]
+    counts = np.fromiter((r.hop_count for r in routes), np.int64, len(routes))
+    offsets = np.zeros(len(routes) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    hops = int(offsets[-1])
+    cell = np.fromiter(chain.from_iterable(r.cells[:r.hop_count] for r in routes),
+                       np.int64, hops)
+    next_cell = np.full(hops, -1, dtype=np.int64)  # the next hop's cell; -1 after a route's last
+    next_cell[:-1] = cell[1:]
+    next_cell[offsets[1:] - 1] = -1
+    # The relay chains end to end: hop h of route k sends from entry h + k.
+    relays = np.fromiter(chain.from_iterable(r.relays for r in routes), np.int64,
+                         hops + len(routes))
+    sender = np.arange(hops) + np.repeat(np.arange(len(routes)), counts)
     return RouteTable(
-        connection_ids=np.array([r.connection_id for r in routes], dtype=np.int64),
-        length=np.array([r.length for r in routes], dtype=float),
-        path_length=np.array([r.path_length for r in routes], dtype=float),
-        offsets=np.cumsum([0] + [r.hop_count for r in routes], dtype=np.int64),
-        cell=np.array(cells, dtype=np.int64), tx=np.array(tx, dtype=np.int64),
-        rx=np.array(rx, dtype=np.int64), next_cell=np.array(next_cells, dtype=np.int64),
+        connection_ids=np.fromiter((r.connection_id for r in routes), np.int64, len(routes)),
+        length=np.fromiter((r.length for r in routes), float, len(routes)),
+        path_length=np.fromiter((r.path_length for r in routes), float, len(routes)),
+        offsets=offsets, cell=cell, tx=relays[sender], rx=relays[sender + 1],
+        next_cell=next_cell,
         hop_length=np.concatenate([r.hop_lengths for r in routes]) if routes else np.empty(0),
     )
 
@@ -148,8 +155,13 @@ def walk_geodesics(table, a, b, theta, start, end, ids) -> list[list[int]]:
     radius is at most 2*rho_n.
 
     ``table`` is ``bisector_table``'s pair; each step gathers its rows for
-    the walks still running.  ``atan2``, ``sin`` and ``cos`` are libm's,
-    whose last bit numpy's vector loops do not always reproduce.  A walk
+    the walks still running.  The walk is libm's: ``sin`` and ``cos`` are
+    libm's, and so is every ``atan2`` that decides a step.  A step computes
+    its crossings with numpy's ``atan2``, whose last bits may differ from
+    libm's, and recomputes a row with libm's only where a decision lies
+    within ``_RECHECK`` of flipping: a candidate against the start-point
+    cut, the runner-up against the minimum, the minimum against the arc's
+    end.  Elsewhere the two agree on every decision.  A walk
     that leaves a cell beyond its arc's end, or grows as long as the cell
     count, raises ``RoutingError`` naming its arc's id from ``ids``.
     """
@@ -169,13 +181,25 @@ def walk_geodesics(table, a, b, theta, start, end, ids) -> list[list[int]]:
         q = v[:, 0] * wx + v[:, 1] * wy + v[:, 2] * wz - cos_t[walking, None] * aw
         p = sin_t[walking, None] * aw
         candidate = (j >= 0) & (j != prev[walking, None])
-        phi = np.full(j.shape, math.inf)
-        phi[candidate] = _atan2(q[candidate], p[candidate]).astype(float) + _HALF_PI
-        # a crossing rounded to just below 0 lies at the start point
-        phi[phi < -_PHI_SLACK] = math.inf
-        pick = np.argmin(phi, axis=1)
+        raw = np.where(candidate, np.arctan2(q, p) + _HALF_PI, math.inf)
+        phi = _crossings(raw)
         rows = np.arange(len(walking))
-        exit_phi, nxt = phi[rows, pick], j[rows, pick]
+        pick = np.argmin(phi, axis=1)
+        exit_phi = phi[rows, pick]
+        # rows with a decision near flipping (docstring) are re-decided by libm
+        phi[rows, pick] = math.inf  # leaves the runner-up as the row minimum
+        near = (np.abs(raw + _PHI_SLACK) <= _RECHECK).any(axis=1)
+        near |= phi.min(axis=1) - exit_phi <= _RECHECK
+        near |= np.abs(exit_phi - (theta[walking] + _PHI_SLACK)) <= _RECHECK
+        redo = np.flatnonzero(near)
+        if len(redo):
+            exact = np.full((len(redo), j.shape[1]), math.inf)
+            mask = candidate[redo]
+            exact[mask] = _atan2(q[redo][mask], p[redo][mask]).astype(float) + _HALF_PI
+            exact = _crossings(exact)
+            pick[redo] = np.argmin(exact, axis=1)
+            exit_phi[redo] = exact[np.arange(len(redo)), pick[redo]]
+        nxt = j[rows, pick]
         over = np.flatnonzero(exit_phi > theta[walking] + _PHI_SLACK)
         if len(over):
             k, c = walking[over[0]], int(here[over[0]])
@@ -191,6 +215,12 @@ def walk_geodesics(table, a, b, theta, start, end, ids) -> list[list[int]]:
             paths[k].append(c)
         walking = walking[nxt != end[walking]]
     return paths
+
+
+def _crossings(phi: np.ndarray) -> np.ndarray:
+    """``phi`` with every crossing behind the start point set to inf; a
+    crossing rounded to just below 0 lies at the start point."""
+    return np.where(phi < -_PHI_SLACK, math.inf, phi)
 
 
 def _bfs_cells(tess: Tessellation, start: int, goal: int) -> list[int]:

@@ -68,7 +68,7 @@ def saturated_2000(cert_instances):
         injection_rate=0.0, traffic="saturated", measure_slots=sched.num_colors, seed=7
     )
     t0 = time.perf_counter()
-    metrics = run(dep, tess, sched, routes, links.LogisticModel(), RADIO, cfg)
+    metrics = run(dep, tess, sched, routing.route_table(routes), links.LogisticModel(), RADIO, cfg)
     elapsed = time.perf_counter() - t0
     return dep, tess, sched, routes, metrics, elapsed
 
@@ -80,7 +80,8 @@ def lossy_200(small_instance):
     Returns each connection's hop count, resolved and delivered counts."""
     dep, tess, sched, _, routes = small_instance
     cfg = EngineConfig(injection_rate=0.0015, measure_slots=150_000, seed=7)
-    m = run(dep, tess, sched, routes[:200], links.ConstantPModel(0.9), RADIO, cfg)
+    m = run(dep, tess, sched, routing.route_table(routes[:200]),
+            links.ConstantPModel(0.9), RADIO, cfg)
     hops = {r.connection_id: r.hop_count for r in routes[:200]}
     return (np.array([hops[int(cid)] for cid in m.routes.connection_ids]),
             m.delivered + m.dropped, m.delivered)
@@ -341,7 +342,8 @@ def test_accept_10_retry_success_law():
             injection_rate=0.9 / (sched.num_colors * attempts), measure_slots=slots,
             warmup_slots=10, seed=10 + attempts, attempts_per_hop=attempts,
         )
-        m = run(dep, tess, sched, [route], links.ConstantPModel(0.5), RADIO, cfg)
+        m = run(dep, tess, sched, routing.route_table([route]),
+                links.ConstantPModel(0.5), RADIO, cfg)
         resolved = int(m.delivered[0] + m.dropped[0])
         measured = float(m.delivery_probability()[0])
         expected = 1 - 0.5**attempts
@@ -372,7 +374,7 @@ def test_accept_11_geometric_decay(lossy_200, sweep_instances):
         cfg = EngineConfig(
             injection_rate=lam[n], traffic="saturated", measure_slots=slots[n], seed=7
         )
-        mm = run(dep, tess, fixed, routes[:200], model, RADIO, cfg)
+        mm = run(dep, tess, fixed, routing.route_table(routes[:200]), model, RADIO, cfg)
         hops = {r.connection_id: r.hop_count for r in routes[:200]}
         xs, ys = [], []
         for k, cid in enumerate(mm.routes.connection_ids):

@@ -16,7 +16,7 @@ RADIO = links.RadioParams()
 
 def run_subset(small_instance, model, cfg, count=50):
     dep, tess, sched, _, routes = small_instance
-    return run(dep, tess, sched, routes[:count], model, RADIO, cfg)
+    return run(dep, tess, sched, routing.route_table(routes[:count]), model, RADIO, cfg)
 
 
 def single_hop_network(seed=2):
@@ -89,8 +89,8 @@ def outcome_digest(m):
 
 
 def pinned_case(name, small_instance, reverse=False):
-    """The pinned run ``name``; ``reverse`` hands its routes to the engine
-    in reverse order."""
+    """The pinned run ``name``; ``reverse`` builds its route table from its
+    routes in reverse order."""
     if name == "collision":
         dep, tess, sched, routes = collision_network()
         cfg = EngineConfig(injection_rate=0.5, measure_slots=400, warmup_slots=0, seed=31,
@@ -101,7 +101,7 @@ def pinned_case(name, small_instance, reverse=False):
         cfg = EngineConfig(injection_rate=0.01, measure_slots=4000, seed=7, attempts_per_hop=2,
                            traffic=name, trace=True)
     routes = routes[::-1] if reverse else routes
-    return run(dep, tess, sched, routes, links.LogisticModel(), RADIO, cfg)
+    return run(dep, tess, sched, routing.route_table(routes), links.LogisticModel(), RADIO, cfg)
 
 
 def hop_slice(m, cid):
@@ -129,7 +129,7 @@ def test_outcomes_pinned(name, small_instance):
 
 @pytest.mark.parametrize("name", ["saturated", "collision"])
 def test_route_order_does_not_matter(name, small_instance):
-    # The engine lays the routes out in ascending connection id whatever
+    # The route table lays the routes out in ascending connection id whatever
     # order they come in, so reversing them changes no bit of the run.
     m, rev = pinned_case(name, small_instance), pinned_case(name, small_instance, reverse=True)
     ids = m.routes.connection_ids
@@ -145,7 +145,7 @@ def test_route_order_does_not_matter(name, small_instance):
 def test_lone_transmitter_sinr_is_signal_over_noise():
     dep, tess, sched, route = single_hop_network()
     cfg = EngineConfig(injection_rate=0.25, measure_slots=2000, seed=37, trace=True)
-    m = run(dep, tess, sched, [route], links.LogisticModel(), RADIO, cfg)
+    m = run(dep, tess, sched, routing.route_table([route]), links.LogisticModel(), RADIO, cfg)
     power = RADIO.tx_power * links.path_gain(route.hop_lengths, RADIO.alpha)[0]
     expected = links.sinr([power], dep.nodes[[route.relays[1]]], dep.nodes[[route.relays[0]]],
                           RADIO, own=[0])[0][0]
@@ -166,7 +166,7 @@ def test_mean_hop_success_is_the_mean_over_attempts(network):
     model = links.LogisticModel()
     cfg = EngineConfig(injection_rate=0.25, measure_slots=2000, warmup_slots=0, seed=37,
                        trace=True)
-    m = run(dep, tess, sched, routes, model, RADIO, cfg)
+    m = run(dep, tess, sched, routing.route_table(routes), model, RADIO, cfg)
     for k, r in enumerate(routes):
         total, count = 0.0, 0
         for _, _, tx, rx, sinr, outcome in m.trace:
@@ -184,7 +184,8 @@ def test_shared_slot_sinr_is_the_kernel_value():
     dep, tess, sched, routes = collision_network()
     cfg = EngineConfig(injection_rate=0.5, measure_slots=400, warmup_slots=0, seed=31,
                        trace=True)
-    m = run(dep, tess, sched, routes, links.ThresholdModel(beta=0.0), RADIO, cfg)
+    m = run(dep, tess, sched, routing.route_table(routes),
+            links.ThresholdModel(beta=0.0), RADIO, cfg)
     power = {r.relays[0]: RADIO.tx_power * links.path_gain(r.hop_lengths, RADIO.alpha)[0]
              for r in routes}
     rows_of = defaultdict(list)
@@ -259,7 +260,8 @@ class TestDeliveryLaw:
         # longest route alone, lossy links, no other traffic
         route = max(routes, key=lambda r: r.hop_count)
         cfg = EngineConfig(injection_rate=0.05, measure_slots=120_000, seed=11)
-        m = run(dep, tess, sched, [route], links.ConstantPModel(0.9), RADIO, cfg)
+        m = run(dep, tess, sched, routing.route_table([route]),
+                links.ConstantPModel(0.9), RADIO, cfg)
         resolved = int(m.delivered[0] + m.dropped[0])
         expected = 0.9**route.hop_count
         sigma = math.sqrt(expected * (1 - expected) / resolved)
@@ -284,7 +286,7 @@ class TestDeliveryLaw:
         assert floor > 0
         model = links.ThresholdModel(beta=floor * (1 - 1e-9))
         cfg = EngineConfig(injection_rate=0.05, measure_slots=20_000, seed=13)
-        m = run(dep, tess, sched, [route], model, RADIO, cfg)
+        m = run(dep, tess, sched, routing.route_table([route]), model, RADIO, cfg)
         assert m.dropped[0] == 0
         assert m.delivered[0] == m.injected[0] - m.in_flight[0]
         assert m.delivery_probability()[0] == 1.0
@@ -295,7 +297,8 @@ class TestDeliveryLaw:
         cfg = EngineConfig(
             injection_rate=0.25, measure_slots=60_000, seed=17, attempts_per_hop=attempts
         )
-        m = run(dep, tess, sched, [route], links.ConstantPModel(0.5), RADIO, cfg)
+        m = run(dep, tess, sched, routing.route_table([route]),
+                links.ConstantPModel(0.5), RADIO, cfg)
         resolved = int(m.delivered[0] + m.dropped[0])
         assert resolved > 5000
         assert m.delivery_probability()[0] == pytest.approx(expected, abs=0.02)
@@ -314,7 +317,8 @@ class TestArrivals:
         dep, tess, sched, route = single_hop_network()
         lam, slots = 0.5 / sched.num_colors, 100_000
         cfg = EngineConfig(injection_rate=lam, measure_slots=slots, seed=71)
-        m = run(dep, tess, sched, [route], links.ConstantPModel(0.5), RADIO, cfg)
+        m = run(dep, tess, sched, routing.route_table([route]),
+                links.ConstantPModel(0.5), RADIO, cfg)
         k = int(m.injected[0])
         tail = 2 * min(stats.binom.cdf(k, slots, lam), stats.binom.sf(k - 1, slots, lam))
         assert tail > 1e-3
@@ -326,7 +330,7 @@ class TestSaturated:
         cfg = EngineConfig(
             injection_rate=0.0, traffic="saturated", measure_slots=2 * sched.num_colors, seed=19
         )
-        m = run(dep, tess, sched, routes, links.LogisticModel(), RADIO, cfg)
+        m = run(dep, tess, sched, routing.route_table(routes), links.LogisticModel(), RADIO, cfg)
         assert m.saturated
         assert np.all(m.utilization == 1.0)
         for r in routes[:50]:
@@ -341,7 +345,8 @@ class TestSaturated:
         K = sched.num_colors
         cfg = EngineConfig(injection_rate=0.0, traffic="saturated", warmup_slots=5,
                            measure_slots=2 * K + 3, seed=19, trace=True)
-        m = run(dep, tess, sched, routes, links.ConstantPModel(0.9), RADIO, cfg)
+        m = run(dep, tess, sched, routing.route_table(routes),
+                links.ConstantPModel(0.9), RADIO, cfg)
         slots_of = defaultdict(list)
         for slot, cell, *_ in m.trace:
             slots_of[cell].append(slot)
@@ -365,8 +370,8 @@ class TestSaturated:
         assert tess.neighbors[2].size == 0
         cfg = EngineConfig(injection_rate=0.3, traffic="saturated", warmup_slots=0,
                            measure_slots=400, seed=5, trace=True)
-        m = run(dep, tess, sched, [one_hop_route(0, nodes, 0, 1)], links.LogisticModel(),
-                RADIO, cfg)
+        m = run(dep, tess, sched, routing.route_table([one_hop_route(0, nodes, 0, 1)]),
+                links.LogisticModel(), RADIO, cfg)
         assert [slot for slot, cell, *_ in m.trace if cell == 2] == list(range(0, 400, 2))
         real = [sinr for *_, sinr, outcome in m.trace if outcome != "dummy"]
         assert len(real) > 50
@@ -440,7 +445,8 @@ class TestSaturated:
         cfg = EngineConfig(
             injection_rate=0.002, traffic="saturated", measure_slots=20_000, seed=23
         )
-        m = run(dep, tess, sched, routes[:20], links.ConstantPModel(0.9), RADIO, cfg)
+        m = run(dep, tess, sched, routing.route_table(routes[:20]),
+                links.ConstantPModel(0.9), RADIO, cfg)
         assert m.delivered.sum() > 0
 
 
@@ -449,7 +455,8 @@ class TestPerHopArrays:
         dep, tess, sched, _, routes = small_instance
         cfg = EngineConfig(injection_rate=0.0, traffic="saturated",
                            measure_slots=sched.num_colors, seed=19)
-        m = run(dep, tess, sched, routes[:60], links.ConstantPModel(0.9), RADIO, cfg)
+        m = run(dep, tess, sched, routing.route_table(routes[:60]),
+                links.ConstantPModel(0.9), RADIO, cfg)
         hops = sum(r.hop_count for r in routes[:60])
         assert len(m.routes.offsets) == len(m.routes) + 1
         assert m.routes.offsets[0] == 0 and m.routes.offsets[-1] == hops
@@ -471,7 +478,7 @@ class TestReceptionRules:
         dep, tess, sched, routes = collision_network()
         model = links.ThresholdModel(beta=0.0)  # succeeds at any SINR
         cfg = EngineConfig(injection_rate=1.0, measure_slots=500, warmup_slots=0, seed=29)
-        m = run(dep, tess, sched, routes, model, RADIO, cfg)
+        m = run(dep, tess, sched, routing.route_table(routes), model, RADIO, cfg)
         # connection 0 is closer: its packets always win; 1 always collides
         assert m.delivered[0] > 0
         assert m.delivered[1] == 0
@@ -492,7 +499,8 @@ class TestSummary:
         cfg = EngineConfig(
             injection_rate=0.0, traffic="saturated", measure_slots=sched.num_colors, seed=53
         )
-        m = run(dep, tess, sched, routes[:10], links.ConstantPModel(0.9), RADIO, cfg)
+        m = run(dep, tess, sched, routing.route_table(routes[:10]),
+                links.ConstantPModel(0.9), RADIO, cfg)
         assert not m.injected.any()
         assert m.throughput == 0.0
         assert m.lambda_realized == 0.0
@@ -503,7 +511,7 @@ class TestSummary:
         model = links.ThresholdModel(beta=floor * 0.5)
         lam = 0.25 / sched.num_colors  # safely under the service ceiling
         cfg = EngineConfig(injection_rate=lam, measure_slots=80_000, seed=61)
-        m = run(dep, tess, sched, [route], model, RADIO, cfg)
+        m = run(dep, tess, sched, routing.route_table([route]), model, RADIO, cfg)
         sigma = math.sqrt(lam * (1 - lam) / cfg.measure_slots) / dep.n
         assert m.dropped[0] == 0
         assert abs(m.throughput - m.lambda_realized) <= 3 * sigma + 1.0 / (

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adhocsim import cli, experiment, geometry, tessellation, verification
+from adhocsim import cli, experiment, geometry, routing, tessellation, verification
 from adhocsim.engine import EngineConfig
 from adhocsim.errors import ConfigurationError
 from adhocsim.links import RadioParams
@@ -247,7 +247,8 @@ def pooled_decay(small_instance):
 
     dep, tess, sched, _, routes = small_instance
     cfg = EngineConfig(injection_rate=0.0015, measure_slots=100_000, seed=7)
-    m = run(dep, tess, sched, routes[:200], links.ConstantPModel(0.9), RadioParams(), cfg)
+    m = run(dep, tess, sched, routing.route_table(routes[:200]),
+            links.ConstantPModel(0.9), RadioParams(), cfg)
     hops = {r.connection_id: r.hop_count for r in routes[:200]}
     delivered, resolved = {}, {}
     for k, cid in enumerate(m.routes.connection_ids):

@@ -1,6 +1,6 @@
 import math
 from dataclasses import replace
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -213,6 +213,44 @@ def walk_one(tess, a, b, theta):
     )[0]
 
 
+def near_decision_arcs(near, dep, tess, conns, routes):
+    """Arcs whose walk meets a decision within 1e-9 of flipping, by kind:
+
+    ``start_cut``: the arc starts 1e-11 inside a route's first cell, next to
+    its bisector with the second, so it crosses it near the start-point cut.
+    ``runner_up``: the arc runs from a cell's center through a Voronoi vertex
+    of the cell, so two of its exits tie.
+    ``arc_end``: the arc ends 1e-11 inside a cell, on its edge with a
+    neighbor, and runs through that neighbor's center, so it leaves the
+    neighbor at the arc's end.
+    """
+    def cell_of(x):
+        return int(np.argmax(tess.centers @ x))
+
+    if near == "start_cut":
+        for conn, route in zip(conns, routes):
+            if len(route.cells) > 2:
+                ci, cj = tess.centers[route.cells[:2]]
+                a = unit(ci + cj + 1e-11 * (ci - cj))
+                if cell_of(a) == route.cells[0]:  # not in a third cell
+                    yield a, dep.nodes[conn.destination]
+    elif near == "runner_up":
+        for i, nbrs in enumerate(tess.neighbors):
+            for j, k in combinations(nbrs.tolist(), 2):
+                ci, cj, ck = tess.centers[[i, j, k]]
+                v = unit(np.cross(cj - ci, ck - ci))
+                v = v if v @ ci > 0 else -v
+                if np.count_nonzero(tess.centers @ v > v @ ci - 1e-9) == 3:  # a vertex
+                    yield ci, unit(2 * v - ci)
+    else:
+        for route in routes:
+            for x, y in zip(route.cells, route.cells[1:]):
+                cx, cy = tess.centers[[x, y]]
+                b = unit(cx + cy + 1e-11 * (cy - cx))
+                if cell_of(b) == y and (tess.centers @ b).max() - cx @ b < 1e-9:  # on the edge
+                    yield unit(2 * cx - cy), b
+
+
 def walk_connection(table, dep, conn, route):
     """``routing.walk_geodesics`` over ``table`` on one connection's arc."""
     a, b = dep.nodes[[conn.source]], dep.nodes[[conn.destination]]
@@ -280,6 +318,33 @@ class TestExactWalk:
             nbrs[cell], normals[cell] = nxt, w
         with pytest.raises(RoutingError, match="cell count"):
             walk_connection((nbrs, normals), dep, conn, route)
+
+    @pytest.mark.parametrize("near", ["start_cut", "runner_up", "arc_end"])
+    def test_near_decisions_are_rechecked_with_libm(self, small_instance, monkeypatch, near):
+        # Crafted arcs whose walk meets a decision within 1e-9 of flipping,
+        # one kind per parameter (see near_decision_arcs).  numpy's atan2 may
+        # not decide it the way libm's does: the walk must ask libm and still
+        # take libm's walk.
+        dep, tess, _, conns, routes = small_instance
+        calls = []
+
+        def counting_atan2(q, p):
+            calls.append(len(q))
+            return libm_atan2(q, p)
+
+        libm_atan2 = routing._atan2
+        monkeypatch.setattr(routing, "_atan2", counting_atan2)
+        checked = 0
+        for a, b in near_decision_arcs(near, dep, tess, conns, routes):
+            theta = float(geometry.central_angle(a, b))
+            calls.clear()
+            walk = walk_one(tess, a, b, theta)
+            assert calls, (near, checked)  # a step was re-decided with libm
+            assert walk == reference_walk(tess, a, b, theta)
+            checked += 1
+            if checked == 12:
+                break
+        assert checked == 12
 
     @given(st.lists(arcs, min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None, derandomize=True)

@@ -169,7 +169,7 @@ def saturated_run(small_instance):
     cfg = EngineConfig(
         injection_rate=0.0, traffic="saturated", measure_slots=sched.num_colors, seed=71
     )
-    metrics = run(dep, tess, sched, routes, links.LogisticModel(), RADIO, cfg)
+    metrics = run(dep, tess, sched, routing.route_table(routes), links.LogisticModel(), RADIO, cfg)
     return metrics, routes, sched, tess
 
 
@@ -177,7 +177,8 @@ class TestInterfererProximity:
     def test_requires_saturated_trace(self, small_instance):
         dep, tess, sched, _, routes = small_instance
         cfg = EngineConfig(injection_rate=0.01, measure_slots=500, seed=73)
-        m = run(dep, tess, sched, routes[:10], links.ConstantPModel(0.5), RADIO, cfg)
+        m = run(dep, tess, sched, routing.route_table(routes[:10]),
+                links.ConstantPModel(0.5), RADIO, cfg)
         with pytest.raises(SaturationError):
             verification.check_interferer_proximity(m, bounds_of(sched), tess.rho_n)
 
@@ -191,7 +192,8 @@ class TestInterfererProximity:
             regime="fixed",
         )
         cfg = EngineConfig(injection_rate=0.0, traffic="saturated", measure_slots=1, seed=79)
-        m = run(dep, tess, one_color, routes, links.ConstantPModel(0.5), RADIO, cfg)
+        m = run(dep, tess, one_color, routing.route_table(routes),
+                links.ConstantPModel(0.5), RADIO, cfg)
         # K = 1 and eps2 = 1/16 give m = 2/eps2 = 32
         bounds = verification.compute_bounds(eps2=1 / 16, c1=0)
         assert bounds.m0 == 32.0
@@ -299,7 +301,8 @@ class TestDeliveryPrediction:
     def test_constant_p_prediction(self, small_instance):
         dep, tess, sched, _, routes = small_instance
         cfg = EngineConfig(injection_rate=0.01, measure_slots=40_000, seed=83)
-        m = run(dep, tess, sched, routes[:40], links.ConstantPModel(0.8), RADIO, cfg)
+        m = run(dep, tess, sched, routing.route_table(routes[:40]),
+                links.ConstantPModel(0.8), RADIO, cfg)
         table = verification.delivery_prediction(m, links.ConstantPModel(0.8), 1)
         assert len(table) >= 30
         for cid, rhs in zip(table.connection_ids.tolist(), table.rhs.tolist()):

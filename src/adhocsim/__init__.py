@@ -19,7 +19,7 @@ from .links import (
     make_link_model,
     sinr,
 )
-from .routing import Connection, Route, build_route, cell_paths, pick_connections, relay_chains
+from .routing import Connection, Route, build_route, cell_paths, pick_connections, route_table
 from .scheduling import Schedule, build_conservative_schedule, build_schedule
 from .tessellation import (
     Deployment,
@@ -58,8 +58,8 @@ __all__ = [
     "hop_success_with_retries",
     "make_link_model",
     "pick_connections",
-    "relay_chains",
     "rho_for_n",
+    "route_table",
     "run",
     "sinr",
     "throughput_ceilings",

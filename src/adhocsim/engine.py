@@ -16,7 +16,9 @@ receptions, so how often packets are received cannot move an injection.
 Injections are Bernoulli trials, one per slot and connection; the engine
 draws only the gaps between their successes.  Each decoded attempt takes
 the next reception uniform.  Both streams draw in fixed-size blocks, so
-a slot with no injection and no decoded attempt draws nothing.
+a slot with no injection and no decoded attempt draws nothing.  While no
+packet exists the run goes straight to the next injection, counting the
+slots in between (and tracing their dummies) in closed form.
 
 Saturated traffic keeps every occupied cell transmitting in each of its
 slots: an idle cell's relay sends a dummy, which interferes and is
@@ -172,7 +174,18 @@ def run(
     arrivals = _arrivals(injection, cfg.injection_rate, len(table))
     next_slot, conn = next(arrivals, (total_slots, 0))
     draws = _uniforms(reception)
-    for slot in range(total_slots):
+    # Per color, the dummy links its cells send while nothing is queued.
+    dummies = [[links[dummy_of_cell[c]] for c in cells if dummy_of_cell[c] >= 0]
+               for cells in cells_by_color]
+    queued = 0  # packets in the network
+    slot = 0
+    while slot < total_slots:
+        if not queued and slot < next_slot:  # nothing to send before the next injection
+            stop = min(next_slot, total_slots)
+            _idle(max(slot, warmup), stop, dummies, transmit_slots,
+                  trace_rows if cfg.trace else None)
+            slot = stop
+            continue
         measuring = slot >= warmup
         trace = cfg.trace and measuring
         packets, ids = [], []  # per transmitter its packet (None: a dummy) and link
@@ -215,6 +228,7 @@ def run(
                 pkt.link += 1
                 pkt.attempts = 0
                 if next_cell < 0:
+                    queued -= 1
                     if pkt.measured:
                         delivered[k] += 1
                 else:
@@ -223,15 +237,18 @@ def run(
                 pkt.attempts += 1
                 if pkt.attempts >= cfg.attempts_per_hop:
                     queues[cell].popleft()
+                    queued -= 1
                     if pkt.measured:
                         dropped[k] += 1
         # Inject after transmissions so a fresh packet waits at least one slot.
         while next_slot == slot:
             link = first_link[conn]
             queues[links[link][0]].append(_Packet(conn, link, measuring))  # its first hop's cell
+            queued += 1
             if measuring:
                 injected[conn] += 1
             next_slot, conn = next(arrivals)
+        slot += 1
 
     in_flight = np.bincount(
         [pkt.conn for q in queues for pkt in q if pkt.measured], minlength=len(table)
@@ -271,6 +288,24 @@ def _mean(sums: list[float], counts: list[int]) -> np.ndarray:
     """``sums / counts`` elementwise; NaN where the count is 0."""
     sums, counts = np.fromiter(sums, float, len(sums)), np.fromiter(counts, int, len(counts))
     return np.divide(sums, counts, out=np.full(len(sums), math.nan), where=counts > 0)
+
+
+def _idle(start: int, stop: int, dummies: list[list[tuple]], transmit_slots: list[int],
+          trace_rows) -> None:
+    """The measured slots ``start`` to ``stop - 1`` when no packet exists:
+    each dummy link of ``dummies[slot % K]`` is sent once in each of them,
+    which draws nothing.  The sends are counted in closed form, per color;
+    when tracing (``trace_rows`` not None) each gets the row that the slot
+    loop would write, in the same order."""
+    K = len(dummies)
+    for s in range(start, min(stop, start + K)):
+        sends = len(range(s, stop, K))
+        for cell, *_ in dummies[s % K]:
+            transmit_slots[cell] += sends
+    if trace_rows is not None:
+        for s in range(start, stop):
+            trace_rows.extend((s, cell, tx, rx, math.nan, "dummy")
+                              for cell, tx, rx, _, _ in dummies[s % K])
 
 
 def _arrivals(rng, rate: float, connections: int):

@@ -26,7 +26,7 @@ from .engine import EngineConfig, RunMetrics, run, saturated_hop_samples
 from .errors import ConfigurationError
 from .links import RadioParams, filter_model_params, make_link_model
 from .routing import (Route, RouteTable, build_route, cell_paths, detour_factor,
-                      pick_connections, relay_chains, route_table)
+                      pick_connections, route_table)
 from .scheduling import (
     DEFAULT_CONFLICT_MULTIPLIER,
     Schedule,
@@ -156,9 +156,10 @@ def point_routes(
     if spec.track_connections is not None:
         connections = connections[: spec.track_connections]
     paths = cell_paths(connections, dep, tess, spec.routing_strategy, seed + 4 * _SEED_STRIDE)
-    chains, hops = relay_chains(connections, paths, dep, tess)
-    routes = [build_route(*args, tess.rho_n) for args in zip(connections, paths, chains, hops)]
-    return dep, tess, routes, route_table(routes)
+    table = route_table(connections, paths, dep, tess)
+    columns = table.as_lists()  # connections come in id order, the table's
+    routes = [build_route(k, cells, columns) for k, cells in enumerate(paths)]
+    return dep, tess, routes, table
 
 
 def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:

@@ -1,6 +1,6 @@
-"""Route construction: cell paths (``cell_paths``), then every relay chain and
-hop length in one pass (``relay_chains``), then each route (``build_route``),
-and all routes as the one table of columns that is read (``route_table``).
+"""Route construction: cell paths (``cell_paths``), then every route as the
+one table of columns that is read (``route_table``), then each route's
+``Route`` record (``build_route``).
 
 A route visits a sequence of pairwise-distinct cells in which consecutive
 cells are adjacent, and relays its packets along a node chain whose first
@@ -9,14 +9,18 @@ are each cell's relay node.  Hop ``h`` transmits from ``relays[h]`` (a
 node of ``cells[h]``) to ``relays[h+1]``.  A source and destination that
 share a cell make a single intra-cell hop, so the hop count is always at
 least one.
+
+``route_table`` works on flat arrays, with no loop over routes: relays are
+gathered by index and the route invariants are checked as arrays.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,18 +36,14 @@ _atan2 = np.frompyfunc(math.atan2, 2, 1)
 STRATEGIES = ("straight_line", "shortest_cell_path", "random_walk_loop_erased")
 
 
-@dataclass(frozen=True)
-class Connection:
-    """One source-destination pair and its geodesic length."""
+class Connection(NamedTuple):
+    """One source-destination pair and its geodesic length.  ``route_table``
+    rejects a pair whose source is its destination."""
 
     id: int
     source: int
     destination: int
     length: float
-
-    def __post_init__(self):
-        if self.source == self.destination:
-            raise ConfigurationError("source and destination must differ")
 
 
 @dataclass
@@ -53,10 +53,7 @@ class Route:
     relays: list[int]  # node chain, len = hop count + 1
     hop_lengths: np.ndarray
     length: float  # geodesic source-destination distance
-    path_length: float = field(init=False)  # sum of hop lengths
-
-    def __post_init__(self):
-        self.path_length = float(self.hop_lengths.sum())
+    path_length: float  # sum of hop lengths
 
     @property
     def hop_count(self) -> int:
@@ -87,31 +84,96 @@ class RouteTable:
     def hop_count(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    def as_lists(self) -> tuple:
+        """The columns ``build_route`` reads, converted once: lists, but the
+        hop lengths stay one array."""
+        return (self.connection_ids.tolist(), self.offsets.tolist(), self.tx.tolist(),
+                self.rx.tolist(), self.hop_length, self.length.tolist(),
+                self.path_length.tolist())
 
-def route_table(routes: list[Route]) -> RouteTable:
-    """The one ``RouteTable`` of ``routes``, given in any order."""
-    routes = sorted(routes, key=lambda r: r.connection_id)
-    counts = np.fromiter((r.hop_count for r in routes), np.int64, len(routes))
-    offsets = np.zeros(len(routes) + 1, dtype=np.int64)
+
+def _columns(connections: list[Connection]) -> tuple[np.ndarray, ...]:
+    """Ids, sources, destinations (int64) and lengths of ``connections``."""
+    ids, src, dst, length = zip(*connections) if connections else ((),) * 4
+    return (np.array(ids, dtype=np.int64), np.array(src, dtype=np.int64),
+            np.array(dst, dtype=np.int64), np.array(length, dtype=float))
+
+
+def route_table(
+    connections: list[Connection], paths: list[list[int]], dep: Deployment, tess: Tessellation
+) -> RouteTable:
+    """The one ``RouteTable`` of ``connections`` through their cell ``paths``
+    (in the same order, any order of ids).  Hop ``h`` is sent from the
+    path's ``h``-th cell, by the source at ``h = 0``, else by the cell's
+    relay; all hops are measured by one ``surface_distance`` call.
+
+    The first connection in the order given that breaks a route invariant
+    is reported, with the first invariant it breaks (``broken`` lists them
+    in order).
+    """
+    ids, src, dst, length = _columns(connections)
+    order = np.argsort(ids, kind="stable")
+    ids, src, dst, length = ids[order], src[order], dst[order], length[order]
+    paths = [paths[k] for k in order.tolist()]
+    sizes = np.fromiter(map(len, paths), np.int64, len(paths))
+    cells = np.fromiter(chain.from_iterable(paths), np.int64, int(sizes.sum()))
+    counts = np.maximum(sizes - 1, 1)  # a one-cell path is one hop
+    offsets = np.zeros(len(paths) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    hops = int(offsets[-1])
-    cell = np.fromiter(chain.from_iterable(r.cells[:r.hop_count] for r in routes),
-                       np.int64, hops)
+    hops, first, last = int(offsets[-1]), offsets[:-1], offsets[1:] - 1
+    # Hop j of route k lies in its path's cell j: flat position start_k + j.
+    route_of_hop = np.repeat(np.arange(len(paths)), counts)
+    cell = cells[np.arange(hops) + (np.cumsum(sizes) - sizes - first)[route_of_hop]]
     next_cell = np.full(hops, -1, dtype=np.int64)  # the next hop's cell; -1 after a route's last
     next_cell[:-1] = cell[1:]
-    next_cell[offsets[1:] - 1] = -1
-    # The relay chains end to end: hop h of route k sends from entry h + k.
-    relays = np.fromiter(chain.from_iterable(r.relays for r in routes), np.int64,
-                         hops + len(routes))
-    sender = np.arange(hops) + np.repeat(np.arange(len(routes)), counts)
+    next_cell[last] = -1
+    relay = tess.relay_of_cell
+    tx, rx = relay[cell], relay[next_cell]
+    tx[first], rx[last] = src, dst
+    hop_length = geometry.surface_distance(dep.nodes[tx], dep.nodes[rx])
+
+    path_length = _segment_sums(hop_length, offsets)
+    revisits = np.zeros(len(paths), dtype=bool)
+    keys = np.sort(np.repeat(np.arange(len(paths)), sizes) * tess.num_cells + cells)
+    revisits[keys[1:][keys[1:] == keys[:-1]] // tess.num_cells] = True
+    empty = np.zeros(len(paths), dtype=bool)
+    empty[route_of_hop[tx < 0]] = True
+    broken = [  # per invariant, in the order checked: the routes that break it
+        (src == dst, ConfigurationError, "source and destination must differ"),
+        (revisits, RoutingError, "route revisits a cell"),
+        (empty, RoutingError, "route crosses empty cell"),
+        (np.minimum.reduceat(hop_length, first) <= 0.0, GeometryError,
+         "a hop's endpoints are co-located"),
+        (np.maximum.reduceat(hop_length, first) > MAX_HOP_FACTOR * tess.rho_n + 1e-12,
+         AssertionError, "hop longer than 8*rho_n"),
+        (path_length < length - 1e-9, AssertionError,
+         "total path length shorter than the geodesic"),
+    ]
+    bad = np.flatnonzero(np.logical_or.reduce([flags for flags, _, _ in broken]))
+    if len(bad):
+        k = int(bad[np.argmin(order[bad])])  # the first broken one in the order given
+        flags, error, message = next(check for check in broken if check[0][k])
+        if flags is empty:  # name the first empty cell
+            c = int(cell[first[k] + np.argmax(tx[first[k]:last[k] + 1] < 0)])
+            raise RoutingError(f"connection {ids[k]}: {message} {c}", cell=c)
+        raise error(f"connection {ids[k]}: {message}")
     return RouteTable(
-        connection_ids=np.fromiter((r.connection_id for r in routes), np.int64, len(routes)),
-        length=np.fromiter((r.length for r in routes), float, len(routes)),
-        path_length=np.fromiter((r.path_length for r in routes), float, len(routes)),
-        offsets=offsets, cell=cell, tx=relays[sender], rx=relays[sender + 1],
-        next_cell=next_cell,
-        hop_length=np.concatenate([r.hop_lengths for r in routes]) if routes else np.empty(0),
+        connection_ids=ids, length=length, path_length=path_length, offsets=offsets,
+        cell=cell, tx=tx, rx=rx, next_cell=next_cell, hop_length=hop_length,
     )
+
+
+def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The sum of each segment ``values[offsets[k]:offsets[k + 1]]`` (none
+    empty), bit for bit each view's ``.sum()``: the segments of one length
+    are the rows of one matrix, and numpy sums a contiguous row as it sums
+    a view of the same length."""
+    counts = np.diff(offsets)
+    sums = np.empty(len(counts))
+    for h in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == h)
+        sums[rows] = values[offsets[rows, None] + np.arange(h)].sum(axis=1)
+    return sums
 
 
 def pick_connections(dep: Deployment, seed: int) -> list[Connection]:
@@ -122,10 +184,8 @@ def pick_connections(dep: Deployment, seed: int) -> list[Connection]:
     offsets = rng.integers(1, dep.n, size=dep.n)
     dests = (np.arange(dep.n) + offsets) % dep.n
     lengths = geometry.surface_distance(dep.nodes, dep.nodes[dests])
-    return [
-        Connection(id=i, source=i, destination=d, length=length)
-        for i, (d, length) in enumerate(zip(dests.tolist(), lengths.tolist()))
-    ]
+    return list(map(Connection._make, zip(range(dep.n), range(dep.n), dests.tolist(),
+                                          lengths.tolist())))
 
 
 def bisector_table(tess: Tessellation) -> tuple[np.ndarray, np.ndarray]:
@@ -326,8 +386,8 @@ def cell_paths(
     strategy: str = "straight_line",
     seed: int = 0,
 ) -> list[list[int]]:
-    """Each connection's cell path under ``strategy``, in order; ``relay_chains``
-    and ``build_route`` make the routes.  ``straight_line`` walks all geodesics at once.
+    """Each connection's cell path under ``strategy``, in order; ``route_table``
+    makes the routes.  ``straight_line`` walks all geodesics at once.
     The arbitrary strategies keep only the adjacency-hops / no-revisit
     constraints, per connection with a generator seeded ``seed + conn.id``:
     ``shortest_cell_path`` (BFS over cell adjacency), ``random_walk_loop_erased``,
@@ -336,18 +396,14 @@ def cell_paths(
     """
     kappa = detour_factor(strategy)
     if strategy == "straight_line":
-        src = np.array([c.source for c in connections], dtype=np.int64)
-        dst = np.array([c.destination for c in connections], dtype=np.int64)
+        ids, src, dst, _ = _columns(connections)
         a, b = dep.nodes[src], dep.nodes[dst]
         theta = geometry.central_angle(a, b)
         bad = (theta == 0.0) | (theta > math.pi - 1e-9)
         if bad.any():
             k = int(np.argmax(bad))
             what = "co-located" if theta[k] == 0.0 else "antipodal"
-            raise GeometryError(
-                f"connection {connections[k].id}: {what} endpoints cannot be routed"
-            )
-        ids = [c.id for c in connections]
+            raise GeometryError(f"connection {ids[k]}: {what} endpoints cannot be routed")
         cells = tess.cell_of_node  # the end cells are the endpoints' cells
         return walk_geodesics(bisector_table(tess), a, b, theta, cells[src], cells[dst], ids)
     paths = []
@@ -364,40 +420,12 @@ def cell_paths(
     return paths
 
 
-def relay_chains(
-    connections: list[Connection], paths: list[list[int]], dep: Deployment, tess: Tessellation
-) -> tuple[list[list[int]], list[np.ndarray]]:
-    """Per connection, the relay chain through its path (-1 at an empty cell)
-    and the hop lengths, views of one flat array measured in one pass."""
-    relay = tess.relay_of_cell.tolist()
-    chains = [[conn.source, *[relay[c] for c in cells[1:-1]], conn.destination]
-              for conn, cells in zip(connections, paths)]
-    tx = [x for chain in chains for x in chain[:-1]]
-    rx = [x for chain in chains for x in chain[1:]]
-    flat = geometry.surface_distance(dep.nodes[tx], dep.nodes[rx])
-    ends = list(accumulate((len(chain) - 1 for chain in chains), initial=0))
-    return chains, [flat[i:j] for i, j in zip(ends, ends[1:])]
-
-
-def build_route(
-    conn: Connection, cells: list[int], chain: list[int], hops: np.ndarray, rho_n: float
-) -> Route:
-    """The route through ``cells`` along ``chain``.  Called per connection in
-    order, it reports the first connection that breaks a route invariant."""
-    if len(set(cells)) != len(cells):
-        raise RoutingError(f"connection {conn.id}: route revisits a cell")
-    if -1 in chain:
-        c = cells[chain.index(-1)]
-        raise RoutingError(f"connection {conn.id}: route crosses empty cell {c}", cell=c)
-    route = Route(conn.id, cells, chain, hops, conn.length)
-    lengths = hops.tolist()  # min and max of a short list are cheaper in Python
-    if min(lengths) <= 0.0:
-        raise GeometryError(f"connection {conn.id}: a hop's endpoints are co-located")
-    if max(lengths) > MAX_HOP_FACTOR * rho_n + 1e-12:
-        raise AssertionError(f"connection {conn.id}: hop longer than 8*rho_n")
-    if route.path_length < conn.length - 1e-9:
-        raise AssertionError(f"connection {conn.id}: total path length shorter than the geodesic")
-    return route
+def build_route(k: int, cells: list[int], columns: tuple) -> Route:
+    """Route ``k`` of a route table, through ``cells``, from the table's
+    ``as_lists()``; it makes no numpy call."""
+    ids, offsets, tx, rx, hop_length, length, path_length = columns
+    i, j = offsets[k], offsets[k + 1]
+    return Route(ids[k], cells, tx[i:j] + rx[j - 1:j], hop_length[i:j], length[k], path_length[k])
 
 
 def write_routes(routes: list[Route], path) -> None:

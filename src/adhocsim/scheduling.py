@@ -46,15 +46,15 @@ def _conflict_sets(tess: Tessellation, delta: float) -> list[set[int]]:
     for c, nbrs in enumerate(tess.neighbors):
         conflict[c, nbrs] = True  # adjacency reaches 4*rho_n*(1+1e-9)
     np.fill_diagonal(conflict, False)
-    return [set(np.flatnonzero(row)) for row in conflict]
+    return [set(np.flatnonzero(row).tolist()) for row in conflict]
 
 
-def _greedy_coloring(conflicts: list[set[int]]) -> np.ndarray:
+def _greedy_coloring(conflicts: list[set[int]]) -> list[int]:
     m = len(conflicts)
     order = sorted(range(m), key=lambda c: (-len(conflicts[c]), c))
-    colors = np.full(m, -1, dtype=np.int64)
+    colors = [-1] * m
     for c in order:
-        used = {colors[d] for d in conflicts[c] if colors[d] >= 0}
+        used = {colors[d] for d in conflicts[c]}
         color = 0
         while color in used:
             color += 1
@@ -62,7 +62,7 @@ def _greedy_coloring(conflicts: list[set[int]]) -> np.ndarray:
     return colors
 
 
-def _rebalance_classes(colors: np.ndarray, conflicts: list[set[int]]) -> np.ndarray:
+def _rebalance_classes(colors: list[int], conflicts: list[set[int]]) -> list[int]:
     """Move cells from large color classes into singleton classes.
 
     Keeps the coloring proper and the color count unchanged.  Without this
@@ -71,9 +71,11 @@ def _rebalance_classes(colors: np.ndarray, conflicts: list[set[int]]) -> np.ndar
     every slot populated by at least two transmitters wherever the conflict
     graph allows it.
     """
-    colors = colors.copy()
-    num_colors = int(colors.max()) + 1
-    members = [list(np.flatnonzero(colors == k)) for k in range(num_colors)]
+    colors = list(colors)
+    num_colors = max(colors) + 1
+    members = [[] for _ in range(num_colors)]
+    for c, k in enumerate(colors):
+        members[k].append(c)
     for _ in range(num_colors):
         singles = [k for k in range(num_colors) if len(members[k]) == 1]
         if not singles:
@@ -102,7 +104,8 @@ def _color(tess: Tessellation, delta: float, regime: str) -> Schedule:
     coloring, rebalancing, then the hard properness check."""
     conflicts = _conflict_sets(tess, delta)
     colors = _rebalance_classes(_greedy_coloring(conflicts), conflicts)
-    sched = Schedule(color_of_cell=colors, conflict_multiplier=float(delta), regime=regime)
+    sched = Schedule(color_of_cell=np.array(colors, dtype=np.int64),
+                     conflict_multiplier=float(delta), regime=regime)
     assert_proper(sched, tess)
     return sched
 

@@ -19,6 +19,9 @@ from . import geometry
 from .errors import ConfigurationError
 
 _MAX_AREA = 0.5  # keeps rho_n <= sqrt(pi)/4 so the cap-area sandwich applies
+_PACK_BLOCK = 128  # packing candidates screened by one product
+_PACK_MARGIN = 1e-12  # a screened candidate this far above the threshold is rejected
+_ASSIGN_ROWS = 2048  # nodes assigned to their nearest center per product
 
 
 @dataclass(frozen=True)
@@ -96,12 +99,22 @@ class Tessellation:
 
 
 def _greedy_packing(candidates: np.ndarray, cos_threshold: float) -> np.ndarray:
+    """The candidates, in order, whose cosine to every one accepted before
+    them is at most ``cos_threshold``.  One product per block of
+    ``_PACK_BLOCK`` rejects those more than ``_PACK_MARGIN`` above it against
+    earlier blocks, far beyond rounding; the rest take the per-candidate
+    test, so the accepted set is the one that test alone gives."""
     accepted = np.empty_like(candidates)
     count = 0
-    for cand in candidates:
-        if count == 0 or np.max(accepted[:count] @ cand) <= cos_threshold:
-            accepted[count] = cand
-            count += 1
+    for start in range(0, len(candidates), _PACK_BLOCK):
+        block = candidates[start:start + _PACK_BLOCK]
+        if count:
+            block = block[np.max(block @ accepted[:count].T, axis=1)
+                          <= cos_threshold + _PACK_MARGIN]
+        for cand in block:
+            if count == 0 or np.max(accepted[:count] @ cand) <= cos_threshold:
+                accepted[count] = cand
+                count += 1
     return accepted[:count]
 
 
@@ -171,7 +184,9 @@ def build_tessellation(dep: Deployment, rho_n: float, seed: int) -> Tessellation
     if len(centers) > 1 and gram[i, j] > cos_pack + 1e-12:
         raise AssertionError("packing violated: two centers closer than 2*rho_n")
     gap = geometry.surface_distance(centers[i], centers[j]) if len(centers) > 1 else math.inf
-    cell_of_node = np.argmax(dep.nodes @ centers.T, axis=1).astype(np.int64)
+    # Each node's nearest center, _ASSIGN_ROWS nodes per product: memory stays bounded.
+    cell_of_node = np.concatenate([np.argmax(dep.nodes[k:k + _ASSIGN_ROWS] @ centers.T, axis=1)
+                                   for k in range(0, dep.n, _ASSIGN_ROWS)])
 
     return Tessellation(
         centers=centers,

@@ -23,6 +23,7 @@ from adhocsim import (
     verification,
 )
 from adhocsim.engine import EngineConfig, run
+from conftest import assemble, table_of
 
 AREA_CONSTANT = 1.2
 CERT_SEEDS = list(range(20))
@@ -50,9 +51,7 @@ def cert_instances():
             dep, tess = experiment.prepare_instance(n, 1000 * seed + n, AREA_CONSTANT)
             t_tess += time.perf_counter() - t0
             conns = routing.pick_connections(dep, 7000 + seed)
-            paths = routing.cell_paths(conns, dep, tess)
-            chains, hops = routing.relay_chains(conns, paths, dep, tess)
-            routes = [routing.build_route(*a, tess.rho_n) for a in zip(conns, paths, chains, hops)]
+            routes = assemble(conns, routing.cell_paths(conns, dep, tess), dep, tess)
             out.append((n, seed, dep, tess, routes))
     return {"instances": out, "tess_seconds": t_tess}
 
@@ -68,7 +67,7 @@ def saturated_2000(cert_instances):
         injection_rate=0.0, traffic="saturated", measure_slots=sched.num_colors, seed=7
     )
     t0 = time.perf_counter()
-    metrics = run(dep, tess, sched, routing.route_table(routes), links.LogisticModel(), RADIO, cfg)
+    metrics = run(dep, tess, sched, table_of(routes, dep, tess), links.LogisticModel(), RADIO, cfg)
     elapsed = time.perf_counter() - t0
     return dep, tess, sched, routes, metrics, elapsed
 
@@ -78,9 +77,9 @@ def lossy_200(small_instance):
     """ACCEPT-11(a)'s run: 200 connections over constant-p links at p = 0.9.
 
     Returns each connection's hop count, resolved and delivered counts."""
-    dep, tess, sched, _, routes = small_instance
+    dep, tess, sched, _, routes, _ = small_instance
     cfg = EngineConfig(injection_rate=0.0015, measure_slots=150_000, seed=7)
-    m = run(dep, tess, sched, routing.route_table(routes[:200]),
+    m = run(dep, tess, sched, table_of(routes[:200], dep, tess),
             links.ConstantPModel(0.9), RADIO, cfg)
     hops = {r.connection_id: r.hop_count for r in routes[:200]}
     return (np.array([hops[int(cid)] for cid in m.routes.connection_ids]),
@@ -128,9 +127,7 @@ def sweep_instances():
             fixed = scheduling.build_schedule(tess, 12.0)
             cons = scheduling.build_conservative_schedule(tess, "log")
             conns = routing.pick_connections(dep, 500 + seed)[:300]
-            paths = routing.cell_paths(conns, dep, tess)
-            chains, hops = routing.relay_chains(conns, paths, dep, tess)
-            routes = [routing.build_route(*a, tess.rho_n) for a in zip(conns, paths, chains, hops)]
+            routes = assemble(conns, routing.cell_paths(conns, dep, tess), dep, tess)
             out[(n, seed)] = (dep, tess, fixed, cons, routes)
     return out
 
@@ -203,8 +200,8 @@ def test_accept_04_cell_size_certificate(cert_instances):
 
 def test_accept_05_hop_count_bounds(cert_instances):
     total = bad = asym_viol = 0
-    for n, seed, _, tess, routes in cert_instances["instances"]:
-        table = verification.check_hop_count(routing.route_table(routes), tess.rho_n)
+    for n, seed, dep, tess, routes in cert_instances["instances"]:
+        table = verification.check_hop_count(table_of(routes, dep, tess), tess.rho_n)
         total += len(table)
         bad += int((~table.passed).sum())
         asym_viol += sum(r.hop_count > 16 * r.length / (math.pi * tess.rho_n) for r in routes)
@@ -215,8 +212,8 @@ def test_accept_05_hop_count_bounds(cert_instances):
 
 def test_accept_06_short_hop_floor(cert_instances):
     total = bad = 0
-    for n, seed, _, tess, routes in cert_instances["instances"]:
-        table = verification.check_short_hops(routing.route_table(routes), tess.rho_n, 0.05)
+    for n, seed, dep, tess, routes in cert_instances["instances"]:
+        table = verification.check_short_hops(table_of(routes, dep, tess), tess.rho_n, 0.05)
         total += len(table)
         bad += int((~table.passed).sum())
     report(6, "long-hop count floor at t=0.05", bad == 0, f"{total - bad}/{total}")
@@ -228,7 +225,7 @@ def test_accept_07_consecutive_short_hops(cert_instances):
     total = 0
     worst = 0
     for n, seed, dep, tess, routes in cert_instances["instances"]:
-        longest = verification.max_short_run(routing.route_table(routes), tess.rho_n)
+        longest = verification.max_short_run(table_of(routes, dep, tess), tess.rho_n)
         worst = max(worst, int(longest.max()))
         total += len(routes)
     # arbitrary strategies on the first instance of each n
@@ -239,9 +236,9 @@ def test_accept_07_consecutive_short_hops(cert_instances):
         conns = routing.pick_connections(dep, 7000)
         for strat in ("random_walk_loop_erased", "detour:2.0"):
             paths = routing.cell_paths(conns, dep, tess, strat)
-            chains, hops = routing.relay_chains(conns, paths, dep, tess)
-            routes = [routing.build_route(*a, tess.rho_n) for a in zip(conns, paths, chains, hops)]
-            longest = verification.max_short_run(routing.route_table(routes), tess.rho_n)
+            routes = assemble(conns, paths, dep, tess)
+            longest = verification.max_short_run(routing.route_table(conns, paths, dep, tess),
+                                                 tess.rho_n)
             worst = max(worst, int(longest.max()))
             total += len(routes)
     ok &= worst < 40 and total >= 10_000
@@ -328,8 +325,7 @@ def test_accept_10_retry_success_law():
         length=float(geometry.surface_distance(dep.nodes[0], dep.nodes[1])),
     )
     paths = routing.cell_paths([conn], dep, tess)
-    (chain,), (hops,) = routing.relay_chains([conn], paths, dep, tess)
-    route = routing.build_route(conn, paths[0], chain, hops, tess.rho_n)
+    (route,) = assemble([conn], paths, dep, tess)
     assert route.hop_count == 1
     ok = True
     details = []
@@ -342,7 +338,7 @@ def test_accept_10_retry_success_law():
             injection_rate=0.9 / (sched.num_colors * attempts), measure_slots=slots,
             warmup_slots=10, seed=10 + attempts, attempts_per_hop=attempts,
         )
-        m = run(dep, tess, sched, routing.route_table([route]),
+        m = run(dep, tess, sched, routing.route_table([conn], paths, dep, tess),
                 links.ConstantPModel(0.5), RADIO, cfg)
         resolved = int(m.delivered[0] + m.dropped[0])
         measured = float(m.delivery_probability()[0])
@@ -374,7 +370,7 @@ def test_accept_11_geometric_decay(lossy_200, sweep_instances):
         cfg = EngineConfig(
             injection_rate=lam[n], traffic="saturated", measure_slots=slots[n], seed=7
         )
-        mm = run(dep, tess, fixed, routing.route_table(routes[:200]), model, RADIO, cfg)
+        mm = run(dep, tess, fixed, table_of(routes[:200], dep, tess), model, RADIO, cfg)
         hops = {r.connection_id: r.hop_count for r in routes[:200]}
         xs, ys = [], []
         for k, cid in enumerate(mm.routes.connection_ids):
@@ -429,7 +425,7 @@ def test_accept_12_conservative_schedule_trade(sweep_instances):
         fixed_g, cons_g = [], []
         for seed in range(5):
             dep, tess, fixed, cons, routes = sweep_instances[(n, seed)]
-            table = routing.route_table(routes)
+            table = table_of(routes, dep, tess)
             for sched, sink in ((fixed, fixed_g), (cons, cons_g)):
                 gamma, _ = engine.saturated_hop_samples(dep, tess, sched, table, RADIO)
                 sink.extend(gamma.tolist())

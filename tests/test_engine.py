@@ -10,13 +10,15 @@ from adhocsim import engine, geometry, links, routing, scheduling, tessellation
 from adhocsim.engine import EngineConfig, run
 from adhocsim.errors import ConfigurationError
 from adhocsim.verification import throughput_summary
+from conftest import assemble, table_of
 
 RADIO = links.RadioParams()
 
 
 def run_subset(small_instance, model, cfg, count=50):
-    dep, tess, sched, _, routes = small_instance
-    return run(dep, tess, sched, routing.route_table(routes[:count]), model, RADIO, cfg)
+    dep, tess, sched, conns, _, paths = small_instance
+    table = routing.route_table(conns[:count], paths[:count], dep, tess)
+    return run(dep, tess, sched, table, model, RADIO, cfg)
 
 
 def single_hop_network(seed=2):
@@ -29,9 +31,7 @@ def single_hop_network(seed=2):
         id=0, source=0, destination=1,
         length=float(geometry.surface_distance(dep.nodes[0], dep.nodes[1])),
     )
-    paths = routing.cell_paths([conn], dep, tess)
-    (chain,), (hops,) = routing.relay_chains([conn], paths, dep, tess)
-    route = routing.build_route(conn, paths[0], chain, hops, tess.rho_n)
+    (route,) = assemble([conn], routing.cell_paths([conn], dep, tess), dep, tess)
     assert route.hop_count == 1
     return dep, tess, sched, route
 
@@ -60,10 +60,12 @@ def single_node_cells(nodes, rho, colors):
     return dep, tess, sched
 
 
-def one_hop_route(cid, nodes, src, dst):
-    length = float(geometry.surface_distance(nodes[src], nodes[dst]))
-    return routing.Route(connection_id=cid, cells=[src, dst], relays=[src, dst],
-                         hop_lengths=np.array([length]), length=length)
+def one_hop_route(cid, dep, tess, src, dst):
+    """The one-hop route from the node of cell ``src`` to that of cell ``dst``
+    (one node per cell)."""
+    length = float(geometry.surface_distance(dep.nodes[src], dep.nodes[dst]))
+    conn = routing.Connection(id=cid, source=src, destination=dst, length=length)
+    return assemble([conn], [[src, dst]], dep, tess)[0]
 
 
 def collision_network():
@@ -73,7 +75,7 @@ def collision_network():
     u = rho / geometry.RADIUS
     nodes = np.vstack([at(2.2 * u), at(5.5 * u), at(0.0)])  # tx A, tx B, rx
     dep, tess, sched = single_node_cells(nodes, rho, [0, 0, 0])
-    return dep, tess, sched, [one_hop_route(0, nodes, 0, 2), one_hop_route(1, nodes, 1, 2)]
+    return dep, tess, sched, [one_hop_route(0, dep, tess, 0, 2), one_hop_route(1, dep, tess, 1, 2)]
 
 
 def outcome_digest(m):
@@ -96,12 +98,12 @@ def pinned_case(name, small_instance, reverse=False):
         cfg = EngineConfig(injection_rate=0.5, measure_slots=400, warmup_slots=0, seed=31,
                            attempts_per_hop=2, trace=True)
     else:
-        dep, tess, sched, _, routes = small_instance
+        dep, tess, sched, _, routes, _ = small_instance
         routes = routes[:40]
         cfg = EngineConfig(injection_rate=0.01, measure_slots=4000, seed=7, attempts_per_hop=2,
                            traffic=name, trace=True)
     routes = routes[::-1] if reverse else routes
-    return run(dep, tess, sched, routing.route_table(routes), links.LogisticModel(), RADIO, cfg)
+    return run(dep, tess, sched, table_of(routes, dep, tess), links.LogisticModel(), RADIO, cfg)
 
 
 def hop_slice(m, cid):
@@ -145,7 +147,7 @@ def test_route_order_does_not_matter(name, small_instance):
 def test_lone_transmitter_sinr_is_signal_over_noise():
     dep, tess, sched, route = single_hop_network()
     cfg = EngineConfig(injection_rate=0.25, measure_slots=2000, seed=37, trace=True)
-    m = run(dep, tess, sched, routing.route_table([route]), links.LogisticModel(), RADIO, cfg)
+    m = run(dep, tess, sched, table_of([route], dep, tess), links.LogisticModel(), RADIO, cfg)
     power = RADIO.tx_power * links.path_gain(route.hop_lengths, RADIO.alpha)[0]
     expected = links.sinr([power], dep.nodes[[route.relays[1]]], dep.nodes[[route.relays[0]]],
                           RADIO, own=[0])[0][0]
@@ -166,7 +168,7 @@ def test_mean_hop_success_is_the_mean_over_attempts(network):
     model = links.LogisticModel()
     cfg = EngineConfig(injection_rate=0.25, measure_slots=2000, warmup_slots=0, seed=37,
                        trace=True)
-    m = run(dep, tess, sched, routing.route_table(routes), model, RADIO, cfg)
+    m = run(dep, tess, sched, table_of(routes, dep, tess), model, RADIO, cfg)
     for k, r in enumerate(routes):
         total, count = 0.0, 0
         for _, _, tx, rx, sinr, outcome in m.trace:
@@ -184,7 +186,7 @@ def test_shared_slot_sinr_is_the_kernel_value():
     dep, tess, sched, routes = collision_network()
     cfg = EngineConfig(injection_rate=0.5, measure_slots=400, warmup_slots=0, seed=31,
                        trace=True)
-    m = run(dep, tess, sched, routing.route_table(routes),
+    m = run(dep, tess, sched, table_of(routes, dep, tess),
             links.ThresholdModel(beta=0.0), RADIO, cfg)
     power = {r.relays[0]: RADIO.tx_power * links.path_gain(r.hop_lengths, RADIO.alpha)[0]
              for r in routes}
@@ -256,11 +258,11 @@ class TestDeterminismAndConservation:
 
 class TestDeliveryLaw:
     def test_geometric_decay_single_connection(self, small_instance):
-        dep, tess, sched, _, routes = small_instance
+        dep, tess, sched, _, routes, _ = small_instance
         # longest route alone, lossy links, no other traffic
         route = max(routes, key=lambda r: r.hop_count)
         cfg = EngineConfig(injection_rate=0.05, measure_slots=120_000, seed=11)
-        m = run(dep, tess, sched, routing.route_table([route]),
+        m = run(dep, tess, sched, table_of([route], dep, tess),
                 links.ConstantPModel(0.9), RADIO, cfg)
         resolved = int(m.delivered[0] + m.dropped[0])
         expected = 0.9**route.hop_count
@@ -269,7 +271,7 @@ class TestDeliveryLaw:
         assert abs(m.delivery_probability()[0] - expected) <= 3.5 * sigma
 
     def test_threshold_model_isolated_connection_is_lossless(self, small_instance):
-        dep, tess, sched, _, routes = small_instance
+        dep, tess, sched, _, routes, _ = small_instance
         route = max(routes, key=lambda r: r.hop_count)
         # A hop's concurrent transmitters are other hops of the route whose
         # cells share its color, so its SINR is at least the signal over the
@@ -286,7 +288,7 @@ class TestDeliveryLaw:
         assert floor > 0
         model = links.ThresholdModel(beta=floor * (1 - 1e-9))
         cfg = EngineConfig(injection_rate=0.05, measure_slots=20_000, seed=13)
-        m = run(dep, tess, sched, routing.route_table([route]), model, RADIO, cfg)
+        m = run(dep, tess, sched, table_of([route], dep, tess), model, RADIO, cfg)
         assert m.dropped[0] == 0
         assert m.delivered[0] == m.injected[0] - m.in_flight[0]
         assert m.delivery_probability()[0] == 1.0
@@ -297,7 +299,7 @@ class TestDeliveryLaw:
         cfg = EngineConfig(
             injection_rate=0.25, measure_slots=60_000, seed=17, attempts_per_hop=attempts
         )
-        m = run(dep, tess, sched, routing.route_table([route]),
+        m = run(dep, tess, sched, table_of([route], dep, tess),
                 links.ConstantPModel(0.5), RADIO, cfg)
         resolved = int(m.delivered[0] + m.dropped[0])
         assert resolved > 5000
@@ -317,7 +319,7 @@ class TestArrivals:
         dep, tess, sched, route = single_hop_network()
         lam, slots = 0.5 / sched.num_colors, 100_000
         cfg = EngineConfig(injection_rate=lam, measure_slots=slots, seed=71)
-        m = run(dep, tess, sched, routing.route_table([route]),
+        m = run(dep, tess, sched, table_of([route], dep, tess),
                 links.ConstantPModel(0.5), RADIO, cfg)
         k = int(m.injected[0])
         tail = 2 * min(stats.binom.cdf(k, slots, lam), stats.binom.sf(k - 1, slots, lam))
@@ -326,11 +328,11 @@ class TestArrivals:
 
 class TestSaturated:
     def test_full_utilization_and_samples(self, small_instance):
-        dep, tess, sched, _, routes = small_instance
+        dep, tess, sched, _, routes, _ = small_instance
         cfg = EngineConfig(
             injection_rate=0.0, traffic="saturated", measure_slots=2 * sched.num_colors, seed=19
         )
-        m = run(dep, tess, sched, routing.route_table(routes), links.LogisticModel(), RADIO, cfg)
+        m = run(dep, tess, sched, table_of(routes, dep, tess), links.LogisticModel(), RADIO, cfg)
         assert m.saturated
         assert np.all(m.utilization == 1.0)
         for r in routes[:50]:
@@ -338,14 +340,36 @@ class TestSaturated:
             assert len(gamma) == r.hop_count
             assert all(g > 0 for g in gamma)
 
+    def test_rate_zero_sends_one_dummy_per_occupied_cell_and_slot(self):
+        # At rate 0 no packet ever exists and the run counts its slots in
+        # closed form.  Most cells of this sparse instance are empty: only an
+        # occupied cell has a relay to send its dummy.
+        dep = tessellation.deploy(40, 3)
+        tess = tessellation.build_tessellation(dep, tessellation.rho_for_n(2000, 1.2), 4)
+        sched = scheduling.build_schedule(tess, 12.0)
+        relay = tess.relay_of_cell.tolist()
+        occupied = tess.relay_of_cell >= 0
+        assert 0 < occupied.sum() < tess.num_cells
+        K, warmup, slots = sched.num_colors, 7, 2 * sched.num_colors + 5
+        cfg = EngineConfig(injection_rate=0.0, traffic="saturated", warmup_slots=warmup,
+                           measure_slots=slots, seed=1, trace=True)
+        m = run(dep, tess, sched, routing.route_table([], [], dep, tess),
+                links.LogisticModel(), RADIO, cfg)
+        assert np.all(m.utilization[occupied] == 1.0)
+        assert np.all(m.utilization[~occupied] == 0.0)
+        expected = [(s, c, relay[c], -1, "dummy") for s in range(warmup, warmup + slots)
+                    for c in sched.cells_by_color[s % K].tolist() if relay[c] >= 0]
+        assert [(s, c, tx, rx, o) for s, c, tx, rx, _, o in m.trace] == expected
+        assert all(math.isnan(row[4]) for row in m.trace)
+
     def test_cells_transmit_in_the_slots_of_their_color(self, small_instance):
         # Slot s runs color s mod K; a window that is not a whole number of
         # cycles checks the per-cell count of active slots too.
-        dep, tess, sched, _, routes = small_instance
+        dep, tess, sched, _, routes, _ = small_instance
         K = sched.num_colors
         cfg = EngineConfig(injection_rate=0.0, traffic="saturated", warmup_slots=5,
                            measure_slots=2 * K + 3, seed=19, trace=True)
-        m = run(dep, tess, sched, routing.route_table(routes),
+        m = run(dep, tess, sched, table_of(routes, dep, tess),
                 links.ConstantPModel(0.9), RADIO, cfg)
         slots_of = defaultdict(list)
         for slot, cell, *_ in m.trace:
@@ -370,7 +394,7 @@ class TestSaturated:
         assert tess.neighbors[2].size == 0
         cfg = EngineConfig(injection_rate=0.3, traffic="saturated", warmup_slots=0,
                            measure_slots=400, seed=5, trace=True)
-        m = run(dep, tess, sched, routing.route_table([one_hop_route(0, nodes, 0, 1)]),
+        m = run(dep, tess, sched, table_of([one_hop_route(0, dep, tess, 0, 1)], dep, tess),
                 links.LogisticModel(), RADIO, cfg)
         assert [slot for slot, cell, *_ in m.trace if cell == 2] == list(range(0, 400, 2))
         real = [sinr for *_, sinr, outcome in m.trace if outcome != "dummy"]
@@ -382,7 +406,7 @@ class TestSaturated:
         # color, but a first-hop packet is sent by its source node.  So a
         # real attempt gets its hop's SINR, bit for bit, exactly when every
         # other transmitter of its slot is its cell's relay.
-        dep, tess, sched, _, routes = small_instance
+        dep, tess, sched, _, routes, _ = small_instance
         m = pinned_case("saturated", small_instance)
         gamma_of = defaultdict(set)  # (cell, tx, rx) -> the gammas of its hops
         for r in routes[:40]:
@@ -407,9 +431,9 @@ class TestSaturated:
         assert agree[True] > 1000 and agree[False] > 100
 
     def test_samples_match_direct_evaluation(self, small_instance):
-        dep, tess, sched, _, routes = small_instance
+        dep, tess, sched, _, routes, _ = small_instance
         relay = tess.relay_of_cell
-        table = routing.route_table(routes[:20])
+        table = table_of(routes[:20], dep, tess)
         gammas, nearests = engine.saturated_hop_samples(dep, tess, sched, table, RADIO)
         samples = iter(zip(gammas.tolist(), nearests.tolist()))
         for r in routes[:20]:
@@ -434,28 +458,28 @@ class TestSaturated:
         assert next(samples, None) is None
 
     def test_samples_periodic_in_schedule(self, small_instance):
-        dep, tess, sched, _, routes = small_instance
-        table = routing.route_table(routes[:20])
+        dep, tess, sched, _, routes, _ = small_instance
+        table = table_of(routes[:20], dep, tess)
         s1 = engine.saturated_hop_samples(dep, tess, sched, table, RADIO)
         s2 = engine.saturated_hop_samples(dep, tess, sched, table, RADIO)
         assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
 
     def test_real_packets_still_flow(self, small_instance):
-        dep, tess, sched, _, routes = small_instance
+        dep, tess, sched, _, routes, _ = small_instance
         cfg = EngineConfig(
             injection_rate=0.002, traffic="saturated", measure_slots=20_000, seed=23
         )
-        m = run(dep, tess, sched, routing.route_table(routes[:20]),
+        m = run(dep, tess, sched, table_of(routes[:20], dep, tess),
                 links.ConstantPModel(0.9), RADIO, cfg)
         assert m.delivered.sum() > 0
 
 
 class TestPerHopArrays:
     def test_offsets_span_every_hop(self, small_instance):
-        dep, tess, sched, _, routes = small_instance
+        dep, tess, sched, _, routes, _ = small_instance
         cfg = EngineConfig(injection_rate=0.0, traffic="saturated",
                            measure_slots=sched.num_colors, seed=19)
-        m = run(dep, tess, sched, routing.route_table(routes[:60]),
+        m = run(dep, tess, sched, table_of(routes[:60], dep, tess),
                 links.ConstantPModel(0.9), RADIO, cfg)
         hops = sum(r.hop_count for r in routes[:60])
         assert len(m.routes.offsets) == len(m.routes) + 1
@@ -478,7 +502,7 @@ class TestReceptionRules:
         dep, tess, sched, routes = collision_network()
         model = links.ThresholdModel(beta=0.0)  # succeeds at any SINR
         cfg = EngineConfig(injection_rate=1.0, measure_slots=500, warmup_slots=0, seed=29)
-        m = run(dep, tess, sched, routing.route_table(routes), model, RADIO, cfg)
+        m = run(dep, tess, sched, table_of(routes, dep, tess), model, RADIO, cfg)
         # connection 0 is closer: its packets always win; 1 always collides
         assert m.delivered[0] > 0
         assert m.delivered[1] == 0
@@ -495,11 +519,11 @@ class TestReceptionRules:
 
 class TestSummary:
     def test_zero_injection_zero_throughput(self, small_instance):
-        dep, tess, sched, _, routes = small_instance
+        dep, tess, sched, _, routes, _ = small_instance
         cfg = EngineConfig(
             injection_rate=0.0, traffic="saturated", measure_slots=sched.num_colors, seed=53
         )
-        m = run(dep, tess, sched, routing.route_table(routes[:10]),
+        m = run(dep, tess, sched, table_of(routes[:10], dep, tess),
                 links.ConstantPModel(0.9), RADIO, cfg)
         assert not m.injected.any()
         assert m.throughput == 0.0
@@ -511,7 +535,7 @@ class TestSummary:
         model = links.ThresholdModel(beta=floor * 0.5)
         lam = 0.25 / sched.num_colors  # safely under the service ceiling
         cfg = EngineConfig(injection_rate=lam, measure_slots=80_000, seed=61)
-        m = run(dep, tess, sched, routing.route_table([route]), model, RADIO, cfg)
+        m = run(dep, tess, sched, table_of([route], dep, tess), model, RADIO, cfg)
         sigma = math.sqrt(lam * (1 - lam) / cfg.measure_slots) / dep.n
         assert m.dropped[0] == 0
         assert abs(m.throughput - m.lambda_realized) <= 3 * sigma + 1.0 / (
@@ -519,7 +543,7 @@ class TestSummary:
         ) * float(m.in_flight[0])
 
     def test_ceilings(self, small_instance):
-        dep, tess, sched, _, _ = small_instance
+        dep, tess, sched, _, _, _ = small_instance
         summary = throughput_summary(tess, sched)
         occ = tess.occupancy()
         assert summary.injection_ceiling == pytest.approx(

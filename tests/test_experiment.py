@@ -9,6 +9,7 @@ from adhocsim import cli, experiment, geometry, routing, tessellation, verificat
 from adhocsim.engine import EngineConfig
 from adhocsim.errors import ConfigurationError
 from adhocsim.links import RadioParams
+from conftest import table_of
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -245,9 +246,9 @@ def pooled_decay(small_instance):
     from adhocsim import links
     from adhocsim.engine import run
 
-    dep, tess, sched, _, routes = small_instance
+    dep, tess, sched, _, routes, _ = small_instance
     cfg = EngineConfig(injection_rate=0.0015, measure_slots=100_000, seed=7)
-    m = run(dep, tess, sched, routing.route_table(routes[:200]),
+    m = run(dep, tess, sched, table_of(routes[:200], dep, tess),
             links.ConstantPModel(0.9), RadioParams(), cfg)
     hops = {r.connection_id: r.hop_count for r in routes[:200]}
     delivered, resolved = {}, {}

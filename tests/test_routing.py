@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -10,12 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from adhocsim import experiment, geometry, links, routing, tessellation
 from adhocsim.errors import ConfigurationError, GeometryError, RoutingError
-
-
-def assemble(conns, paths, dep, tess):
-    """The routes through ``paths``, in the two steps ``experiment`` takes."""
-    chains, hops = routing.relay_chains(conns, paths, dep, tess)
-    return [routing.build_route(*a, tess.rho_n) for a in zip(conns, paths, chains, hops)]
+from conftest import assemble
 
 
 def straight(conn, dep, tess):
@@ -24,19 +18,19 @@ def straight(conn, dep, tess):
 
 class TestPickConnections:
     def test_one_per_node_no_self_loops(self, small_instance):
-        dep, _, _, conns, _ = small_instance
+        dep, _, _, conns, _, _ = small_instance
         assert len(conns) == dep.n
         assert all(c.source != c.destination for c in conns)
 
     def test_deterministic(self, small_instance):
-        dep, _, _, conns, _ = small_instance
+        dep, _, _, conns, _, _ = small_instance
         again = routing.pick_connections(dep, 45)
         assert [(c.source, c.destination) for c in conns] == [
             (c.source, c.destination) for c in again
         ]
 
     def test_length_matches_distance(self, small_instance):
-        dep, _, _, conns, _ = small_instance
+        dep, _, _, conns, _, _ = small_instance
         for c in conns[:50]:
             assert c.length == pytest.approx(
                 float(geometry.surface_distance(dep.nodes[c.source], dep.nodes[c.destination]))
@@ -57,7 +51,7 @@ class TestPickConnections:
 
 class TestStraightLineRoutes:
     def test_same_cell_pair_is_one_hop(self, small_instance):
-        dep, tess, _, _, _ = small_instance
+        dep, tess, _, _, _, _ = small_instance
         cell = int(np.argmax(tess.occupancy()))
         ids = np.flatnonzero(tess.cell_of_node == cell)
         conn = routing.Connection(id=0, source=int(ids[0]), destination=int(ids[1]),
@@ -69,19 +63,19 @@ class TestStraightLineRoutes:
         assert route.relays == [conn.source, conn.destination]
 
     def test_consecutive_cells_adjacent_and_distinct(self, small_instance):
-        _, tess, _, _, routes = small_instance
+        _, tess, _, _, routes, _ = small_instance
         for r in routes:
             assert len(set(r.cells)) == len(r.cells)
             for a, b in zip(r.cells, r.cells[1:]):
                 assert b in set(tess.neighbors[a].tolist())
 
     def test_hop_lengths_below_eight_rho(self, small_instance):
-        _, tess, _, _, routes = small_instance
+        _, tess, _, _, routes, _ = small_instance
         for r in routes:
             assert np.all(r.hop_lengths <= 8 * tess.rho_n * (1 + 1e-9))
 
     def test_hop_count_within_exact_bounds(self, small_instance):
-        _, tess, _, _, routes = small_instance
+        _, tess, _, _, routes, _ = small_instance
         rho = tess.rho_n
         for r in routes:
             lower = max(r.length / (8 * rho), 1.0)
@@ -89,18 +83,18 @@ class TestStraightLineRoutes:
             assert lower <= r.hop_count <= upper
 
     def test_path_at_least_geodesic(self, small_instance):
-        _, _, _, _, routes = small_instance
+        _, _, _, _, routes, _ = small_instance
         for r in routes:
             assert r.path_length >= r.length - 1e-9
 
     def test_endpoints_are_actual_nodes(self, small_instance):
-        _, _, _, conns, routes = small_instance
+        _, _, _, conns, routes, _ = small_instance
         for c, r in zip(conns, routes):
             assert r.relays[0] == c.source
             assert r.relays[-1] == c.destination
 
     def test_relays_live_in_their_cells(self, small_instance):
-        dep, tess, _, _, routes = small_instance
+        dep, tess, _, _, routes, _ = small_instance
         for r in routes[:200]:
             if len(r.cells) < 2:
                 continue
@@ -119,7 +113,7 @@ class TestStraightLineRoutes:
 
 
     def test_colocated_rejected(self, small_instance):
-        dep, tess, _, _, _ = small_instance
+        dep, tess, _, _, _, _ = small_instance
         nodes = dep.nodes.copy()
         nodes[1] = nodes[0]
         twin = tessellation.Deployment(seed=dep.seed, nodes=nodes)
@@ -263,7 +257,7 @@ class TestExactWalk:
     @given(directions, directions)
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_walk_holds_every_sampled_cell(self, small_instance, a, b):
-        _, tess, _, _, _ = small_instance
+        _, tess, _, _, _, _ = small_instance
         a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
         theta = float(geometry.central_angle(a, b))
         assume(1e-9 < theta < math.pi - 1e-6)
@@ -276,14 +270,14 @@ class TestExactWalk:
         # The arc of connection 6 crosses cell 9 over 0.0041, less than the
         # rho_n/10 = 0.0064 step of the sampled walk this one replaced, which
         # routed it through [19, 3, 31, 36, 15].
-        dep, tess, _, conns, _ = small_instance
+        dep, tess, _, conns, _, _ = small_instance
         route = straight(conns[6], dep, tess)
         assert route.cells == [19, 9, 3, 31, 36, 15]
         a, b = dep.nodes[conns[6].source], dep.nodes[conns[6].destination]
         assert_walk_covers_arc(tess, a, b, route.cells, 0.0, conns[6].length, 10_001, depth=1)
 
     def test_near_antipodal_rejected(self, small_instance):
-        dep, tess, _, _, _ = small_instance
+        dep, tess, _, _, _, _ = small_instance
         nodes = dep.nodes.copy()
         nodes[1] = -nodes[0] + 1e-12
         nodes[1] /= np.linalg.norm(nodes[1])
@@ -295,7 +289,7 @@ class TestExactWalk:
     def test_walk_past_the_arc_raises(self, small_instance):
         # Without the bisector into the end cell the walk would leave the
         # cell before it beyond the arc's end.
-        dep, tess, _, conns, routes = small_instance
+        dep, tess, _, conns, routes, _ = small_instance
         conn, route = next((c, r) for c, r in zip(conns, routes) if len(r.cells) > 2)
         last, end = route.cells[-2:]
         nbrs, normals = routing.bisector_table(tess)
@@ -307,7 +301,7 @@ class TestExactWalk:
     def test_cycling_walk_stops_at_the_cell_count(self, small_instance):
         # Bisector rows corrupted into a three-cell cycle, each crossed at
         # the start point, never reach the end cell.
-        dep, tess, _, conns, routes = small_instance
+        dep, tess, _, conns, routes, _ = small_instance
         conn, route = next((c, r) for c, r in zip(conns, routes) if len(r.cells) > 4)
         a, b = dep.nodes[conn.source], dep.nodes[conn.destination]
         w = (a @ b) * a - b
@@ -325,7 +319,7 @@ class TestExactWalk:
         # one kind per parameter (see near_decision_arcs).  numpy's atan2 may
         # not decide it the way libm's does: the walk must ask libm and still
         # take libm's walk.
-        dep, tess, _, conns, routes = small_instance
+        dep, tess, _, conns, routes, _ = small_instance
         calls = []
 
         def counting_atan2(q, p):
@@ -349,7 +343,7 @@ class TestExactWalk:
     @given(st.lists(arcs, min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_batch_matches_the_scalar_walk(self, small_instance, pairs):
-        _, tess, _, _, _ = small_instance
+        _, tess, _, _, _, _ = small_instance
         a = np.array([p[0] for p in pairs])
         b = np.array([p[1] for p in pairs])
         theta = geometry.central_angle(a, b)
@@ -364,10 +358,16 @@ class TestExactWalk:
 
 def reference_assembly(conn, cells, dep, tess):
     """One route's relay chain, hop-length bytes and path length, measured
-    route by route: the reference for ``routing.relay_chains``'s one pass."""
+    route by route: the reference for ``routing.route_table``'s flat arrays."""
     chain = [conn.source, *tess.relay_of_cell[cells[1:-1]].tolist(), conn.destination]
     hops = geometry.surface_distance(dep.nodes[chain[:-1]], dep.nodes[chain[1:]])
     return chain, hops.tobytes(), float(hops.sum())
+
+
+def reference_route(conn, cells, dep, tess):
+    """The route of ``conn`` through ``cells``, assembled by the reference."""
+    chain, hops, path_length = reference_assembly(conn, cells, dep, tess)
+    return routing.Route(conn.id, cells, chain, np.frombuffer(hops), conn.length, path_length)
 
 
 def assert_assembly_matches_reference(conns, paths, dep, tess):
@@ -380,7 +380,7 @@ def reference_hop_table(routes, radio):
     """The routes' hops, flat in the order given: per hop its cell,
     transmitter, receiver and next cell (-1 after a route's last hop) as
     lists, and its received power as an array, gathered route by route:
-    the reference for ``routing.route_table``."""
+    the reference for ``routing.route_table``'s columns."""
     cells, tx, rx, next_cells = [], [], [], []
     for r in routes:
         cells += r.cells[:r.hop_count]
@@ -394,13 +394,18 @@ def reference_hop_table(routes, radio):
 class TestRouteTable:
     @pytest.mark.parametrize("case", ["small_instance", "same_cell", "empty"])
     def test_columns_match_the_reference(self, small_instance, case):
-        routes = {
-            "small_instance": small_instance[4],
-            "same_cell": [routing.Route(7, [3], [11, 12], np.array([0.004]), 0.0035)],
-            "empty": [],
-        }[case]
+        dep, tess, _, conns, _, paths = small_instance
+        if case == "same_cell":  # connection 7 between two nodes of one cell
+            cell = int(np.argmax(tess.occupancy()))
+            src, dst = np.flatnonzero(tess.cell_of_node == cell)[:2].tolist()
+            length = float(geometry.surface_distance(dep.nodes[src], dep.nodes[dst]))
+            conns, paths = [routing.Connection(7, src, dst, length)], [[cell]]
+        elif case == "empty":
+            conns, paths = [], []
+        routes = [reference_route(conn, cells, dep, tess) for conn, cells in zip(conns, paths)]
         radio = links.RadioParams()
-        table = routing.route_table(routes[::-1])  # ascending connection id from any order
+        # ascending connection id from any order
+        table = routing.route_table(conns[::-1], paths[::-1], dep, tess)
         ordered = sorted(routes, key=lambda r: r.connection_id)
         cells, tx, rx, power, next_cells = reference_hop_table(ordered, radio)
         assert [table.cell.tolist(), table.tx.tolist(), table.rx.tolist(),
@@ -430,21 +435,21 @@ class TestBatchedAssembly:
         "strategy", ["shortest_cell_path", "random_walk_loop_erased", "detour:2.0"]
     )
     def test_arbitrary_routes_match_the_reference(self, small_instance, strategy):
-        dep, tess, _, conns, _ = small_instance
+        dep, tess, _, conns, _, _ = small_instance
         paths = routing.cell_paths(conns[:150], dep, tess, strategy, 9)
         assert_assembly_matches_reference(conns[:150], paths, dep, tess)
 
     def test_the_first_connection_to_break_an_invariant_is_reported(self, small_instance):
         # Of a path that revisits a cell and one shorter than its geodesic,
         # whichever connection comes first is the one named.
-        dep, tess, _, conns, routes = small_instance
+        dep, tess, _, conns, routes, _ = small_instance
         paths = [r.cells for r in routes[:8]]
         for too_long, revisits, error, message in (
             (2, 5, AssertionError, "total path length"),
             (5, 2, RoutingError, "route revisits"),
         ):
             batch = list(conns[:8])
-            batch[too_long] = replace(batch[too_long], length=10.0)
+            batch[too_long] = batch[too_long]._replace(length=10.0)
             broken = list(paths)
             broken[revisits] = paths[revisits] + paths[revisits][:1]
             first = batch[min(too_long, revisits)].id
@@ -452,9 +457,37 @@ class TestBatchedAssembly:
                 assemble(batch, broken, dep, tess)
 
 
+    def test_the_first_broken_connection_in_the_order_given_is_reported(self, small_instance):
+        # Given in descending id, connection 5 (a path shorter than its
+        # geodesic) comes before connection 2 (a revisit) and is the one named.
+        dep, tess, _, conns, _, paths = small_instance
+        batch, broken = list(conns[:8])[::-1], list(paths[:8])[::-1]
+        batch[2] = batch[2]._replace(length=10.0)
+        broken[5] = broken[5] + broken[5][:1]
+        with pytest.raises(AssertionError, match=f"^connection {conns[5].id}: total path"):
+            routing.route_table(batch, broken, dep, tess)
+
+    def test_segment_sums_equal_each_views_sum(self):
+        # Segment lengths 1-300, in random order, cross numpy's pairwise
+        # summation blocks (8 and 128).
+        rng = np.random.default_rng(17)
+        counts = rng.permutation(np.repeat(np.arange(1, 301), 3))
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        values = rng.uniform(0, 0.01, offsets[-1]) * rng.choice([1e-6, 1.0, 1e3], offsets[-1])
+        views = np.array([values[i:j].sum() for i, j in zip(offsets[:-1], offsets[1:])])
+        assert routing._segment_sums(values, offsets).tobytes() == views.tobytes()
+
+    def test_a_source_that_is_its_destination_is_rejected(self, small_instance):
+        dep, tess, _, conns, _, paths = small_instance
+        batch = list(conns[:6])
+        batch[4] = batch[4]._replace(destination=batch[4].source)
+        with pytest.raises(ConfigurationError, match=f"^connection {batch[4].id}: source and"):
+            routing.route_table(batch, paths[:6], dep, tess)
+
+
 class TestRoutingErrors:
     def test_errors_name_their_connection(self, small_instance):
-        dep, tess, _, conns, routes = small_instance
+        dep, tess, _, conns, routes, _ = small_instance
         conn, route = next((c, r) for c, r in zip(conns, routes) if len(r.cells) > 2)
         last, end = route.cells[-2:]
         nbrs, normals = routing.bisector_table(tess)
@@ -491,7 +524,7 @@ class TestRoutingErrors:
 
 class TestArbitraryRoutes:
     def test_bfs_adjacent_cells_single_hop(self, small_instance):
-        dep, tess, _, conns, _ = small_instance
+        dep, tess, _, conns, _, _ = small_instance
         for c in conns:
             ca = int(tess.cell_of_node[c.source])
             cb = int(tess.cell_of_node[c.destination])
@@ -505,7 +538,7 @@ class TestArbitraryRoutes:
             pytest.skip("no adjacent-cell pair in sample")
 
     def test_loop_erased_walk_never_revisits(self, small_instance):
-        dep, tess, _, conns, _ = small_instance
+        dep, tess, _, conns, _, _ = small_instance
         paths = routing.cell_paths(conns[:100], dep, tess, "random_walk_loop_erased")
         for r in assemble(conns[:100], paths, dep, tess):
             assert len(set(r.cells)) == len(r.cells)
@@ -513,7 +546,7 @@ class TestArbitraryRoutes:
                 assert b in set(tess.neighbors[a].tolist())
 
     def test_detour_length_within_factor_of_bfs(self, small_instance):
-        dep, tess, _, conns, _ = small_instance
+        dep, tess, _, conns, _, _ = small_instance
         bfs = routing.cell_paths(conns[:60], dep, tess, "shortest_cell_path")
         detour = routing.cell_paths(conns[:60], dep, tess, "detour:2.0")
         for base, cells in zip(bfs, detour):
@@ -522,7 +555,7 @@ class TestArbitraryRoutes:
             assert det_len <= 2.0 * max(bfs_len, 1e-12) + 1e-9
 
     def test_unknown_strategy(self, small_instance):
-        dep, tess, _, conns, _ = small_instance
+        dep, tess, _, conns, _, _ = small_instance
         with pytest.raises(ConfigurationError):
             routing.cell_paths(conns[:1], dep, tess, "teleport")
 
@@ -534,7 +567,7 @@ class TestArbitraryRoutes:
 
 class TestRouteDump:
     def test_write_routes(self, tmp_path, small_instance):
-        _, _, _, _, routes = small_instance
+        _, _, _, _, routes, _ = small_instance
         path = tmp_path / "routes.txt"
         routing.write_routes(routes[:10], path)
         lines = [l for l in path.read_text().splitlines() if l.startswith("route ")]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adhocsim import geometry, scheduling, tessellation
+from adhocsim import experiment, geometry, scheduling, tessellation
 from adhocsim.errors import ConfigurationError
 
 
@@ -19,6 +19,61 @@ def synthetic_tessellation(centers, rho):
         gap_ratio=math.nan,
         cover_ratio=math.nan,
     )
+
+
+def reference_greedy_coloring(conflicts):
+    """Largest degree first, on numpy colors: the reference for
+    ``scheduling._greedy_coloring``."""
+    m = len(conflicts)
+    order = sorted(range(m), key=lambda c: (-len(conflicts[c]), c))
+    colors = np.full(m, -1, dtype=np.int64)
+    for c in order:
+        used = {colors[d] for d in conflicts[c] if colors[d] >= 0}
+        color = 0
+        while color in used:
+            color += 1
+        colors[c] = color
+    return colors
+
+
+def reference_rebalance(colors, conflicts):
+    """Singleton classes filled from the largest, on numpy colors: the
+    reference for ``scheduling._rebalance_classes``."""
+    colors = colors.copy()
+    num_colors = int(colors.max()) + 1
+    members = [list(np.flatnonzero(colors == k)) for k in range(num_colors)]
+    for _ in range(num_colors):
+        singles = [k for k in range(num_colors) if len(members[k]) == 1]
+        if not singles:
+            break
+        moved = False
+        for k in singles:
+            target = members[k][0]
+            donors = sorted(
+                (c for c in range(len(colors)) if len(members[colors[c]]) >= 3),
+                key=lambda c: (-len(members[colors[c]]), c),
+            )
+            for c in donors:
+                if c not in conflicts[target]:
+                    members[colors[c]].remove(c)
+                    colors[c] = k
+                    members[k].append(c)
+                    moved = True
+                    break
+        if not moved:
+            break
+    return colors
+
+
+@pytest.mark.parametrize("n, seed", [(250, 0), (250, 3), (1000, 1), (4000, 2), (16000, 4)])
+def test_coloring_matches_the_reference(n, seed):
+    dep, tess = experiment.prepare_instance(n, seed, 1.2)
+    for sched in (scheduling.build_schedule(tess, 12.0),
+                  scheduling.build_conservative_schedule(tess, "sqrt_log"),
+                  scheduling.build_conservative_schedule(tess, "log")):
+        conflicts = scheduling._conflict_sets(tess, sched.conflict_multiplier)
+        expected = reference_rebalance(reference_greedy_coloring(conflicts), conflicts)
+        assert sched.color_of_cell.tobytes() == expected.tobytes(), sched.regime
 
 
 class TestBuildSchedule:
@@ -37,12 +92,12 @@ class TestBuildSchedule:
         assert sched.num_colors == 2
 
     def test_rejects_small_multiplier(self, small_instance):
-        _, tess, _, _, _ = small_instance
+        _, tess, _, _, _, _ = small_instance
         with pytest.raises(ConfigurationError):
             scheduling.build_schedule(tess, 3.9)
 
     def test_proper_and_separated(self, small_instance):
-        _, tess, sched, _, _ = small_instance
+        _, tess, sched, _, _, _ = small_instance
         scheduling.assert_proper(sched, tess)
         # same-color cells are strictly farther than delta*rho apart
         for cells in sched.cells_by_color:
@@ -92,7 +147,7 @@ class TestColorClasses:
         assert sched.color_of_cell.tolist() == [0]
 
     def test_each_cell_in_exactly_its_color_class(self, small_instance):
-        _, tess, sched, _, _ = small_instance
+        _, tess, sched, _, _, _ = small_instance
         assert len(sched.cells_by_color) == sched.num_colors
         seen = {}
         for color, cells in enumerate(sched.cells_by_color):
@@ -119,26 +174,26 @@ class TestConservative:
         assert b == pytest.approx(2 * a)
 
     def test_unknown_growth_rejected(self, small_instance):
-        _, tess, _, _, _ = small_instance
+        _, tess, _, _, _, _ = small_instance
         with pytest.raises(ConfigurationError):
             scheduling.build_conservative_schedule(tess, "constant")
 
     def test_conservative_regime_recorded(self, small_instance):
-        _, tess, _, _, _ = small_instance
+        _, tess, _, _, _, _ = small_instance
         sched = scheduling.build_conservative_schedule(tess, "log")
         assert sched.regime == "conservative:log"
         assert sched.conflict_multiplier == pytest.approx(12.0 * math.log(600))
         scheduling.assert_proper(sched, tess)
 
     def test_longer_schedule_than_fixed(self, small_instance):
-        _, tess, sched, _, _ = small_instance
+        _, tess, sched, _, _, _ = small_instance
         cons = scheduling.build_conservative_schedule(tess, "log")
         assert cons.num_colors >= sched.num_colors
 
 
 class TestExport:
     def test_save(self, tmp_path, small_instance):
-        _, _, sched, _, _ = small_instance
+        _, _, sched, _, _, _ = small_instance
         path = tmp_path / "sched.txt"
         scheduling.save_schedule(sched, path)
         text = path.read_text()

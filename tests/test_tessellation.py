@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adhocsim import geometry, tessellation
+from adhocsim import experiment, geometry, tessellation
 from adhocsim.errors import ConfigurationError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -71,7 +71,7 @@ class TestRhoForN:
 
 class TestBuildTessellation:
     def test_packing_and_covering_certificate(self, small_instance):
-        dep, tess, _, _, _ = small_instance
+        dep, tess, _, _, _, _ = small_instance
         rho = tess.rho_n
         gram = tess.centers @ tess.centers.T
         np.fill_diagonal(gram, -1.0)
@@ -81,20 +81,20 @@ class TestBuildTessellation:
         assert d.max() <= 2 * rho * (1 + 1e-9)
 
     def test_maximality_probe(self, small_instance):
-        _, tess, _, _, _ = small_instance
+        _, tess, _, _, _, _ = small_instance
         probes = geometry.random_point(np.random.default_rng(77), 10_000)
         cos = probes @ tess.centers.T
         dmin = geometry.RADIUS * np.arccos(np.clip(cos.max(axis=1), -1, 1))
         assert dmin.max() <= 2 * tess.rho_n * (1 + 1e-9)
 
     def test_cell_count_against_counting_oracle(self, small_instance):
-        _, tess, _, _, _ = small_instance
+        _, tess, _, _, _, _ = small_instance
         lo = 1.0 / geometry.cap_area(min(2 * tess.rho_n, geometry.MAX_DISTANCE))
         hi = 1.0 / geometry.cap_area(tess.rho_n)
         assert math.floor(lo) <= tess.num_cells <= math.ceil(hi)
 
     def test_adjacency_symmetric_irreflexive(self, small_instance):
-        _, tess, _, _, _ = small_instance
+        _, tess, _, _, _, _ = small_instance
         for c in range(tess.num_cells):
             assert c not in tess.neighbors[c]
             for d in tess.neighbors[c]:
@@ -155,6 +155,65 @@ class TestBuildTessellation:
         dep = tessellation.deploy(10, 0)
         with pytest.raises(ConfigurationError):
             tessellation.build_tessellation(dep, 0.6, 1)
+
+
+def per_candidate_packing(candidates, cos_threshold):
+    """The packing one candidate at a time, each tested against every center
+    accepted before it: the reference for ``tessellation._greedy_packing``."""
+    accepted = np.empty_like(candidates)
+    count = 0
+    for cand in candidates:
+        if count == 0 or np.max(accepted[:count] @ cand) <= cos_threshold:
+            accepted[count] = cand
+            count += 1
+    return accepted[:count]
+
+
+def near_threshold_candidates(rho, seed):
+    """Centers packed far apart, then around each of them five candidates at
+    the packing distance, spread so that they do not meet each other: each
+    one's cosine to its center lies within 1e-15 of the packing threshold,
+    where a blocked product and a per-candidate one may round apart."""
+    rng = np.random.default_rng(seed)
+    theta = 2 * rho / geometry.RADIUS
+    threshold = math.cos(theta) + 1e-15
+    centers = per_candidate_packing(geometry.random_point(rng, 6000), math.cos(3.5 * theta))
+    rings = []
+    for c in centers:
+        u = np.cross(c, rng.normal(size=3))
+        u /= np.linalg.norm(u)
+        v = np.cross(c, u)
+        angle = np.arccos(threshold + rng.uniform(-1e-15, 1e-15, 5))[:, None]
+        phi = (rng.uniform(0, 0.2, 5) + np.arange(5) * 2 * math.pi / 5)[:, None]
+        rings.append(np.cos(angle) * c + np.sin(angle) * (np.cos(phi) * u + np.sin(phi) * v))
+    return np.vstack([centers, *rings]), threshold
+
+
+class TestBlockedSetUp:
+    @pytest.mark.parametrize("n, seed", [(250, 1), (1000, 2), (4000, 3), (16000, 4)])
+    def test_packing_matches_the_reference_on_random_candidates(self, n, seed):
+        rho = tessellation.rho_for_n(n, 1.2)
+        threshold = math.cos(2 * rho / geometry.RADIUS) + 1e-15
+        rng = np.random.default_rng(seed)
+        candidates = geometry.random_point(rng, math.ceil(10 / geometry.cap_area(rho)))
+        assert (tessellation._greedy_packing(candidates, threshold).tobytes()
+                == per_candidate_packing(candidates, threshold).tobytes())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_packing_matches_the_reference_at_the_threshold(self, seed):
+        # Over 300 candidates decided within a few ulps of the threshold,
+        # behind the first block: the screening product must not decide them.
+        rho = tessellation.rho_for_n(100_000, 1.2)
+        candidates, threshold = near_threshold_candidates(rho, seed)
+        assert len(candidates) > 1000
+        assert (tessellation._greedy_packing(candidates, threshold).tobytes()
+                == per_candidate_packing(candidates, threshold).tobytes())
+
+    def test_assignment_in_row_blocks_matches_one_product(self):
+        n = 3 * tessellation._ASSIGN_ROWS + 17
+        dep, tess = experiment.prepare_instance(n, 5, 1.2)
+        one_product = np.argmax(dep.nodes @ tess.centers.T, axis=1)
+        assert tess.cell_of_node.tobytes() == one_product.astype(np.int64).tobytes()
 
 
 class TestCoveringCertificate:

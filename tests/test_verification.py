@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from adhocsim import experiment, geometry, links, routing, scheduling, verification
 from adhocsim.engine import EngineConfig, RunMetrics, run
 from adhocsim.errors import ConfigurationError, SaturationError
+from conftest import table_of
 
 RADIO = links.RadioParams()
 
@@ -73,26 +75,50 @@ class TestComputeBounds:
 
 
 def synthetic_route(cells, hop_lengths, length, cid=0):
+    hop_lengths = np.asarray(hop_lengths, dtype=float)
     return routing.Route(
         connection_id=cid,
         cells=cells,
         relays=list(range(len(cells) + 1)),
-        hop_lengths=np.asarray(hop_lengths, dtype=float),
+        hop_lengths=hop_lengths,
         length=length,
+        path_length=float(hop_lengths.sum()),
+    )
+
+
+def layout(routes):
+    """Hand-made routes, whose hop lengths no deployment measures, laid out
+    as a ``routing.RouteTable`` route by route in ascending connection id."""
+    routes = sorted(routes, key=lambda r: r.connection_id)
+    counts = [r.hop_count for r in routes]
+    cell = [c for r in routes for c in r.cells[:r.hop_count]]
+    next_cell = [c for r in routes for c in [*r.cells[1:r.hop_count], -1]]
+
+    def ints(values):
+        return np.array(values, dtype=np.int64)
+
+    return routing.RouteTable(
+        connection_ids=ints([r.connection_id for r in routes]),
+        length=np.array([r.length for r in routes], dtype=float),
+        path_length=np.array([r.path_length for r in routes], dtype=float),
+        offsets=ints(list(accumulate(counts, initial=0))),
+        cell=ints(cell), tx=ints([x for r in routes for x in r.relays[:-1]]),
+        rx=ints([x for r in routes for x in r.relays[1:]]), next_cell=ints(next_cell),
+        hop_length=np.concatenate([r.hop_lengths for r in routes]) if routes else np.empty(0),
     )
 
 
 class TestHopCountCheck:
     def test_pass_on_real_routes(self, small_instance):
-        _, tess, _, _, routes = small_instance
-        table = verification.check_hop_count(routing.route_table(routes), tess.rho_n)
+        dep, tess, _, _, routes, _ = small_instance
+        table = verification.check_hop_count(table_of(routes, dep, tess), tess.rho_n)
         assert table.passed.all()
 
     def test_negative_control_records_numbers(self):
         # 60 hops over a geodesic of 1 cell-scale is far beyond the ceiling
         rho = 0.02
         route = synthetic_route(list(range(61)), [0.5 * rho] * 60, 0.04)
-        table = verification.check_hop_count(routing.route_table([route]), rho)
+        table = verification.check_hop_count(layout([route]), rho)
         assert not table.passed[0]
         assert table.lhs[0] == 60
         assert table.rhs[0] == pytest.approx(16 * (0.04 + 8 * rho) / (math.pi * rho))
@@ -102,36 +128,36 @@ class TestHopCountCheck:
         # the asymptotic ceiling 16 L / (pi rho) but not the finite-size form
         rho = 0.02
         route = synthetic_route([0], [0.001 * rho], 0.001 * rho)
-        table = verification.check_hop_count(routing.route_table([route]), rho)
+        table = verification.check_hop_count(layout([route]), rho)
         assert table.passed[0]
         assert table.lhs[0] > 16 * route.length / (math.pi * rho)
 
 
 class TestShortHopsCheck:
     def test_pass_on_real_routes(self, small_instance):
-        _, tess, _, _, routes = small_instance
+        dep, tess, _, _, routes, _ = small_instance
         t0 = verification.compute_bounds(c1=0.0).t0
-        table = verification.check_short_hops(routing.route_table(routes), tess.rho_n, t0)
+        table = verification.check_short_hops(table_of(routes, dep, tess), tess.rho_n, t0)
         assert table.passed.all()
 
     def test_limit_recovers_hop_count_floor(self):
         # as t -> 0 the floor approaches L / (8 rho)
         rho, L = 0.05, 0.6
         route = synthetic_route(list(range(10)), [L / 9] * 9, L)
-        table = verification.check_short_hops(routing.route_table([route]), rho, 1e-9)
+        table = verification.check_short_hops(layout([route]), rho, 1e-9)
         assert table.rhs[0] == pytest.approx(L / (8 * rho), rel=1e-6)
 
     def test_all_long_hops_trivially_pass(self):
         rho = 0.05
         route = synthetic_route(list(range(5)), [6 * rho] * 4, 20 * rho)
-        table = verification.check_short_hops(routing.route_table([route]), rho, 0.05)
+        table = verification.check_short_hops(layout([route]), rho, 0.05)
         assert table.passed[0]
         assert "h_short=0" in table.details()[0]
 
     def test_t_domain(self):
         route = synthetic_route([0, 1], [0.1], 0.1)
         with pytest.raises(ConfigurationError):
-            verification.check_short_hops(routing.route_table([route]), 0.05, 0.5)
+            verification.check_short_hops(layout([route]), 0.05, 0.5)
 
 
 class TestConsecutiveShortHops:
@@ -142,18 +168,19 @@ class TestConsecutiveShortHops:
         rho = 0.1
         hops = [0.005 * rho, 0.005 * rho, 2 * rho, 0.009 * rho, 0.01 * rho, 0.02 * rho]
         route = synthetic_route(list(range(7)), hops, 2 * rho)
-        assert verification.max_short_run(routing.route_table([route]), rho).tolist() == [2]
+        assert verification.max_short_run(layout([route]), rho).tolist() == [2]
 
     def test_zero_runs_on_straight_routes(self, small_instance):
-        _, tess, _, _, routes = small_instance
-        table = verification.check_consecutive_short_hops(routing.route_table(routes), tess.rho_n)
+        dep, tess, _, _, routes, _ = small_instance
+        table = verification.check_consecutive_short_hops(table_of(routes, dep, tess),
+                                                          tess.rho_n)
         assert table.passed.all()
         assert table.lhs.max() < 40
 
     def test_synthetic_violation_detected(self):
         rho = 0.1
         route = synthetic_route(list(range(41)), [0.005 * rho] * 40, 0.02 * rho)
-        table = verification.check_consecutive_short_hops(routing.route_table([route]), rho)
+        table = verification.check_consecutive_short_hops(layout([route]), rho)
         assert not table.passed[0]
         assert table.lhs[0] == 40
 
@@ -165,19 +192,19 @@ def bounds_of(sched):
 
 @pytest.fixture(scope="module")
 def saturated_run(small_instance):
-    dep, tess, sched, _, routes = small_instance
+    dep, tess, sched, _, routes, _ = small_instance
     cfg = EngineConfig(
         injection_rate=0.0, traffic="saturated", measure_slots=sched.num_colors, seed=71
     )
-    metrics = run(dep, tess, sched, routing.route_table(routes), links.LogisticModel(), RADIO, cfg)
+    metrics = run(dep, tess, sched, table_of(routes, dep, tess), links.LogisticModel(), RADIO, cfg)
     return metrics, routes, sched, tess
 
 
 class TestInterfererProximity:
     def test_requires_saturated_trace(self, small_instance):
-        dep, tess, sched, _, routes = small_instance
+        dep, tess, sched, _, routes, _ = small_instance
         cfg = EngineConfig(injection_rate=0.01, measure_slots=500, seed=73)
-        m = run(dep, tess, sched, routing.route_table(routes[:10]),
+        m = run(dep, tess, sched, table_of(routes[:10], dep, tess),
                 links.ConstantPModel(0.5), RADIO, cfg)
         with pytest.raises(SaturationError):
             verification.check_interferer_proximity(m, bounds_of(sched), tess.rho_n)
@@ -185,14 +212,14 @@ class TestInterfererProximity:
     def test_single_color_schedule_counts_zero(self, small_instance):
         # every cell transmits every slot, so every interior hop has an
         # interferer somewhere within the (m+8)*rho radius
-        dep, tess, _, _, routes = small_instance
+        dep, tess, _, _, routes, _ = small_instance
         one_color = scheduling.Schedule(
             color_of_cell=np.zeros(tess.num_cells, dtype=np.int64),
             conflict_multiplier=12.0,
             regime="fixed",
         )
         cfg = EngineConfig(injection_rate=0.0, traffic="saturated", measure_slots=1, seed=79)
-        m = run(dep, tess, one_color, routing.route_table(routes),
+        m = run(dep, tess, one_color, table_of(routes, dep, tess),
                 links.ConstantPModel(0.5), RADIO, cfg)
         # K = 1 and eps2 = 1/16 give m = 2/eps2 = 32
         bounds = verification.compute_bounds(eps2=1 / 16, c1=0)
@@ -299,9 +326,9 @@ class TestThroughputCeilings:
 
 class TestDeliveryPrediction:
     def test_constant_p_prediction(self, small_instance):
-        dep, tess, sched, _, routes = small_instance
+        dep, tess, sched, _, routes, _ = small_instance
         cfg = EngineConfig(injection_rate=0.01, measure_slots=40_000, seed=83)
-        m = run(dep, tess, sched, routing.route_table(routes[:40]),
+        m = run(dep, tess, sched, table_of(routes[:40], dep, tess),
                 links.ConstantPModel(0.8), RADIO, cfg)
         table = verification.delivery_prediction(m, links.ConstantPModel(0.8), 1)
         assert len(table) >= 30
@@ -313,9 +340,9 @@ class TestDeliveryPrediction:
 
 class TestReport:
     def test_csv_and_text(self, tmp_path, small_instance):
-        _, tess, _, _, routes = small_instance
+        dep, tess, _, _, routes, _ = small_instance
         report = verification.VerificationReport()
-        report.add(verification.check_hop_count(routing.route_table(routes[:20]), tess.rho_n))
+        report.add(verification.check_hop_count(table_of(routes[:20], dep, tess), tess.rho_n))
         with experiment.CsvWriter(tmp_path, ["verification_detail.csv"]) as writer:
             writer.write("verification_detail.csv",
                          experiment.verification_rows(report, detail=True))
@@ -504,7 +531,7 @@ def crafted_metrics(routes, seed=5):
     """A saturated run over ``routes`` with per-hop values drawn around the
     checks' thresholds, unresolved and never-attempted hops included."""
     rng = np.random.default_rng(seed)
-    table = routing.route_table(routes)
+    table = layout(routes)
     hops = int(table.offsets[-1])
     mean_success = rng.uniform(0.5, 1.0, hops)
     mean_success[rng.random(hops) < 0.1] = np.nan
@@ -527,7 +554,7 @@ class TestTablesMatchTheReference:
     def test_per_route_checks_on_crafted_routes(self, t):
         rho = 0.02
         routes = crafted_routes(rho)
-        table = routing.route_table(routes)
+        table = layout(routes)
         tables = [verification.check_hop_count(table, rho),
                   verification.check_short_hops(table, rho, t),
                   verification.check_consecutive_short_hops(table, rho)]
@@ -545,7 +572,7 @@ class TestTablesMatchTheReference:
         assert tables[1].columns["h_short"][3] == (5 if t == 0.05 else 1)
 
     def test_empty_route_list(self):
-        table = routing.route_table([])
+        table = layout([])
         empty = [verification.check_hop_count(table, 0.02),
                  verification.check_short_hops(table, 0.02, 0.05),
                  verification.check_consecutive_short_hops(table, 0.02)]

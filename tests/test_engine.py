@@ -1,9 +1,12 @@
+import functools
 import hashlib
 import math
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from adhocsim import engine, geometry, links, routing, scheduling, tessellation
@@ -11,6 +14,7 @@ from adhocsim.engine import EngineConfig, run
 from adhocsim.errors import ConfigurationError
 from adhocsim.verification import throughput_summary
 from conftest import assemble, table_of
+from reference_engine import reference_run
 
 RADIO = links.RadioParams()
 
@@ -200,6 +204,66 @@ def test_shared_slot_sinr_is_the_kernel_value():
         expected = links.sinr([power[t] for t in tx], dep.nodes[rx], dep.nodes[tx], RADIO,
                               own=np.arange(2))[0]
         assert sinr == expected.tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def reference_instance(shape, seed):
+    """A small instance of ``shape = (n, scale, delta)``: n nodes in the
+    cells of ``scale * n`` nodes, scheduled with conflict multiplier
+    ``delta``; and the route table of up to 30 of its connections.  ``n = 0``
+    is the collision network."""
+    n, scale, delta = shape
+    if n == 0:
+        dep, tess, sched, routes = collision_network()
+        return dep, tess, sched, table_of(routes, dep, tess)
+    dep = tessellation.deploy(n, seed)
+    tess = tessellation.build_tessellation(dep, tessellation.rho_for_n(scale * n, 1.2), seed + 1)
+    conns = routing.pick_connections(dep, seed + 2)[:30]
+    table = routing.route_table(conns, routing.cell_paths(conns, dep, tess), dep, tess)
+    return dep, tess, scheduling.build_schedule(tess, delta), table
+
+
+class TestReferenceEngine:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        # (300, 2, 4.0) has about seven cells in a color, so saturated slots
+        # often sum eight or more transmitters for two or more receivers.
+        instance=st.tuples(st.sampled_from([(300, 2, 4.0), (300, 1, 12.0), (150, 1, 4.0),
+                                            (60, 1, 12.0), (0, 1, 12.0)]), st.integers(0, 2)),
+        saturated=st.booleans(),
+        rate=st.sampled_from([0.03, 0.2, 0.004, 0.0]),
+        attempts=st.integers(1, 3),
+        model=st.sampled_from([links.ThresholdModel(beta=40.0), links.ThresholdModel(beta=2e3),
+                               links.ConstantPModel(0.7), links.LogisticModel(),
+                               links.LogisticModel(a=0.3, midpoint_db=25.0)]),
+        warmup=st.sampled_from([13, 0, None]),
+        slots=st.integers(300, 2000),
+        seed=st.integers(0, 2**16),
+        trace=st.booleans(),
+    )
+    @example(instance=((300, 2, 4.0), 0), saturated=True, rate=0.03, attempts=2,
+             model=links.LogisticModel(), warmup=None, slots=1500, seed=3, trace=True)
+    @example(instance=((0, 1, 12.0), 0), saturated=False, rate=0.2, attempts=2, model=links.LogisticModel(),
+             warmup=0, slots=400, seed=31, trace=True)
+    @example(instance=((0, 1, 12.0), 0), saturated=True, rate=0.5, attempts=3,
+             model=links.ThresholdModel(beta=40.0), warmup=None, slots=300, seed=5, trace=True)
+    def test_engine_equals_the_plain_slot_loop(self, instance, saturated, rate, attempts, model,
+                                               warmup, slots, seed, trace):
+        # Counters, utilization, per-hop means and the trace, SINR bits
+        # included, equal those of the plain loop in tests/reference_engine.py.
+        dep, tess, sched, table = reference_instance(*instance)
+        if rate == 0.0 and not saturated:
+            rate = 0.01
+        cfg = EngineConfig(injection_rate=rate, attempts_per_hop=attempts, measure_slots=slots,
+                           warmup_slots=warmup, traffic="saturated" if saturated else "bernoulli",
+                           seed=seed, trace=trace)
+        m = run(dep, tess, sched, table, model, RADIO, cfg)
+        ref = reference_run(dep, tess, sched, table, model, RADIO, cfg)
+        for name in ("injected", "delivered", "dropped", "in_flight"):
+            assert np.array_equal(getattr(m, name), ref[name]), name
+        for name in ("utilization", "mean_hop_success"):
+            assert getattr(m, name).tobytes() == ref[name].tobytes(), name
+        assert repr(m.trace) == repr(ref["trace"])
 
 
 class TestConfig:

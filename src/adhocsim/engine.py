@@ -4,10 +4,20 @@ Each slot, every scheduled cell with a nonempty queue transmits its head
 packet; the set of concurrent transmitters defines the interference seen
 by every receiver, receptions succeed independently with the link
 model's probability at the measured SINR, and a hop whose attempt budget
-is exhausted drops its packet.  A slot's SINRs, success probabilities and
-decoded receptions depend only on its set of links, so they are worked
-out once per distinct set.  Runs are fully deterministic given the
+is exhausted drops its packet.  Runs are fully deterministic given the
 configuration seed.
+
+A packet is an int: twice its hop's index, plus 1 if it was injected in
+the measured window; a hop forward adds 2.  Only a queue's head is
+attempted, so each cell counts its head's failed attempts.  A slot's
+SINRs, success probabilities and decoded receptions depend only on its
+set of links, so they are worked out once per distinct set into a plan
+(at most ``_PLAN_CAP`` are kept): per transmitter in color order, what
+the loop reads, ``((cell, next cell, tx, rx), p, decoded, SINR)``, one
+shared tuple for a dummy.  The first plan of a color with a link builds
+its gain rows, ``links.pair_gain`` to each receiver of its links from
+each of their transmitters; a plan sums its receivers' rows over its
+transmitters in the order and layout of ``links.sinr``: the same bits.
 
 ``run`` reads the routes as the ``routing.RouteTable`` that set-up built.
 
@@ -34,12 +44,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .links import LinkModel, RadioParams, path_gain, sinr
+from .links import LinkModel, RadioParams, pair_gain, path_gain, sinr
 from .routing import RouteTable
 from .scheduling import Schedule
 from .tessellation import Deployment, Tessellation
@@ -47,6 +58,7 @@ from .tessellation import all_cell_relays  # noqa: F401  (pipebench's tracer wra
 
 TRAFFIC_MODES = ("bernoulli", "saturated")
 _BLOCK = 4096  # draws per numpy call; a stream holds one block at a time
+_PLAN_CAP = 1 << 16  # plans kept at once (ACCEPT-11(b) at n = 4000 uses 41,507)
 
 
 @dataclass(frozen=True)
@@ -75,16 +87,6 @@ class EngineConfig:
             raise ConfigurationError("warmup_slots must be nonnegative")
         if self.seed < 0:
             raise ConfigurationError("seed must be nonnegative")
-
-
-class _Packet:
-    __slots__ = ("conn", "link", "attempts", "measured")  # conn: index in id order
-
-    def __init__(self, conn, link, measured):
-        self.conn = conn
-        self.link = link  # index of the link it is sent over next
-        self.attempts = 0
-        self.measured = measured
 
 
 @dataclass
@@ -139,111 +141,104 @@ def run(
     streams = np.random.SeedSequence(cfg.seed).spawn(2)
     injection, reception = map(np.random.default_rng, streams)
 
-    # The link table: every hop of the route table, in its order, with its
-    # received power (from the atan2 hop lengths, which short links need);
-    # under saturation each occupied cell's dummy link follows, with no
-    # receiver.  A packet carries its link's index and moves to the next.
-    # Without injections no packet needs a hop's link, so none is built.
-    links, link_id = [], []
+    # Per link, its plan entry with nothing measured (module docstring): every
+    # hop of the route table, in its order, then under saturation each
+    # occupied cell's dummy link.  Without injections no packet needs a hop's
+    # link, so none is built, nor a gain table.
+    hops = len(table.cell)
+    entries, link_id, power, hop_conn = [], [], [], []
     if cfg.injection_rate > 0:
-        power = radio.tx_power * path_gain(table.hop_length, radio.alpha)
-        links = list(zip(table.cell.tolist(), table.tx.tolist(), table.rx.tolist(),
-                         power.tolist(), table.next_cell.tolist()))
-        # Hops that routes share are one link by value; a slot names each
-        # link by its first index, so they share plans.
-        link_id = list(map({}.setdefault, links, range(len(links))))
+        entries, link_id, power, hop_conn = _hop_links(table, radio)
     # Per hop, the success probability summed over counted attempts, and
     # their count.
-    hops = len(table.cell)
     success_sums, attempt_counts = [0.0] * hops, [0] * hops
-    first_link = table.offsets[:-1].tolist()
+    first_hop = table.offsets[:-1].tolist()
     dummy_of_cell = [-1] * tess.num_cells
     if saturated:
         for c, relay in enumerate(tess.relay_of_cell.tolist()):
             if relay >= 0:
-                dummy_of_cell[c] = len(links)
-                links.append((c, relay, -1, 0.0, -1))
+                dummy_of_cell[c] = len(entries)
+                entries.append(((c, -1, relay, -1), math.nan, False, math.nan))
+    gains = [None] * K  # per color, built at its first plan with a link
+    if cfg.injection_rate > 0:
+        link_color = schedule.color_of_cell[[link[0] for link, *_ in entries]]
 
     # One FIFO per cell, shared by every connection relaying through it.
     queues = [deque() for _ in range(tess.num_cells)]
+    tries = [0] * tess.num_cells  # per cell, its queue head's failed attempts
     injected, delivered, dropped = [0] * len(table), [0] * len(table), [0] * len(table)
     transmit_slots = [0] * tess.num_cells
     trace_rows: list[tuple] = []
-    plans: dict[tuple, list[tuple]] = {}  # link set -> its outcome rules
+    plans: dict[tuple, tuple] = {}  # link set -> its plan, at most _PLAN_CAP of them
     cells_by_color = [row.tolist() for row in schedule.cells_by_color]
     arrivals = _arrivals(injection, cfg.injection_rate, len(table))
     next_slot, conn = next(arrivals, (total_slots, 0))
     draws = _uniforms(reception)
-    # Per color, the dummy links its cells send while nothing is queued.
-    dummies = [[links[dummy_of_cell[c]] for c in cells if dummy_of_cell[c] >= 0]
+    # Per color, the dummies its cells send while nothing is queued, and per
+    # cell its queue and dummy (-1: none).
+    dummies = [[entries[dummy_of_cell[c]] for c in cells if dummy_of_cell[c] >= 0]
                for cells in cells_by_color]
+    lanes = [[(queues[c], dummy_of_cell[c]) for c in cells] for cells in cells_by_color]
+    tracing = cfg.trace
     queued = 0  # packets in the network
     slot = 0
     while slot < total_slots:
         if not queued and slot < next_slot:  # nothing to send before the next injection
             stop = min(next_slot, total_slots)
             _idle(max(slot, warmup), stop, dummies, transmit_slots,
-                  trace_rows if cfg.trace else None)
+                  trace_rows if tracing else None)
             slot = stop
             continue
         measuring = slot >= warmup
-        trace = cfg.trace and measuring
-        packets, ids = [], []  # per transmitter its packet (None: a dummy) and link
-        for c in cells_by_color[slot % K]:
-            if queues[c]:
-                pkt = queues[c][0]
-                packets.append(pkt)
-                ids.append(link_id[pkt.link])
-            elif dummy_of_cell[c] >= 0:
-                packets.append(None)
-                ids.append(dummy_of_cell[c])
-        # An idle slot's empty set has an empty plan.
+        trace = tracing and measuring
+        ids = []  # per transmitter its link: its queue head's, else its dummy
+        for q, dummy in lanes[slot % K]:
+            if q:
+                ids.append(link_id[q[0] >> 1])
+            elif dummy >= 0:
+                ids.append(dummy)
         plan = plans.get(key := tuple(ids))
         if plan is None:
-            plan = plans[key] = _plan([links[i] for i in ids], dep.nodes, model, radio)
-        for pkt, i, (g, p, decoded) in zip(packets, ids, plan):
-            cell, tx, rx, _, next_cell = links[i]
+            if len(plans) >= _PLAN_CAP:
+                plans.clear()
+            k = slot % K
+            if ids and gains[k] is None:
+                gains[k] = _gains(np.flatnonzero(link_color == k).tolist(), entries, dep.nodes,
+                                  radio.alpha)
+            plan = plans[key] = _plan(ids, entries, power, gains[k], model, radio)
+        for (cell, next_cell, tx, rx), p, decoded, g in plan:
             if measuring:
                 transmit_slots[cell] += 1
-            if pkt is None:
+            if rx < 0:
                 if trace:
                     trace_rows.append((slot, cell, tx, rx, g, "dummy"))
                 continue
-            k = pkt.conn
+            q = queues[cell]
+            pkt = q[0]
             # A packet injected in the measured window is counted: every slot
             # after its injection is in the window too.
-            if pkt.measured:
-                success_sums[pkt.link] += p
-                attempt_counts[pkt.link] += 1
-            if decoded:
-                success = next(draws) < p
-                outcome = "ok" if success else "fail"
-            else:
-                success = False
-                outcome = "collision"
+            if pkt & 1:
+                success_sums[pkt >> 1] += p
+                attempt_counts[pkt >> 1] += 1
+            success = decoded and next(draws) < p
             if trace:
+                outcome = ("ok" if success else "fail") if decoded else "collision"
                 trace_rows.append((slot, cell, tx, rx, g, outcome))
-            if success:
-                queues[cell].popleft()
-                pkt.link += 1
-                pkt.attempts = 0
-                if next_cell < 0:
-                    queued -= 1
-                    if pkt.measured:
-                        delivered[k] += 1
-                else:
-                    queues[next_cell].append(pkt)
-            else:
-                pkt.attempts += 1
-                if pkt.attempts >= cfg.attempts_per_hop:
-                    queues[cell].popleft()
-                    queued -= 1
-                    if pkt.measured:
-                        dropped[k] += 1
+            if not success and tries[cell] + 1 < cfg.attempts_per_hop:
+                tries[cell] += 1
+                continue
+            q.popleft()  # delivered, forwarded or dropped
+            tries[cell] = 0
+            if success and next_cell >= 0:
+                queues[next_cell].append(pkt + 2)
+                continue
+            queued -= 1
+            if pkt & 1:
+                (delivered if success else dropped)[hop_conn[pkt >> 1]] += 1
         # Inject after transmissions so a fresh packet waits at least one slot.
         while next_slot == slot:
-            link = first_link[conn]
-            queues[links[link][0]].append(_Packet(conn, link, measuring))  # its first hop's cell
+            h = first_hop[conn]
+            queues[entries[h][0][0]].append(h << 1 | measuring)  # at its first hop's cell
             queued += 1
             if measuring:
                 injected[conn] += 1
@@ -251,7 +246,7 @@ def run(
         slot += 1
 
     in_flight = np.bincount(
-        [pkt.conn for q in queues for pkt in q if pkt.measured], minlength=len(table)
+        [hop_conn[pkt >> 1] for q in queues for pkt in q if pkt & 1], minlength=len(table)
     ).astype(np.int64)
     # A cell is active in the slots congruent to its color.
     window = np.arange(warmup, total_slots) % K
@@ -300,12 +295,12 @@ def _idle(start: int, stop: int, dummies: list[list[tuple]], transmit_slots: lis
     K = len(dummies)
     for s in range(start, min(stop, start + K)):
         sends = len(range(s, stop, K))
-        for cell, *_ in dummies[s % K]:
+        for (cell, *_), *_ in dummies[s % K]:
             transmit_slots[cell] += sends
     if trace_rows is not None:
         for s in range(start, stop):
-            trace_rows.extend((s, cell, tx, rx, math.nan, "dummy")
-                              for cell, tx, rx, _, _ in dummies[s % K])
+            trace_rows.extend((s, cell, tx, rx, g, "dummy")
+                              for (cell, _, tx, rx), _, _, g in dummies[s % K])
 
 
 def _arrivals(rng, rate: float, connections: int):
@@ -328,38 +323,55 @@ def _arrivals(rng, rate: float, connections: int):
 
 def _uniforms(rng):
     """Uniforms on [0, 1), one at a time, drawn ``_BLOCK`` at once."""
-    while True:
-        yield from rng.random(_BLOCK).tolist()
+    return chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None))
 
 
-def _plan(links, nodes, model, radio) -> list[tuple]:
-    """A set of concurrent links' outcome rules, one ``(SINR, success
-    probability, decoded)`` per link in the slot's color order; a dummy's
-    is ``(nan, nan, False)``.
+def _hop_links(table: RouteTable, radio: RadioParams) -> tuple[list, ...]:
+    """Per hop of ``table``: its plan entry, its link id (hops that routes share
+    by value are one link, named by its first hop, so they share plans), its
+    received power (from the atan2 hop lengths) and its connection."""
+    power = (radio.tx_power * path_gain(table.hop_length, radio.alpha)).tolist()
+    links = list(zip(table.cell.tolist(), table.next_cell.tolist(), table.tx.tolist(),
+                     table.rx.tolist()))
+    entries = [(link, math.nan, False, math.nan) for link in links]
+    link_id = list(map({}.setdefault, zip(links, power), range(len(links))))
+    return entries, link_id, power, np.repeat(np.arange(len(table)), table.hop_count).tolist()
 
-    Only real packets are received.  Every transmitter interferes, in color
-    order, the order in which ``saturated_hop_samples`` sums its field: the
-    same field then gives the same SINR, bit for bit.  A lone transmitter
-    gets ``power / noise`` from the kernel.  A node decodes at most one
-    packet per slot: only its strongest inbound signal is attempted, the
-    rest collide (but still interfere network-wide).
-    """
-    plan = [(math.nan, math.nan, False)] * len(links)
-    real = [j for j, link in enumerate(links) if link[2] >= 0]
+
+def _gains(links: list[int], entries: list[tuple], nodes: np.ndarray, alpha: float) -> tuple:
+    """One color's gain rows: to each receiver of its ``links`` (rows) from each
+    of their transmitters (columns); and per link its row and column."""
+    cols, col = np.unique([entries[i][0][2] for i in links], return_inverse=True)
+    rows, row = np.unique([entries[i][0][3] for i in links], return_inverse=True)  # dummies: -1
+    gain = pair_gain(nodes[rows], nodes[cols], alpha)[0]
+    return gain, dict(zip(links, zip(row.tolist(), col.tolist())))
+
+
+def _plan(ids, entries, power, gains, model, radio) -> tuple:
+    """The plan of a slot that sends over the links ``ids`` (module
+    docstring).  A real link's SINR sums its receiver's row of ``gains`` over
+    the slot's transmitters, its own zeroed, as ``links.sinr`` sums it; alone
+    it is ``power / noise``.  A node decodes at most one packet per slot: only
+    its strongest inbound signal is attempted, the rest collide (but still
+    interfere network-wide)."""
+    plan = [entries[i] for i in ids]
+    real = [j for j, entry in enumerate(plan) if entry[0][3] >= 0]
     if not real:
-        return plan
-    gamma = sinr(
-        [links[j][3] for j in real], nodes[[links[j][2] for j in real]],
-        nodes[[link[1] for link in links]], radio, own=real,
-    )[0].tolist()
+        return tuple(plan)
+    gain, where = gains
+    row_gain = gain[[where[ids[j]][0] for j in real]].take([where[i][1] for i in ids], axis=1)
+    row_gain[np.arange(len(real)), real] = 0.0
+    signal = np.array([power[ids[j]] for j in real])
+    gamma = signal / (radio.noise + radio.tx_power * row_gain.sum(axis=-1))
     strongest = {}
     for j in real:
-        best = strongest.get(links[j][2])
-        if best is None or links[j][3] > links[best][3]:
-            strongest[links[j][2]] = j
-    for j, g in zip(real, gamma):
-        plan[j] = (g, model.success(g), strongest[links[j][2]] == j)
-    return plan
+        best = strongest.get(plan[j][0][3])
+        if best is None or power[ids[j]] > power[ids[best]]:
+            strongest[plan[j][0][3]] = j
+    for j, g in zip(real, gamma.tolist()):
+        link = plan[j][0]
+        plan[j] = (link, model.success(g), strongest[link[3]] == j, g)
+    return tuple(plan)
 
 
 def saturated_hop_samples(

@@ -41,33 +41,39 @@ def path_gain(distance, alpha: float):
     return np.asarray(distance, dtype=float) ** (-alpha)
 
 
+def pair_gain(receivers, transmitters, alpha: float):
+    """Path gain from each transmitter (k, 3) to each receiver (m, 3), and
+    their surface distances, both (m, k); a co-located pair's gain is inf.
+    Distances are the arccos of elementwise dot products: accurate for pairs
+    a proper schedule keeps cells apart and, unlike a BLAS matrix product,
+    the same for a pair in any batch.  Signal links can be short and need
+    atan2, so callers pass their powers."""
+    receivers = np.asarray(receivers, dtype=float)
+    transmitters = np.asarray(transmitters, dtype=float)
+    cos = (receivers[:, None, :] * transmitters[None, :, :]).sum(axis=-1)
+    dist = geometry.RADIUS * np.arccos(np.clip(cos, -1.0, 1.0))
+    with np.errstate(divide="ignore"):
+        return path_gain(dist, alpha), dist
+
+
 def sinr(signal, receivers, interferers, radio: RadioParams, own):
     """Per-receiver SINR and nearest-interferer distance; the one SINR kernel.
 
     ``signal`` (m,) is each receiver's received signal power, ``receivers``
     (m, 3) and ``interferers`` (k, 3) are positions.  Receiver ``i`` sums
-    interference over every interferer except row ``own[i]``, its own
-    transmitter; the sum is network-wide with no range truncation.  Returns
-    ``(gamma, nearest)``, where ``nearest`` is the surface distance of the
-    closest counted interferer, inf when there is none.
-
-    Interferer distances are the arccos of elementwise dot products: accurate
-    for interferers a proper schedule keeps cells away and, unlike a BLAS
-    matrix product, the same for a receiver in any batch.  Signal links can
-    be short and need atan2, so callers pass their powers.
+    interference (``pair_gain``, in interferer order) over every interferer
+    except row ``own[i]``, its own transmitter; the sum is network-wide with
+    no range truncation (a transmitting receiver hears infinite interference).
+    Returns ``(gamma, nearest)``, where ``nearest`` is the surface distance of
+    the closest counted interferer, inf when there is none.
     """
     signal = np.asarray(signal, dtype=float)
     if len(interferers) <= 1:  # nobody but the own transmitter
         return signal / radio.noise, np.full(len(signal), np.inf)
-    receivers = np.asarray(receivers, dtype=float)
-    interferers = np.asarray(interferers, dtype=float)
-    cos = (receivers[:, None, :] * interferers[None, :, :]).sum(axis=-1)
-    dist = geometry.RADIUS * np.arccos(np.clip(cos, -1.0, 1.0))
-    dist[np.arange(len(dist)), own] = np.inf  # contributes zero power
-    # A receiver that is itself transmitting hears infinite interference.
-    with np.errstate(divide="ignore"):
-        interference = radio.tx_power * path_gain(dist, radio.alpha).sum(axis=-1)
-    return signal / (radio.noise + interference), dist.min(axis=-1)
+    gain, dist = pair_gain(receivers, interferers, radio.alpha)
+    rows = np.arange(len(dist))
+    gain[rows, own], dist[rows, own] = 0.0, np.inf
+    return signal / (radio.noise + radio.tx_power * gain.sum(axis=-1)), dist.min(axis=-1)
 
 
 @dataclass(frozen=True)

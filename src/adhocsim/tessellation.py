@@ -204,8 +204,9 @@ def all_cell_relays(
     """Relay node per cell, the node nearest its center; -1 marks an empty
     cell.  The table is read-only."""
     relays = np.full(len(centers), -1, dtype=np.int64)
-    for c in range(len(centers)):
-        ids = np.flatnonzero(cell_of_node == c)
+    order = np.argsort(cell_of_node, kind="stable")  # each cell's nodes in ascending id
+    cells = np.split(order, np.searchsorted(cell_of_node[order], np.arange(1, len(centers))))
+    for c, ids in enumerate(cells):
         if len(ids):
             relays[c] = ids[np.argmax(nodes[ids] @ centers[c])]
     relays.flags.writeable = False

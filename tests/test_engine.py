@@ -133,6 +133,46 @@ def test_outcomes_pinned(name, small_instance):
     assert outcome_digest(m) == PINNED[name]
 
 
+def full_digest(m):
+    """SHA-256 of everything a run reports: counters, per-cell and per-hop
+    arrays, and the trace with each SINR's repr."""
+    h = hashlib.sha256(repr(m.trace).encode())
+    for a in (m.injected, m.delivered, m.dropped, m.in_flight, m.utilization,
+              m.mean_hop_success, m.hop_gamma, m.hop_nearest):
+        h.update(b"-" if a is None else a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_plan_memo_bound_changes_nothing(name, small_instance, monkeypatch):
+    # With room for one plan the memo is cleared at almost every miss, so
+    # nearly every slot works out its plan afresh: the same bits.
+    m = pinned_case(name, small_instance)
+    monkeypatch.setattr(engine, "_PLAN_CAP", 1)
+    bounded = pinned_case(name, small_instance)
+    assert outcome_digest(bounded) == PINNED[name]
+    assert full_digest(bounded) == full_digest(m)
+
+
+def test_rate_zero_builds_no_link_state(small_instance, monkeypatch):
+    # A measurement-only saturated run sends dummies alone: it builds neither
+    # the per-hop link lists nor a gain table.  A run with packets builds both.
+    dep, tess, sched, _, routes, _ = small_instance
+    table = table_of(routes, dep, tess)
+    calls = Counter()
+    for name in ("_hop_links", "_gains"):
+        def counted(*args, _name=name, _f=getattr(engine, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(engine, name, counted)
+    for rate in (0.0, 0.01):
+        calls.clear()
+        cfg = EngineConfig(injection_rate=rate, traffic="saturated",
+                           measure_slots=3 * sched.num_colors, seed=19)
+        run(dep, tess, sched, table, links.LogisticModel(), RADIO, cfg)
+        assert (calls["_hop_links"] > 0, calls["_gains"] > 0) == (rate > 0, rate > 0)
+
+
 @pytest.mark.parametrize("name", ["saturated", "collision"])
 def test_route_order_does_not_matter(name, small_instance):
     # The route table lays the routes out in ascending connection id whatever

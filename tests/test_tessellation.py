@@ -298,3 +298,20 @@ class TestRelayTable:
         assert not relay.flags.writeable
         with pytest.raises(ValueError):
             relay[0] = 0
+
+    @pytest.mark.parametrize("n,cells", [(250, 19), (250, 600), (4000, 219), (32000, 1404)])
+    def test_relays_equal_the_per_cell_scan(self, n, cells):
+        # The relay table slices one stable sort of the nodes by cell; the
+        # reference scans every node once per cell.  Both take each cell's
+        # nodes in ascending id, so the products and the relays are the same.
+        rng = np.random.default_rng(n + cells)
+        nodes, centers = geometry.random_point(rng, n), geometry.random_point(rng, cells)
+        cell_of_node = np.argmax(nodes @ centers.T, axis=1)
+        expected = np.full(cells, -1, dtype=np.int64)
+        for c in range(cells):
+            ids = np.flatnonzero(cell_of_node == c)
+            if len(ids):
+                expected[c] = ids[np.argmax(nodes[ids] @ centers[c])]
+        assert np.any(expected < 0) == (cells > n)
+        relays = tessellation.all_cell_relays(centers, cell_of_node, nodes)
+        assert relays.tobytes() == expected.tobytes()

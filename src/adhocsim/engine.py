@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import chain
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 

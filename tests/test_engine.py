@@ -246,7 +246,7 @@ def test_shared_slot_sinr_is_the_kernel_value():
         assert sinr == expected.tolist()
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def reference_instance(shape, seed):
     """A small instance of ``shape = (n, scale, delta)``: n nodes in the
     cells of ``scale * n`` nodes, scheduled with conflict multiplier
@@ -283,8 +283,8 @@ class TestReferenceEngine:
     )
     @example(instance=((300, 2, 4.0), 0), saturated=True, rate=0.03, attempts=2,
              model=links.LogisticModel(), warmup=None, slots=1500, seed=3, trace=True)
-    @example(instance=((0, 1, 12.0), 0), saturated=False, rate=0.2, attempts=2, model=links.LogisticModel(),
-             warmup=0, slots=400, seed=31, trace=True)
+    @example(instance=((0, 1, 12.0), 0), saturated=False, rate=0.2, attempts=2,
+             model=links.LogisticModel(), warmup=0, slots=400, seed=31, trace=True)
     @example(instance=((0, 1, 12.0), 0), saturated=True, rate=0.5, attempts=3,
              model=links.ThresholdModel(beta=40.0), warmup=None, slots=300, seed=5, trace=True)
     def test_engine_equals_the_plain_slot_loop(self, instance, saturated, rate, attempts, model,

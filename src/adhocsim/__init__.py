@@ -19,7 +19,7 @@ from .links import (
     make_link_model,
     sinr,
 )
-from .routing import Connection, Route, build_route, cell_paths, pick_connections, route_table
+from .routing import Route, build_route, cell_paths, pick_connections, route_table
 from .scheduling import Schedule, build_conservative_schedule, build_schedule
 from .tessellation import (
     Deployment,
@@ -34,7 +34,6 @@ __all__ = [
     "BoundSet",
     "BpskPacketModel",
     "ConfigurationError",
-    "Connection",
     "ConstantPModel",
     "Deployment",
     "EngineConfig",

@@ -92,8 +92,9 @@ class EngineConfig:
 @dataclass
 class RunMetrics:
     """Per-connection counts and per-hop arrays in the layout of the run's
-    ``routes`` table: connection ``k`` is ``routes.connection_ids[k]`` and
-    its hops are ``routes.offsets[k]:routes.offsets[k + 1]``."""
+    ``routes`` table, in ascending connection id: connection ``k`` is
+    ``routes.connection_ids[k]`` and its hops are
+    ``routes.offsets[k]:routes.offsets[k + 1]``."""
 
     slots: int
     warmup_slots: int

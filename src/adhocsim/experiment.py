@@ -148,22 +148,21 @@ class PointResult:
 
 def point_routes(
     spec: ExperimentSpec, n: int, seed: int
-) -> tuple[Deployment, Tessellation, list[Route], RouteTable]:
-    """The instance of point ``(n, seed)``, the routes of its connections and
-    their table."""
+) -> tuple[Deployment, Tessellation, list[list[int]], RouteTable]:
+    """The instance of point ``(n, seed)``, the cell paths of its connections
+    (the first ``track_connections`` of them, if set) and their route table,
+    whose row ``k`` is path ``k``'s route."""
     dep, tess = prepare_instance(n, seed, spec.area_constant)
-    connections = pick_connections(dep, seed + 3 * _SEED_STRIDE)
-    if spec.track_connections is not None:
-        connections = connections[: spec.track_connections]
+    connections = tuple(column[: spec.track_connections]
+                        for column in pick_connections(dep, seed + 3 * _SEED_STRIDE))
     paths = cell_paths(connections, dep, tess, spec.routing_strategy, seed + 4 * _SEED_STRIDE)
-    table = route_table(connections, paths, dep, tess)
-    columns = table.as_lists()  # connections come in id order, the table's
-    routes = [build_route(k, cells, columns) for k, cells in enumerate(paths)]
-    return dep, tess, routes, table
+    return dep, tess, paths, route_table(connections, paths, dep, tess)
 
 
 def run_point(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
-    dep, tess, routes, table = point_routes(spec, n, seed)
+    dep, tess, paths, table = point_routes(spec, n, seed)
+    columns = table.as_lists()
+    routes = [build_route(k, cells, columns) for k, cells in enumerate(paths)]
     schedule = make_schedule(spec, tess)
     cfg = replace(spec.engine, seed=seed + 5 * _SEED_STRIDE)
     model = spec.link_model()

@@ -2,6 +2,10 @@
 one table of columns that is read (``route_table``), then each route's
 ``Route`` record (``build_route``).
 
+A set of connections is four columns in ascending id, as
+``pick_connections`` makes them: ids, sources, destinations and geodesic
+source-destination lengths.
+
 A route visits a sequence of pairwise-distinct cells in which consecutive
 cells are adjacent, and relays its packets along a node chain whose first
 entry is the source and last entry is the destination; interior entries
@@ -20,7 +24,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,16 +37,6 @@ _PHI_SLACK = 1e-12  # rounding allowance, in radians, on a bisector crossing
 _RECHECK = 1e-9  # a step decided closer than this is re-decided with libm's atan2
 _atan2 = np.frompyfunc(math.atan2, 2, 1)
 STRATEGIES = ("straight_line", "shortest_cell_path", "random_walk_loop_erased")
-
-
-class Connection(NamedTuple):
-    """One source-destination pair and its geodesic length.  ``route_table``
-    rejects a pair whose source is its destination."""
-
-    id: int
-    source: int
-    destination: int
-    length: float
 
 
 @dataclass
@@ -92,29 +85,23 @@ class RouteTable:
                 self.path_length.tolist())
 
 
-def _columns(connections: list[Connection]) -> tuple[np.ndarray, ...]:
-    """Ids, sources, destinations (int64) and lengths of ``connections``."""
-    ids, src, dst, length = zip(*connections) if connections else ((),) * 4
-    return (np.array(ids, dtype=np.int64), np.array(src, dtype=np.int64),
-            np.array(dst, dtype=np.int64), np.array(length, dtype=float))
-
-
 def route_table(
-    connections: list[Connection], paths: list[list[int]], dep: Deployment, tess: Tessellation
+    connections: tuple[np.ndarray, ...], paths: list[list[int]], dep: Deployment,
+    tess: Tessellation,
 ) -> RouteTable:
-    """The one ``RouteTable`` of ``connections`` through their cell ``paths``
-    (in the same order, any order of ids).  Hop ``h`` is sent from the
-    path's ``h``-th cell, by the source at ``h = 0``, else by the cell's
-    relay; all hops are measured by one ``surface_distance`` call.
+    """The one ``RouteTable`` of ``connections`` through their cell ``paths``,
+    in the same order.  Hop ``h`` is sent from the path's ``h``-th cell, by
+    the source at ``h = 0``, else by the cell's relay; all hops are measured
+    by one ``surface_distance`` call.
 
-    The first connection in the order given that breaks a route invariant
-    is reported, with the first invariant it breaks (``broken`` lists them
-    in order).
+    Ids that do not ascend are a configuration error.  Of the connections
+    that break a route invariant, the one with the lowest id is reported,
+    with the first invariant it breaks (``broken`` lists them in order).
     """
-    ids, src, dst, length = _columns(connections)
-    order = np.argsort(ids, kind="stable")
-    ids, src, dst, length = ids[order], src[order], dst[order], length[order]
-    paths = [paths[k] for k in order.tolist()]
+    ids, src, dst, length = connections
+    if np.any(ids[1:] <= ids[:-1]):
+        k = int(np.argmax(ids[1:] <= ids[:-1]))
+        raise ConfigurationError(f"connection ids must ascend: {ids[k + 1]} follows {ids[k]}")
     sizes = np.fromiter(map(len, paths), np.int64, len(paths))
     cells = np.fromiter(chain.from_iterable(paths), np.int64, int(sizes.sum()))
     counts = np.maximum(sizes - 1, 1)  # a one-cell path is one hop
@@ -151,7 +138,7 @@ def route_table(
     ]
     bad = np.flatnonzero(np.logical_or.reduce([flags for flags, _, _ in broken]))
     if len(bad):
-        k = int(bad[np.argmin(order[bad])])  # the first broken one in the order given
+        k = int(bad[0])
         flags, error, message = next(check for check in broken if check[0][k])
         if flags is empty:  # name the first empty cell
             c = int(cell[first[k] + np.argmax(tx[first[k]:last[k] + 1] < 0)])
@@ -176,16 +163,17 @@ def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return sums
 
 
-def pick_connections(dep: Deployment, seed: int) -> list[Connection]:
-    """One connection per node; destination uniform over the other nodes."""
+def pick_connections(dep: Deployment, seed: int) -> tuple[np.ndarray, ...]:
+    """One connection per node, as columns (module docstring): connection
+    ``i`` starts at node ``i``, and its destination is uniform over the
+    other nodes."""
     if dep.n < 2:
         raise ConfigurationError("need at least 2 nodes")
     rng = np.random.default_rng(seed)
     offsets = rng.integers(1, dep.n, size=dep.n)
     dests = (np.arange(dep.n) + offsets) % dep.n
     lengths = geometry.surface_distance(dep.nodes, dep.nodes[dests])
-    return list(map(Connection._make, zip(range(dep.n), range(dep.n), dests.tolist(),
-                                          lengths.tolist())))
+    return np.arange(dep.n), np.arange(dep.n), dests, lengths
 
 
 def bisector_table(tess: Tessellation) -> tuple[np.ndarray, np.ndarray]:
@@ -380,23 +368,25 @@ def detour_factor(strategy: str) -> float | None:
 
 
 def cell_paths(
-    connections: list[Connection],
+    connections: tuple[np.ndarray, ...],
     dep: Deployment,
     tess: Tessellation,
     strategy: str = "straight_line",
     seed: int = 0,
 ) -> list[list[int]]:
-    """Each connection's cell path under ``strategy``, in order; ``route_table``
-    makes the routes.  ``straight_line`` walks all geodesics at once.
-    The arbitrary strategies keep only the adjacency-hops / no-revisit
-    constraints, per connection with a generator seeded ``seed + conn.id``:
-    ``shortest_cell_path`` (BFS over cell adjacency), ``random_walk_loop_erased``,
-    or ``detour:<kappa>``, which accepts a random waypoint only while the
+    """Each connection's cell path under ``strategy``, in the order of the
+    ``connections`` columns; ``route_table`` makes the routes.
+    ``straight_line`` walks all geodesics at once.  The arbitrary strategies
+    keep only the adjacency-hops / no-revisit constraints, per connection
+    with a generator seeded ``seed`` plus its id: ``shortest_cell_path``
+    (BFS over cell adjacency), ``random_walk_loop_erased``, or
+    ``detour:<kappa>``, which accepts a random waypoint only while the
     cell-path length stays within ``kappa`` times the BFS path length.
     """
     kappa = detour_factor(strategy)
+    ids, src, dst, _ = connections
+    start, goal = tess.cell_of_node[src], tess.cell_of_node[dst]  # the endpoints' cells
     if strategy == "straight_line":
-        ids, src, dst, _ = _columns(connections)
         a, b = dep.nodes[src], dep.nodes[dst]
         theta = geometry.central_angle(a, b)
         bad = (theta == 0.0) | (theta > math.pi - 1e-9)
@@ -404,20 +394,14 @@ def cell_paths(
             k = int(np.argmax(bad))
             what = "co-located" if theta[k] == 0.0 else "antipodal"
             raise GeometryError(f"connection {ids[k]}: {what} endpoints cannot be routed")
-        cells = tess.cell_of_node  # the end cells are the endpoints' cells
-        return walk_geodesics(bisector_table(tess), a, b, theta, cells[src], cells[dst], ids)
-    paths = []
-    for conn in connections:
-        rng = np.random.default_rng(seed + conn.id)
-        start = int(tess.cell_of_node[conn.source])
-        goal = int(tess.cell_of_node[conn.destination])
-        if kappa is not None:
-            paths.append(_detour_cells(tess, start, goal, kappa, rng))
-        elif strategy == "shortest_cell_path":
-            paths.append(_bfs_cells(tess, start, goal))
-        else:
-            paths.append(_random_walk_cells(tess, start, goal, rng))
-    return paths
+        return walk_geodesics(bisector_table(tess), a, b, theta, start, goal, ids)
+    ends = list(zip(start.tolist(), goal.tolist()))
+    if strategy == "shortest_cell_path":
+        return [_bfs_cells(tess, s, g) for s, g in ends]
+    rngs = (np.random.default_rng(seed + cid) for cid in ids.tolist())
+    if kappa is not None:
+        return [_detour_cells(tess, s, g, kappa, rng) for (s, g), rng in zip(ends, rngs)]
+    return [_random_walk_cells(tess, s, g, rng) for (s, g), rng in zip(ends, rngs)]
 
 
 def build_route(k: int, cells: list[int], columns: tuple) -> Route:

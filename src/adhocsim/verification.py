@@ -143,12 +143,13 @@ class CheckTable:
     def __len__(self) -> int:
         return len(self.passed)
 
-    def details(self) -> list[str]:
-        """Each record's detail string, formatted on each call."""
+    def details(self, rows=slice(None)) -> list[str]:
+        """The detail strings of records ``rows`` (an index array), or of
+        every record, formatted on each call."""
         shared = {k: v for k, v in self.columns.items() if not isinstance(v, np.ndarray)}
-        own = {k: v.tolist() for k, v in self.columns.items() if isinstance(v, np.ndarray)}
+        own = {k: v[rows].tolist() for k, v in self.columns.items() if isinstance(v, np.ndarray)}
         return [self.detail.format(**shared, **{k: v[i] for k, v in own.items()})
-                for i in range(len(self))]
+                for i in range(len(self.passed[rows]))]
 
 
 @dataclass
@@ -195,15 +196,24 @@ class VerificationReport:
         return passes / total if total else float("nan")
 
     def write_text(self, path) -> None:
-        failed = [r for r in self.records if not r.passed]
+        """Each check's pass count, then its failing records in written order
+        (no ``add`` call holds two tables of one check).  Only the failing
+        records' detail strings are formatted."""
         with open(path, "w") as fh:
             fh.write("# adhocsim verification report\n")
             for cid, (passes, total) in self.pass_counts().items():
                 fh.write(f"{cid}: {passes}/{total} pass ({passes / total:.3f})\n")
-                for r in failed:
-                    if r.check_id == cid:
-                        fh.write(f"  FAIL conn={r.connection_id} lhs={r.lhs!r} "
-                                 f"rhs={r.rhs!r} {r.detail}\n")
+                for t in self.tables:
+                    if t.check_id == cid:
+                        fh.writelines(_failure_lines(t))
+
+
+def _failure_lines(t: CheckTable) -> list[str]:
+    """The ``verification.txt`` line of each failing record of ``t``."""
+    bad = np.flatnonzero(np.logical_not(t.passed))
+    ids = repeat(None) if t.connection_ids is None else t.connection_ids[bad].tolist()
+    return [f"  FAIL conn={conn} lhs={lhs!r} rhs={rhs!r} {detail}\n" for conn, lhs, rhs, detail
+            in zip(ids, t.lhs[bad].tolist(), t.rhs[bad].tolist(), t.details(bad))]
 
 
 def _route_counts(hit: np.ndarray, offsets: np.ndarray, trim: int) -> np.ndarray:

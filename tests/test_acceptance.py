@@ -23,7 +23,7 @@ from adhocsim import (
     verification,
 )
 from adhocsim.engine import EngineConfig, run
-from conftest import assemble, table_of
+from conftest import assemble, connections, table_of, take
 
 AREA_CONSTANT = 1.2
 CERT_SEEDS = list(range(20))
@@ -126,7 +126,7 @@ def sweep_instances():
             dep, tess = experiment.prepare_instance(n, 31 * seed + n, AREA_CONSTANT)
             fixed = scheduling.build_schedule(tess, 12.0)
             cons = scheduling.build_conservative_schedule(tess, "log")
-            conns = routing.pick_connections(dep, 500 + seed)[:300]
+            conns = take(routing.pick_connections(dep, 500 + seed), slice(300))
             routes = assemble(conns, routing.cell_paths(conns, dep, tess), dep, tess)
             out[(n, seed)] = (dep, tess, fixed, cons, routes)
     return out
@@ -320,12 +320,9 @@ def test_accept_10_retry_success_law():
     dep = tessellation.deploy(2, 2)
     tess = tessellation.build_tessellation(dep, tessellation.rho_for_n(2, AREA_CONSTANT), 3)
     sched = scheduling.build_schedule(tess, 12.0)
-    conn = routing.Connection(
-        id=0, source=0, destination=1,
-        length=float(geometry.surface_distance(dep.nodes[0], dep.nodes[1])),
-    )
-    paths = routing.cell_paths([conn], dep, tess)
-    (route,) = assemble([conn], paths, dep, tess)
+    conns = connections((0, 0, 1, float(geometry.surface_distance(dep.nodes[0], dep.nodes[1]))))
+    paths = routing.cell_paths(conns, dep, tess)
+    (route,) = assemble(conns, paths, dep, tess)
     assert route.hop_count == 1
     ok = True
     details = []
@@ -338,7 +335,7 @@ def test_accept_10_retry_success_law():
             injection_rate=0.9 / (sched.num_colors * attempts), measure_slots=slots,
             warmup_slots=10, seed=10 + attempts, attempts_per_hop=attempts,
         )
-        m = run(dep, tess, sched, routing.route_table([conn], paths, dep, tess),
+        m = run(dep, tess, sched, routing.route_table(conns, paths, dep, tess),
                 links.ConstantPModel(0.5), RADIO, cfg)
         resolved = int(m.delivered[0] + m.dropped[0])
         measured = float(m.delivery_probability()[0])

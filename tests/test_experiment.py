@@ -229,13 +229,13 @@ class TestSweep:
         assert not (out / "errors.txt").exists()  # a clean rerun clears the old list
 
     def test_workers_match_serial(self, tmp_path):
-        out1, out2 = tmp_path / "s", tmp_path / "p"
-        experiment.run_sweep(tiny_spec(out1))
-        spec = tiny_spec(out2)
-        experiment.run_sweep(
-            experiment.ExperimentSpec(**{**spec.__dict__, "workers": 2, "out_dir": str(out2)})
-        )
-        assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+        # ``sweep --workers 2`` runs the points in a process pool and writes
+        # what one worker writes.
+        for workers in ("1", "2"):
+            argv = ["sweep", "--out", str(tmp_path / workers), "--workers", workers]
+            assert cli.main(argv + [f"--set={s}" for s in TINY]) == 0
+        for name in experiment.SWEEP_CSVS:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -368,6 +368,9 @@ class TestCli:
     @pytest.mark.parametrize("command", ["sweep", "schedules", "simulate"])
     @pytest.mark.parametrize("override", [
         ["link_model.name=constant_p", "link_model.p=1.5"], ["schedule.delta=2"],
+        ["link_model.name=bogus"], ["link_model.a=0"],
+        ["link_model.name=bpsk_packet", "link_model.bits=0"], ["engine.measure_slots=0"],
+        ["engine.traffic=saturated", "engine.injection_rate=1.5"], ["radio.noise=-1"],
     ])
     def test_bad_link_model_or_delta_is_a_configuration_error(
         self, tmp_path, capsys, command, override

@@ -9,37 +9,37 @@ from hypothesis.extra import numpy as hnp
 
 from adhocsim import experiment, geometry, links, routing, tessellation
 from adhocsim.errors import ConfigurationError, GeometryError, RoutingError
-from conftest import assemble
+from conftest import assemble, connections, rows, take
 
 
-def straight(conn, dep, tess):
-    return assemble([conn], routing.cell_paths([conn], dep, tess), dep, tess)[0]
+def straight(conns, dep, tess):
+    """The straight route of the one connection of the columns ``conns``."""
+    return assemble(conns, routing.cell_paths(conns, dep, tess), dep, tess)[0]
 
 
 class TestPickConnections:
     def test_one_per_node_no_self_loops(self, small_instance):
         dep, _, _, conns, _, _ = small_instance
-        assert len(conns) == dep.n
-        assert all(c.source != c.destination for c in conns)
+        ids, src, dst, _ = conns
+        assert ids.tolist() == src.tolist() == list(range(dep.n))
+        assert np.all(src != dst)
+        assert [column.dtype for column in conns] == [np.int64] * 3 + [np.float64]
 
     def test_deterministic(self, small_instance):
         dep, _, _, conns, _, _ = small_instance
         again = routing.pick_connections(dep, 45)
-        assert [(c.source, c.destination) for c in conns] == [
-            (c.source, c.destination) for c in again
-        ]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(conns, again, strict=True))
 
     def test_length_matches_distance(self, small_instance):
         dep, _, _, conns, _, _ = small_instance
-        for c in conns[:50]:
-            assert c.length == pytest.approx(
-                float(geometry.surface_distance(dep.nodes[c.source], dep.nodes[c.destination]))
+        for _, src, dst, length in rows(take(conns, slice(50))):
+            assert length == pytest.approx(
+                float(geometry.surface_distance(dep.nodes[src], dep.nodes[dst]))
             )
 
     def test_length_distribution_matches_closed_form(self):
         dep = tessellation.deploy(100_000, 21)
-        conns = routing.pick_connections(dep, 22)
-        lengths = np.sort([c.length for c in conns])
+        lengths = np.sort(routing.pick_connections(dep, 22)[3])
         n = len(lengths)
         cdf = geometry.distance_cdf(lengths)
         ks = max(
@@ -53,14 +53,12 @@ class TestStraightLineRoutes:
     def test_same_cell_pair_is_one_hop(self, small_instance):
         dep, tess, _, _, _, _ = small_instance
         cell = int(np.argmax(tess.occupancy()))
-        ids = np.flatnonzero(tess.cell_of_node == cell)
-        conn = routing.Connection(id=0, source=int(ids[0]), destination=int(ids[1]),
-                                  length=float(geometry.surface_distance(
-                                      dep.nodes[ids[0]], dep.nodes[ids[1]])))
-        route = straight(conn, dep, tess)
+        src, dst = np.flatnonzero(tess.cell_of_node == cell)[:2].tolist()
+        length = float(geometry.surface_distance(dep.nodes[src], dep.nodes[dst]))
+        route = straight(connections((0, src, dst, length)), dep, tess)
         assert route.cells == [cell]
         assert route.hop_count == 1
-        assert route.relays == [conn.source, conn.destination]
+        assert route.relays == [src, dst]
 
     def test_consecutive_cells_adjacent_and_distinct(self, small_instance):
         _, tess, _, _, routes, _ = small_instance
@@ -88,10 +86,9 @@ class TestStraightLineRoutes:
             assert r.path_length >= r.length - 1e-9
 
     def test_endpoints_are_actual_nodes(self, small_instance):
-        _, _, _, conns, routes, _ = small_instance
-        for c, r in zip(conns, routes):
-            assert r.relays[0] == c.source
-            assert r.relays[-1] == c.destination
+        _, _, _, (_, src, dst, _), routes, _ = small_instance
+        assert [r.relays[0] for r in routes] == src.tolist()
+        assert [r.relays[-1] for r in routes] == dst.tolist()
 
     def test_relays_live_in_their_cells(self, small_instance):
         dep, tess, _, _, routes, _ = small_instance
@@ -106,9 +103,8 @@ class TestStraightLineRoutes:
         rho = tessellation.rho_for_n(2000, 1.2)
         tess = tessellation.build_tessellation(dep, rho, 4)
         conns = routing.pick_connections(dep, 5)
-        long = max(conns, key=lambda c: c.length)
         with pytest.raises(RoutingError) as err:
-            straight(long, dep, tess)
+            straight(take(conns, [np.argmax(conns[3])]), dep, tess)
         assert err.value.cell is not None
 
 
@@ -117,9 +113,8 @@ class TestStraightLineRoutes:
         nodes = dep.nodes.copy()
         nodes[1] = nodes[0]
         twin = tessellation.Deployment(seed=dep.seed, nodes=nodes)
-        conn = routing.Connection(id=0, source=0, destination=1, length=0.0)
         with pytest.raises(GeometryError):
-            routing.cell_paths([conn], twin, tess)
+            routing.cell_paths(connections((0, 0, 1, 0.0)), twin, tess)
 
 
 def assert_walk_covers_arc(tess, a, b, walk, lo, hi, count, depth=3):
@@ -207,7 +202,7 @@ def walk_one(tess, a, b, theta):
     )[0]
 
 
-def near_decision_arcs(near, dep, tess, conns, routes):
+def near_decision_arcs(near, dep, tess, routes):
     """Arcs whose walk meets a decision within 1e-9 of flipping, by kind:
 
     ``start_cut``: the arc starts 1e-11 inside a route's first cell, next to
@@ -222,12 +217,12 @@ def near_decision_arcs(near, dep, tess, conns, routes):
         return int(np.argmax(tess.centers @ x))
 
     if near == "start_cut":
-        for conn, route in zip(conns, routes):
+        for route in routes:
             if len(route.cells) > 2:
                 ci, cj = tess.centers[route.cells[:2]]
                 a = unit(ci + cj + 1e-11 * (ci - cj))
                 if cell_of(a) == route.cells[0]:  # not in a third cell
-                    yield a, dep.nodes[conn.destination]
+                    yield a, dep.nodes[route.relays[-1]]
     elif near == "runner_up":
         for i, nbrs in enumerate(tess.neighbors):
             for j, k in combinations(nbrs.tolist(), 2):
@@ -245,12 +240,13 @@ def near_decision_arcs(near, dep, tess, conns, routes):
                     yield unit(2 * cx - cy), b
 
 
-def walk_connection(table, dep, conn, route):
-    """``routing.walk_geodesics`` over ``table`` on one connection's arc."""
-    a, b = dep.nodes[[conn.source]], dep.nodes[[conn.destination]]
-    theta = np.array([conn.length / geometry.RADIUS])
+def walk_connection(table, dep, route):
+    """``routing.walk_geodesics`` over ``table`` on the arc of ``route``'s
+    connection."""
+    a, b = dep.nodes[route.relays[:1]], dep.nodes[route.relays[-1:]]
+    theta = np.array([route.length / geometry.RADIUS])
     ends = np.array(route.cells[:1]), np.array(route.cells[-1:])
-    return routing.walk_geodesics(table, a, b, theta, *ends, [conn.id])
+    return routing.walk_geodesics(table, a, b, theta, *ends, [route.connection_id])
 
 
 class TestExactWalk:
@@ -271,10 +267,10 @@ class TestExactWalk:
         # rho_n/10 = 0.0064 step of the sampled walk this one replaced, which
         # routed it through [19, 3, 31, 36, 15].
         dep, tess, _, conns, _, _ = small_instance
-        route = straight(conns[6], dep, tess)
+        route = straight(take(conns, [6]), dep, tess)
         assert route.cells == [19, 9, 3, 31, 36, 15]
-        a, b = dep.nodes[conns[6].source], dep.nodes[conns[6].destination]
-        assert_walk_covers_arc(tess, a, b, route.cells, 0.0, conns[6].length, 10_001, depth=1)
+        a, b = dep.nodes[route.relays[0]], dep.nodes[route.relays[-1]]
+        assert_walk_covers_arc(tess, a, b, route.cells, 0.0, route.length, 10_001, depth=1)
 
     def test_near_antipodal_rejected(self, small_instance):
         dep, tess, _, _, _, _ = small_instance
@@ -282,28 +278,27 @@ class TestExactWalk:
         nodes[1] = -nodes[0] + 1e-12
         nodes[1] /= np.linalg.norm(nodes[1])
         twin = tessellation.Deployment(seed=dep.seed, nodes=nodes)
-        conn = routing.Connection(id=0, source=0, destination=1, length=geometry.MAX_DISTANCE)
         with pytest.raises(GeometryError):
-            routing.cell_paths([conn], twin, tess)
+            routing.cell_paths(connections((0, 0, 1, geometry.MAX_DISTANCE)), twin, tess)
 
     def test_walk_past_the_arc_raises(self, small_instance):
         # Without the bisector into the end cell the walk would leave the
         # cell before it beyond the arc's end.
-        dep, tess, _, conns, routes, _ = small_instance
-        conn, route = next((c, r) for c, r in zip(conns, routes) if len(r.cells) > 2)
+        dep, tess, _, _, routes, _ = small_instance
+        route = next(r for r in routes if len(r.cells) > 2)
         last, end = route.cells[-2:]
         nbrs, normals = routing.bisector_table(tess)
         nbrs = nbrs.copy()
         nbrs[last][nbrs[last] == end] = -1
         with pytest.raises(RoutingError, match="beyond the arc"):
-            walk_connection((nbrs, normals), dep, conn, route)
+            walk_connection((nbrs, normals), dep, route)
 
     def test_cycling_walk_stops_at_the_cell_count(self, small_instance):
         # Bisector rows corrupted into a three-cell cycle, each crossed at
         # the start point, never reach the end cell.
-        dep, tess, _, conns, routes, _ = small_instance
-        conn, route = next((c, r) for c, r in zip(conns, routes) if len(r.cells) > 4)
-        a, b = dep.nodes[conn.source], dep.nodes[conn.destination]
+        dep, tess, _, _, routes, _ = small_instance
+        route = next(r for r in routes if len(r.cells) > 4)
+        a, b = dep.nodes[route.relays[0]], dep.nodes[route.relays[-1]]
         w = (a @ b) * a - b
         i, j, k = route.cells[:3]
         nbrs = np.full((tess.num_cells, 1), -1)
@@ -311,7 +306,7 @@ class TestExactWalk:
         for cell, nxt in ((i, j), (j, k), (k, i)):
             nbrs[cell], normals[cell] = nxt, w
         with pytest.raises(RoutingError, match="cell count"):
-            walk_connection((nbrs, normals), dep, conn, route)
+            walk_connection((nbrs, normals), dep, route)
 
     @pytest.mark.parametrize("near", ["start_cut", "runner_up", "arc_end"])
     def test_near_decisions_are_rechecked_with_libm(self, small_instance, monkeypatch, near):
@@ -319,7 +314,7 @@ class TestExactWalk:
         # one kind per parameter (see near_decision_arcs).  numpy's atan2 may
         # not decide it the way libm's does: the walk must ask libm and still
         # take libm's walk.
-        dep, tess, _, conns, routes, _ = small_instance
+        dep, tess, _, _, routes, _ = small_instance
         calls = []
 
         def counting_atan2(q, p):
@@ -329,7 +324,7 @@ class TestExactWalk:
         libm_atan2 = routing._atan2
         monkeypatch.setattr(routing, "_atan2", counting_atan2)
         checked = 0
-        for a, b in near_decision_arcs(near, dep, tess, conns, routes):
+        for a, b in near_decision_arcs(near, dep, tess, routes):
             theta = float(geometry.central_angle(a, b))
             calls.clear()
             walk = walk_one(tess, a, b, theta)
@@ -356,24 +351,27 @@ class TestExactWalk:
             assert walk == reference_walk(tess, a[k], b[k], float(theta[k]))
 
 
-def reference_assembly(conn, cells, dep, tess):
+def reference_assembly(src, dst, cells, dep, tess):
     """One route's relay chain, hop-length bytes and path length, measured
     route by route: the reference for ``routing.route_table``'s flat arrays."""
-    chain = [conn.source, *tess.relay_of_cell[cells[1:-1]].tolist(), conn.destination]
+    chain = [src, *tess.relay_of_cell[cells[1:-1]].tolist(), dst]
     hops = geometry.surface_distance(dep.nodes[chain[:-1]], dep.nodes[chain[1:]])
     return chain, hops.tobytes(), float(hops.sum())
 
 
-def reference_route(conn, cells, dep, tess):
-    """The route of ``conn`` through ``cells``, assembled by the reference."""
-    chain, hops, path_length = reference_assembly(conn, cells, dep, tess)
-    return routing.Route(conn.id, cells, chain, np.frombuffer(hops), conn.length, path_length)
+def reference_route(row, cells, dep, tess):
+    """The route of connection ``row`` (id, source, destination, length)
+    through ``cells``, assembled by the reference."""
+    cid, src, dst, length = row
+    chain, hops, path_length = reference_assembly(src, dst, cells, dep, tess)
+    return routing.Route(cid, cells, chain, np.frombuffer(hops), length, path_length)
 
 
 def assert_assembly_matches_reference(conns, paths, dep, tess):
-    for conn, cells, route in zip(conns, paths, assemble(conns, paths, dep, tess), strict=True):
+    routes = assemble(conns, paths, dep, tess)
+    for (cid, src, dst, _), cells, route in zip(rows(conns), paths, routes, strict=True):
         batched = route.relays, route.hop_lengths.tobytes(), route.path_length
-        assert batched == reference_assembly(conn, cells, dep, tess), conn.id
+        assert batched == reference_assembly(src, dst, cells, dep, tess), cid
 
 
 def reference_hop_table(routes, radio):
@@ -399,28 +397,44 @@ class TestRouteTable:
             cell = int(np.argmax(tess.occupancy()))
             src, dst = np.flatnonzero(tess.cell_of_node == cell)[:2].tolist()
             length = float(geometry.surface_distance(dep.nodes[src], dep.nodes[dst]))
-            conns, paths = [routing.Connection(7, src, dst, length)], [[cell]]
+            conns, paths = connections((7, src, dst, length)), [[cell]]
         elif case == "empty":
-            conns, paths = [], []
-        routes = [reference_route(conn, cells, dep, tess) for conn, cells in zip(conns, paths)]
+            conns, paths = connections(), []
+        routes = [reference_route(row, cells, dep, tess) for row, cells in zip(rows(conns), paths)]
         radio = links.RadioParams()
-        # ascending connection id from any order
-        table = routing.route_table(conns[::-1], paths[::-1], dep, tess)
-        ordered = sorted(routes, key=lambda r: r.connection_id)
-        cells, tx, rx, power, next_cells = reference_hop_table(ordered, radio)
+        table = routing.route_table(conns, paths, dep, tess)
+        cells, tx, rx, power, next_cells = reference_hop_table(routes, radio)
         assert [table.cell.tolist(), table.tx.tolist(), table.rx.tolist(),
                 table.next_cell.tolist()] == [cells, tx, rx, next_cells]
         measured = radio.tx_power * links.path_gain(table.hop_length, radio.alpha)
         assert measured.tobytes() == power.tobytes()
-        assert table.connection_ids.tolist() == [r.connection_id for r in ordered]
+        assert table.connection_ids.tolist() == [r.connection_id for r in routes]
         for column, name in ((table.length, "length"), (table.path_length, "path_length")):
-            assert column.tobytes() == np.array([getattr(r, name) for r in ordered]).tobytes()
-        hop_counts = [r.hop_count for r in ordered]
+            assert column.tobytes() == np.array([getattr(r, name) for r in routes]).tobytes()
+        hop_counts = [r.hop_count for r in routes]
         assert table.offsets.tolist() == list(accumulate(hop_counts, initial=0))
         assert table.hop_count.tolist() == hop_counts and len(table) == len(routes)
         for column in (table.connection_ids, table.offsets, table.cell, table.tx, table.rx,
                        table.next_cell):
             assert column.dtype == np.int64
+
+    @pytest.mark.parametrize("case", ["reversed", "repeated", "broken_descending"])
+    def test_ids_that_do_not_ascend_are_rejected(self, small_instance, case):
+        # The table's rows are the connections in the order given, so ids
+        # that do not ascend are refused before any route is checked, even
+        # when connections given out of order also break route invariants.
+        dep, tess, _, conns, _, paths = small_instance
+        batch, broken = take(conns, slice(8)), list(paths[:8])
+        if case == "reversed":
+            batch, broken = take(conns, slice(None, None, -1)), paths[::-1]
+        elif case == "repeated":
+            batch[0][5] = batch[0][4]
+        else:
+            batch[3][2] = 10.0  # connection 2's path is shorter than its geodesic
+            broken[5] = broken[5] + broken[5][:1]  # connection 5 revisits a cell
+            batch, broken = take(batch, slice(None, None, -1)), broken[::-1]
+        with pytest.raises(ConfigurationError, match="^connection ids must ascend"):
+            routing.route_table(batch, broken, dep, tess)
 
 
 class TestBatchedAssembly:
@@ -436,36 +450,26 @@ class TestBatchedAssembly:
     )
     def test_arbitrary_routes_match_the_reference(self, small_instance, strategy):
         dep, tess, _, conns, _, _ = small_instance
-        paths = routing.cell_paths(conns[:150], dep, tess, strategy, 9)
-        assert_assembly_matches_reference(conns[:150], paths, dep, tess)
+        conns = take(conns, slice(150))
+        paths = routing.cell_paths(conns, dep, tess, strategy, 9)
+        assert_assembly_matches_reference(conns, paths, dep, tess)
 
     def test_the_first_connection_to_break_an_invariant_is_reported(self, small_instance):
         # Of a path that revisits a cell and one shorter than its geodesic,
-        # whichever connection comes first is the one named.
+        # the connection with the lower id is the one named.
         dep, tess, _, conns, routes, _ = small_instance
         paths = [r.cells for r in routes[:8]]
         for too_long, revisits, error, message in (
             (2, 5, AssertionError, "total path length"),
             (5, 2, RoutingError, "route revisits"),
         ):
-            batch = list(conns[:8])
-            batch[too_long] = batch[too_long]._replace(length=10.0)
+            batch = take(conns, slice(8))
+            batch[3][too_long] = 10.0
             broken = list(paths)
             broken[revisits] = paths[revisits] + paths[revisits][:1]
-            first = batch[min(too_long, revisits)].id
+            first = batch[0][min(too_long, revisits)]
             with pytest.raises(error, match=f"^connection {first}: {message}"):
                 assemble(batch, broken, dep, tess)
-
-
-    def test_the_first_broken_connection_in_the_order_given_is_reported(self, small_instance):
-        # Given in descending id, connection 5 (a path shorter than its
-        # geodesic) comes before connection 2 (a revisit) and is the one named.
-        dep, tess, _, conns, _, paths = small_instance
-        batch, broken = list(conns[:8])[::-1], list(paths[:8])[::-1]
-        batch[2] = batch[2]._replace(length=10.0)
-        broken[5] = broken[5] + broken[5][:1]
-        with pytest.raises(AssertionError, match=f"^connection {conns[5].id}: total path"):
-            routing.route_table(batch, broken, dep, tess)
 
     def test_segment_sums_equal_each_views_sum(self):
         # Segment lengths 1-300, in random order, cross numpy's pairwise
@@ -479,58 +483,59 @@ class TestBatchedAssembly:
 
     def test_a_source_that_is_its_destination_is_rejected(self, small_instance):
         dep, tess, _, conns, _, paths = small_instance
-        batch = list(conns[:6])
-        batch[4] = batch[4]._replace(destination=batch[4].source)
-        with pytest.raises(ConfigurationError, match=f"^connection {batch[4].id}: source and"):
-            routing.route_table(batch, paths[:6], dep, tess)
+        ids, src, dst, length = take(conns, slice(6))
+        dst[4] = src[4]
+        with pytest.raises(ConfigurationError, match=f"^connection {ids[4]}: source and"):
+            routing.route_table((ids, src, dst, length), paths[:6], dep, tess)
 
 
 class TestRoutingErrors:
     def test_errors_name_their_connection(self, small_instance):
         dep, tess, _, conns, routes, _ = small_instance
-        conn, route = next((c, r) for c, r in zip(conns, routes) if len(r.cells) > 2)
+        route = next(r for r in routes if len(r.cells) > 2)
         last, end = route.cells[-2:]
         nbrs, normals = routing.bisector_table(tess)
         nbrs = nbrs.copy()
         nbrs[last][nbrs[last] == end] = -1
         # Only walks that step from ``last`` into ``end`` can fail.
-        others = [c for c, r in zip(conns, routes) if (last, end) not in zip(r.cells, r.cells[1:])]
-        batch = others[:4] + [conn] + others[4:8]
-        a = dep.nodes[[c.source for c in batch]]
-        b = dep.nodes[[c.destination for c in batch]]
-        with pytest.raises(RoutingError, match=f"^connection {conn.id}: ") as err:
+        others = [r for r in routes if (last, end) not in zip(r.cells, r.cells[1:])]
+        batch = others[:4] + [route] + others[4:8]
+        src = [r.relays[0] for r in batch]
+        dst = [r.relays[-1] for r in batch]
+        a, b = dep.nodes[src], dep.nodes[dst]
+        with pytest.raises(RoutingError, match=f"^connection {route.connection_id}: ") as err:
             routing.walk_geodesics(
-                (nbrs, normals), a, b, geometry.central_angle(a, b),
-                tess.cell_of_node[[c.source for c in batch]],
-                tess.cell_of_node[[c.destination for c in batch]],
-                [c.id for c in batch],
+                (nbrs, normals), a, b, geometry.central_angle(a, b), tess.cell_of_node[src],
+                tess.cell_of_node[dst], [r.connection_id for r in batch],
             )
         assert err.value.cell is not None
 
         nodes = dep.nodes.copy()
         nodes[1] = nodes[0]
         twin = tessellation.Deployment(seed=dep.seed, nodes=nodes)
-        twins = [routing.Connection(id=17, source=0, destination=1, length=0.0)]
         with pytest.raises(GeometryError, match="^connection 17: co-located"):
-            routing.cell_paths(conns[2:5] + twins, twin, tess)
+            routing.cell_paths(connections(*rows(take(conns, slice(2, 5))), (17, 0, 1, 0.0)),
+                               twin, tess)
 
         sparse = tessellation.deploy(40, 3)
         tess = tessellation.build_tessellation(sparse, tessellation.rho_for_n(2000, 1.2), 4)
-        long = max(routing.pick_connections(sparse, 5), key=lambda c: c.length)
-        with pytest.raises(RoutingError, match=f"^connection {long.id}: .*empty cell") as err:
-            straight(long, sparse, tess)
+        ids, _, _, lengths = conns = routing.pick_connections(sparse, 5)
+        long = int(np.argmax(lengths))
+        with pytest.raises(RoutingError, match=f"^connection {ids[long]}: .*empty cell") as err:
+            straight(take(conns, [long]), sparse, tess)
         assert err.value.cell is not None
 
 
 class TestArbitraryRoutes:
     def test_bfs_adjacent_cells_single_hop(self, small_instance):
         dep, tess, _, conns, _, _ = small_instance
-        for c in conns:
-            ca = int(tess.cell_of_node[c.source])
-            cb = int(tess.cell_of_node[c.destination])
+        for row in rows(conns):
+            ca = int(tess.cell_of_node[row[1]])
+            cb = int(tess.cell_of_node[row[2]])
             if cb in set(tess.neighbors[ca].tolist()):
-                paths = routing.cell_paths([c], dep, tess, "shortest_cell_path")
-                r = assemble([c], paths, dep, tess)[0]
+                one = connections(row)
+                paths = routing.cell_paths(one, dep, tess, "shortest_cell_path")
+                r = assemble(one, paths, dep, tess)[0]
                 assert r.cells == [ca, cb]
                 assert r.hop_count == 1
                 break
@@ -539,16 +544,16 @@ class TestArbitraryRoutes:
 
     def test_loop_erased_walk_never_revisits(self, small_instance):
         dep, tess, _, conns, _, _ = small_instance
-        paths = routing.cell_paths(conns[:100], dep, tess, "random_walk_loop_erased")
-        for r in assemble(conns[:100], paths, dep, tess):
+        paths = routing.cell_paths(take(conns, slice(100)), dep, tess, "random_walk_loop_erased")
+        for r in assemble(take(conns, slice(100)), paths, dep, tess):
             assert len(set(r.cells)) == len(r.cells)
             for a, b in zip(r.cells, r.cells[1:]):
                 assert b in set(tess.neighbors[a].tolist())
 
     def test_detour_length_within_factor_of_bfs(self, small_instance):
         dep, tess, _, conns, _, _ = small_instance
-        bfs = routing.cell_paths(conns[:60], dep, tess, "shortest_cell_path")
-        detour = routing.cell_paths(conns[:60], dep, tess, "detour:2.0")
+        bfs = routing.cell_paths(take(conns, slice(60)), dep, tess, "shortest_cell_path")
+        detour = routing.cell_paths(take(conns, slice(60)), dep, tess, "detour:2.0")
         for base, cells in zip(bfs, detour):
             bfs_len = routing._cells_path_length(base, tess)
             det_len = routing._cells_path_length(cells, tess)
@@ -557,7 +562,7 @@ class TestArbitraryRoutes:
     def test_unknown_strategy(self, small_instance):
         dep, tess, _, conns, _, _ = small_instance
         with pytest.raises(ConfigurationError):
-            routing.cell_paths(conns[:1], dep, tess, "teleport")
+            routing.cell_paths(take(conns, slice(1)), dep, tess, "teleport")
 
     def test_loop_erasure_helper(self):
         assert routing._loop_erase([1, 2, 3, 2, 4]) == [1, 2, 4]

@@ -127,6 +127,25 @@ class TestBuildSchedule:
             scheduling.assert_proper(shared, tess)
         assert scheduling.build_schedule(tess, 4.0).num_colors == 2
 
+    def test_conflicting_cells_never_share_a_color(self):
+        # centers 6*rho apart: beyond adjacency (4*rho*(1+1e-9)), within the
+        # conflict radius delta*rho = 12*rho
+        rho = 0.02
+        theta = 6 * rho / geometry.RADIUS
+        tess = synthetic_tessellation(
+            [[0, 0, 1.0], [math.sin(theta), 0, math.cos(theta)]], rho
+        )
+        assert [len(row) for row in tess.neighbors] == [0, 0]
+
+        def schedule(colors):
+            return scheduling.Schedule(color_of_cell=np.array(colors, dtype=np.int64),
+                                       conflict_multiplier=12.0, regime="fixed")
+
+        with pytest.raises(AssertionError, match="conflicting cells share a color"):
+            scheduling.assert_proper(schedule([0, 0]), tess)
+        scheduling.assert_proper(schedule([0, 1]), tess)
+        assert scheduling.build_schedule(tess, 12.0).color_of_cell.tolist() == [0, 1]
+
     def test_no_singleton_classes_when_avoidable(self):
         # At this scale the conflict graph is sparse enough that rebalancing
         # removes every singleton color class.

@@ -355,6 +355,28 @@ class TestReport:
         assert report.pass_rate("hop_count") == 1.0
         assert report.pass_counts() == {"hop_count": (20, 20)}
 
+    def test_text_formats_the_failing_details_alone(self, tmp_path, monkeypatch):
+        # Failures in two per-route checks and one of the whole run: the text
+        # is the one written from ``records``, and the only detail strings
+        # formatted are those of the failing records.
+        rho = 0.02
+        table = layout(crafted_routes(rho))
+        report = verification.VerificationReport()
+        report.add(verification.check_hop_count(table, rho),
+                   verification.check_short_hops(table, rho, verification.SHORT_HOP_T),
+                   verification.check_consecutive_short_hops(table, rho))
+        for t in experiment.verify_appendix(seed=3, pairs=20_000).tables:
+            report.add(t)
+        records = [tuple(vars(r).values()) for r in report.records]
+        assert len({r[0] for r in records if not r[4]}) >= 3
+        formatted = []
+        details = verification.CheckTable.details
+        monkeypatch.setattr(verification.CheckTable, "details",
+                            lambda t, rows: formatted.extend(details(t, rows)) or details(t, rows))
+        report.write_text(tmp_path / "verification.txt")
+        assert (tmp_path / "verification.txt").read_text() == reference_text(records)
+        assert sorted(formatted) == sorted(r[5] for r in records if not r[4])
+
 
 # --- the record-by-record checkers and formatter: the reference ---------------
 # The tables must give every record these functions give, value for value,

@@ -11,7 +11,8 @@ A packet is an int: twice its hop's index, plus 1 if it was injected in
 the measured window; a hop forward adds 2.  Only a queue's head is
 attempted, so each cell counts its head's failed attempts.  A slot's
 SINRs, success probabilities and decoded receptions depend only on its
-set of links, so they are worked out once per distinct set into a plan
+set of links (a hop's link is its ``RouteTable.link``; a dummy is one
+more), so they are worked out once per distinct set into a plan
 (at most ``_PLAN_CAP`` are kept): per transmitter in color order, what
 the loop reads, ``((cell, next cell, tx, rx), p, decoded, SINR)``, one
 shared tuple for a dummy.  The first plan of a color with a link builds
@@ -34,10 +35,10 @@ Saturated traffic keeps every occupied cell transmitting in each of its
 slots: an idle cell's relay sends a dummy, which interferes and is
 received by no one.  The set of transmitting cells then repeats with the
 schedule.  The per-hop SINR and nearest-interferer measurements used by
-the claim checkers take each of those cells' relay as its transmitter,
-but a first-hop packet is sent by its source node: an attempt gets its
-hop's measured SINR, bit for bit, if and only if every other transmitter
-of its slot is its cell's relay.
+the claim checkers are made once per link, and take each of those cells'
+relay as its transmitter, but a first-hop packet is sent by its source
+node: an attempt gets its hop's measured SINR, bit for bit, if and only
+if every other transmitter of its slot is its cell's relay.
 """
 
 from __future__ import annotations
@@ -328,15 +329,14 @@ def _uniforms(rng):
 
 
 def _hop_links(table: RouteTable, radio: RadioParams) -> tuple[list, ...]:
-    """Per hop of ``table``: its plan entry, its link id (hops that routes share
-    by value are one link, named by its first hop, so they share plans), its
-    received power (from the atan2 hop lengths) and its connection."""
+    """Per hop of ``table``: its plan entry, its link id (``table.link``: hops
+    of one link share plans), its received power (from the atan2 hop
+    lengths) and its connection."""
     power = (radio.tx_power * path_gain(table.hop_length, radio.alpha)).tolist()
-    links = list(zip(table.cell.tolist(), table.next_cell.tolist(), table.tx.tolist(),
-                     table.rx.tolist()))
-    entries = [(link, math.nan, False, math.nan) for link in links]
-    link_id = list(map({}.setdefault, zip(links, power), range(len(links))))
-    return entries, link_id, power, np.repeat(np.arange(len(table)), table.hop_count).tolist()
+    entries = [(link, math.nan, False, math.nan) for link in zip(
+        table.cell.tolist(), table.next_cell.tolist(), table.tx.tolist(), table.rx.tolist())]
+    return (entries, table.link.tolist(), power,
+            np.repeat(np.arange(len(table)), table.hop_count).tolist())
 
 
 def _gains(links: list[int], entries: list[tuple], nodes: np.ndarray, alpha: float) -> tuple:
@@ -390,23 +390,23 @@ def saturated_hop_samples(
     field of a color is each of its occupied cells' relay node (the module
     docstring says when an engine attempt sees exactly that field); a hop's
     own cell is left out of it, since that cell transmits the hop's signal.
-    One ``sinr`` call per color measures all of that color's hops, the same
-    kernel that the engine runs in its slots.
+    One ``sinr`` call per color measures each of that color's links once, at
+    its first hop, with the kernel the engine runs; a link's hops share it.
     """
     relay_of_cell = tess.relay_of_cell
-    cells, rx = table.cell, table.rx
-    signal = radio.tx_power * path_gain(table.hop_length, radio.alpha)
-    colors = schedule.color_of_cell[cells]
-    gamma = np.empty(len(cells))
-    nearest = np.empty(len(cells))
+    cells, rx, link = table.cell, table.rx, table.link
+    heads = np.flatnonzero(link == np.arange(len(link)))  # each link's first hop
+    colors = schedule.color_of_cell[cells[heads]]
+    gamma, nearest = np.empty(len(link)), np.empty(len(link))
     position = np.empty(tess.num_cells, dtype=np.int64)  # cell -> index in its field
     for k, field in enumerate(schedule.cells_by_color):
-        hops = np.flatnonzero(colors == k)
+        hops = heads[colors == k]
         field = field[relay_of_cell[field] >= 0]
         position[field] = np.arange(len(field))
         gamma[hops], nearest[hops] = sinr(
-            signal[hops], dep.nodes[rx[hops]], dep.nodes[relay_of_cell[field]], radio,
+            radio.tx_power * path_gain(table.hop_length[hops], radio.alpha),
+            dep.nodes[rx[hops]], dep.nodes[relay_of_cell[field]], radio,
             own=position[cells[hops]],
         )
-    return gamma, nearest
+    return gamma[link], nearest[link]
 

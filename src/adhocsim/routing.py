@@ -58,7 +58,9 @@ class RouteTable:
     """Routes as columns, in ascending connection id.  Per route: connection
     id, geodesic ``length`` and ``path_length``.  Per hop, flat (route ``k``'s
     hops are ``offsets[k]:offsets[k + 1]``): cell, transmitter, receiver,
-    next cell (-1 after the route's last hop) and length."""
+    next cell (-1 after the route's last hop), length and link.  Hops with
+    equal transmitter, receiver and next cell are one link, named by its
+    first hop: ``link[h] <= h`` and ``link[link] == link``."""
 
     connection_ids: np.ndarray
     length: np.ndarray
@@ -69,6 +71,7 @@ class RouteTable:
     rx: np.ndarray
     next_cell: np.ndarray
     hop_length: np.ndarray
+    link: np.ndarray
 
     def __len__(self) -> int:
         return len(self.connection_ids)
@@ -91,8 +94,8 @@ def route_table(
 ) -> RouteTable:
     """The one ``RouteTable`` of ``connections`` through their cell ``paths``,
     in the same order.  Hop ``h`` is sent from the path's ``h``-th cell, by
-    the source at ``h = 0``, else by the cell's relay; all hops are measured
-    by one ``surface_distance`` call.
+    the source at ``h = 0``, else by the cell's relay; one ``surface_distance``
+    call measures each link (``RouteTable``) at its first hop.
 
     Ids that do not ascend are a configuration error.  Of the connections
     that break a route invariant, the one with the lowest id is reported,
@@ -117,7 +120,18 @@ def route_table(
     relay = tess.relay_of_cell
     tx, rx = relay[cell], relay[next_cell]
     tx[first], rx[last] = src, dst
-    hop_length = geometry.surface_distance(dep.nodes[tx], dep.nodes[rx])
+    # Next cell is -1 or the cell that rx relays for, so a link is (tx, rx, last
+    # hop or not); the key is injective, also on an empty cell's relay -1.
+    key = ((tx + 1) * (dep.n + 1) + rx + 1) * 2 + (next_cell < 0)
+    order = np.argsort(key)
+    new = np.ones(hops, dtype=bool)
+    new[1:] = key[order[1:]] != key[order[:-1]]
+    rank = np.cumsum(new) - 1  # per hop in key order, its link's rank
+    heads = np.minimum.reduceat(order, np.flatnonzero(new))  # per link, its first hop
+    link, hop_length = np.empty(hops, dtype=np.int64), np.empty(hops)
+    link[order] = heads[rank]
+    hop_length[order] = geometry.surface_distance(dep.nodes[tx[heads]],
+                                                  dep.nodes[rx[heads]])[rank]
 
     path_length = _segment_sums(hop_length, offsets)
     revisits = np.zeros(len(paths), dtype=bool)
@@ -146,7 +160,7 @@ def route_table(
         raise error(f"connection {ids[k]}: {message}")
     return RouteTable(
         connection_ids=ids, length=length, path_length=path_length, offsets=offsets,
-        cell=cell, tx=tx, rx=rx, next_cell=next_cell, hop_length=hop_length,
+        cell=cell, tx=tx, rx=rx, next_cell=next_cell, hop_length=hop_length, link=link,
     )
 
 

@@ -573,6 +573,40 @@ class TestSaturated:
         s2 = engine.saturated_hop_samples(dep, tess, sched, table, RADIO)
         assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
 
+    @pytest.mark.parametrize("strategy, growth", [
+        ("straight_line", None), ("straight_line", "log"), ("straight_line", "pow:0.1"),
+        ("random_walk_loop_erased", None),
+    ])
+    def test_samples_equal_the_per_hop_reference(self, small_instance, strategy, growth):
+        # Each link is measured once and its hops gather its row: the bits of
+        # measuring every hop, under the fixed schedule, the conservative one
+        # (one transmitter per slot with the log growth, reuse with pow:0.1)
+        # and an arbitrary strategy.
+        dep, tess, sched, conns, _, paths = small_instance
+        if growth is not None:
+            sched = scheduling.build_conservative_schedule(tess, growth)
+        if strategy != "straight_line":
+            paths = routing.cell_paths(conns, dep, tess, strategy, 9)
+        table = routing.route_table(conns, paths, dep, tess)
+        assert len(np.unique(table.link)) < len(table.link)
+        per_link = engine.saturated_hop_samples(dep, tess, sched, table, RADIO)
+        per_hop = per_hop_samples(dep, tess, sched, table, RADIO)
+        assert [a.tobytes() for a in per_link] == [a.tobytes() for a in per_hop]
+
+    def test_hop_lengths_equal_one_per_hop_measurement(self, small_instance):
+        dep, tess, _, conns, _, paths = small_instance
+        table = routing.route_table(conns, paths, dep, tess)
+        per_hop = geometry.surface_distance(dep.nodes[table.tx], dep.nodes[table.rx])
+        assert table.hop_length.tobytes() == per_hop.tobytes()
+
+    def test_link_ids_equal_the_hops_shared_by_value(self, small_instance):
+        # A hop's link is the first hop with its plan entry and received power.
+        dep, tess, _, _, routes, _ = small_instance
+        entries, link_id, power, _ = engine._hop_links(table_of(routes, dep, tess), RADIO)
+        first_of = {}
+        assert link_id == [first_of.setdefault((entry[0], p), h)
+                           for h, (entry, p) in enumerate(zip(entries, power))]
+
     def test_real_packets_still_flow(self, small_instance):
         dep, tess, sched, _, routes, _ = small_instance
         cfg = EngineConfig(
@@ -581,6 +615,27 @@ class TestSaturated:
         m = run(dep, tess, sched, table_of(routes[:20], dep, tess),
                 links.ConstantPModel(0.9), RADIO, cfg)
         assert m.delivered.sum() > 0
+
+
+def per_hop_samples(dep, tess, schedule, table, radio):
+    """``engine.saturated_hop_samples`` as one ``links.sinr`` row per hop, not
+    per link: the bitwise reference."""
+    relay_of_cell = tess.relay_of_cell
+    cells, rx = table.cell, table.rx
+    signal = radio.tx_power * links.path_gain(table.hop_length, radio.alpha)
+    colors = schedule.color_of_cell[cells]
+    gamma = np.empty(len(cells))
+    nearest = np.empty(len(cells))
+    position = np.empty(tess.num_cells, dtype=np.int64)  # cell -> index in its field
+    for k, field in enumerate(schedule.cells_by_color):
+        hops = np.flatnonzero(colors == k)
+        field = field[relay_of_cell[field] >= 0]
+        position[field] = np.arange(len(field))
+        gamma[hops], nearest[hops] = links.sinr(
+            signal[hops], dep.nodes[rx[hops]], dep.nodes[relay_of_cell[field]], radio,
+            own=position[cells[hops]],
+        )
+    return gamma, nearest
 
 
 class TestPerHopArrays:

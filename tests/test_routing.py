@@ -99,13 +99,20 @@ class TestStraightLineRoutes:
                 assert tess.cell_of_node[relay] == cell
 
     def test_empty_cell_raises_with_cell_id(self):
+        # The first cell of the path that sends a hop and holds no relay is
+        # named; the empty cells' relays (-1) do not change which one.
         dep = tessellation.deploy(40, 3)
         rho = tessellation.rho_for_n(2000, 1.2)
         tess = tessellation.build_tessellation(dep, rho, 4)
         conns = routing.pick_connections(dep, 5)
-        with pytest.raises(RoutingError) as err:
-            straight(take(conns, [np.argmax(conns[3])]), dep, tess)
-        assert err.value.cell is not None
+        one = take(conns, [np.argmax(conns[3])])
+        (cells,) = routing.cell_paths(one, dep, tess)
+        empty = [c for c in cells[1:-1] if tess.relay_of_cell[c] < 0]
+        assert len(empty) >= 2
+        match = f"^connection {one[0][0]}: route crosses empty cell {empty[0]}$"
+        with pytest.raises(RoutingError, match=match) as err:
+            routing.route_table(one, [cells], dep, tess)
+        assert err.value.cell == empty[0]
 
 
     def test_colocated_rejected(self, small_instance):
@@ -435,6 +442,54 @@ class TestRouteTable:
             batch, broken = take(batch, slice(None, None, -1)), broken[::-1]
         with pytest.raises(ConfigurationError, match="^connection ids must ascend"):
             routing.route_table(batch, broken, dep, tess)
+
+
+def assert_link_contract(table):
+    """``table.link`` names each hop's link by the link's first hop: hops share
+    a link exactly when their transmitter, receiver and next cell are equal,
+    and their lengths are then equal bit for bit."""
+    link, hops = table.link, np.arange(len(table.link))
+    assert link.dtype == np.int64 and len(link) == len(table.cell)
+    assert np.all(link <= hops) and np.array_equal(link[link], link)
+    for column in (table.cell, table.tx, table.rx, table.next_cell):
+        assert np.array_equal(column[link], column)
+    assert table.hop_length[link].tobytes() == table.hop_length.tobytes()
+    first_of = {}
+    triples = zip(table.tx.tolist(), table.rx.tolist(), table.next_cell.tolist())
+    assert link.tolist() == [first_of.setdefault(t, h) for h, t in enumerate(triples)]
+
+
+class TestLinks:
+    @pytest.mark.parametrize("strategy", [*routing.STRATEGIES, "detour:2.0", "empty"])
+    def test_link_contract(self, small_instance, strategy):
+        dep, tess, _, conns, _, paths = small_instance
+        if strategy == "empty":
+            conns, paths = connections(), []
+        elif strategy != "straight_line":
+            conns = take(conns, slice(150))
+            paths = routing.cell_paths(conns, dep, tess, strategy, 9)
+        table = routing.route_table(conns, paths, dep, tess)
+        assert_link_contract(table)
+        if paths:  # routes share relays
+            assert len(np.unique(table.link)) < len(table.link)
+
+    def test_a_destination_that_is_a_relay_is_its_own_link(self, small_instance):
+        # Connection B goes from the relay of cell a to the relay of cell b,
+        # both cells of route A, which hops from the one relay to the other.
+        # The two hops join one pair of nodes, but A's packet goes on to cell
+        # b's next hop and B's stays: they are two links.
+        dep, tess, _, conns, _, paths = small_instance
+        k = next(k for k, cells in enumerate(paths) if len(cells) >= 4)
+        a, b = paths[k][1:3]  # A's hop 1 is interior: it goes on from cell b
+        src, dst = tess.relay_of_cell[[a, b]].tolist()
+        length = float(geometry.surface_distance(dep.nodes[src], dep.nodes[dst]))
+        batch = connections(rows(take(conns, [k]))[0], (dep.n, src, dst, length))
+        table = routing.route_table(batch, [paths[k], [a, b]], dep, tess)
+        interior, last = 1, int(table.offsets[1])
+        assert [table.tx[interior], table.rx[interior]] == [table.tx[last], table.rx[last]]
+        assert [table.next_cell[interior], table.next_cell[last]] == [b, -1]
+        assert table.link[[interior, last]].tolist() == [interior, last]
+        assert_link_contract(table)
 
 
 class TestBatchedAssembly:

@@ -88,7 +88,8 @@ def synthetic_route(cells, hop_lengths, length, cid=0):
 
 def layout(routes):
     """Hand-made routes, whose hop lengths no deployment measures, laid out
-    as a ``routing.RouteTable`` route by route in ascending connection id."""
+    as a ``routing.RouteTable`` route by route in ascending connection id;
+    each hop is its own link."""
     routes = sorted(routes, key=lambda r: r.connection_id)
     counts = [r.hop_count for r in routes]
     cell = [c for r in routes for c in r.cells[:r.hop_count]]
@@ -105,6 +106,7 @@ def layout(routes):
         cell=ints(cell), tx=ints([x for r in routes for x in r.relays[:-1]]),
         rx=ints([x for r in routes for x in r.relays[1:]]), next_cell=ints(next_cell),
         hop_length=np.concatenate([r.hop_lengths for r in routes]) if routes else np.empty(0),
+        link=np.arange(len(cell)),
     )
 
 

@@ -144,13 +144,13 @@ def run(
     injection, reception = map(np.random.default_rng, streams)
 
     # Per link, its plan entry with nothing measured (module docstring): every
-    # hop of the route table, in its order, then under saturation each
-    # occupied cell's dummy link.  Without injections no packet needs a hop's
-    # link, so none is built, nor a gain table.
+    # link of the route table, in the order of its first hop, then under
+    # saturation each occupied cell's dummy link.  Without injections no
+    # packet needs a hop's link, so none is built, nor a gain table.
     hops = len(table.cell)
-    entries, link_id, power, hop_conn = [], [], [], []
+    entries, link_of_hop, power, hop_conn = [], [], [], []
     if cfg.injection_rate > 0:
-        entries, link_id, power, hop_conn = _hop_links(table, radio)
+        entries, link_of_hop, power, hop_conn = _hop_links(table, radio)
     # Per hop, the success probability summed over counted attempts, and
     # their count.
     success_sums, attempt_counts = [0.0] * hops, [0] * hops
@@ -196,7 +196,7 @@ def run(
         ids = []  # per transmitter its link: its queue head's, else its dummy
         for q, dummy in lanes[slot % K]:
             if q:
-                ids.append(link_id[q[0] >> 1])
+                ids.append(link_of_hop[q[0] >> 1])
             elif dummy >= 0:
                 ids.append(dummy)
         plan = plans.get(key := tuple(ids))
@@ -240,7 +240,7 @@ def run(
         # Inject after transmissions so a fresh packet waits at least one slot.
         while next_slot == slot:
             h = first_hop[conn]
-            queues[entries[h][0][0]].append(h << 1 | measuring)  # at its first hop's cell
+            queues[entries[link_of_hop[h]][0][0]].append(h << 1 | measuring)  # at its cell
             queued += 1
             if measuring:
                 injected[conn] += 1
@@ -328,14 +328,21 @@ def _uniforms(rng):
     return chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None))
 
 
+def _link_heads(table: RouteTable, radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
+    """Each link's first hop (``table.link``), ascending, and its received
+    power (from the atan2 hop lengths)."""
+    heads = np.flatnonzero(table.link == np.arange(len(table.link)))
+    return heads, radio.tx_power * path_gain(table.hop_length[heads], radio.alpha)
+
+
 def _hop_links(table: RouteTable, radio: RadioParams) -> tuple[list, ...]:
-    """Per hop of ``table``: its plan entry, its link id (``table.link``: hops
-    of one link share plans), its received power (from the atan2 hop
-    lengths) and its connection."""
-    power = (radio.tx_power * path_gain(table.hop_length, radio.alpha)).tolist()
+    """Per link of ``table`` (``_link_heads``): its plan entry and received
+    power; per hop: its link's index (hops of one link share plans) and its
+    connection."""
+    heads, power = _link_heads(table, radio)
     entries = [(link, math.nan, False, math.nan) for link in zip(
-        table.cell.tolist(), table.next_cell.tolist(), table.tx.tolist(), table.rx.tolist())]
-    return (entries, table.link.tolist(), power,
+        *(column[heads].tolist() for column in (table.cell, table.next_cell, table.tx, table.rx)))]
+    return (entries, np.searchsorted(heads, table.link).tolist(), power.tolist(),
             np.repeat(np.arange(len(table)), table.hop_count).tolist())
 
 
@@ -395,17 +402,17 @@ def saturated_hop_samples(
     """
     relay_of_cell = tess.relay_of_cell
     cells, rx, link = table.cell, table.rx, table.link
-    heads = np.flatnonzero(link == np.arange(len(link)))  # each link's first hop
+    heads, power = _link_heads(table, radio)
     colors = schedule.color_of_cell[cells[heads]]
     gamma, nearest = np.empty(len(link)), np.empty(len(link))
     position = np.empty(tess.num_cells, dtype=np.int64)  # cell -> index in its field
     for k, field in enumerate(schedule.cells_by_color):
-        hops = heads[colors == k]
+        mine = colors == k
+        hops = heads[mine]
         field = field[relay_of_cell[field] >= 0]
         position[field] = np.arange(len(field))
         gamma[hops], nearest[hops] = sinr(
-            radio.tx_power * path_gain(table.hop_length[hops], radio.alpha),
-            dep.nodes[rx[hops]], dep.nodes[relay_of_cell[field]], radio,
+            power[mine], dep.nodes[rx[hops]], dep.nodes[relay_of_cell[field]], radio,
             own=position[cells[hops]],
         )
     return gamma[link], nearest[link]

@@ -169,6 +169,8 @@ def make_link_model(name: str, **params) -> LinkModel:
             f"unknown link model {name!r}; expected one of {sorted(_MODEL_NAMES)}"
         ) from None
     if name == "bpsk_packet" and "bits" in params:
+        if not float(params["bits"]).is_integer():
+            raise ConfigurationError(f"bits must be a whole number, got {params['bits']!r}")
         params = {**params, "bits": int(params["bits"])}
     return cls(**params)
 

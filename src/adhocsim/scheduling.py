@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
 from .errors import ConfigurationError
-from .tessellation import Tessellation
+from .tessellation import Tessellation, centers_within
 
 MIN_CONFLICT_MULTIPLIER = 4.0
 DEFAULT_CONFLICT_MULTIPLIER = 12.0
@@ -38,15 +37,14 @@ class Schedule:
         ]
 
 
+def _conflict_radius(tess: Tessellation, delta: float) -> float:
+    """Centers within the larger of ``delta * rho_n`` and the adjacency radius conflict."""
+    return max(delta * tess.rho_n, tess.adjacency_radius)
+
+
 def _conflict_sets(tess: Tessellation, delta: float) -> list[set[int]]:
-    theta = min(delta * tess.rho_n / geometry.RADIUS, math.pi)
-    cos_thr = math.cos(theta)
-    gram = tess.centers @ tess.centers.T
-    conflict = gram >= cos_thr - 1e-15
-    for c, nbrs in enumerate(tess.neighbors):
-        conflict[c, nbrs] = True  # adjacency reaches 4*rho_n*(1+1e-9)
-    np.fill_diagonal(conflict, False)
-    return [set(np.flatnonzero(row).tolist()) for row in conflict]
+    near = centers_within(tess.centers, _conflict_radius(tess, delta))
+    return [set(row.tolist()) for row in near]
 
 
 def _greedy_coloring(conflicts: list[set[int]]) -> list[int]:
@@ -77,23 +75,17 @@ def _rebalance_classes(colors: list[int], conflicts: list[set[int]]) -> list[int
     for c, k in enumerate(colors):
         members[k].append(c)
     for _ in range(num_colors):
-        singles = [k for k in range(num_colors) if len(members[k]) == 1]
-        if not singles:
-            break
         moved = False
-        for k in singles:
+        for k in [k for k in range(num_colors) if len(members[k]) == 1]:
             target = members[k][0]
-            donors = sorted(
-                (c for c in range(len(colors)) if len(members[colors[c]]) >= 3),
-                key=lambda c: (-len(members[colors[c]]), c),
-            )
-            for c in donors:
-                if c not in conflicts[target]:
-                    members[colors[c]].remove(c)
-                    colors[c] = k
-                    members[k].append(c)
-                    moved = True
-                    break
+            c = min((c for c in range(len(colors))
+                     if len(members[colors[c]]) >= 3 and c not in conflicts[target]),
+                    key=lambda c: (-len(members[colors[c]]), c), default=None)
+            if c is not None:
+                members[colors[c]].remove(c)
+                colors[c] = k
+                members[k].append(c)
+                moved = True
         if not moved:
             break
     return colors
@@ -161,21 +153,13 @@ def build_conservative_schedule(tess: Tessellation, growth: str) -> Schedule:
 
 def assert_proper(sched: Schedule, tess: Tessellation) -> None:
     """Hard check: conflicting cells never share a color, and neither do
-    adjacent cells (``tess.neighbors``), so no inter-cell hop's receiver
-    transmits in its transmitter's slot."""
-    colors = sched.color_of_cell
-    for c, nbrs in enumerate(tess.neighbors):
-        if np.any(colors[nbrs] == colors[c]):
-            raise AssertionError("improper coloring: adjacent cells share a color")
-    theta = min(sched.conflict_multiplier * tess.rho_n / geometry.RADIUS, math.pi)
-    cos_thr = math.cos(theta)
+    adjacent cells, so no inter-cell hop's receiver transmits in its
+    transmitter's slot.  Each color's centers are compared among themselves,
+    apart from the conflict sets the coloring used."""
+    radius = _conflict_radius(tess, sched.conflict_multiplier)
     for cells in sched.cells_by_color:
-        if len(cells) < 2:
-            continue
-        gram = tess.centers[cells] @ tess.centers[cells].T
-        np.fill_diagonal(gram, -1.0)
-        if gram.max() >= cos_thr - 1e-15:
-            raise AssertionError("improper coloring: conflicting cells share a color")
+        if any(len(row) for row in centers_within(tess.centers[cells], radius)):
+            raise AssertionError("improper coloring: adjacent or conflicting cells share a color")
 
 
 def save_schedule(sched: Schedule, path) -> None:

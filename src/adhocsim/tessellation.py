@@ -85,10 +85,12 @@ class Tessellation:
     relay_of_cell: np.ndarray = field(repr=False)  # (m,) node nearest each center, -1 if empty
     gap_ratio: float  # closest center pair / (2*rho_n), >= 1 (inf for one cell)
     cover_ratio: float  # covering radius / (2*rho_n), <= 1
+    adjacency_radius: float = field(init=False)  # neighbors' centers are within it
     neighbors: list[np.ndarray] = field(init=False, repr=False)  # symmetric, irreflexive
 
     def __post_init__(self):
-        self.neighbors = _adjacency(self.centers, self.rho_n)
+        self.adjacency_radius = 4.0 * self.rho_n * (1.0 + 1e-9)  # 4*rho_n, tiny float slack
+        self.neighbors = centers_within(self.centers, self.adjacency_radius)
 
     @property
     def num_cells(self) -> int:
@@ -213,12 +215,13 @@ def all_cell_relays(
     return relays
 
 
-def _adjacency(centers: np.ndarray, rho_n: float) -> list[np.ndarray]:
-    """Cell pairs with centers within ``4*rho_n`` (tiny float slack)."""
-    theta_adj = min(4.0 * rho_n * (1.0 + 1e-9) / geometry.RADIUS, math.pi)
-    adj_matrix = centers @ centers.T >= math.cos(theta_adj) - 1e-15
-    np.fill_diagonal(adj_matrix, False)
-    return [np.flatnonzero(row) for row in adj_matrix]
+def centers_within(centers: np.ndarray, distance: float) -> list[np.ndarray]:
+    """Per center, the other centers within surface ``distance`` (tiny float
+    slack), in ascending index: the one proximity rule of cell adjacency,
+    schedule conflicts and the properness check."""
+    near = centers @ centers.T >= math.cos(min(distance / geometry.RADIUS, math.pi)) - 1e-15
+    np.fill_diagonal(near, False)
+    return [np.flatnonzero(row) for row in near]
 
 
 def save_tessellation(tess: Tessellation, path) -> None:

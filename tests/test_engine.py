@@ -5,7 +5,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -150,7 +150,7 @@ def test_plan_memo_bound_changes_nothing(name, small_instance, monkeypatch):
 
 def test_rate_zero_builds_no_link_state(small_instance, monkeypatch):
     # A measurement-only saturated run sends dummies alone: it builds neither
-    # the per-hop link lists nor a gain table.  A run with packets builds both.
+    # the link lists nor a gain table.  A run with packets builds both.
     dep, tess, sched, _, routes, _ = small_instance
     table = table_of(routes, dep, tess)
     calls = Counter()
@@ -269,7 +269,10 @@ def reference_instance(shape, seed):
 
 
 class TestReferenceEngine:
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    # No explain phase: it traces the reference loop line by line, so a broken
+    # engine would take minutes to report instead of seconds.
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              phases=[phase for phase in Phase if phase is not Phase.explain])
     @given(
         # (300, 2, 4.0) has about seven cells in a color, so saturated slots
         # often sum eight or more transmitters for two or more receivers.
@@ -600,12 +603,19 @@ class TestSaturated:
         assert table.hop_length.tobytes() == per_hop.tobytes()
 
     def test_link_ids_equal_the_hops_shared_by_value(self, small_instance):
-        # A hop's link is the first hop with its plan entry and received power.
+        # The links are the hops' distinct (cell, next cell, tx, rx) and
+        # received powers, in the order of their first hops, and each hop
+        # names its own.
         dep, tess, _, _, routes, _ = small_instance
-        entries, link_id, power, _ = engine._hop_links(table_of(routes, dep, tess), RADIO)
-        first_of = {}
-        assert link_id == [first_of.setdefault((entry[0], p), h)
-                           for h, (entry, p) in enumerate(zip(entries, power))]
+        table = table_of(routes, dep, tess)
+        entries, link_of_hop, power, _ = engine._hop_links(table, RADIO)
+        per_hop = list(zip(
+            zip(table.cell.tolist(), table.next_cell.tolist(), table.tx.tolist(),
+                table.rx.tolist()),
+            (RADIO.tx_power * links.path_gain(table.hop_length, RADIO.alpha)).tolist()))
+        distinct = list(dict.fromkeys(per_hop))
+        assert [(entry[0], p) for entry, p in zip(entries, power)] == distinct
+        assert [distinct[i] for i in link_of_hop] == per_hop
 
     def test_real_packets_still_flow(self, small_instance):
         dep, tess, sched, _, routes, _ = small_instance

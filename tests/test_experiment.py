@@ -482,6 +482,8 @@ class TestCli:
          "--injection-rate", "-2"],
         ["bounds", "--c1", "33", "--phi-beta0", "0.37", "--rho-n", "0.038",
          "--injection-rate", "1.5"],
+        ["simulate", "--n", "250", "--set", "link_model.name=bpsk_packet",
+         "--set", "link_model.bits=2.5"],
     ])
     def test_out_of_range_input_is_a_configuration_error(self, argv, capsys):
         assert cli.main(argv) == 2

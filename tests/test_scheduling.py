@@ -7,10 +7,11 @@ from adhocsim import experiment, geometry, scheduling, tessellation
 from adhocsim.errors import ConfigurationError
 
 
-def synthetic_tessellation(centers, rho):
+def synthetic_tessellation(centers, rho, normalize=True):
     """Tessellation stub with hand-placed centers (tests only)."""
     centers = np.asarray(centers, dtype=float)
-    centers /= np.linalg.norm(centers, axis=1)[:, None]
+    if normalize:
+        centers /= np.linalg.norm(centers, axis=1)[:, None]
     return tessellation.Tessellation(
         centers=centers,
         rho_n=rho,
@@ -74,6 +75,66 @@ def test_coloring_matches_the_reference(n, seed):
         conflicts = scheduling._conflict_sets(tess, sched.conflict_multiplier)
         expected = reference_rebalance(reference_greedy_coloring(conflicts), conflicts)
         assert sched.color_of_cell.tobytes() == expected.tobytes(), sched.regime
+
+
+def reference_adjacency(centers, rho_n):
+    """Centers within ``4*rho_n*(1+1e-9)``, one dense product: the reference
+    for ``tess.neighbors``."""
+    theta_adj = min(4.0 * rho_n * (1.0 + 1e-9) / geometry.RADIUS, math.pi)
+    adj_matrix = centers @ centers.T >= math.cos(theta_adj) - 1e-15
+    np.fill_diagonal(adj_matrix, False)
+    return [np.flatnonzero(row) for row in adj_matrix]
+
+
+def reference_conflict_sets(tess, delta):
+    """Centers within ``delta*rho_n``, each cell's reference adjacency OR-ed
+    in: the reference for ``scheduling._conflict_sets``."""
+    theta = min(delta * tess.rho_n / geometry.RADIUS, math.pi)
+    conflict = tess.centers @ tess.centers.T >= math.cos(theta) - 1e-15
+    for c, nbrs in enumerate(reference_adjacency(tess.centers, tess.rho_n)):
+        conflict[c, nbrs] = True
+    np.fill_diagonal(conflict, False)
+    return [set(np.flatnonzero(row).tolist()) for row in conflict]
+
+
+def assert_proximity_matches_the_references(tess, deltas):
+    expected = reference_adjacency(tess.centers, tess.rho_n)
+    assert [row.tolist() for row in tess.neighbors] == [row.tolist() for row in expected]
+    for delta in deltas:
+        assert scheduling._conflict_sets(tess, delta) == reference_conflict_sets(tess, delta)
+
+
+def desk_deltas(n):
+    """Both ends of the fixed regime and the conservative ``log`` growth; at
+    ``MIN_CONFLICT_MULTIPLIER`` the adjacency radius is the larger."""
+    return (scheduling.MIN_CONFLICT_MULTIPLIER, scheduling.DEFAULT_CONFLICT_MULTIPLIER,
+            scheduling.DEFAULT_CONFLICT_MULTIPLIER * scheduling.growth_value("log", n))
+
+
+@pytest.mark.parametrize("n, seed", [(250, 0), (1000, 1), (4000, 2), (16000, 4)])
+def test_proximity_matches_the_dense_references(n, seed):
+    _, tess = experiment.prepare_instance(n, seed, 1.2)
+    assert_proximity_matches_the_references(tess, desk_deltas(n))
+
+
+@pytest.mark.parametrize("delta", desk_deltas(4000), ids=["min", "default", "log"])
+def test_proximity_matches_the_dense_references_at_near_ties(delta):
+    # Ring centers whose cosine to the pole is a few ulps either side of each
+    # threshold cosine (adjacency and delta*rho); the pole's products with
+    # them are those cosines exactly.
+    rho = 0.005
+    cosines = []
+    for radius in (4.0 * rho * (1.0 + 1e-9), delta * rho):
+        t = math.cos(min(radius / geometry.RADIUS, math.pi)) - 1e-15
+        cosines += [t + k * np.spacing(t) for k in range(-3, 4)]
+    azimuth = np.linspace(0.0, 2.0 * math.pi, len(cosines), endpoint=False)
+    z = np.array(cosines)
+    ring = np.column_stack([np.sqrt(1.0 - z**2) * np.cos(azimuth),
+                            np.sqrt(1.0 - z**2) * np.sin(azimuth), z])
+    tess = synthetic_tessellation(np.vstack([[0.0, 0.0, 1.0], ring]), rho, normalize=False)
+    assert (tess.centers @ tess.centers.T)[0, 1:].tolist() == cosines
+    assert 0 < len(tess.neighbors[0]) < len(cosines)
+    assert_proximity_matches_the_references(tess, [delta])
 
 
 class TestBuildSchedule:

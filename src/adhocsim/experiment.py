@@ -13,9 +13,10 @@ import configparser
 import contextlib
 import csv
 import functools
+import gc
 import math
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 from typing import Callable
 
@@ -197,14 +198,25 @@ def _run_point_task(args) -> PointResult:
         )
 
 
+@contextlib.contextmanager
+def _frozen_heap():
+    """Freeze the objects alive on entry until exit, so that the run's (and its
+    forked workers') collections skip them; a heap the caller froze stays frozen."""
+    with contextlib.ExitStack() as stack:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            stack.callback(gc.unfreeze)
+        yield
+
+
+@_frozen_heap()
 def run_sweep(spec: ExperimentSpec) -> bool:
     """Run the grid in sorted ``(n, seed)`` order, writing each point's rows
     as soon as it finishes; True iff every point ran and kept every hard
     invariant.  Points that raised are listed in ``errors.txt``; the
     resolved configuration is in ``config.resolved.ini``."""
     out = _open_out_dir(spec)
-    points = sorted((n, seed) for n in spec.n_values for seed in spec.seeds)
-    tasks = [(spec, n, seed) for n, seed in points]
+    tasks = [(spec, n, seed) for n, seed in sorted(product(spec.n_values, spec.seeds))]
     all_ok = True
     errors = []
     with contextlib.ExitStack() as stack:
@@ -226,6 +238,7 @@ def run_sweep(spec: ExperimentSpec) -> bool:
     return all_ok
 
 
+@_frozen_heap()
 def run_single(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
     """Run one point and write what ``simulate`` and ``verify`` leave behind.
 
@@ -247,6 +260,7 @@ def run_single(spec: ExperimentSpec, n: int, seed: int) -> PointResult:
     return res
 
 
+@_frozen_heap()
 def run_schedules(spec: ExperimentSpec) -> list[list]:
     """Fixed against conservative spatial reuse over the sweep grid.
 
@@ -258,7 +272,7 @@ def run_schedules(spec: ExperimentSpec) -> list[list]:
     out = _open_out_dir(spec)
     rows = []
     with CsvWriter(out, ("schedule_comparison.csv",)) as writer:
-        for n, seed in sorted((n, seed) for n in spec.n_values for seed in spec.seeds):
+        for n, seed in sorted(product(spec.n_values, spec.seeds)):
             dep, tess, _, table = point_routes(spec, n, seed)
             for regime in SCHEDULE_REGIMES:
                 schedule = make_schedule(replace(spec, schedule_regime=regime), tess)
@@ -487,6 +501,12 @@ def _optional(value) -> str:
     return "" if value is None else str(value)
 
 
+def _finite(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(raw)
+    return value
+
+
 def _bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
@@ -494,20 +514,20 @@ def _bool(raw: str) -> bool:
 CONFIG_KEYS = (
     ConfigKey("sweep", "n", "n_values", _ints, _join),
     ConfigKey("sweep", "seeds", "seeds", _seeds, _join_seeds),
-    ConfigKey("sweep", "area_constant", "area_constant", float, repr),
+    ConfigKey("sweep", "area_constant", "area_constant", _finite, repr),
     ConfigKey("sweep", "out", "out_dir"),
     ConfigKey("sweep", "workers", "workers", int),
     ConfigKey("sweep", "track_connections", "track_connections", _optional_int, _optional),
-    ConfigKey("radio", "tx_power", "radio.tx_power", float, repr),
-    ConfigKey("radio", "noise", "radio.noise", float, repr),
-    ConfigKey("radio", "alpha", "radio.alpha", float, repr),
+    ConfigKey("radio", "tx_power", "radio.tx_power", _finite, repr),
+    ConfigKey("radio", "noise", "radio.noise", _finite, repr),
+    ConfigKey("radio", "alpha", "radio.alpha", _finite, repr),
     ConfigKey("link_model", "name", "link_model_name"),
-    ConfigKey("link_model", "*", "link_model_params", float, repr),
+    ConfigKey("link_model", "*", "link_model_params", _finite, repr),
     ConfigKey("schedule", "regime", "schedule_regime"),
-    ConfigKey("schedule", "delta", "schedule_delta", float, repr),
+    ConfigKey("schedule", "delta", "schedule_delta", _finite, repr),
     ConfigKey("schedule", "growth", "schedule_growth"),
     ConfigKey("routing", "strategy", "routing_strategy"),
-    ConfigKey("engine", "injection_rate", "engine.injection_rate", float, repr),
+    ConfigKey("engine", "injection_rate", "engine.injection_rate", _finite, repr),
     ConfigKey("engine", "attempts_per_hop", "engine.attempts_per_hop", int),
     ConfigKey("engine", "measure_slots", "engine.measure_slots", int),
     ConfigKey("engine", "warmup_slots", "engine.warmup_slots", _optional_int, _optional),

@@ -89,11 +89,11 @@ def compute_bounds(
     c1: float = 0.0,
     phi_of_beta0: float | None = None,
 ) -> BoundSet:
-    if eps1 + eps2 >= 0.125:
+    if not eps1 + eps2 < 0.125:
         raise ConfigurationError("eps1 + eps2 must stay below 1/8")
-    if alpha <= 2:
+    if not alpha > 2:
         raise ConfigurationError("alpha must exceed 2")
-    if c1 < 0 or eps2 <= 0:
+    if not (c1 >= 0 and eps2 > 0):
         raise ConfigurationError("c1 = K - 1 must be nonnegative and eps2 positive")
     t0 = short_hop_threshold_root(eps1)
     m0 = 2.0 * (1.0 + c1) / eps2

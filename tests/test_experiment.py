@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 from pathlib import Path
 
@@ -238,6 +239,69 @@ class TestSweep:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+class TestFrozenHeap:
+    """Each run freezes the heap it starts with, so that its collections
+    skip the imported modules' objects, and leaves the freeze count as it
+    found it."""
+
+    RUNS = {  # run -> (a function it calls, the call made here)
+        "run_sweep": ("run", experiment.run_sweep),
+        "run_single": ("run", lambda spec: experiment.run_single(spec, 250, 0)),
+        "run_schedules": ("saturated_hop_samples", experiment.run_schedules),
+    }
+
+    def spy_on(self, monkeypatch, callee):
+        """Record the freeze count at each call of ``experiment.<callee>``."""
+        real, seen = getattr(experiment, callee), []
+
+        def spy(*args):
+            seen.append(gc.get_freeze_count())
+            return real(*args)
+
+        monkeypatch.setattr(experiment, callee, spy)
+        return seen
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_runs_in_a_frozen_heap_and_thaws_it(self, tmp_path, monkeypatch, name):
+        callee, call = self.RUNS[name]
+        seen = self.spy_on(monkeypatch, callee)
+        assert gc.get_freeze_count() == 0, "an earlier run left the heap frozen"
+        call(tiny_spec(tmp_path, ["sweep.seeds=0,"]))
+        assert seen and min(seen) > 0
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_a_run_that_raises_thaws_the_heap(self, tmp_path, monkeypatch, name):
+        seen = []
+
+        def fail(spec):
+            seen.append(gc.get_freeze_count())
+            raise OSError("disk full")
+
+        monkeypatch.setattr(experiment, "_open_out_dir", fail)
+        assert gc.get_freeze_count() == 0, "an earlier run left the heap frozen"
+        with pytest.raises(OSError, match="disk full"):
+            self.RUNS[name][1](tiny_spec(tmp_path))
+        assert seen[0] > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_a_heap_the_caller_froze_stays_frozen(self, tmp_path, monkeypatch):
+        # Checked by identity: the count also drops when the run frees a
+        # frozen object.  ``gc.get_objects`` lists only unfrozen objects.
+        seen = self.spy_on(monkeypatch, "run")
+        spec, old = tiny_spec(tmp_path, ["sweep.seeds=0,"]), []
+        gc.freeze()
+        try:
+            young = []
+            experiment.run_single(spec, 250, 0)
+            unfrozen = gc.get_objects()
+            assert seen and min(seen) > 0 and gc.get_freeze_count() > 0
+            assert not any(obj is old for obj in unfrozen)  # not thawed
+            assert any(obj is young for obj in unfrozen)  # not frozen by the run
+        finally:
+            gc.unfreeze()
+
+
 @pytest.fixture(scope="module")
 def pooled_decay(small_instance):
     """Constant-p delivery at p = 0.9 over 200 connections, pooled by hop
@@ -364,6 +428,16 @@ class TestCli:
             argv = ["sweep", "--out", str(out)] + [f"--set={s}" for s in TINY + [override]]
             assert cli.main(argv) == 2, override
             assert not out.exists(), override
+        # NaN and infinite numbers are rejected when read, before any run
+        capsys.readouterr()
+        for overrides in (["radio.alpha=nan"], ["radio.noise=nan"], ["link_model.a=nan"],
+                          ["link_model.midpoint_db=nan"], ["sweep.area_constant=inf"],
+                          ["link_model.name=threshold", "link_model.beta=nan"]):
+            out = tmp_path / "non_finite"
+            argv = ["sweep", "--out", str(out)] + [f"--set={s}" for s in TINY + overrides]
+            assert cli.main(argv) == 2, overrides
+            assert capsys.readouterr().err.startswith("configuration error:"), overrides
+            assert not out.exists(), overrides
 
     @pytest.mark.parametrize("command", ["sweep", "schedules", "simulate"])
     @pytest.mark.parametrize("override", [
@@ -484,6 +558,9 @@ class TestCli:
          "--injection-rate", "1.5"],
         ["simulate", "--n", "250", "--set", "link_model.name=bpsk_packet",
          "--set", "link_model.bits=2.5"],
+        ["bounds", "--c1", "3", "--alpha", "nan"],
+        ["bounds", "--c1", "3", "--eps1", "nan"],
+        ["bounds", "--c1", "nan"],
     ])
     def test_out_of_range_input_is_a_configuration_error(self, argv, capsys):
         assert cli.main(argv) == 2

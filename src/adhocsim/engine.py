@@ -17,8 +17,8 @@ more), so they are worked out once per distinct set into a plan
 the loop reads, ``((cell, next cell, tx, rx), p, decoded, SINR)``, one
 shared tuple for a dummy.  The first plan of a color with a link builds
 its gain rows, ``links.pair_gain`` to each receiver of its links from
-each of their transmitters; a plan sums its receivers' rows over its
-transmitters in the order and layout of ``links.sinr``: the same bits.
+each of their transmitters; a plan gathers its receivers' rows over its
+transmitters and sums them with ``links.sinr``.
 
 ``run`` reads the routes as the ``routing.RouteTable`` that set-up built.
 
@@ -357,20 +357,17 @@ def _gains(links: list[int], entries: list[tuple], nodes: np.ndarray, alpha: flo
 
 def _plan(ids, entries, power, gains, model, radio) -> tuple:
     """The plan of a slot that sends over the links ``ids`` (module
-    docstring).  A real link's SINR sums its receiver's row of ``gains`` over
-    the slot's transmitters, its own zeroed, as ``links.sinr`` sums it; alone
-    it is ``power / noise``.  A node decodes at most one packet per slot: only
-    its strongest inbound signal is attempted, the rest collide (but still
-    interfere network-wide)."""
+    docstring).  A real link's SINR is ``links.sinr`` of its receiver's row
+    of ``gains`` over the slot's transmitters.  A node decodes at most one
+    packet per slot: only its strongest inbound signal is attempted, the
+    rest collide (but still interfere network-wide)."""
     plan = [entries[i] for i in ids]
     real = [j for j, entry in enumerate(plan) if entry[0][3] >= 0]
     if not real:
         return tuple(plan)
     gain, where = gains
     row_gain = gain[[where[ids[j]][0] for j in real]].take([where[i][1] for i in ids], axis=1)
-    row_gain[np.arange(len(real)), real] = 0.0
-    signal = np.array([power[ids[j]] for j in real])
-    gamma = signal / (radio.noise + radio.tx_power * row_gain.sum(axis=-1))
+    gamma = sinr([power[ids[j]] for j in real], row_gain, radio, real)
     strongest = {}
     for j in real:
         best = strongest.get(plan[j][0][3])
@@ -397,8 +394,8 @@ def saturated_hop_samples(
     field of a color is each of its occupied cells' relay node (the module
     docstring says when an engine attempt sees exactly that field); a hop's
     own cell is left out of it, since that cell transmits the hop's signal.
-    One ``sinr`` call per color measures each of that color's links once, at
-    its first hop, with the kernel the engine runs; a link's hops share it.
+    One ``pair_gain`` call per color measures each of its links once, at its
+    first hop; ``sinr`` sums the gains, and the distances give the nearest interferer.
     """
     relay_of_cell = tess.relay_of_cell
     cells, rx, link = table.cell, table.rx, table.link
@@ -411,9 +408,10 @@ def saturated_hop_samples(
         hops = heads[mine]
         field = field[relay_of_cell[field] >= 0]
         position[field] = np.arange(len(field))
-        gamma[hops], nearest[hops] = sinr(
-            power[mine], dep.nodes[rx[hops]], dep.nodes[relay_of_cell[field]], radio,
-            own=position[cells[hops]],
-        )
+        gain, dist = pair_gain(dep.nodes[rx[hops]], dep.nodes[relay_of_cell[field]], radio.alpha)
+        own = position[cells[hops]]
+        gamma[hops] = sinr(power[mine], gain, radio, own)
+        dist[np.arange(len(hops)), own] = np.inf
+        nearest[hops] = dist.min(axis=-1, initial=np.inf)
     return gamma[link], nearest[link]
 

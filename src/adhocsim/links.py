@@ -28,12 +28,12 @@ class RadioParams:
     alpha: float = 3.0
 
     def __post_init__(self):
-        if self.tx_power <= 0:
-            raise ConfigurationError("tx_power must be positive")
-        if self.noise < 0:
-            raise ConfigurationError("noise must be nonnegative")
-        if self.alpha <= 2:
-            raise ConfigurationError("path-loss exponent must exceed 2")
+        if not 0 < self.tx_power < math.inf:
+            raise ConfigurationError("tx_power must be positive and finite")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigurationError("noise must be nonnegative and finite")
+        if not 2 < self.alpha < math.inf:
+            raise ConfigurationError("path-loss exponent must exceed 2 and be finite")
 
 
 def path_gain(distance, alpha: float):
@@ -56,24 +56,17 @@ def pair_gain(receivers, transmitters, alpha: float):
         return path_gain(dist, alpha), dist
 
 
-def sinr(signal, receivers, interferers, radio: RadioParams, own):
-    """Per-receiver SINR and nearest-interferer distance; the one SINR kernel.
+def sinr(signal, gain, radio: RadioParams, own):
+    """Per-receiver SINR; the one interference sum.
 
-    ``signal`` (m,) is each receiver's received signal power, ``receivers``
-    (m, 3) and ``interferers`` (k, 3) are positions.  Receiver ``i`` sums
-    interference (``pair_gain``, in interferer order) over every interferer
-    except row ``own[i]``, its own transmitter; the sum is network-wide with
-    no range truncation (a transmitting receiver hears infinite interference).
-    Returns ``(gamma, nearest)``, where ``nearest`` is the surface distance of
-    the closest counted interferer, inf when there is none.
+    ``signal`` (m,) is each receiver's received signal power and ``gain``
+    (m, k) its ``pair_gain`` row from each concurrent transmitter.  Receiver
+    ``i`` sums its row in column order with column ``own[i]``, its own
+    transmitter, zeroed (in place); the sum is network-wide with no range
+    truncation (a transmitting receiver hears infinite interference).
     """
-    signal = np.asarray(signal, dtype=float)
-    if len(interferers) <= 1:  # nobody but the own transmitter
-        return signal / radio.noise, np.full(len(signal), np.inf)
-    gain, dist = pair_gain(receivers, interferers, radio.alpha)
-    rows = np.arange(len(dist))
-    gain[rows, own], dist[rows, own] = 0.0, np.inf
-    return signal / (radio.noise + radio.tx_power * gain.sum(axis=-1)), dist.min(axis=-1)
+    gain[np.arange(len(gain)), own] = 0.0
+    return np.asarray(signal, dtype=float) / (radio.noise + radio.tx_power * gain.sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -137,8 +130,8 @@ class LogisticModel:
     continuous = True
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ConfigurationError("slope a must be positive")
+        if not (0 < self.a < math.inf and math.isfinite(self.midpoint_db)):
+            raise ConfigurationError("slope a must be positive and midpoint_db finite")
 
     def success(self, gamma: float) -> float:
         if gamma <= 0.0:

@@ -91,10 +91,10 @@ def compute_bounds(
 ) -> BoundSet:
     if not eps1 + eps2 < 0.125:
         raise ConfigurationError("eps1 + eps2 must stay below 1/8")
-    if not alpha > 2:
-        raise ConfigurationError("alpha must exceed 2")
-    if not (c1 >= 0 and eps2 > 0):
-        raise ConfigurationError("c1 = K - 1 must be nonnegative and eps2 positive")
+    if not 2 < alpha < math.inf:
+        raise ConfigurationError("alpha must exceed 2 and be finite")
+    if not (0 <= c1 < math.inf and eps2 > 0):
+        raise ConfigurationError("c1 = K - 1 must be nonnegative and finite, and eps2 positive")
     t0 = short_hop_threshold_root(eps1)
     m0 = 2.0 * (1.0 + c1) / eps2
     m0_arbitrary = 2.0 * (1.0 + c1) / ARBITRARY_EPS
@@ -381,8 +381,8 @@ def throughput_ceilings(
     phi_beta0: float,
     n: int | None = None,
 ) -> CeilingReport:
-    if not rho_n > 0:
-        raise ConfigurationError("rho_n must be positive")
+    if not 0 < rho_n < math.inf:
+        raise ConfigurationError("rho_n must be positive and finite")
     if n is not None and n < 2:
         raise ConfigurationError("n must be at least 2")
     if not 0.0 <= injection_rate <= 1.0:

@@ -2,13 +2,13 @@
 
 Each slot, every cell of the slot's color sends its queue head (under
 saturated traffic an idle occupied cell's relay sends a dummy); one
-``links.sinr`` call over all of the slot's transmitters gives every
-SINR; each receiver decodes only its strongest inbound link.  There is
-no plan memo, no link id and no jump over idle stretches.  The two
-random streams are drawn one value at a time, in the order in which
-``engine.run`` consumes them: injections as geometric gaps between the
-successes of one Bernoulli trial per slot and connection, and one
-uniform per decoded attempt.
+``links.pair_gain`` and one ``links.sinr`` call over all of the slot's
+transmitters give every SINR; each receiver decodes only its strongest
+inbound link.  There is no plan memo, no link id and no jump over idle
+stretches.  The two random streams are drawn one value at a time, in the
+order in which ``engine.run`` consumes them: injections as geometric gaps
+between the successes of one Bernoulli trial per slot and connection,
+and one uniform per decoded attempt.
 """
 
 import math
@@ -53,8 +53,8 @@ def reference_run(dep, tess, schedule, table, model, radio, cfg) -> dict:
         nodes = [tx[pkt[0]] if pkt else relay[c] for c, pkt in senders]
         real = [j for j, (_, pkt) in enumerate(senders) if pkt]
         hop = [senders[j][1][0] for j in real]
-        gamma = links.sinr([power[h] for h in hop], dep.nodes[[rx[h] for h in hop]],
-                           dep.nodes[nodes], radio, own=real)[0].tolist() if real else []
+        gain = links.pair_gain(dep.nodes[[rx[h] for h in hop]], dep.nodes[nodes], radio.alpha)[0]
+        gamma = links.sinr([power[h] for h in hop], gain, radio, own=real).tolist()
         sinr_of = dict(zip(real, gamma))
         for j, (c, pkt) in enumerate(senders):
             if measuring:

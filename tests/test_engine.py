@@ -172,8 +172,9 @@ def test_lone_transmitter_sinr_is_signal_over_noise():
     cfg = EngineConfig(injection_rate=0.25, measure_slots=2000, seed=37, trace=True)
     m = run(dep, tess, sched, table_of([route], dep, tess), links.LogisticModel(), RADIO, cfg)
     power = RADIO.tx_power * links.path_gain(route.hop_lengths, RADIO.alpha)[0]
-    expected = links.sinr([power], dep.nodes[[route.relays[1]]], dep.nodes[[route.relays[0]]],
-                          RADIO, own=[0])[0][0]
+    gain = links.pair_gain(dep.nodes[[route.relays[1]]], dep.nodes[[route.relays[0]]],
+                           RADIO.alpha)[0]
+    expected = links.sinr([power], gain, RADIO, own=[0])[0]
     assert len(m.trace) > 100
     assert all(row[4] == expected for row in m.trace)
 
@@ -246,8 +247,8 @@ def test_shared_slot_sinr_is_the_kernel_value():
     assert len(shared) > 50
     for rows in shared:
         tx, rx, sinr = (list(col) for col in zip(*rows))
-        expected = links.sinr([power[t] for t in tx], dep.nodes[rx], dep.nodes[tx], RADIO,
-                              own=np.arange(2))[0]
+        gain = links.pair_gain(dep.nodes[rx], dep.nodes[tx], RADIO.alpha)[0]
+        expected = links.sinr([power[t] for t in tx], gain, RADIO, own=np.arange(2))
         assert sinr == expected.tolist()
 
 
@@ -393,8 +394,9 @@ class TestDeliveryLaw:
         tx, rx = np.array(route.relays[:-1]), np.array(route.relays[1:])
         colors = sched.color_of_cell[route.cells[:route.hop_count]]
         floor = min(
-            links.sinr(signal[hops], dep.nodes[rx[hops]], dep.nodes[tx[hops]], RADIO,
-                       own=np.arange(len(hops)))[0].min()
+            links.sinr(signal[hops],
+                       links.pair_gain(dep.nodes[rx[hops]], dep.nodes[tx[hops]], RADIO.alpha)[0],
+                       RADIO, own=np.arange(len(hops))).min()
             for hops in (np.flatnonzero(colors == c) for c in set(colors.tolist()))
         )
         assert floor > 0
@@ -641,10 +643,12 @@ def per_hop_samples(dep, tess, schedule, table, radio):
         hops = np.flatnonzero(colors == k)
         field = field[relay_of_cell[field] >= 0]
         position[field] = np.arange(len(field))
-        gamma[hops], nearest[hops] = links.sinr(
-            signal[hops], dep.nodes[rx[hops]], dep.nodes[relay_of_cell[field]], radio,
-            own=position[cells[hops]],
-        )
+        gain, dist = links.pair_gain(dep.nodes[rx[hops]], dep.nodes[relay_of_cell[field]],
+                                     radio.alpha)
+        own = position[cells[hops]]
+        gamma[hops] = links.sinr(signal[hops], gain, radio, own=own)
+        dist[np.arange(len(hops)), own] = np.inf
+        nearest[hops] = dist.min(axis=-1, initial=np.inf)
     return gamma, nearest
 
 

@@ -561,6 +561,10 @@ class TestCli:
         ["bounds", "--c1", "3", "--alpha", "nan"],
         ["bounds", "--c1", "3", "--eps1", "nan"],
         ["bounds", "--c1", "nan"],
+        ["bounds", "--c1", "inf", "--alpha", "inf"],
+        ["bounds", "--c1", "3", "--phi-beta0", "0.37", "--rho-n", "inf"],
+        ["bounds", "--c1", "inf"],
+        ["bounds", "--c1", "3", "--alpha", "inf"],
     ])
     def test_out_of_range_input_is_a_configuration_error(self, argv, capsys):
         assert cli.main(argv) == 2

@@ -20,29 +20,38 @@ def place_at_distances(distances):
 
 
 def one_link(rx, tx, interferers, radio):
-    """The kernel for one receiver whose own transmitter is interferer row 0."""
+    """The kernel for one receiver whose own transmitter is column 0 of its
+    gain row."""
     signal = radio.tx_power * links.path_gain(geometry.surface_distance(tx, rx), radio.alpha)
-    gamma, nearest = links.sinr([signal], [rx], [tx, *interferers], radio, own=[0])
-    return gamma[0], nearest[0]
+    gain = links.pair_gain([rx], [tx, *interferers], radio.alpha)[0]
+    return links.sinr([signal], gain, radio, own=[0])[0]
 
 
 class TestSinr:
     def test_no_interferers_is_signal_over_noise(self):
         radio = links.RadioParams(tx_power=2.0, noise=1e-6, alpha=3.0)
         rx, tx = place_at_distances([0.1])
-        gamma, nearest = one_link(rx, tx, [], radio)
+        gamma = one_link(rx, tx, [], radio)
         assert gamma == pytest.approx(2.0 * 0.1**-3.0 / 1e-6, rel=1e-9)
-        assert nearest == math.inf
-        alone, none_near = links.sinr([2.0 * 0.1**-3.0], [rx], [tx], radio, own=[0])
+        gain = links.pair_gain([rx], [tx], radio.alpha)[0]
+        alone = links.sinr([2.0 * 0.1**-3.0], gain, radio, own=[0])
         assert alone[0] == pytest.approx(gamma, rel=1e-15)
-        assert none_near[0] == math.inf
+
+    @given(st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=0.0, max_value=1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_lone_transmitter_is_signal_over_noise_bit_for_bit(self, signal, noise):
+        # one column, the receiver's own: nothing is summed
+        radio = links.RadioParams(tx_power=2.0, noise=noise)
+        rx, tx = place_at_distances([0.1])
+        gain = links.pair_gain([rx], [tx], radio.alpha)[0]
+        with np.errstate(divide="ignore", over="ignore"):
+            gamma = links.sinr([signal], gain, radio, own=[0])
+            assert gamma.tolist() == (np.array([signal]) / noise).tolist()
 
     def test_symmetric_interferer_gives_one(self):
         radio = links.RadioParams(noise=0.0, alpha=3.0)
         rx, tx, intf = place_at_distances([0.2, -0.2])
-        gamma, nearest = one_link(rx, tx, [intf], radio)
-        assert gamma == pytest.approx(1.0, rel=1e-9)
-        assert nearest == pytest.approx(0.2, rel=1e-12)
+        assert one_link(rx, tx, [intf], radio) == pytest.approx(1.0, rel=1e-9)
 
     def test_bounded_sinr_geometry(self):
         # signal from t0*rho away, single interferer at (m0+8)*rho, zero noise:
@@ -51,26 +60,30 @@ class TestSinr:
         rho, t0, m0 = 1e-5, 0.05, 64.0
         rx, tx, intf = place_at_distances([t0 * rho, (m0 + 8) * rho])
         expected = ((m0 + 8) / t0) ** radio.alpha
-        assert one_link(rx, tx, [intf], radio)[0] == pytest.approx(expected, rel=1e-6)
+        assert one_link(rx, tx, [intf], radio) == pytest.approx(expected, rel=1e-6)
 
     def test_monotone_in_interferers(self, rng):
         radio = links.RadioParams()
         pts = geometry.random_point(rng, 8)
         rx, tx, rest = pts[0], pts[1], list(pts[2:])
-        vals = [one_link(rx, tx, rest[:k], radio)[0] for k in range(len(rest) + 1)]
+        vals = [one_link(rx, tx, rest[:k], radio) for k in range(len(rest) + 1)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_power_scale_invariance_when_interference_limited(self, rng):
         pts = geometry.random_point(rng, 4)
         lo = one_link(pts[0], pts[1], pts[2:], links.RadioParams(tx_power=1.0, noise=0.0))
         hi = one_link(pts[0], pts[1], pts[2:], links.RadioParams(tx_power=7.5, noise=0.0))
-        assert lo[0] == pytest.approx(hi[0], rel=1e-12)
+        assert lo == pytest.approx(hi, rel=1e-12)
 
     def test_radio_param_validation(self):
         with pytest.raises(ConfigurationError):
             links.RadioParams(alpha=2.0)
         with pytest.raises(ConfigurationError):
             links.RadioParams(tx_power=0.0)
+        for bad in ({"alpha": math.nan}, {"alpha": math.inf}, {"tx_power": math.inf},
+                    {"tx_power": math.nan}, {"noise": math.nan}, {"noise": math.inf}):
+            with pytest.raises(ConfigurationError):
+                links.RadioParams(**bad)
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -91,12 +104,11 @@ class TestSinr:
             np.all(geometry.central_angle(itf[c], rx[i]) >= 0.05)
             for i, c in enumerate(counted)
         ))
-        gamma, nearest = links.sinr(signal, rx, itf, radio, own=own)
+        gamma = links.sinr(signal, links.pair_gain(rx, itf, radio.alpha)[0], radio, own=own)
         for i, c in enumerate(counted):
             d = geometry.surface_distance(itf[c], rx[i])
             interference = radio.tx_power * np.sum(d ** -radio.alpha)
             assert gamma[i] == pytest.approx(signal[i] / (radio.noise + interference), rel=1e-12)
-            assert nearest[i] == (pytest.approx(d.min(), rel=1e-12) if c else math.inf)
 
 
 class TestSuccessModels:
@@ -121,6 +133,12 @@ class TestSuccessModels:
     def test_logistic_midpoint(self):
         model = links.LogisticModel(a=1.0, midpoint_db=10.0)
         assert model.success(10.0) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("params", [{"a": math.inf}, {"a": math.nan}, {"a": 0.0},
+                                        {"midpoint_db": math.nan}, {"midpoint_db": -math.inf}])
+    def test_logistic_rejects_a_bad_slope_or_midpoint(self, params):
+        with pytest.raises(ConfigurationError):
+            links.LogisticModel(**params)
 
     @pytest.mark.parametrize(
         "model",

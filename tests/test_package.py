@@ -79,6 +79,17 @@ def test_every_public_name_has_a_caller():
         assert name in {ref for ref, _ in _references(tests[test])}, (name, test)
 
 
+def test_only_links_reads_the_noise():
+    """The noise power enters the SINR in one place, ``links.sinr``: a module
+    that reads an attribute named ``noise`` sums interference a second way."""
+    readers = [
+        path.stem for path in SOURCES
+        if any(isinstance(node, ast.Attribute) and node.attr == "noise"
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    ]
+    assert readers == ["links"]
+
+
 # Default parameters kept although no call in the package overrides them,
 # each with its reason.
 DEFAULT_KEPT = {
